@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -44,7 +45,8 @@ EXIT_ESTIMATION = 4
 
 
 def _jsonable(value):
-    """Drop non-serializable diagnostics (arrays); keep scalars and trees."""
+    """Drop non-serializable diagnostics (arrays); keep scalars and trees.
+    NaN and infinite floats become None, so every report is valid JSON."""
     if isinstance(value, dict):
         return {
             str(k): _jsonable(v)
@@ -54,14 +56,16 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
     if isinstance(value, np.bool_):
         return bool(value)
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
     return value
 
 
 def _write_json(path: str, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -85,7 +89,7 @@ def _estimate_payload(result: EstimateResult) -> dict:
         "ci_low": result.ci_low,
         "ci_high": result.ci_high,
         "method": result.method,
-        "diagnostics": _jsonable(result.diagnostics),
+        "diagnostics": result.diagnostics,
     }
 
 

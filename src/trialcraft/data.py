@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     AllMissingColumn,
     ArmNotBinary,
+    ColumnConflict,
     ConfigError,
     DataError,
     EmptyArm,
@@ -123,6 +124,9 @@ def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDat
     `impute_missing`; a missing outcome or arm cell is fatal.
     """
     covariate_cols = list(covariate_cols)
+    bound = [outcome_col, arm_col, *covariate_cols]
+    if len(set(bound)) != len(bound):
+        raise ColumnConflict(f"outcome, arm and covariates must be distinct columns: {bound}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -131,9 +135,11 @@ def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDat
             raise MalformedCsv(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
         positions = {}
-        for name in [outcome_col, arm_col, *covariate_cols]:
+        for name in bound:
             if name not in header:
                 raise UnknownColumn(f"{path}: column {name!r} not in header")
+            if header.count(name) > 1:
+                raise ColumnConflict(f"{path}: column {name!r} appears more than once in the header")
             positions[name] = header.index(name)
 
         rows = []
@@ -284,6 +290,11 @@ class FoldPlan:
 
     def complement_indices(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.assignments != k)
+
+
+def derived_seed(ss: np.random.SeedSequence) -> int:
+    """A non-negative 63-bit integer seed drawn from a seed sequence."""
+    return int(ss.generate_state(1, np.uint64)[0] >> 1)
 
 
 def make_folds(

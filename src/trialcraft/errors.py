@@ -48,6 +48,10 @@ class UnknownColumn(DataError):
     """A referenced column does not exist."""
 
 
+class ColumnConflict(DataError):
+    """A column is bound twice: as outcome, arm or covariate, or in the header."""
+
+
 class TooManyFolds(ConfigError):
     """Requested fold count exceeds what the data supports."""
 

@@ -27,7 +27,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import variance
-from .data import FeatureExpansion, FoldPlan, TrialDataset, check_complete, expand_features
+from .data import (
+    FeatureExpansion,
+    FoldPlan,
+    TrialDataset,
+    check_complete,
+    derived_seed,
+    expand_features,
+)
 from .errors import ConfigError, DegenerateFold, DomainError, EstimationError
 from .glm import (
     GlmFamily,
@@ -144,10 +151,6 @@ def _small_sample_factor(n1, n0, p1, p0) -> float:
     return ((1 / (n0 - p0 - 1)) + (1 / (n1 - p1 - 1))) / ((1 / (n0 - 1)) + (1 / (n1 - 1)))
 
 
-def _learner_seed(seed: int, *key) -> int:
-    return int(np.random.SeedSequence((seed, *key)).generate_state(1, np.uint64)[0] >> 1)
-
-
 # --- propensity ----------------------------------------------------------
 
 def fit_propensity(d: TrialDataset, ps_columns) -> GlmFit:
@@ -179,8 +182,7 @@ def estimate_unadjusted(
     ybar0 = float(d.y[d.z == 0].mean())
     pred1 = np.full(d.n, ybar1)
     pred0 = np.full(d.n, ybar0)
-    v1 = variance.arm_values(d.y, d.z, pred1, pi_hat, 1)
-    v0 = variance.arm_values(d.y, d.z, pred0, pi_hat, 0)
+    _, _, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, pi_hat)
     return _package(
         "unadjusted", ybar1, ybar0, v1, v0,
         {"pi_hat": pi_hat, "pred1": pred1, "pred0": pred0},
@@ -210,8 +212,7 @@ def estimate_standardization(
         preds[arm] = predict(fit, work.x)
     mu1 = float(preds[1].mean())
     mu0 = float(preds[0].mean())
-    v1 = variance.arm_values(d.y, d.z, preds[1], pi_hat, 1)
-    v0 = variance.arm_values(d.y, d.z, preds[0], pi_hat, 0)
+    _, _, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_hat)
     factor = 1.0
     if small_sample_correction:
         factor = _small_sample_factor(
@@ -292,7 +293,7 @@ def _data_adaptive_parts(
         rows = _arm_rows(d, arm)
         sel = _select_arm(
             work.x[rows], work.y[rows], family, method,
-            _learner_seed(seed, 901, arm), work.column_names,
+            derived_seed(np.random.SeedSequence((seed, 901, arm))), work.column_names,
             selection_k_cv, lambda_rule, max_terms,
         )
         selections[arm] = sel
@@ -342,10 +343,9 @@ def estimate_data_adaptive(
     else:
         pi_for_if = _overall_pi(d, pi)
         pi_report = pi_for_if
-    v1 = variance.arm_values(d.y, d.z, preds[1], pi_for_if, 1)
-    v0 = variance.arm_values(d.y, d.z, preds[0], pi_for_if, 0)
+    aipw1, aipw0, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_for_if)
     if eem:
-        mu1, mu0 = float(v1.mean()), float(v0.mean())
+        mu1, mu0 = aipw1.mean(), aipw0.mean()
     else:
         mu1, mu0 = float(preds[1].mean()), float(preds[0].mean())
     factor = 1.0
@@ -394,12 +394,23 @@ def tmle_update(init_pred_arm, y_arm, family, clever_arm=None):
     return float(fit.coefficients[0])
 
 
-def _apply_update(init_pred, family, eps, clever=None):
-    init = np.asarray(init_pred, dtype=float)
-    if family is GlmFamily.BINOMIAL:
-        init = np.clip(init, TMLE_PRED_CLIP, 1.0 - TMLE_PRED_CLIP)
-    shift = eps if clever is None else eps * np.asarray(clever, dtype=float)
-    return family.inv_link(family.link(init) + shift)
+def _targeted_update(d: TrialDataset, preds, family, clever=None):
+    """Fit each arm's epsilon on its rows and apply it to every participant.
+    `clever` maps each arm to its clever covariate over all participants, or
+    is None for the intercept-only update. Returns (updated, epsilons)."""
+    updated = {}
+    epsilons = {}
+    for arm in (1, 0):
+        rows = _arm_rows(d, arm)
+        h = None if clever is None else clever[arm]
+        eps = tmle_update(preds[arm][rows], d.y[rows], family, None if h is None else h[rows])
+        init = preds[arm]
+        if family is GlmFamily.BINOMIAL:
+            init = np.clip(init, TMLE_PRED_CLIP, 1.0 - TMLE_PRED_CLIP)
+        shift = eps if h is None else eps * h
+        updated[arm] = family.inv_link(family.link(init) + shift)
+        epsilons[arm] = eps
+    return updated, epsilons
 
 
 def estimate_tmle(
@@ -436,24 +447,13 @@ def estimate_tmle(
         ps_fit = fit_propensity(d, pi.ps_columns)
         p_hat, clamp_count = propensity_scores(ps_fit, d)
 
-    updated = {}
-    epsilons = {}
-    for arm in (1, 0):
-        rows = _arm_rows(d, arm)
-        if parametric:
-            clever_all = 1.0 / p_hat if arm == 1 else 1.0 / (1.0 - p_hat)
-            eps = tmle_update(preds[arm][rows], work.y[rows], family, clever_all[rows])
-            updated[arm] = _apply_update(preds[arm], family, eps, clever_all)
-        else:
-            eps = tmle_update(preds[arm][rows], work.y[rows], family)
-            updated[arm] = _apply_update(preds[arm], family, eps)
-        epsilons[arm] = eps
+    clever = {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)} if parametric else None
+    updated, epsilons = _targeted_update(d, preds, family, clever)
 
     mu1 = float(updated[1].mean())
     mu0 = float(updated[0].mean())
     pi_for_if = p_hat if parametric else _overall_pi(d, pi)
-    v1 = variance.arm_values(d.y, d.z, updated[1], pi_for_if, 1)
-    v0 = variance.arm_values(d.y, d.z, updated[0], pi_for_if, 0)
+    _, _, v1, v0 = variance.aipw(d.y, d.z, updated[1], updated[0], pi_for_if)
     factor = 1.0
     if small_sample_correction:
         factor = _small_sample_factor(
@@ -500,9 +500,8 @@ def _crossfit_predictions(d: TrialDataset, work_x, learner, folds: FoldPlan, fam
             )
         for arm, out in ((1, pred1), (0, pred0)):
             rows = train[z_train == arm]
-            predictor = learner.train(
-                work_x[rows], d.y[rows], family, seed=_learner_seed(seed, k, arm)
-            )
+            arm_seed = derived_seed(np.random.SeedSequence((seed, k, arm)))
+            predictor = learner.train(work_x[rows], d.y[rows], family, seed=arm_seed)
             out[test] = predictor.predict(work_x[test])
     return pred1, pred0
 
@@ -530,24 +529,11 @@ def estimate_crossfit_aipw(
     pred1, pred0 = _crossfit_predictions(d, d.x, learner, folds, family, seed)
 
     known = pi.value if pi.mode == "known" else None
-    mu1_folds = np.empty(folds.k)
-    mu0_folds = np.empty(folds.k)
-    pi_by_fold = {}
-    for k in range(1, folds.k + 1):
-        idx = folds.fold_indices(k)
-        if known is not None:
-            pik = known
-        else:
-            pik = float(d.z[idx].mean())
-            if pik <= 0.0 or pik >= 1.0:
-                raise DegenerateFold(
-                    f"fold {k} contains a single arm; use stratified folds"
-                )
-        pi_by_fold[k] = pik
-        mu1_folds[k - 1] = variance.arm_values(d.y[idx], d.z[idx], pred1[idx], pik, 1).mean()
-        mu0_folds[k - 1] = variance.arm_values(d.y[idx], d.z[idx], pred0[idx], pik, 0).mean()
-
-    v1, v0, _ = variance.crossfit_values(d.y, d.z, pred1, pred0, folds, known_pi=known)
+    mu1_folds, mu0_folds, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, known, folds)
+    pi_by_fold = {
+        k: known if known is not None else float(d.z[folds.fold_indices(k)].mean())
+        for k in range(1, folds.k + 1)
+    }
     diagnostics = {
         "learner": getattr(learner, "name", type(learner).__name__),
         "fold_seed": folds.seed,
@@ -577,25 +563,13 @@ def estimate_cvtmle(
     check_complete(d)
     _validate_folds(d, folds)
     init1, init0 = _crossfit_predictions(d, d.x, learner, folds, family, seed)
-
-    updated = {}
-    epsilons = {}
-    for arm, init in ((1, init1), (0, init0)):
-        rows = _arm_rows(d, arm)
-        eps = tmle_update(init[rows], d.y[rows], family)
-        updated[arm] = _apply_update(init, family, eps)
-        epsilons[arm] = eps
-
-    mu1_folds = np.empty(folds.k)
-    mu0_folds = np.empty(folds.k)
-    for k in range(1, folds.k + 1):
-        idx = folds.fold_indices(k)
-        mu1_folds[k - 1] = updated[1][idx].mean()
-        mu0_folds[k - 1] = updated[0][idx].mean()
+    updated, epsilons = _targeted_update(d, {1: init1, 0: init0}, family)
+    fold_rows = [folds.fold_indices(k) for k in range(1, folds.k + 1)]
+    mu1 = np.mean([updated[1][idx].mean() for idx in fold_rows])
+    mu0 = np.mean([updated[0][idx].mean() for idx in fold_rows])
 
     pi_hat = _overall_pi(d, pi)
-    v1 = variance.arm_values(d.y, d.z, updated[1], pi_hat, 1)
-    v0 = variance.arm_values(d.y, d.z, updated[0], pi_hat, 0)
+    _, _, v1, v0 = variance.aipw(d.y, d.z, updated[1], updated[0], pi_hat)
     diagnostics = {
         "learner": getattr(learner, "name", type(learner).__name__),
         "fold_seed": folds.seed,
@@ -606,7 +580,7 @@ def estimate_cvtmle(
         "pred1": updated[1],
         "pred0": updated[0],
     }
-    return _package("cvtmle", mu1_folds.mean(), mu0_folds.mean(), v1, v0, diagnostics)
+    return _package("cvtmle", mu1, mu0, v1, v0, diagnostics)
 
 
 # --- strong null -----------------------------------------------------------
@@ -634,17 +608,16 @@ def estimate_strong_null(
         pred = predict(fit, work.x)
         model_name = "pooled_glm"
     else:
-        predictor = model.train(d.x, d.y, family, seed=_learner_seed(seed, 902))
+        model_seed = derived_seed(np.random.SeedSequence((seed, 902)))
+        predictor = model.train(d.x, d.y, family, seed=model_seed)
         pred = np.asarray(predictor.predict(d.x), dtype=float)
         model_name = getattr(model, "name", type(model).__name__)
 
     known = pi is not None and pi.mode == "known"
     pi_hat = _overall_pi(d, pi)
-    mu1 = float(variance.arm_values(d.y, d.z, pred, pi_hat, 1).mean())
-    mu0 = float(variance.arm_values(d.y, d.z, pred, pi_hat, 0).mean())
-    v1, v0 = variance.strong_null_values(d.y, d.z, pred, pi_hat, known=known)
+    mu1, mu0, v1, v0 = variance.aipw(d.y, d.z, pred, pred, pi_hat if known else None)
     result = _package(
-        "strong_null", mu1, mu0, v1, v0,
+        "strong_null", mu1.mean(), mu0.mean(), v1, v0,
         {"model": model_name, "pi_hat": pi_hat, "pred": pred},
     )
     z_stat = result.theta_hat / result.se if result.se > 0 else math.inf * np.sign(result.theta_hat)
@@ -688,17 +661,8 @@ def estimate_crossfit_aipw_parametric_ps(
         p_hat[idx] = clamped
         clamp_count += c
 
-    mu1_folds = np.empty(folds.k)
-    mu0_folds = np.empty(folds.k)
-    for k in range(1, folds.k + 1):
-        idx = folds.fold_indices(k)
-        mu1_folds[k - 1] = variance.arm_values(d.y[idx], d.z[idx], pred1[idx], p_hat[idx], 1).mean()
-        mu0_folds[k - 1] = variance.arm_values(d.y[idx], d.z[idx], pred0[idx], p_hat[idx], 0).mean()
-
-    v1 = variance.arm_values(d.y, d.z, pred1, p_hat, 1)
-    v0 = variance.arm_values(d.y, d.z, pred0, p_hat, 0)
-    corr1, corr0 = variance.parametric_ps_corrections(
-        d.y, d.z, pred1, pred0, p_hat, ps_design, folds
+    mu1_folds, mu0_folds, v1, v0 = variance.aipw(
+        d.y, d.z, pred1, pred0, p_hat, folds, ps_design
     )
     diagnostics = {
         "learner": getattr(learner, "name", type(learner).__name__),
@@ -712,7 +676,7 @@ def estimate_crossfit_aipw_parametric_ps(
     }
     return _package(
         "crossfit_aipw_parametric_ps",
-        mu1_folds.mean(), mu0_folds.mean(), v1 + corr1, v0 + corr0, diagnostics,
+        mu1_folds.mean(), mu0_folds.mean(), v1, v0, diagnostics,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import FeatureExpansion, TrialDataset, make_folds
+from .data import FeatureExpansion, TrialDataset, derived_seed, make_folds
 from .errors import ConfigError
 from .estimators import (
     CONTRASTS,
@@ -311,10 +311,6 @@ def plan_hash(plan: AnalysisPlan) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def _derived_seed(seed: int, tag: int) -> int:
-    return int(np.random.SeedSequence((seed, tag)).generate_state(1, np.uint64)[0] >> 1)
-
-
 def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -> EstimateResult:
     """Run the planned estimator on a dataset.
 
@@ -328,7 +324,7 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
         fold_seed = plan.folds.seed
     else:
         run_seed = seed
-        fold_seed = _derived_seed(seed, 104)
+        fold_seed = derived_seed(np.random.SeedSequence((seed, 104)))
 
     kind = plan.estimator
     family = plan.family

@@ -87,8 +87,8 @@ def lasso_lambda_max(x, y, family: GlmFamily, weights=None) -> float:
 class _GaussianCd:
     """Gram-based coordinate descent; per-coordinate cost is O(p), so a
     whole penalty path reuses one O(n p^2) precomputation. For small p the
-    sweep runs on plain Python floats, which is several times faster than
-    numpy scalar arithmetic in this regime."""
+    sweep runs on plain Python floats (lam and the Gram rows included), which
+    is several times faster than numpy scalar arithmetic in this regime."""
 
     PYTHON_KERNEL_MAX_P = 12
 
@@ -99,14 +99,14 @@ class _GaussianCd:
         self.c = xs.T @ (w * (y - self.ybar)) / n
         self.diag = np.diag(self.gram).copy()
         self.diag[self.diag <= 0] = 1.0  # degenerate columns stay at zero
-        self._gram_rows = [tuple(row) for row in self.gram]
+        self._gram_rows = self.gram.tolist()
         self._c_list = [float(v) for v in self.c]
         self._diag_list = [float(v) for v in self.diag]
 
     def solve(self, lam, b, max_sweeps=MAX_SWEEPS, tol=COORD_TOL):
         p = b.shape[0]
         if p <= self.PYTHON_KERNEL_MAX_P:
-            return self._solve_python(lam, b, max_sweeps, tol)
+            return self._solve_python(float(lam), b, max_sweeps, tol)
         gram, c, diag = self.gram, self.c, self.diag
         for _ in range(max_sweeps):
             delta = 0.0

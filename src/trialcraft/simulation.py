@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import TrialDataset
+from .data import TrialDataset, derived_seed
 from .errors import ConfigError, EmptyArm, EstimationError, LengthMismatch, TrialcraftError
 from .estimators import Z_CRIT, estimate_unadjusted
 from .glm import expit
@@ -225,7 +225,7 @@ def run_monte_carlo(
 
     def one(r: int):
         data_ss, est_ss = sequences[r].spawn(2)
-        est_seed = int(est_ss.generate_state(1, np.uint64)[0] >> 1)
+        est_seed = derived_seed(est_ss)
         try:
             dataset = generate_dataset(spec, data_ss)
         except EmptyArm as exc:

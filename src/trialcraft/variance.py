@@ -1,39 +1,24 @@
-"""Influence-function standard errors for every estimator family.
+"""The AIPW core shared by every estimator: arm means and influence values.
 
-The standard error of a treatment-effect estimate is sqrt of (1/n times the
-sample variance) of per-participant values of the form
+For outcome predictions h1, h0 and a randomization probability pi, each
+participant's arm-1 and arm-0 values are
 
-    Z_i/pi (Y_i - h1_i) + h1_i  -  [ (1-Z_i)/(1-pi) (Y_i - h0_i) + h0_i ],
+    v1_i = Z_i/pi (Y_i - h1_i) + h1_i,    v0_i = (1-Z_i)/(1-pi) (Y_i - h0_i) + h0_i,
 
-with variant-specific additions: cross-fitting with estimated per-fold
-randomization probabilities adds fold-mean correction terms in (Z_i -
-pi_k); the pooled strong-null model has the analogous pooled correction;
-a parametrically estimated propensity adds a score correction built from
-the logistic information matrix. Plugging in a *known* randomization
-probability removes the correction terms entirely.
-
-Sample variance uses the n-1 divisor throughout.
+and the standard error of a treatment-effect estimate is sqrt of (1/n times
+the sample variance) of v1 - v0, with the n-1 divisor. Every estimator takes
+its influence values from `aipw`; the AIPW and strong-null estimators also
+take their arm means from it, while the plug-in estimators average their own
+predictions.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .data import FoldPlan
 from .errors import DegenerateFold, DegeneratePi, LengthMismatch, Singular
-
-
-@dataclass(frozen=True)
-class InfluenceVector:
-    values: np.ndarray
-    centered: bool
-
-    def center(self) -> "InfluenceVector":
-        if self.centered:
-            return self
-        return InfluenceVector(self.values - self.values.mean(), True)
 
 
 def se_from_values(values: np.ndarray) -> float:
@@ -44,186 +29,84 @@ def se_from_values(values: np.ndarray) -> float:
     return math.sqrt(float(np.var(values, ddof=1)) / n)
 
 
-def _check_pi(pi) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise DegeneratePi("randomization probability must lie strictly in (0, 1)")
-    return pi
+def _score_corrections(z, res1, res0, pg, xg):
+    """Score-correction addends for a logistic propensity model fitted on
+    one group, with x~ the propensity design row (intercept included):
 
-
-def arm_values(y, z, pred, pi, arm: int) -> np.ndarray:
-    """Per-participant AIPW value for one arm; `pi` may be a scalar or a
-    per-participant vector (pointwise propensity)."""
-    pi = _check_pi(pi)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pred = np.asarray(pred, dtype=float)
-    if arm == 1:
-        return z / pi * (y - pred) + pred
-    return (1.0 - z) / (1.0 - pi) * (y - pred) + pred
-
-
-def if_variance_simple(pred1, pred0, y, z, pi_hat):
-    """Std. error for the no-splitting estimators (standardization,
-    data-adaptive, TMLE, unadjusted); no correction terms."""
-    v1 = arm_values(y, z, pred1, pi_hat, 1)
-    v0 = arm_values(y, z, pred0, pi_hat, 0)
-    values = v1 - v0
-    return se_from_values(values), InfluenceVector(values, False)
-
-
-def fold_pi_hat(z, folds: FoldPlan) -> np.ndarray:
-    """Empirical per-fold randomization probabilities, indexed by fold."""
-    z = np.asarray(z, dtype=float)
-    pis = np.empty(folds.k + 1)
-    pis[0] = np.nan
-    for k in range(1, folds.k + 1):
-        idx = folds.fold_indices(k)
-        pik = float(z[idx].mean())
-        if pik <= 0.0 or pik >= 1.0:
-            raise DegenerateFold(
-                f"fold {k} contains a single arm (pi_hat_k={pik:g}); "
-                "use stratified folds"
-            )
-        pis[k] = pik
-    return pis
-
-
-def crossfit_values(y, z, pred1, pred0, folds: FoldPlan, known_pi=None):
-    """Per-arm cross-fit influence values.
-
-    With `known_pi` the true probability is plugged in and the correction
-    terms are dropped; otherwise per-fold pi_hat_k is used together with the
-    fold-mean corrections in (Z_i - pi_hat_k).
-    Returns (v1, v0, pi_by_participant).
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pred1 = np.asarray(pred1, dtype=float)
-    pred0 = np.asarray(pred0, dtype=float)
-    n = y.shape[0]
-    v1 = np.empty(n)
-    v0 = np.empty(n)
-    pi_i = np.empty(n)
-
-    if known_pi is not None:
-        pi = float(_check_pi(known_pi))
-        pi_i[:] = pi
-        v1[:] = arm_values(y, z, pred1, pi, 1)
-        v0[:] = arm_values(y, z, pred0, pi, 0)
-        return v1, v0, pi_i
-
-    pis = fold_pi_hat(z, folds)
-    for k in range(1, folds.k + 1):
-        idx = folds.fold_indices(k)
-        pik = pis[k]
-        pi_i[idx] = pik
-        base1 = arm_values(y[idx], z[idx], pred1[idx], pik, 1)
-        base0 = arm_values(y[idx], z[idx], pred0[idx], pik, 0)
-        m1 = float(np.mean(z[idx] / pik**2 * (y[idx] - pred1[idx])))
-        m0 = float(np.mean((1 - z[idx]) / (1 - pik) ** 2 * (y[idx] - pred0[idx])))
-        centered_z = z[idx] - pik
-        v1[idx] = base1 - m1 * centered_z
-        v0[idx] = base0 + m0 * centered_z
-    return v1, v0, pi_i
-
-
-def if_variance_crossfit(pred1, pred0, y, z, folds: FoldPlan, known_pi=None):
-    v1, v0, _ = crossfit_values(y, z, pred1, pred0, folds, known_pi)
-    values = v1 - v0
-    return se_from_values(values), InfluenceVector(values, False)
-
-
-def strong_null_values(y, z, pred, pi_hat, known: bool = False):
-    """Per-arm values for the pooled strong-null estimator.
-
-    Both arms share the same pooled prediction. With an estimated pi_hat the
-    pooled-mean correction terms in (Z_i - pi_hat) are included; with a
-    known randomization probability they are dropped.
-    """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pred = np.asarray(pred, dtype=float)
-    pi = float(_check_pi(pi_hat))
-    v1 = arm_values(y, z, pred, pi, 1)
-    v0 = arm_values(y, z, pred, pi, 0)
-    if not known:
-        m1 = float(np.mean(z / pi**2 * (y - pred)))
-        m0 = float(np.mean((1 - z) / (1 - pi) ** 2 * (y - pred)))
-        centered_z = z - pi
-        v1 = v1 - m1 * centered_z
-        v0 = v0 + m0 * centered_z
-    return v1, v0
-
-
-def if_variance_strong_null(pred, y, z, pi_hat, known: bool = False):
-    """Std. error of the strong-null test statistic's numerator: 1/n times
-    the sample variance of
-
-      (Z_i - pi)/(pi(1-pi)) (Y_i - h_i)
-        - mean_j[(Z_j/pi^2 + (1-Z_j)/(1-pi)^2)(Y_j - h_j)] (Z_i - pi).
-    """
-    v1, v0 = strong_null_values(y, z, pred, pi_hat, known)
-    values = v1 - v0
-    return se_from_values(values), InfluenceVector(values, False)
-
-
-def parametric_ps_corrections(y, z, pred1, pred0, p_hat, ps_design, folds: FoldPlan | None):
-    """Score-correction addends for a logistic propensity model.
-
-    For participants of fold k (or the whole sample when `folds` is None),
-    with x~ the propensity design row (intercept included),
-
-        s_i = x~_i (Z_i - p_i)                      score at the fold MLE
+        s_i = x~_i (Z_i - p_i)                      score at the group MLE
         A   = -mean_j p_j (1-p_j) x~_j x~_j'        observed information
         c1  =  mean_j Z_j (Y_j - h1_j) (1-p_j)/p_j x~_j
         c0  =  mean_j (1-Z_j)(Y_j - h0_j) p_j/(1-p_j) x~_j
 
-    and the arm-1 values gain +c1' A^{-1} s_i while the arm-0 values gain
-    -c0' A^{-1} s_i. All means are taken within the fold whose propensity
-    fit produced p_i, matching the per-fold estimation of the model.
-    Returns (corr1, corr0).
+    The arm-1 values gain +c1' A^{-1} s_i and the arm-0 values gain
+    -c0' A^{-1} s_i. Returns (corr1, corr0).
     """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    pred1 = np.asarray(pred1, dtype=float)
-    pred0 = np.asarray(pred0, dtype=float)
-    p_hat = _check_pi(p_hat)
-    ps_design = np.asarray(ps_design, dtype=float)
-    n = y.shape[0]
-    corr1 = np.empty(n)
-    corr0 = np.empty(n)
+    info = pg * (1 - pg)
+    a = -(xg * info[:, None]).T @ xg / xg.shape[0]
+    try:
+        np.linalg.cholesky(-a)
+    except np.linalg.LinAlgError:
+        raise Singular("singular propensity information matrix") from None
+    c1 = (xg * (z * res1 * (1 - pg) / pg)[:, None]).mean(axis=0)
+    c0 = (xg * ((1 - z) * res0 * pg / (1 - pg))[:, None]).mean(axis=0)
+    scores = xg * (z - pg)[:, None]
+    a_inv_s = np.linalg.solve(a, scores.T).T
+    return a_inv_s @ c1, -(a_inv_s @ c0)
 
+
+def aipw(y, z, pred1, pred0, pi=None, folds: FoldPlan | None = None, ps_design=None):
+    """Per-group AIPW arm means and per-participant influence values.
+
+    The groups are the folds of `folds`, or the whole sample. A known `pi`,
+    scalar or per participant, enters with no correction terms. `pi=None`
+    plugs in each group's treated share pi_g and adds the group-mean
+    corrections -m1 (Z_i - pi_g) and +m0 (Z_i - pi_g), with
+    m1 = mean_g Z (Y - h1) / pi_g^2 and m0 = mean_g (1-Z)(Y - h0) / (1-pi_g)^2.
+    `ps_design` (intercept included) is the design of a logistic propensity
+    model fitted within each group, with fitted probabilities `pi`; its score
+    correction c'A^{-1}s replaces the (Z_i - pi_g) terms.
+
+    Returns (mu1, mu0, v1, v0): one mean per group of the uncorrected values
+    (every correction has mean zero within its group), and the corrected
+    values.
+    """
     if folds is None:
-        groups = [np.arange(n)]
+        groups = [slice(None)]
     else:
         groups = [folds.fold_indices(k) for k in range(1, folds.k + 1)]
+    if pi is not None:
+        pi = np.asarray(pi, dtype=float)
+        if np.any(pi <= 0.0) or np.any(pi >= 1.0):
+            raise DegeneratePi("randomization probability must lie strictly in (0, 1)")
+        pi = np.broadcast_to(pi, y.shape)
 
-    for idx in groups:
-        xg = ps_design[idx]
-        pg = p_hat[idx]
-        zg = z[idx]
-        info = pg * (1 - pg)
-        a = -(xg * info[:, None]).T @ xg / idx.size
-        try:
-            np.linalg.cholesky(-a)
-        except np.linalg.LinAlgError:
-            raise Singular("singular propensity information matrix") from None
-        c1 = (xg * (zg * (y[idx] - pred1[idx]) * (1 - pg) / pg)[:, None]).mean(axis=0)
-        c0 = (xg * ((1 - zg) * (y[idx] - pred0[idx]) * pg / (1 - pg))[:, None]).mean(axis=0)
-        scores = xg * (zg - pg)[:, None]
-        a_inv_s = np.linalg.solve(a, scores.T).T
-        corr1[idx] = a_inv_s @ c1
-        corr0[idx] = -(a_inv_s @ c0)
-    return corr1, corr0
-
-
-def if_variance_parametric_ps(pred1, pred0, y, z, p_hat, ps_design, folds: FoldPlan | None):
-    """Std. error for AIPW with a parametrically estimated propensity:
-    pointwise p_i replaces pi and the score correction replaces the
-    (Z_i - pi_hat) terms."""
-    v1 = arm_values(y, z, pred1, p_hat, 1)
-    v0 = arm_values(y, z, pred0, p_hat, 0)
-    corr1, corr0 = parametric_ps_corrections(y, z, pred1, pred0, p_hat, ps_design, folds)
-    values = (v1 + corr1) - (v0 + corr0)
-    return se_from_values(values), InfluenceVector(values, False)
+    mu1 = np.empty(len(groups))
+    mu0 = np.empty(len(groups))
+    v1 = np.empty(y.shape)
+    v0 = np.empty(y.shape)
+    for j, g in enumerate(groups):
+        zg = z[g]
+        res1 = y[g] - pred1[g]
+        res0 = y[g] - pred0[g]
+        if pi is None:
+            pg = float(zg.mean())
+            if pg <= 0.0 or pg >= 1.0:
+                raise DegenerateFold(f"fold {j + 1} contains a single arm; use stratified folds")
+        else:
+            pg = pi[g]
+        v1[g] = zg / pg * res1 + pred1[g]
+        v0[g] = (1.0 - zg) / (1.0 - pg) * res0 + pred0[g]
+        mu1[j] = v1[g].mean()
+        mu0[j] = v0[g].mean()
+        if ps_design is not None:
+            corr1, corr0 = _score_corrections(zg, res1, res0, pg, ps_design[g])
+        elif pi is None:
+            m1 = float(np.mean(zg / pg**2 * res1))
+            m0 = float(np.mean((1 - zg) / (1 - pg) ** 2 * res0))
+            corr1 = -m1 * (zg - pg)
+            corr0 = m0 * (zg - pg)
+        else:
+            continue
+        v1[g] += corr1
+        v0[g] += corr0
+    return mu1, mu0, v1, v0

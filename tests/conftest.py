@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from trialcraft.data import TrialDataset
 from trialcraft.glm import GlmFamily, expit
+
+# a fixed example sequence and no per-example deadline: the suite gives the
+# same verdict on every run, however slow or noisy the machine
+settings.register_profile("trialcraft", derandomize=True, deadline=None, database=None)
+settings.load_profile("trialcraft")
 
 
 def kkt_violation(x, y, family, lam, coef, weights=None):

@@ -25,7 +25,7 @@ from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.plans import plan_estimator, plan_from_dict
 from trialcraft.selection import lasso_fit, lasso_lambda_max
 from trialcraft.simulation import DgpSpec, run_monte_carlo
-from trialcraft.variance import if_variance_crossfit, if_variance_parametric_ps
+from trialcraft.variance import aipw, se_from_values
 
 
 def gate(name: str, ok: bool, detail: str) -> None:
@@ -304,9 +304,10 @@ def test_c11_parametric_ps_calibration():
     for k in range(1, 5):
         idx = folds.fold_indices(k)
         p_hat[idx] = d.z[idx].mean()
-    se_p, _ = if_variance_parametric_ps(pred1, pred0, d.y, d.z, p_hat,
-                                        np.ones((d.n, 1)), folds)
-    se_c, _ = if_variance_crossfit(pred1, pred0, d.y, d.z, folds)
+    _, _, v1_p, v0_p = aipw(d.y, d.z, pred1, pred0, p_hat, folds, np.ones((d.n, 1)))
+    se_p = se_from_values(v1_p - v0_p)
+    _, _, v1_c, v0_c = aipw(d.y, d.z, pred1, pred0, folds=folds)
+    se_c = se_from_values(v1_c - v0_c)
     gate("C11 intercept-only PS reduction", abs(se_p - se_c) <= 1e-8,
          f"|se(parametric, intercept-only) - se(per-fold pi)| = {abs(se_p - se_c):.2e} (tol 1e-8)")
 

@@ -1,7 +1,9 @@
 import json
 import math
 
-from trialcraft.cli import main
+import pytest
+
+from trialcraft.cli import _write_json, main
 
 FOUR_ROW_CSV = "y,z,a,b\n1,1,0.5,1\n3,1,1.5,0\n0,0,2.5,1\n2,0,3.5,\n"
 
@@ -85,6 +87,16 @@ class TestAnalyze:
         plan = write_plan(tmp_path, {
             "estimator": "unadjusted",
             "data": {"outcome": "y", "arm": "z", "covariates": ["a"]},
+        })
+        code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert "data error" in capsys.readouterr().err
+
+    def test_outcome_as_covariate_exit_3(self, tmp_path, capsys):
+        data = write(tmp_path, "trial.csv", "y,z,a,a\n1,1,0,0\n2,0,1,1\n3,1,2,2\n4,0,3,3\n")
+        plan = write_plan(tmp_path, {
+            "estimator": "standardization",
+            "data": {"outcome": "y", "arm": "z", "covariates": ["y", "a"]},
         })
         code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
         assert code == 3
@@ -224,3 +236,15 @@ class TestSimulate:
 class TestUsage:
     def test_no_command_exits_2(self, capsys):
         assert main([]) == 2
+
+
+class TestWriteJson:
+    def test_non_finite_floats_written_as_null(self, tmp_path):
+        path = tmp_path / "report.json"
+        _write_json(str(path), {"x": math.inf, "y": math.nan, "z": {"w": [-math.inf, 1.5]}})
+
+        def reject(token):
+            pytest.fail(f"report holds the non-JSON token {token}")
+
+        parsed = json.loads(path.read_text(), parse_constant=reject)
+        assert parsed == {"x": None, "y": None, "z": {"w": [None, 1.5]}}

@@ -12,6 +12,7 @@ from trialcraft.data import (
 from trialcraft.errors import (
     AllMissingColumn,
     ArmNotBinary,
+    ColumnConflict,
     ConfigError,
     EmptyArm,
     MalformedCsv,
@@ -66,6 +67,25 @@ class TestIngestCsv:
         d = ingest_csv(path, "y", "z", ["a", "b"])
         assert np.isnan(d.x[0, 0]) and np.isnan(d.x[1, 0])
         assert np.all(np.isfinite(d.x[:, 1]))
+
+    @pytest.mark.parametrize("header, covariates", [
+        ("y,z,a,a", ["y", "a"]),  # the outcome leaks into the adjustment
+        ("y,z,a", ["z", "a"]),
+        ("y,z,a", ["a", "a"]),
+        ("y,z,a,a", ["a"]),
+        ("y,z,z,a", ["a"]),
+    ])
+    def test_column_bound_twice_rejected(self, tmp_path, header, covariates):
+        width = header.count(",") + 1
+        rows = "".join(",".join([str(i % 2)] * width) + "\n" for i in range(4))
+        path = write_csv(tmp_path, header + "\n" + rows)
+        with pytest.raises(ColumnConflict):
+            ingest_csv(path, "y", "z", covariates)
+
+    def test_unreferenced_duplicate_header_accepted(self, tmp_path):
+        path = write_csv(tmp_path, "y,z,a,b,b\n1,1,0.5,7,8\n2,0,1.5,7,8\n")
+        d = ingest_csv(path, "y", "z", ["a"])
+        np.testing.assert_allclose(d.x[:, 0], [0.5, 1.5])
 
 
 class TestImputeMissing:
