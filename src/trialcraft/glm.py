@@ -12,6 +12,7 @@ deliberately does NOT satisfy the score equations.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,9 @@ from .errors import DimensionMismatch, NonConvergence, Separation, Singular
 DEVIANCE_RTOL = 1e-10
 MAX_IRLS_ITERATIONS = 100
 MAX_GAUSS_NEWTON_ITERATIONS = 200
-SEPARATION_COEF_BOUND = 30.0
+SEPARATION_BOUND = 30.0
 MU_FLOOR = 1e-10
+SEPARATION_ETA = math.log((1.0 - MU_FLOOR) / MU_FLOOR)
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
@@ -153,12 +155,30 @@ def _start_mean(y, family, w):
     return ybar
 
 
-def _check_diverged(family, coef, converged):
-    if family is GlmFamily.BINOMIAL and np.max(np.abs(coef)) > SEPARATION_COEF_BOUND:
-        raise Separation(
-            "logistic coefficients diverged (|coef| > "
-            f"{SEPARATION_COEF_BOUND:g}); the data are likely separated"
+def _check_diverged(family, design, y, offset, w, coef, converged):
+    """Flag a logistic fit on separated data: the linear predictor runs off
+    (its weighted mean or standard deviation exceeds SEPARATION_BOUND), or
+    both outcome classes are present and every fitted probability is pinned
+    at the MU_FLOOR clip. Both read the linear predictor, so they do not
+    depend on the covariates' units or origins.
+
+    The MU_FLOOR clip sits at |eta| = SEPARATION_ETA (about 23); past it the
+    likelihood no longer moves, so IRLS stops wherever the clip stalls the
+    deviance. A mean or standard deviation above 30 needs some row with
+    |eta| > 30, beyond the clip, which a fit the data determine does not
+    reach. A single-class outcome (an arm with no events) pins every
+    probability at the clip with a finite intercept (about -24.8) and is a
+    valid fit, so it is not flagged."""
+    if family is GlmFamily.BINOMIAL:
+        eta = design @ coef
+        center = float(w @ eta) / w.sum()
+        spread = math.sqrt(float(w @ (eta - center) ** 2) / w.sum())
+        ybar = float(w @ y) / w.sum()
+        pinned = 0.0 < ybar < 1.0 and bool(
+            np.all(np.abs(eta + offset)[w > 0] >= SEPARATION_ETA)
         )
+        if max(abs(center), spread) > SEPARATION_BOUND or pinned:
+            raise Separation("logistic linear predictor diverged; the data are likely separated")
     if not converged:
         raise NonConvergence("IRLS did not converge within the iteration budget")
 
@@ -223,7 +243,7 @@ def fit_ml_design(
             break
         dev_prev = dev
 
-    _check_diverged(family, coef, converged)
+    _check_diverged(family, design, y, off, w, coef, converged)
     return GlmFit(
         family, coef, tuple(column_names or ()), converged, iterations,
         float(dev_prev), weights is not None, offset is not None,
@@ -324,7 +344,7 @@ def fit_least_squares(
             break
         current = value
 
-    _check_diverged(family, coef, converged)
+    _check_diverged(family, design, y, 0.0, w, coef, converged)
     return GlmFit(
         family, coef, names, converged, iterations, current,
         weights is not None, False, method="least_squares", has_intercept=True,

@@ -4,9 +4,11 @@ refit that restores the prediction unbiasedness identity.
 
 Lasso internals: columns are standardized to unit (population) variance,
 the intercept is never penalized, and coefficients are reported on the
-original scale. Gaussian problems use Gram-based coordinate descent so a
-whole 100-point path costs little more than one fit; binomial problems wrap
-the same inner solver in an IRLS quadratic approximation.
+original scale. The Gaussian path is piecewise linear in the penalty and
+is computed exactly by a homotopy (LARS with the lasso modification) on the
+Gram matrix: one small linear solve per knot, then every grid penalty on
+that segment at once. Binomial problems run coordinate descent inside an
+IRLS quadratic approximation, warm-started along the grid.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .glm import GlmFamily, GlmFit, fit_ml, expit
 
 COORD_TOL = 1e-9
 MAX_SWEEPS = 10_000
+KNOTS_PER_COLUMN = 20
 MAX_OUTER = 200
 PATH_POINTS = 100
 PATH_MIN_RATIO = 1e-4
@@ -84,72 +87,63 @@ def lasso_lambda_max(x, y, family: GlmFamily, weights=None) -> float:
     return float(np.max(np.abs(grad))) if grad.size else 0.0
 
 
-class _GaussianCd:
-    """Gram-based coordinate descent; per-coordinate cost is O(p), so a
-    whole penalty path reuses one O(n p^2) precomputation. For small p the
-    sweep runs on plain Python floats (lam and the Gram rows included), which
-    is several times faster than numpy scalar arithmetic in this regime."""
+def _gaussian_path(gram, c, lambdas):
+    """Exact Gaussian lasso solutions at the descending penalties `lambdas`,
+    from the Gram matrix G = xs'W xs / n and c = xs'W(y - ybar) / n.
 
-    PYTHON_KERNEL_MAX_P = 12
-
-    def __init__(self, xs, y, w):
-        n = xs.shape[0]
-        self.gram = xs.T @ (xs * w[:, None]) / n
-        self.ybar = float((w * y).sum() / n)
-        self.c = xs.T @ (w * (y - self.ybar)) / n
-        self.diag = np.diag(self.gram).copy()
-        self.diag[self.diag <= 0] = 1.0  # degenerate columns stay at zero
-        self._gram_rows = self.gram.tolist()
-        self._c_list = [float(v) for v in self.c]
-        self._diag_list = [float(v) for v in self.diag]
-
-    def solve(self, lam, b, max_sweeps=MAX_SWEEPS, tol=COORD_TOL):
-        p = b.shape[0]
-        if p <= self.PYTHON_KERNEL_MAX_P:
-            return self._solve_python(float(lam), b, max_sweeps, tol)
-        gram, c, diag = self.gram, self.c, self.diag
-        for _ in range(max_sweeps):
-            delta = 0.0
-            for j in range(p):
-                rho = c[j] - gram[j] @ b + diag[j] * b[j]
-                new = _soft_threshold(rho, lam) / diag[j]
-                if new != b[j]:
-                    delta = max(delta, abs(new - b[j]))
-                    b[j] = new
-            if delta < tol:
-                return self.ybar, b
-        raise NonConvergence("gaussian coordinate descent did not converge")
-
-    def _solve_python(self, lam, b, max_sweeps, tol):
-        p = b.shape[0]
-        bl = [float(v) for v in b]
-        gram, c, diag = self._gram_rows, self._c_list, self._diag_list
-        rng_p = range(p)
-        for _ in range(max_sweeps):
-            delta = 0.0
-            for j in rng_p:
-                row = gram[j]
-                dot = 0.0
-                for l in rng_p:
-                    dot += row[l] * bl[l]
-                rho = c[j] - dot + diag[j] * bl[j]
-                if rho > lam:
-                    new = (rho - lam) / diag[j]
-                elif rho < -lam:
-                    new = (rho + lam) / diag[j]
-                else:
-                    new = 0.0
-                if new != bl[j]:
-                    d = new - bl[j]
-                    if d < 0:
-                        d = -d
-                    if d > delta:
-                        delta = d
-                    bl[j] = new
-            if delta < tol:
-                b[:] = bl
-                return self.ybar, b
-        raise NonConvergence("gaussian coordinate descent did not converge")
+    LARS with the lasso modification (Efron et al. 2004): between knots the
+    active coefficients are b_A(lam) = u - lam v with u = G_AA^-1 c_A and
+    v = G_AA^-1 s_A, so each segment is written to every grid point it
+    covers at once. The next knot is the largest lam below the current one
+    where an inactive correlation a + lam e reaches +-lam from inside, or
+    where an active coefficient moving toward zero reaches it. Columns with a
+    zero Gram diagonal, or with a Schur complement against the active set of
+    at most 1e-10 G_jj (inside its span), never enter; so an exact copy of
+    an active column stays at zero.
+    """
+    lambdas = np.asarray(lambdas, dtype=float)
+    neg = -lambdas  # ascending, for searchsorted
+    p = c.shape[0]
+    diag = np.diag(gram)
+    usable = diag > 0
+    B = np.zeros((lambdas.shape[0], p))
+    if not usable.any():
+        return B
+    first = int(np.argmax(np.where(usable, np.abs(c), -1.0)))
+    lam = abs(float(c[first]))
+    active, signs = [first], [1.0 if c[first] > 0 else -1.0]
+    i = int(np.searchsorted(neg, -lam, side="right"))  # points at lam_max and above stay zero
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(KNOTS_PER_COLUMN * (p + 1)):
+            rows = gram[active]  # G_A. = G_.A' by symmetry
+            sol = np.linalg.solve(rows[:, active], np.column_stack([c[active], signs, rows]))
+            u, v = sol[:, 0], sol[:, 1]
+            a = c - u @ rows
+            e = v @ rows
+            free = usable & (diag - (rows * sol[:, 2:]).sum(axis=0) > 1e-10 * diag)
+            free[active] = False
+            # reaching +lam, then -lam; only a positive denominator crosses
+            # from inside, and a root at or above lam enters at once (ties)
+            den = np.concatenate([1.0 - e, 1.0 + e])
+            roots = np.concatenate([a, -a]) / den
+            ok = np.concatenate([free, free]) & (den > 0) & (roots > 0)
+            enter = np.where(ok, np.minimum(roots, lam), 0.0)
+            hits = u / v
+            leave = np.where((v * signs < 0) & (hits > 0), np.minimum(hits, lam), 0.0)
+            j, k = int(enter.argmax()), int(leave.argmax())
+            knot = max(float(enter[j]), float(leave[k]))
+            i1 = int(np.searchsorted(neg, -knot, side="right"))
+            B[i:i1, active] = u - lambdas[i:i1, None] * v
+            if i1 == lambdas.shape[0] or knot <= 0.0:
+                return B
+            i, lam = i1, knot
+            if leave[k] >= enter[j]:
+                active.pop(k)  # never the last one: a lone coefficient moves away from 0
+                signs.pop(k)
+            else:
+                active.append(j % p)
+                signs.append(1.0 if j < p else -1.0)
+    raise NonConvergence("gaussian lasso path did not reach the end of the grid")
 
 
 def _cd_weighted_ls(xs, z, w_work, lam, b0, b, max_sweeps=MAX_SWEEPS, tol=1e-10):
@@ -196,24 +190,21 @@ def _lasso_binomial(xs, y, w, lam, b0, b):
     raise NonConvergence("binomial lasso did not converge")
 
 
-def _destandardize(b0, b, means, sds):
-    beta = b / sds
-    intercept = b0 - float((b * (means / sds)).sum())
-    return np.concatenate([[intercept], beta])
-
-
 def _path_standardized(xs, y, family, w, lambdas):
-    """Warm-started path on standardized columns; returns (b0s, B)."""
+    """Coefficient path on standardized columns; returns (b0s, B). Gaussian
+    paths are exact; binomial ones are warm-started IRLS-CD fits."""
+    if family is GlmFamily.GAUSSIAN:
+        n = xs.shape[0]
+        ybar = float((w * y).sum() / n)
+        gram = xs.T @ (xs * w[:, None]) / n
+        c = xs.T @ (w * (y - ybar)) / n
+        return np.full(len(lambdas), ybar), _gaussian_path(gram, c, lambdas)
     p = xs.shape[1]
     b0s = np.empty(len(lambdas))
     B = np.empty((len(lambdas), p))
     b0, b = 0.0, np.zeros(p)
-    solver = _GaussianCd(xs, y, w) if family is GlmFamily.GAUSSIAN else None
     for i, lam in enumerate(lambdas):
-        if solver is not None:
-            b0, b = solver.solve(lam, b)
-        else:
-            b0, b = _lasso_binomial(xs, y, w, lam, b0, b)
+        b0, b = _lasso_binomial(xs, y, w, lam, b0, b)
         b0s[i] = b0
         B[i] = b
     return b0s, B
@@ -228,26 +219,17 @@ def lasso_fit(x, y, family: GlmFamily, lam: float, weights=None) -> np.ndarray:
     """
     if lam < 0:
         raise ConfigError("lambda must be non-negative")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    y = np.asarray(y, dtype=float)
-    w = _normalized_weights(weights, y.shape[0])
-    xs, means, sds, _ = _standardize(x, w)
-    b = np.zeros(x.shape[1])
-    if family is GlmFamily.GAUSSIAN:
-        b0, b = _GaussianCd(xs, y, w).solve(lam, b)
-    else:
-        b0, b = _lasso_binomial(xs, y, w, lam, 0.0, b)
-    return _destandardize(b0, b, means, sds)
+    return lasso_path(x, y, family, [lam], weights)[0][0]
 
 
 def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
-    """Warm-started coefficient path; returns (coefs, train_deviance).
+    """Coefficient path over descending penalties; returns (coefs, train_deviance).
 
-    `coefs[i]` is the original-scale coefficient vector at `lambdas[i]`
-    (descending penalties expected).
+    `coefs[i]` is the original-scale coefficient vector at `lambdas[i]`.
     """
+    lambdas = np.asarray(lambdas, dtype=float)
+    if np.any(np.diff(lambdas) > 0):
+        raise ConfigError("lasso_path needs a non-increasing penalty grid")
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x.reshape(-1, 1)
@@ -270,12 +252,6 @@ def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
             t0 = np.where(yt < 1, (1 - yt) * (np.log1p(-yt) - np.log1p(-mu)), 0.0)
         deviances = 2.0 * (w[:, None] * (t1 + t0)).sum(axis=0)
     return coefs, deviances
-
-
-def _prediction_loss(family, y, mu, w):
-    if family is GlmFamily.GAUSSIAN:
-        return float(np.sum(w * (y - mu) ** 2) / w.sum())
-    return family.deviance(y, mu, w) / float(w.sum())
 
 
 def _support_warning(n_selected, n, p):

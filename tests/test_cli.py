@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from trialcraft.cli import _write_json, main
@@ -114,6 +115,25 @@ class TestAnalyze:
         code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
         assert code == 4
         assert "estimation error" in capsys.readouterr().err
+
+    def test_binary_covariate_squared_is_not_selected_twice(self, tmp_path):
+        # sex^2 is an exact copy of sex; the lasso must not pick both for the refit
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            sex = rng.integers(0, 2, 400)
+            age = rng.normal(50, 10, 400).round(1)
+            z = rng.permutation(np.repeat([0, 1], 200))
+            y = 0.5 * z + 0.8 * sex + 0.05 * age + rng.standard_normal(400)
+            rows = "\n".join(f"{a:.6f},{b},{c},{d:g}" for a, b, c, d in zip(y, z, sex, age))
+            data = write(tmp_path, "trial.csv", "y,z,sex,age\n" + rows + "\n")
+            plan = write_plan(tmp_path, {
+                "estimator": "data_adaptive",
+                "family": "gaussian",
+                "data": {"outcome": "y", "arm": "z", "covariates": ["sex", "age"]},
+                "expansion": {"polynomial_degree": 2},
+            })
+            out = str(tmp_path / "o.json")
+            assert main(["analyze", "--data", data, "--plan", plan, "--out", out]) == 0, seed
 
     def test_unknown_plan_key_exit_2(self, tmp_path, capsys):
         data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)

@@ -22,7 +22,12 @@ from trialcraft.estimators import (
     transform_contrast,
 )
 from trialcraft.glm import GlmFamily, fit_ml, predict
-from trialcraft.learners import learner_constant, learner_knn, learner_wrong_model
+from trialcraft.learners import (
+    learner_constant,
+    learner_knn,
+    learner_post_lasso,
+    learner_wrong_model,
+)
 from trialcraft.simulation import DgpSpec, generate_dataset
 
 
@@ -512,6 +517,26 @@ class TestSharedInvariants:
             assert r.se >= 0
             assert abs(r.if_mu1.mean()) <= 1e-10
             assert abs(r.if_mu0.mean()) <= 1e-10
+
+    def test_zero_event_arm_binary(self):
+        # a control arm with no events is a valid binary trial, not separation
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((120, 3))
+        z = np.tile([1.0, 0.0], 60)
+        y = np.where(z == 1, rng.uniform(size=120) < 0.4, 0.0).astype(float)
+        d = TrialDataset(y, z, x, ("a", "b", "c"))
+        folds = make_folds(d.n, 3, d.z, seed=1)
+        binary = GlmFamily.BINOMIAL
+        results = [
+            estimate_standardization(d, family=binary),
+            estimate_data_adaptive(d, family=binary),
+            estimate_tmle(d, family=binary),
+            estimate_crossfit_aipw(d, learner_post_lasso(), folds, family=binary),
+            estimate_crossfit_aipw(d, learner_wrong_model(), folds, family=binary),
+        ]
+        for r in results:
+            assert abs(r.mu0_hat) <= 1e-8
+            assert math.isfinite(r.se)
 
 
 class TestMonteCarloSmoke:

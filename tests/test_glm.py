@@ -74,6 +74,35 @@ class TestFitMl:
         with pytest.raises(Separation):
             fit_ml(x, y, GlmFamily.BINOMIAL)
 
+    def test_separation_check_is_free_of_covariate_units(self):
+        # a well-posed fit on x / 100 has slope 100 times that on x
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal(400)
+        y = (rng.uniform(size=400) < expit(x)).astype(float)
+        base = fit_ml(x, y, GlmFamily.BINOMIAL).coefficients
+        scaled = fit_ml(0.01 * x, y, GlmFamily.BINOMIAL).coefficients
+        assert abs(scaled[1] - 97.9) < 0.05
+        np.testing.assert_allclose(scaled, [base[0], 100.0 * base[1]], rtol=1e-8)
+        shifted = fit_ml(x + 100.0, y, GlmFamily.BINOMIAL).coefficients
+        np.testing.assert_allclose(shifted[1], base[1], rtol=1e-8)
+
+    def test_leverage_point_runaway_is_separation(self):
+        # quasi-separation with one far-out x: no probability is pinned, but the
+        # linear predictor's mean and spread run past the clip
+        x = np.array([0, 0, 0, 1, 1, 1, 100.0])
+        y = np.array([0, 0, 1, 1, 1, 1, 1.0])
+        with pytest.raises(Separation):
+            fit_ml(x, y, GlmFamily.BINOMIAL)
+
+    def test_single_class_outcome_is_a_valid_fit(self, rng):
+        # an arm with no events: every probability sits at the clip, which is
+        # the fit the data determine, not separation
+        x = rng.standard_normal((60, 2))
+        for value, sign in ((0.0, -1.0), (1.0, 1.0)):
+            fit = fit_ml(x, np.full(60, value), GlmFamily.BINOMIAL)
+            assert sign * fit.coefficients[0] > 20.0
+            np.testing.assert_allclose(predict(fit, x), value, atol=1e-9)
+
     def test_duplicate_column_is_singular(self, rng):
         x = rng.standard_normal((20, 1))
         with pytest.raises(Singular):

@@ -68,6 +68,11 @@ class TestLassoPath:
             _, devs = lasso_path(x, y, family, lams)
             assert np.all(np.diff(devs) <= 1e-8)
 
+    def test_ascending_grid_rejected(self, rng):
+        x, y = toy_problem(rng)
+        with pytest.raises(ConfigError):
+            lasso_path(x, y, GlmFamily.GAUSSIAN, [0.01, 0.1])
+
 
 class TestLassoCv:
     def test_pure_noise_selects_almost_nothing(self, rng):
