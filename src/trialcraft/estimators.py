@@ -45,7 +45,7 @@ from .glm import (
     fit_ml_design,
     predict,
 )
-from .selection import SelectionResult, lasso_cv, stepwise_aic
+from .selection import SelectionResult, _refit_columns, lasso_cv, stepwise_aic
 
 Z_CRIT = 1.959964
 TMLE_PRED_CLIP = 1e-6
@@ -251,16 +251,9 @@ def _select_arm(x_arm, y_arm, family, method, seed, names, selection_k_cv, lambd
 
 def _fit_selected(work, rows, family, selection, forced, weights, eem):
     """Step-1b refit on the selection (ML, or least squares in EEM mode)."""
-    chosen: list[str] = []
-    for name in tuple(selection.selected_columns) + tuple(forced):
-        if name not in chosen:
-            chosen.append(name)
-    idx = [work.column_names.index(name) for name in chosen]
-    x_fit = work.x[rows][:, idx]
-    if eem:
-        fit = fit_least_squares(x_fit, work.y[rows], family, weights, column_names=tuple(chosen))
-    else:
-        fit = fit_ml(x_fit, work.y[rows], family, weights, column_names=tuple(chosen))
+    chosen, idx = _refit_columns(work.column_names, selection, forced)
+    fitter = fit_least_squares if eem else fit_ml
+    fit = fitter(work.x[rows][:, idx], work.y[rows], family, weights, column_names=tuple(chosen))
     pred_all = predict(fit, work.x[:, idx])
     return fit, pred_all, chosen
 

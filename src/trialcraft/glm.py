@@ -57,14 +57,19 @@ class GlmFamily(enum.Enum):
             return np.asarray(eta, dtype=float)
         return expit(eta)
 
-    def deviance(self, y: np.ndarray, mu: np.ndarray, weights: np.ndarray) -> float:
+    def deviance(self, y: np.ndarray, mu: np.ndarray, weights: np.ndarray):
+        """Weighted deviance; a 2-D `mu` (a column per fit) gives one per column."""
+        if np.ndim(mu) == 2:
+            y, weights = y[:, None], weights[:, None]
         if self is GlmFamily.GAUSSIAN:
-            return float(np.sum(weights * (y - mu) ** 2))
-        mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
-            t0 = np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
-        return float(2.0 * np.sum(weights * (t1 + t0)))
+            dev = (weights * (y - mu) ** 2).sum(axis=0)
+        else:
+            mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
+                t0 = np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
+            dev = 2.0 * (weights * (t1 + t0)).sum(axis=0)
+        return dev if np.ndim(mu) == 2 else float(dev)
 
 
 def family_from_string(name: str) -> GlmFamily:

@@ -7,8 +7,10 @@ the intercept is never penalized, and coefficients are reported on the
 original scale. The Gaussian path is piecewise linear in the penalty and
 is computed exactly by a homotopy (LARS with the lasso modification) on the
 Gram matrix: one small linear solve per knot, then every grid penalty on
-that segment at once. Binomial problems run coordinate descent inside an
-IRLS quadratic approximation, warm-started along the grid.
+that segment at once. Binomial paths run IRLS along the grid, each step a
+penalized weighted least-squares problem solved by coordinate descent on
+its p x p working Gram matrix; `lasso_cv` walks the K fold fits and the
+full-data fit through the grid as one stack.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .data import make_folds
 from .errors import ConfigError, NonConvergence, Separation, Singular
-from .glm import GlmFamily, GlmFit, fit_ml, expit
+from .glm import GlmFamily, GlmFit, _as_design, expit, fit_ml
 
 COORD_TOL = 1e-9
 MAX_SWEEPS = 10_000
@@ -27,7 +29,6 @@ KNOTS_PER_COLUMN = 20
 MAX_OUTER = 200
 PATH_POINTS = 100
 PATH_MIN_RATIO = 1e-4
-MU_CLIP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -55,24 +56,18 @@ def _normalized_weights(weights, n):
     return w * (n / w.sum())
 
 
-def _standardize(x, w):
-    n = x.shape[0]
-    means = (w[:, None] * x).sum(axis=0) / n
+def _standardize(x, w, rows=slice(None)):
+    """Every row of x on the scale that gives `rows` (weighted by w) mean 0
+    and unit population variance; a constant column becomes 0."""
+    n = w.shape[0]
+    means = (w[:, None] * x[rows]).sum(axis=0) / n
     centered = x - means
-    sds = np.sqrt((w[:, None] * centered**2).sum(axis=0) / n)
+    sds = np.sqrt((w[:, None] * centered[rows] ** 2).sum(axis=0) / n)
     degenerate = sds <= 0
     sds = np.where(degenerate, 1.0, sds)
     xs = centered / sds
     xs[:, degenerate] = 0.0
     return xs, means, sds, degenerate
-
-
-def _soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
 
 
 def lasso_lambda_max(x, y, family: GlmFamily, weights=None) -> float:
@@ -146,68 +141,84 @@ def _gaussian_path(gram, c, lambdas):
     raise NonConvergence("gaussian lasso path did not reach the end of the grid")
 
 
-def _cd_weighted_ls(xs, z, w_work, lam, b0, b, max_sweeps=MAX_SWEEPS, tol=1e-10):
-    """Penalized weighted least squares on (z, w_work); intercept updated too."""
-    n, p = xs.shape
-    wsum = w_work.sum()
-    if wsum <= 0:
-        raise NonConvergence("degenerate working weights")
-    resid = z - b0 - xs @ b
-    col_norm = (w_work[:, None] * xs**2).sum(axis=0) / n
-    degenerate = col_norm <= 0  # those coefficients stay at zero
-    for _ in range(max_sweeps):
-        new_b0 = b0 + (w_work * resid).sum() / wsum
-        resid -= new_b0 - b0
-        delta = abs(new_b0 - b0)
-        b0 = new_b0
-        for j in range(p):
-            if degenerate[j]:
+def _cd_gram(rows, grad, lam, b, tol=1e-10):
+    """Coordinate descent for min (1/2) b'Gb - c'b + lam |b|_1 from `b` on Python
+    floats, with G as nested lists `rows` and `grad` = c - Gb kept up to date
+    (covariance updates); a column with G_jj <= 0 keeps b_j = 0."""
+    for _ in range(MAX_SWEEPS):
+        delta = 0.0
+        for j, row in enumerate(rows):
+            gjj = row[j]
+            if gjj <= 0.0:
                 continue
-            rho = (w_work * xs[:, j] * resid).sum() / n + col_norm[j] * b[j]
-            new = _soft_threshold(rho, lam) / col_norm[j]
-            if new != b[j]:
-                resid -= (new - b[j]) * xs[:, j]
-                delta = max(delta, abs(new - b[j]))
+            rho = grad[j] + gjj * b[j]
+            new = (rho - lam) / gjj if rho > lam else (rho + lam) / gjj if rho < -lam else 0.0
+            step = new - b[j]
+            if step != 0.0:
+                grad = [g - step * r for g, r in zip(grad, row)]
                 b[j] = new
+                delta = max(delta, abs(step))
         if delta < tol:
-            return b0, b
+            return b
     raise NonConvergence("inner coordinate descent did not converge")
 
 
-def _lasso_binomial(xs, y, w, lam, b0, b):
-    """IRLS quadratic approximation around the current fit, solved by CD."""
-    for _ in range(MAX_OUTER):
-        eta = b0 + xs @ b
-        mu = np.clip(expit(eta), 1e-5, 1.0 - 1e-5)
-        var = mu * (1.0 - mu)
-        w_work = w * var
-        z = eta + (y - mu) / var
-        prev0, prev = b0, b.copy()
-        b0, b = _cd_weighted_ls(xs, z, w_work, lam, b0, b)
-        moved = max(abs(b0 - prev0), float(np.max(np.abs(b - prev))) if b.size else 0.0)
-        if moved < COORD_TOL:
-            return b0, b
-    raise NonConvergence("binomial lasso did not converge")
+def _binomial_paths(xs, y, W, lambdas):
+    """Logistic lasso paths of m fits sharing the outcome y: fit k has
+    standardized columns xs[k] (n x p) and row weights W[k], zero on the rows
+    it leaves out. Returns (b0s, B) of shapes (m, L) and (m, L, p).
+
+    At each penalty, warm-started from the last, the fits run IRLS together.
+    A step profiles out the intercept by centering on the working weights v
+    and solves the penalized least squares on G = xc'V xc / n_k by `_cd_gram`.
+    A fit leaves once no coefficient moves by COORD_TOL, so each fit gets the
+    iterates it would get alone."""
+    m, _, p = xs.shape
+    counts = (W > 0).sum(axis=1).astype(float)
+    b0s, B = np.empty((m, len(lambdas))), np.empty((m, len(lambdas), p))
+    b0, b = np.zeros(m), np.zeros((m, p))
+    for i, lam in enumerate(np.asarray(lambdas, dtype=float).tolist()):
+        live = np.arange(m)
+        for _ in range(MAX_OUTER):
+            xl, bl = xs[live], b[live]
+            eta = b0[live, None] + (xl @ bl[:, :, None])[:, :, 0]
+            mu = np.clip(expit(eta), 1e-5, 1.0 - 1e-5)
+            var = mu * (1.0 - mu)
+            v = W[live] * var
+            z = eta + (y - mu) / var
+            vsum = v.sum(axis=1)
+            xbar = (v[:, None, :] @ xl)[:, 0] / vsum[:, None]
+            zbar = (v * z).sum(axis=1) / vsum
+            xc = xl - xbar[:, None, :]
+            xv = (xc * v[:, :, None]).transpose(0, 2, 1)
+            gram = xv @ xc / counts[live, None, None]
+            c = (xv @ (z - zbar[:, None])[:, :, None])[:, :, 0] / counts[live, None]
+            grad = c - (gram @ bl[:, :, None])[:, :, 0]
+            fits = zip(gram.tolist(), grad.tolist(), bl.tolist())
+            new_b = np.array([_cd_gram(rows, g, lam, b_k) for rows, g, b_k in fits]).reshape(live.size, p)
+            new_b0 = zbar - (xbar * new_b).sum(axis=1)
+            moved = np.maximum(np.abs(new_b0 - b0[live]), np.abs(new_b - bl).max(axis=1, initial=0.0))
+            b0[live], b[live] = new_b0, new_b
+            live = live[moved >= COORD_TOL]
+            if live.size == 0:
+                break
+        else:
+            raise NonConvergence("binomial lasso did not converge")
+        b0s[:, i], B[:, i] = b0, b
+    return b0s, B
 
 
 def _path_standardized(xs, y, family, w, lambdas):
     """Coefficient path on standardized columns; returns (b0s, B). Gaussian
-    paths are exact; binomial ones are warm-started IRLS-CD fits."""
+    paths are exact; a binomial one is a stack of one `_binomial_paths` fit."""
     if family is GlmFamily.GAUSSIAN:
         n = xs.shape[0]
         ybar = float((w * y).sum() / n)
         gram = xs.T @ (xs * w[:, None]) / n
         c = xs.T @ (w * (y - ybar)) / n
         return np.full(len(lambdas), ybar), _gaussian_path(gram, c, lambdas)
-    p = xs.shape[1]
-    b0s = np.empty(len(lambdas))
-    B = np.empty((len(lambdas), p))
-    b0, b = 0.0, np.zeros(p)
-    for i, lam in enumerate(lambdas):
-        b0, b = _lasso_binomial(xs, y, w, lam, b0, b)
-        b0s[i] = b0
-        B[i] = b
-    return b0s, B
+    b0s, B = _binomial_paths(xs[None], y, w[None], lambdas)
+    return b0s[0], B[0]
 
 
 def lasso_fit(x, y, family: GlmFamily, lam: float, weights=None) -> np.ndarray:
@@ -230,9 +241,7 @@ def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
     lambdas = np.asarray(lambdas, dtype=float)
     if np.any(np.diff(lambdas) > 0):
         raise ConfigError("lasso_path needs a non-increasing penalty grid")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
     w = _normalized_weights(weights, n)
@@ -242,16 +251,7 @@ def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
         [b0s - B @ (means / sds), B / sds[None, :]]
     )
     mu = family.inv_link(b0s[None, :] + xs @ B.T)  # (n, n_lambda)
-    if family is GlmFamily.GAUSSIAN:
-        deviances = (w[:, None] * (y[:, None] - mu) ** 2).sum(axis=0)
-    else:
-        mu = np.clip(mu, MU_CLIP, 1.0 - MU_CLIP)
-        yt = y[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = np.where(yt > 0, yt * (np.log(yt) - np.log(mu)), 0.0)
-            t0 = np.where(yt < 1, (1 - yt) * (np.log1p(-yt) - np.log1p(-mu)), 0.0)
-        deviances = 2.0 * (w[:, None] * (t1 + t0)).sum(axis=0)
-    return coefs, deviances
+    return coefs, family.deviance(y, mu, w)
 
 
 def _support_warning(n_selected, n, p):
@@ -284,9 +284,7 @@ def lasso_cv(
         raise ConfigError("k_cv must be at least 2")
     if lambda_rule not in ("1se", "min"):
         raise ConfigError(f"unknown lambda_rule {lambda_rule!r}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
     names = tuple(column_names) if column_names is not None else _default_names(p)
@@ -309,29 +307,30 @@ def lasso_cv(
     lambdas = np.geomspace(lam_max, lam_max * PATH_MIN_RATIO, PATH_POINTS)
 
     folds = make_folds(n, k_cv, z=None, seed=seed, stratified=False)
-    fold_losses = np.empty((k_cv, PATH_POINTS))
-    for k in range(1, k_cv + 1):
-        test = folds.fold_indices(k)
-        train = folds.complement_indices(k)
-        w_train = _normalized_weights(
-            None if weights is None else np.asarray(weights, dtype=float)[train],
-            train.size,
+    # a slice, not an index array, keeps x's memory layout and so its sums' bits
+    trains = [folds.complement_indices(k) for k in range(1, k_cv + 1)] + [slice(None)]
+    ws = [_normalized_weights(None if weights is None else np.asarray(weights)[rows], rows.size)
+          for rows in trains[:-1]] + [w_full]
+    scaled = (_standardize(x_eff, w, rows)[0] for rows, w in zip(trains, ws))
+    if family is GlmFamily.BINOMIAL:
+        # the K fold fits and the full-data fit walk the grid as one stack
+        xs, W = np.stack(list(scaled)), np.zeros((k_cv + 1, n))
+        for k, (rows, w) in enumerate(zip(trains, ws)):
+            W[k, rows] = w  # zero on the rows the fit leaves out
+        paths = zip(*_binomial_paths(xs, y, W, lambdas), xs)
+    else:
+        paths = (
+            (*_path_standardized(xs[rows], y[rows], family, w, lambdas), xs)
+            for rows, w, xs in zip(trains, ws, scaled)
         )
-        xs_train, means, sds, degenerate = _standardize(x_eff[train], w_train)
-        b0s, B = _path_standardized(xs_train, y[train], family, w_train, lambdas)
-        xs_test = (x_eff[test] - means) / sds
-        xs_test[:, degenerate] = 0.0
-        eta = b0s[None, :] + xs_test @ B.T  # (n_test, n_lambda)
-        mu = family.inv_link(eta)
-        w_test = w_full[test]
-        if family is GlmFamily.BINOMIAL:
-            mu = np.clip(mu, 1e-10, 1 - 1e-10)
-            yt = y[test][:, None]
-            loss = -2.0 * (yt * np.log(mu) + (1 - yt) * np.log1p(-mu))
-        else:
-            loss = (y[test][:, None] - mu) ** 2
-        fold_losses[k - 1] = (w_test[:, None] * loss).sum(axis=0) / w_test.sum()
-
+    fold_losses = np.empty((k_cv, PATH_POINTS))
+    for k, (b0s, B, xs) in enumerate(paths):
+        rows = folds.fold_indices(k + 1) if k < k_cv else trains[k]
+        mu = family.inv_link(b0s[None, :] + xs[rows] @ B.T)  # (rows, n_lambda)
+        dev = family.deviance(y[rows], mu, w_full[rows])
+        if k < k_cv:
+            fold_losses[k] = dev / w_full[rows].sum()
+    train_dev, beta = dev, B  # the last fit is the full-data one
     cv_mean = fold_losses.mean(axis=0)
     cv_se = fold_losses.std(axis=0, ddof=1) / math.sqrt(k_cv)
     idx_min = int(np.argmin(cv_mean))
@@ -341,9 +340,7 @@ def lasso_cv(
         cutoff = cv_mean[idx_min] + cv_se[idx_min]
         chosen = int(np.flatnonzero(cv_mean <= cutoff)[0])
 
-    coefs, train_dev = lasso_path(x_eff, y, family, lambdas, weights)
-    beta = coefs[chosen][1:]
-    selected = tuple(name for name, b in zip(names_eff, beta) if b != 0.0)
+    selected = tuple(name for name, b in zip(names_eff, beta[chosen]) if b != 0.0)
     warnings = _support_warning(len(selected), n, p)
     diagnostics = {
         "lambdas": lambdas.tolist(),
@@ -368,9 +365,7 @@ def stepwise_aic(
     """Forward selection minimizing AIC = deviance + 2 * (number of
     coefficients). Ties break toward the lower column index; candidates
     whose fit separates or is singular are skipped at that step."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
     names = tuple(column_names) if column_names is not None else _default_names(p)
@@ -424,18 +419,19 @@ def post_selection_refit(
     intercept-only fit. This is the step that restores the score-zero
     identity after any (possibly wrong) selection.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
+    x = _as_design(x)
     names = tuple(column_names) if column_names is not None else _default_names(x.shape[1])
-    chosen: list[str] = []
-    for name in tuple(selected.selected_columns) + tuple(forced):
-        if name not in chosen:
-            chosen.append(name)
+    chosen, cols = _refit_columns(names, selected, forced)
+    design = x[:, cols] if cols else None
+    return fit_ml(design, y, family, weights, column_names=tuple(chosen))
+
+
+def _refit_columns(names, selected: SelectionResult, forced=()):
+    """The selected then the forced column names, deduplicated in that order,
+    and their indices in `names`."""
+    chosen = list(dict.fromkeys(tuple(selected.selected_columns) + tuple(forced)))
     index = {name: j for j, name in enumerate(names)}
     missing = [name for name in chosen if name not in index]
     if missing:
         raise ConfigError(f"refit columns not in candidates: {missing}")
-    cols = [index[name] for name in chosen]
-    design = x[:, cols] if cols else None
-    return fit_ml(design, y, family, weights, column_names=tuple(chosen))
+    return chosen, [index[name] for name in chosen]

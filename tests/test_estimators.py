@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import simulate_trial
 from trialcraft.data import FeatureExpansion, TrialDataset, make_folds
-from trialcraft.errors import ConfigError, DegenerateFold, DomainError
+from trialcraft.errors import ConfigError, DegenerateFold, DomainError, TrialcraftError
 from trialcraft.estimators import (
     PiSpec,
     estimate_crossfit_aipw,
@@ -537,6 +539,44 @@ class TestSharedInvariants:
         for r in results:
             assert abs(r.mu0_hat) <= 1e-8
             assert math.isfinite(r.se)
+
+
+class TestRowPermutation:
+    """Estimators that use no folds see a set of participants, not a sequence."""
+
+    @staticmethod
+    def estimates(d, family, pi):
+        try:
+            return [
+                (r.theta_hat, r.se)
+                for r in (estimate_unadjusted(d, pi),
+                          estimate_standardization(d, family=family, pi=pi))
+            ]
+        except TrialcraftError as exc:
+            return type(exc)
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(40, 120),
+        st.integers(0, 3),
+        st.sampled_from(list(GlmFamily)),
+        st.sampled_from([PiSpec("known", 0.5), PiSpec("estimated_overall")]),
+    )
+    def test_theta_and_se_invariant_to_row_order(self, seed, n, p, family, pi):
+        rng = np.random.default_rng(seed)
+        d = simulate_trial(rng, n=n, p=max(p, 1), family=family)
+        if p == 0:
+            d = TrialDataset(d.y, d.z, d.x[:, :0], ())
+        order = rng.permutation(n)
+        permuted = TrialDataset(d.y[order], d.z[order], d.x[order], d.column_names)
+        before, after = self.estimates(d, family, pi), self.estimates(permuted, family, pi)
+        if isinstance(before, type):
+            assert after is before
+            return
+        scale = max(1.0, float(np.abs(d.y).max()))
+        for (theta, se), (theta_p, se_p) in zip(before, after):
+            assert math.isclose(theta_p, theta, rel_tol=1e-10, abs_tol=1e-10 * scale)
+            assert math.isclose(se_p, se, rel_tol=1e-10, abs_tol=1e-10 * scale)
 
 
 class TestMonteCarloSmoke:
