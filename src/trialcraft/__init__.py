@@ -25,17 +25,10 @@ from .estimators import (
     fit_propensity,
     transform_contrast,
 )
-from .glm import GlmFamily, GlmFit, fit_least_squares, fit_ml, predict, score_residual
-from .learners import (
-    get_learner,
-    learner_constant,
-    learner_knn,
-    learner_post_lasso,
-    learner_ridge,
-    learner_wrong_model,
-)
+from .glm import GlmFamily, GlmFit, fit_least_squares, fit_ml, predict
+from .learners import get_learner
 from .plans import AnalysisPlan, execute_plan, plan_estimator, plan_from_dict
-from .selection import SelectionResult, lasso_cv, lasso_fit, post_selection_refit, stepwise_aic
+from .selection import SelectionResult, lasso_cv, post_selection_refit, stepwise_aic
 from .simulation import DgpSpec, MonteCarloReport, compute_metrics, generate_dataset, run_monte_carlo
 
 __version__ = "0.1.0"
@@ -71,19 +64,12 @@ __all__ = [
     "impute_missing",
     "ingest_csv",
     "lasso_cv",
-    "lasso_fit",
-    "learner_constant",
-    "learner_knn",
-    "learner_post_lasso",
-    "learner_ridge",
-    "learner_wrong_model",
     "make_folds",
     "plan_estimator",
     "plan_from_dict",
     "post_selection_refit",
     "predict",
     "run_monte_carlo",
-    "score_residual",
     "stepwise_aic",
     "transform_contrast",
 ]

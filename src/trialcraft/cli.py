@@ -1,13 +1,12 @@
 """Command-line front door.
 
     trialcraft analyze  --data trial.csv --plan plan.json --out report.json
-    trialcraft simulate --spec sim.json --out report.json [--threads N]
+    trialcraft simulate --spec sim.json --out report.json
     trialcraft validate --plan plan.json
 
 Reports are canonical JSON (sorted keys, fixed layout), so identical
 invocations produce byte-identical files. Exit codes: 0 success, 2 config
-error, 3 data error, 4 estimation error. TRIALCRAFT_THREADS is the
-fallback for --threads.
+error, 3 data error, 4 estimation error.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -35,8 +33,6 @@ from .plans import (
     validate_plan,
 )
 from .simulation import run_monte_carlo
-
-THREADS_ENV = "TRIALCRAFT_THREADS"
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -114,27 +110,13 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _resolve_threads(args, run: dict) -> int:
-    if args.threads is not None:
-        return int(args.threads)
-    env = os.environ.get(THREADS_ENV)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV}={env!r} is not an integer") from None
-    return int(run.get("threads", 1))
-
-
 def cmd_simulate(args) -> int:
     dgp, plan, run = simulation_spec_from_dict(_load_json(args.spec, "spec"))
-    threads = _resolve_threads(args, run)
     report = run_monte_carlo(
         dgp,
         plan_estimator(plan),
         replicates=run["replicates"],
         master_seed=run["master_seed"],
-        threads=threads,
         paired_unadjusted=run["paired_unadjusted"],
     )
     payload = {
@@ -186,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     simulate.add_argument("--spec", required=True, help="simulation spec (JSON)")
     simulate.add_argument("--out", required=True, help="output report path (JSON)")
-    simulate.add_argument("--threads", type=int, default=None,
-                          help=f"worker threads (fallback: ${THREADS_ENV}, then spec)")
     simulate.set_defaults(func=cmd_simulate)
 
     validate = sub.add_parser("validate", help="check a plan for consistency")

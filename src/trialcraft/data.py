@@ -1,7 +1,7 @@
 """Trial data substrate: ingestion, imputation, feature expansion, folds.
 
 Everything here is a pure function of its inputs; datasets and fold plans
-are immutable after construction and safe to share across threads.
+are immutable after construction.
 """
 from __future__ import annotations
 
@@ -25,6 +25,9 @@ from .errors import (
 )
 
 MISSING_TOKENS = ("", "NA")
+# the computed SD of a constant column is rounding noise of up to about
+# n * 2e-17 times its value (2e-11 at a million rows), not 0
+ZERO_VARIANCE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -290,6 +293,12 @@ class FoldPlan:
 
     def complement_indices(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.assignments != k)
+
+
+def _zero_variance(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
+    """Columns whose SD is negligible against their own mean. A constant
+    column's SD is rounding noise, not 0, unless its value is exact in binary."""
+    return sds <= ZERO_VARIANCE_RTOL * np.abs(means)
 
 
 def derived_seed(ss: np.random.SeedSequence) -> int:

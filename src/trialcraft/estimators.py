@@ -31,6 +31,7 @@ from .data import (
     FeatureExpansion,
     FoldPlan,
     TrialDataset,
+    _zero_variance,
     check_complete,
     derived_seed,
     expand_features,
@@ -242,9 +243,8 @@ def _select_arm(x_arm, y_arm, family, method, seed, names, selection_k_cv, lambd
     if method == "stepwise_aic":
         return stepwise_aic(x_arm, y_arm, family, max_terms=max_terms, column_names=names)
     if method == "none":
-        usable = tuple(
-            name for j, name in enumerate(names) if np.std(x_arm[:, j]) > 0
-        )
+        constant = _zero_variance(x_arm.mean(axis=0), x_arm.std(axis=0))
+        usable = tuple(name for name, c in zip(names, constant) if not c)
         return SelectionResult(usable, "none")
     raise ConfigError(f"unknown selection method {method!r}")
 
@@ -259,24 +259,20 @@ def _fit_selected(work, rows, family, selection, forced, weights, eem):
 
 
 def _data_adaptive_parts(
-    d, spec, family, method, forced, pi, weights_from_ps, eem, seed,
+    d, spec, family, method, forced, pi, eem, seed,
     selection_k_cv, lambda_rule, max_terms,
 ):
     check_complete(d)
     work = expand_features(d, spec) if spec is not None else d
     p_hat = None
     clamp_count = 0
-    if weights_from_ps:
-        if pi is None or pi.mode != "parametric":
-            raise ConfigError("weights_from_ps requires pi mode 'parametric'")
+    if pi is not None and pi.mode == "parametric":
         if eem:
             raise ConfigError(
                 "EEM mode with a parametric propensity is not supported"
             )
         ps_fit = fit_propensity(d, pi.ps_columns)
         p_hat, clamp_count = propensity_scores(ps_fit, d)
-    elif pi is not None and pi.mode == "parametric":
-        raise ConfigError("parametric pi requires weights_from_ps=True here")
 
     selections = {}
     preds = {}
@@ -308,7 +304,6 @@ def estimate_data_adaptive(
     method: str = "lasso_cv",
     forced=(),
     pi: PiSpec | None = None,
-    weights_from_ps: bool = False,
     eem: bool = False,
     seed: int = 0,
     small_sample_correction: bool = False,
@@ -320,14 +315,14 @@ def estimate_data_adaptive(
     refit on the selected plus forced columns (Step 1b), then
     standardization over all participants.
 
-    With `weights_from_ps` the refit is weighted by the inverse fitted
+    With a parametric `pi` the refit is weighted by the inverse fitted
     propensity and the influence values use the pointwise propensities. In
     EEM mode the refit minimizes squared error instead, and the point
     estimate switches to the explicit AIPW average because the score-zero
     identity is no longer guaranteed.
     """
     work, selections, preds, fits, p_hat, clamp_count, warnings = _data_adaptive_parts(
-        d, spec, family, method, forced, pi, weights_from_ps, eem, seed,
+        d, spec, family, method, forced, pi, eem, seed,
         selection_k_cv, lambda_rule, max_terms,
     )
     if p_hat is not None:
@@ -433,7 +428,7 @@ def estimate_tmle(
     work, selections, preds, fits, p_hat, clamp_count, warnings = _data_adaptive_parts(
         d, spec, family, method, forced,
         None if parametric else pi,
-        weights_from_ps=False, eem=eem, seed=seed,
+        eem=eem, seed=seed,
         selection_k_cv=selection_k_cv, lambda_rule=lambda_rule, max_terms=max_terms,
     )
     if parametric:

@@ -11,36 +11,25 @@ GLM for robustness experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _zero_variance
 from .errors import ConfigError
-from .glm import GlmFamily, GlmFit, fit_ml, predict
+from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
 from .selection import SelectionResult, lasso_cv, post_selection_refit
-
-LEARNER_NAMES = ("post_lasso", "ridge", "knn", "constant", "wrong_model")
-
-
-def _as_matrix(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
-    return x
 
 
 class _ClampMixin:
-    """Binomial-family predictions are forced into [0, 1]; the number of
-    clamped values is tallied on the predictor for diagnostics."""
+    """Binomial-family predictions are forced into [0, 1]."""
 
     family: GlmFamily
-    clamp_events: int = 0
 
     def _finalize(self, values: np.ndarray) -> np.ndarray:
         if self.family is GlmFamily.BINOMIAL:
-            clipped = np.clip(values, 0.0, 1.0)
-            self.clamp_events += int(np.count_nonzero(clipped != values))
-            return clipped
+            return np.clip(values, 0.0, 1.0)
         return values
 
 
@@ -48,10 +37,9 @@ class _ClampMixin:
 class GlmPredictor(_ClampMixin):
     fit: GlmFit
     family: GlmFamily
-    clamp_events: int = 0
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x)
+        x = _as_design(x)
         q = self.fit.coefficients.shape[0] - 1
         return self._finalize(predict(self.fit, x[:, :q] if q == 0 else x))
 
@@ -61,10 +49,9 @@ class PostLassoGlmPredictor(_ClampMixin):
     fit: GlmFit
     columns: tuple[int, ...]
     family: GlmFamily
-    clamp_events: int = 0
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x)
+        x = _as_design(x)
         return self._finalize(predict(self.fit, x[:, list(self.columns)]))
 
 
@@ -80,10 +67,10 @@ class PostLassoLearner:
 
     k_cv: int = 5
     lambda_rule: str = "1se"
-    name: str = "post_lasso"
+    name: str = field(default="post_lasso", init=False)
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
-        x = _as_matrix(x)
+        x = _as_design(x)
         k_eff = min(self.k_cv, x.shape[0])
         if k_eff >= 2:
             selection = lasso_cv(
@@ -104,10 +91,9 @@ class RidgePredictor(_ClampMixin):
     means: np.ndarray
     sds: np.ndarray
     family: GlmFamily
-    clamp_events: int = 0
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x)
+        x = _as_design(x)
         xs = (x - self.means) / self.sds
         return self._finalize(self.intercept + xs @ self.beta)
 
@@ -126,15 +112,15 @@ class RidgeLearner:
 
     lambda_grid: tuple[float, ...] = tuple(np.geomspace(1e-4, 1e4, 25))
     k_cv: int = 5
-    name: str = "ridge"
+    name: str = field(default="ridge", init=False)
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
-        x = _as_matrix(x)
+        x = _as_design(x)
         y = np.asarray(y, dtype=float)
         n, p = x.shape
         means = x.mean(axis=0)
         sds = x.std(axis=0)
-        sds = np.where(sds <= 0, 1.0, sds)
+        sds = np.where(_zero_variance(means, sds), 1.0, sds)
         xs = (x - means) / sds
         ybar = float(y.mean())
         yc = y - ybar
@@ -167,10 +153,9 @@ class KnnPredictor(_ClampMixin):
     means: np.ndarray
     sds: np.ndarray
     family: GlmFamily
-    clamp_events: int = 0
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x)
+        x = _as_design(x)
         xq = (x - self.means) / self.sds
         xt = (self.x_train - self.means) / self.sds
         # squared Euclidean distances, (n_query, n_train)
@@ -186,10 +171,10 @@ class KnnLearner:
     Standardization parameters come from the training rows only."""
 
     k: int | None = None
-    name: str = "knn"
+    name: str = field(default="knn", init=False)
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
-        x = _as_matrix(x)
+        x = _as_design(x)
         y = np.asarray(y, dtype=float)
         n = x.shape[0]
         k = self.k if self.k is not None else math.ceil(math.sqrt(n))
@@ -197,7 +182,7 @@ class KnnLearner:
             raise ConfigError(f"knn needs 1 <= k <= n_train, got k={k}, n={n}")
         means = x.mean(axis=0)
         sds = x.std(axis=0)
-        sds = np.where(sds <= 0, 1.0, sds)
+        sds = np.where(_zero_variance(means, sds), 1.0, sds)
         return KnnPredictor(x.copy(), y.copy(), k, means, sds, family)
 
 
@@ -205,10 +190,9 @@ class KnnLearner:
 class ConstantPredictor(_ClampMixin):
     value: float
     family: GlmFamily
-    clamp_events: int = 0
 
     def predict(self, x) -> np.ndarray:
-        x = _as_matrix(x)
+        x = _as_design(x)
         return self._finalize(np.full(x.shape[0], self.value))
 
 
@@ -218,7 +202,7 @@ class ConstantLearner:
     predictor for robustness tests (cross-fit AIPW built on it collapses to
     roughly the unadjusted estimator)."""
 
-    name: str = "constant"
+    name: str = field(default="constant", init=False)
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
         y = np.asarray(y, dtype=float)
@@ -236,47 +220,33 @@ class WrongModelLearner:
     Deliberately misspecified whenever the data-generating process is not
     linear in the raw covariates."""
 
-    name: str = "wrong_model"
+    name: str = field(default="wrong_model", init=False)
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
-        x = _as_matrix(x)
+        x = _as_design(x)
         fit = fit_ml(x, y, family, weights)
         return GlmPredictor(fit, family)
 
 
-def learner_post_lasso(**kwargs) -> PostLassoLearner:
-    return PostLassoLearner(**kwargs)
+LEARNERS = {
+    "post_lasso": PostLassoLearner,
+    "ridge": RidgeLearner,
+    "knn": KnnLearner,
+    "constant": ConstantLearner,
+    "wrong_model": WrongModelLearner,
+}
 
 
-def learner_ridge(lambda_grid=None, **kwargs) -> RidgeLearner:
-    if lambda_grid is not None:
-        kwargs["lambda_grid"] = tuple(float(v) for v in lambda_grid)
-    return RidgeLearner(**kwargs)
-
-
-def learner_knn(k: int | None = None) -> KnnLearner:
-    return KnnLearner(k=k)
-
-
-def learner_constant() -> ConstantLearner:
-    return ConstantLearner()
-
-
-def learner_wrong_model() -> WrongModelLearner:
-    return WrongModelLearner()
-
-
-def get_learner(name: str, **params):
-    """Resolve a learner by its config identifier."""
-    factories = {
-        "post_lasso": learner_post_lasso,
-        "ridge": learner_ridge,
-        "knn": learner_knn,
-        "constant": learner_constant,
-        "wrong_model": learner_wrong_model,
-    }
-    if name not in factories:
-        raise ConfigError(
-            f"unknown learner {name!r}; expected one of {', '.join(LEARNER_NAMES)}"
-        )
-    return factories[name](**params)
+def get_learner(name: str, /, **params):
+    """Resolve a learner by its config identifier; `params` set its fields."""
+    if name not in LEARNERS:
+        raise ConfigError(f"unknown learner {name!r}; expected one of {', '.join(LEARNERS)}")
+    try:
+        for key in ("k", "k_cv"):
+            if key in params:
+                params[key] = operator.index(params[key])
+        if "lambda_grid" in params:
+            params["lambda_grid"] = tuple(float(v) for v in params["lambda_grid"])
+        return LEARNERS[name](**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"plan.learner.params {params}: {exc}") from None

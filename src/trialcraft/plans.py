@@ -342,7 +342,6 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
             method=plan.selection.method,
             forced=plan.expansion.forced_columns,
             pi=plan.pi,
-            weights_from_ps=plan.pi is not None and plan.pi.mode == "parametric",
             eem=plan.eem,
             seed=run_seed,
             small_sample_correction=plan.small_sample_correction,
@@ -423,7 +422,7 @@ def simulation_spec_from_dict(obj: dict):
     _require_keys(
         obj,
         ("schema_version", "dgp", "plan", "replicates", "master_seed",
-         "threads", "paired_unadjusted", "per_replicate_csv"),
+         "paired_unadjusted", "per_replicate_csv"),
         "spec",
     )
     version = obj.get("schema_version", SCHEMA_VERSION)
@@ -465,7 +464,6 @@ def simulation_spec_from_dict(obj: dict):
     run = {
         "replicates": replicates,
         "master_seed": int(obj.get("master_seed", 0)),
-        "threads": int(obj.get("threads", 1)),
         "paired_unadjusted": bool(obj.get("paired_unadjusted", False)),
         "per_replicate_csv": obj.get("per_replicate_csv"),
     }

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import make_folds
+from .data import _zero_variance, make_folds
 from .errors import ConfigError, NonConvergence, Separation, Singular
 from .glm import GlmFamily, GlmFit, _as_design, expit, fit_ml
 
@@ -63,7 +63,7 @@ def _standardize(x, w, rows=slice(None)):
     means = (w[:, None] * x[rows]).sum(axis=0) / n
     centered = x - means
     sds = np.sqrt((w[:, None] * centered[rows] ** 2).sum(axis=0) / n)
-    degenerate = sds <= 0
+    degenerate = _zero_variance(means, sds)
     sds = np.where(degenerate, 1.0, sds)
     xs = centered / sds
     xs[:, degenerate] = 0.0
@@ -374,9 +374,9 @@ def stepwise_aic(
     if max_terms > p:
         raise ConfigError("max_terms cannot exceed the number of candidates")
 
-    sds = x.std(axis=0)
-    usable = [j for j in range(p) if sds[j] > 0]
-    dropped = tuple(names[j] for j in range(p) if sds[j] <= 0)
+    constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
+    usable = [j for j in range(p) if not constant[j]]
+    dropped = tuple(names[j] for j in range(p) if constant[j])
 
     current: list[int] = []
     base = fit_ml(None, y, family, weights)

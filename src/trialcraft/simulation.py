@@ -13,7 +13,6 @@ outcomes; binary-outcome effects come from a brute-force plug-in oracle.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,23 +202,20 @@ def run_monte_carlo(
     estimate,
     replicates: int,
     master_seed: int,
-    threads: int = 1,
     paired_unadjusted: bool = False,
     max_failure_fraction: float = 0.01,
 ) -> MonteCarloReport:
     """Run `estimate(dataset, seed) -> EstimateResult` on `replicates`
     simulated datasets.
 
-    The report is a pure function of (spec, estimate, replicates,
-    master_seed): results are aggregated in replicate order, so the thread
-    count cannot change any reported digit. Per-replicate estimator errors
-    are recorded, not fatal, unless more than `max_failure_fraction` of
-    replicates fail.
+    Replicates run one after another in replicate order, and replicate r
+    draws only from its own RNG stream, so the report is a pure function of
+    (spec, estimate, replicates, master_seed). Per-replicate estimator
+    errors are recorded, not fatal, unless more than `max_failure_fraction`
+    of replicates fail.
     """
     if replicates < 2:
         raise ConfigError("need at least 2 replicates")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     theta = true_theta(spec)
     sequences = replicate_seed_sequences(master_seed, replicates)
 
@@ -241,11 +237,7 @@ def run_monte_carlo(
             unadj = estimate_unadjusted(dataset).theta_hat
         return (theta_hat, se, unadj, err, est_seed)
 
-    if threads == 1:
-        rows = [one(r) for r in range(replicates)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, range(replicates)))
+    rows = [one(r) for r in range(replicates)]
 
     estimates = np.array([row[0] for row in rows])
     ses = np.array([row[1] for row in rows])

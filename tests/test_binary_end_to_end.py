@@ -20,7 +20,6 @@ from trialcraft.estimators import (
     propensity_scores,
 )
 from trialcraft.glm import GlmFamily
-from trialcraft.learners import learner_knn
 from trialcraft.plans import plan_estimator, plan_from_dict
 from trialcraft.simulation import DgpSpec, run_monte_carlo, theta_oracle
 

@@ -159,6 +159,23 @@ class TestValidate:
         assert main(["validate", "--plan", plan]) == 2
         assert "folds.k" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,params", [
+        ("knn", {"bogus": 1}),
+        ("knn", {"k": "abc"}),
+        ("knn", {"name": "ridge"}),
+        ("ridge", {"lambda_grid": "abc"}),
+        ("ridge", {"lambda_grid": 5}),
+        ("post_lasso", {"k_cv": 2.5}),
+        ("ridge", {"k_cv": None}),
+    ])
+    def test_bad_learner_params_exit_2(self, tmp_path, capsys, name, params):
+        plan = write_plan(tmp_path, {
+            "estimator": "crossfit_aipw",
+            "learner": {"name": name, "params": params},
+        })
+        assert main(["validate", "--plan", plan]) == 2
+        assert "plan.learner.params" in capsys.readouterr().err
+
     def test_positivity_violation(self, tmp_path, capsys):
         plan = write_plan(tmp_path, {
             "estimator": "unadjusted",
@@ -190,20 +207,14 @@ SIM_SPEC = {
 
 
 class TestSimulate:
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    def test_no_worker_count_setting(self, tmp_path, capsys):
+        # replicates run serially: neither a flag nor a spec key sets a worker count
         spec = write_plan(tmp_path, SIM_SPEC, name="spec.json")
-        out1, out2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
-        assert main(["simulate", "--spec", spec, "--out", out1, "--threads", "1"]) == 0
-        assert main(["simulate", "--spec", spec, "--out", out2, "--threads", "3"]) == 0
-        assert open(out1, "rb").read() == open(out2, "rb").read()
-
-    def test_env_var_threads(self, tmp_path, monkeypatch):
-        spec = write_plan(tmp_path, SIM_SPEC, name="spec.json")
-        out1, out2 = str(tmp_path / "s1.json"), str(tmp_path / "s2.json")
-        main(["simulate", "--spec", spec, "--out", out1])
-        monkeypatch.setenv("TRIALCRAFT_THREADS", "2")
-        main(["simulate", "--spec", spec, "--out", out2])
-        assert open(out1, "rb").read() == open(out2, "rb").read()
+        out = str(tmp_path / "s.json")
+        assert main(["simulate", "--spec", spec, "--out", out, "--threads", "2"]) == 2
+        keyed = write_plan(tmp_path, dict(SIM_SPEC, threads=2), name="keyed.json")
+        assert main(["simulate", "--spec", keyed, "--out", out]) == 2
+        assert "threads" in capsys.readouterr().err
 
     def test_report_reasonable(self, tmp_path):
         spec = write_plan(tmp_path, SIM_SPEC, name="spec.json")

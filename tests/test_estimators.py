@@ -24,12 +24,7 @@ from trialcraft.estimators import (
     transform_contrast,
 )
 from trialcraft.glm import GlmFamily, fit_ml, predict
-from trialcraft.learners import (
-    learner_constant,
-    learner_knn,
-    learner_post_lasso,
-    learner_wrong_model,
-)
+from trialcraft.learners import get_learner
 from trialcraft.simulation import DgpSpec, generate_dataset
 
 
@@ -106,6 +101,19 @@ class TestDataAdaptive:
         assert r.diagnostics["selected_1"] == [] and r.diagnostics["selected_0"] == []
         assert r.theta_hat == pytest.approx(estimate_unadjusted(d).theta_hat, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [0.5, 0.3, 0.1, 1e6 + 0.1])
+    def test_constant_covariate_left_out_of_unselected_refit(self, value):
+        # the computed SD of a constant column is 0 for 0.5 but ~1e-17 for 0.3
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            z = rng.permutation(np.r_[np.ones(30), np.zeros(30)])
+            a = rng.standard_normal(60)
+            d = TrialDataset(a + 0.5 * z + rng.standard_normal(60), z,
+                             np.column_stack([a, np.full(60, value)]), ("a", "c"))
+            r = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, method="none")
+            assert r.diagnostics["refit_columns_1"] == ["a"]
+            assert r.diagnostics["refit_columns_0"] == ["a"]
+
     @pytest.mark.parametrize("method", ["lasso_cv", "stepwise_aic", "none"])
     def test_refit_scores_vanish(self, method, rng):
         d = simulate_trial(rng, n=100)
@@ -124,16 +132,10 @@ class TestDataAdaptive:
         assert "x2" in r.diagnostics["refit_columns_1"]
         assert "x2" in r.diagnostics["refit_columns_0"]
 
-    def test_weighted_variant_requires_parametric_pi(self, rng):
-        d = simulate_trial(rng, n=50)
-        with pytest.raises(ConfigError):
-            estimate_data_adaptive(d, weights_from_ps=True)
-
     def test_weighted_refit_satisfies_weighted_score(self, rng):
         d = simulate_trial(rng, n=120)
         r = estimate_data_adaptive(
-            d, family=GlmFamily.GAUSSIAN, pi=PiSpec.parametric(("x1",)),
-            weights_from_ps=True, seed=2,
+            d, family=GlmFamily.GAUSSIAN, pi=PiSpec.parametric(("x1",)), seed=2,
         )
         ps_fit = fit_propensity(d, ("x1",))
         p_hat, _ = propensity_scores(ps_fit, d)
@@ -159,9 +161,7 @@ class TestDataAdaptive:
     def test_eem_refuses_parametric_ps(self, rng):
         d = simulate_trial(rng, n=50)
         with pytest.raises(ConfigError):
-            estimate_data_adaptive(
-                d, pi=PiSpec.parametric(("x1",)), weights_from_ps=True, eem=True
-            )
+            estimate_data_adaptive(d, pi=PiSpec.parametric(("x1",)), eem=True)
 
     def test_small_sample_factor_inflates_se(self, rng):
         d = simulate_trial(rng, n=40)
@@ -185,7 +185,7 @@ class TestCrossfitAipw:
         x = np.arange(8.0).reshape(-1, 1)
         d = TrialDataset(y, z, x, ("w",))
         folds = make_folds(8, 2, z, seed=1, stratified=True)
-        r = estimate_crossfit_aipw(d, learner_constant(), folds, PiSpec.known(0.5))
+        r = estimate_crossfit_aipw(d, get_learner("constant"), folds, PiSpec.known(0.5))
         diff_means = y[z == 1].mean() - y[z == 0].mean()
 
         # independent oracle: expand the fold estimates by hand
@@ -208,13 +208,13 @@ class TestCrossfitAipw:
         labels = (np.arange(30) % 11) + 1
         plan = FoldPlan(labels, 11, 0, False)
         with pytest.raises(ConfigError):
-            estimate_crossfit_aipw(d, learner_constant(), plan)
+            estimate_crossfit_aipw(d, get_learner("constant"), plan)
 
     def test_estimated_overall_pi_rejected(self, rng):
         d = simulate_trial(rng, n=40)
         folds = make_folds(d.n, 2, d.z, seed=0, stratified=True)
         with pytest.raises(ConfigError):
-            estimate_crossfit_aipw(d, learner_constant(), folds, PiSpec.estimated())
+            estimate_crossfit_aipw(d, get_learner("constant"), folds, PiSpec.estimated())
 
     def test_single_arm_training_fold_raises(self):
         y = np.arange(8.0)
@@ -225,15 +225,15 @@ class TestCrossfitAipw:
         folds = FoldPlan(labels, 2, 0, False)
         d = TrialDataset(y, z, np.zeros((8, 1)), ("a",))
         with pytest.raises(DegenerateFold):
-            estimate_crossfit_aipw(d, learner_constant(), folds)
+            estimate_crossfit_aipw(d, get_learner("constant"), folds)
 
     def test_antisymmetry_under_arm_swap(self, rng):
         d = simulate_trial(rng, n=80)
         folds = make_folds(d.n, 4, d.z, seed=7, stratified=False)
         swapped = TrialDataset(d.y, 1 - d.z, d.x, d.column_names)
-        a = estimate_crossfit_aipw(d, learner_wrong_model(), folds, PiSpec.known(0.5), seed=3)
+        a = estimate_crossfit_aipw(d, get_learner("wrong_model"), folds, PiSpec.known(0.5), seed=3)
         # same partition; arm roles swap symmetrically
-        b = estimate_crossfit_aipw(swapped, learner_wrong_model(), folds, PiSpec.known(0.5), seed=3)
+        b = estimate_crossfit_aipw(swapped, get_learner("wrong_model"), folds, PiSpec.known(0.5), seed=3)
         assert abs(a.theta_hat + b.theta_hat) <= 1e-10
 
 
@@ -301,7 +301,7 @@ class TestCvTmle:
     def test_pooled_score_zero_per_arm(self, rng):
         d = simulate_trial(rng, n=100)
         folds = make_folds(d.n, 5, d.z, seed=3, stratified=True)
-        r = estimate_cvtmle(d, learner_knn(), folds, GlmFamily.GAUSSIAN, seed=4)
+        r = estimate_cvtmle(d, get_learner("knn"), folds, GlmFamily.GAUSSIAN, seed=4)
         for arm in (1, 0):
             score = np.sum((d.z == arm) * (d.y - r.diagnostics[f"pred{arm}"]))
             assert abs(score) <= 1e-8 * d.n
@@ -345,7 +345,7 @@ class TestCvTmle:
     def test_gaussian_epsilon_is_pooled_mean_residual(self, rng):
         d = simulate_trial(rng, n=80)
         folds = make_folds(d.n, 4, d.z, seed=1, stratified=True)
-        r = estimate_cvtmle(d, learner_constant(), folds, GlmFamily.GAUSSIAN, seed=0)
+        r = estimate_cvtmle(d, get_learner("constant"), folds, GlmFamily.GAUSSIAN, seed=0)
         init_resid = np.mean(d.y[d.z == 1] - (r.diagnostics["pred1"][d.z == 1] - r.diagnostics["epsilon_1"]))
         assert r.diagnostics["epsilon_1"] == pytest.approx(init_resid, abs=1e-10)
 
@@ -428,8 +428,8 @@ class TestCrossfitParametricPs:
     def test_no_columns_reduces_to_per_fold_pi(self, rng):
         d = simulate_trial(rng, n=80)
         folds = make_folds(d.n, 4, d.z, seed=2, stratified=True)
-        a = estimate_crossfit_aipw(d, learner_wrong_model(), folds, PiSpec.per_fold(), seed=9)
-        b = estimate_crossfit_aipw_parametric_ps(d, learner_wrong_model(), folds, (), seed=9)
+        a = estimate_crossfit_aipw(d, get_learner("wrong_model"), folds, PiSpec.per_fold(), seed=9)
+        b = estimate_crossfit_aipw_parametric_ps(d, get_learner("wrong_model"), folds, (), seed=9)
         assert abs(a.theta_hat - b.theta_hat) <= 1e-10
         assert abs(a.se - b.se) <= 1e-10
 
@@ -487,8 +487,8 @@ class TestSharedInvariants:
             lambda dd: estimate_standardization(dd, family=GlmFamily.GAUSSIAN),
             lambda dd: estimate_data_adaptive(dd, family=GlmFamily.GAUSSIAN, method="none"),
             lambda dd: estimate_tmle(dd, family=GlmFamily.GAUSSIAN, method="none"),
-            lambda dd: estimate_crossfit_aipw(dd, learner_wrong_model(), folds, seed=1),
-            lambda dd: estimate_cvtmle(dd, learner_wrong_model(), folds, seed=1),
+            lambda dd: estimate_crossfit_aipw(dd, get_learner("wrong_model"), folds, seed=1),
+            lambda dd: estimate_cvtmle(dd, get_learner("wrong_model"), folds, seed=1),
             lambda dd: estimate_strong_null(dd, FeatureExpansion(), GlmFamily.GAUSSIAN),
         ]
         for run in runs:
@@ -510,8 +510,8 @@ class TestSharedInvariants:
         results = [
             estimate_unadjusted(d),
             estimate_standardization(d, family=GlmFamily.GAUSSIAN),
-            estimate_crossfit_aipw(d, learner_constant(), folds),
-            estimate_cvtmle(d, learner_constant(), folds, seed=1),
+            estimate_crossfit_aipw(d, get_learner("constant"), folds),
+            estimate_cvtmle(d, get_learner("constant"), folds, seed=1),
         ]
         for r in results:
             assert r.theta_hat == r.mu1_hat - r.mu0_hat
@@ -533,8 +533,8 @@ class TestSharedInvariants:
             estimate_standardization(d, family=binary),
             estimate_data_adaptive(d, family=binary),
             estimate_tmle(d, family=binary),
-            estimate_crossfit_aipw(d, learner_post_lasso(), folds, family=binary),
-            estimate_crossfit_aipw(d, learner_wrong_model(), folds, family=binary),
+            estimate_crossfit_aipw(d, get_learner("post_lasso"), folds, family=binary),
+            estimate_crossfit_aipw(d, get_learner("wrong_model"), folds, family=binary),
         ]
         for r in results:
             assert abs(r.mu0_hat) <= 1e-8
@@ -587,8 +587,6 @@ class TestMonteCarloSmoke:
     def test_crossfit_unbiased_with_known_pi_every_learner(self, learner_name):
         # the full-size runs for wrong_model and knn live in the acceptance
         # gate; this completes the shipped-learner set at reduced replication
-        from trialcraft.learners import get_learner
-
         spec = DgpSpec("t", n=50, p=2, pi=0.5, mechanism="linear", effect_size=0.7)
         estimates = []
         for r in range(400):
@@ -607,7 +605,7 @@ class TestMonteCarloSmoke:
         # small per-fold arm-share fluctuations around the mean difference
         d = simulate_trial(rng, n=200)
         folds = make_folds(d.n, 4, d.z, seed=5, stratified=True)
-        a = estimate_crossfit_aipw(d, learner_constant(), folds)
+        a = estimate_crossfit_aipw(d, get_learner("constant"), folds)
         b = estimate_unadjusted(d)
         assert abs(a.theta_hat - b.theta_hat) < 0.2 * b.se
 
@@ -617,7 +615,7 @@ class TestMonteCarloSmoke:
         for r in range(400):
             d = generate_dataset(spec, np.random.SeedSequence((505, r)))
             res = estimate_strong_null(
-                d, learner_knn(), GlmFamily.GAUSSIAN, pi=PiSpec.known(0.5), seed=r
+                d, get_learner("knn"), GlmFamily.GAUSSIAN, pi=PiSpec.known(0.5), seed=r
             )
             estimates.append(res.theta_hat)
         estimates = np.asarray(estimates)
@@ -633,9 +631,9 @@ class TestMonteCarloSmoke:
             d = generate_dataset(spec, np.random.SeedSequence((606, r)))
             folds = make_folds(d.n, 4, d.z, seed=r, stratified=True)
             adj.append(estimate_crossfit_aipw_parametric_ps(
-                d, learner_constant(), folds, ("x1",), seed=r).theta_hat)
+                d, get_learner("constant"), folds, ("x1",), seed=r).theta_hat)
             plain.append(estimate_crossfit_aipw(
-                d, learner_constant(), folds, PiSpec.per_fold(), seed=r).theta_hat)
+                d, get_learner("constant"), folds, PiSpec.per_fold(), seed=r).theta_hat)
         assert np.var(adj, ddof=1) < np.var(plain, ddof=1)
 
     def test_noise_column_does_not_move_data_adaptive(self):

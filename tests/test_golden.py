@@ -146,7 +146,7 @@ def record_reports(workdir: Path) -> dict:
             data_path.write_text(csv_text)
             argv = ["analyze", "--data", str(data_path), "--plan", str(config_path)]
         else:
-            argv = ["simulate", "--spec", str(config_path), "--threads", "1"]
+            argv = ["simulate", "--spec", str(config_path)]
         assert cli_main([*argv, "--out", str(report)]) == 0, label
         out[label] = hashlib.sha256(report.read_bytes()).hexdigest()
     return out

@@ -3,14 +3,7 @@ import pytest
 
 from trialcraft.errors import ConfigError
 from trialcraft.glm import GlmFamily, expit
-from trialcraft.learners import (
-    get_learner,
-    learner_constant,
-    learner_knn,
-    learner_post_lasso,
-    learner_ridge,
-    learner_wrong_model,
-)
+from trialcraft.learners import get_learner
 
 ALL_LEARNERS = ["post_lasso", "ridge", "knn", "constant", "wrong_model"]
 
@@ -25,8 +18,8 @@ class TestPostLasso:
     def test_beats_constant_out_of_sample(self, rng):
         x, y = linear_data(rng, n=500)
         xt, yt = linear_data(rng, n=500)
-        pl = learner_post_lasso().train(x, y, GlmFamily.GAUSSIAN, seed=1)
-        co = learner_constant().train(x, y, GlmFamily.GAUSSIAN, seed=1)
+        pl = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=1)
+        co = get_learner("constant").train(x, y, GlmFamily.GAUSSIAN, seed=1)
         mse_pl = float(np.mean((yt - pl.predict(xt)) ** 2))
         mse_co = float(np.mean((yt - co.predict(xt)) ** 2))
         assert mse_pl < mse_co
@@ -35,13 +28,13 @@ class TestPostLasso:
         # pure noise candidate: 1se rule keeps the model empty
         x = rng.standard_normal((100, 1))
         y = rng.standard_normal(100)
-        predictor = learner_post_lasso().train(x, y, GlmFamily.GAUSSIAN, seed=7)
+        predictor = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=7)
         np.testing.assert_allclose(predictor.predict(x), np.full(100, y.mean()), atol=1e-10)
 
     def test_deterministic(self, rng):
         x, y = linear_data(rng)
-        a = learner_post_lasso().train(x, y, GlmFamily.GAUSSIAN, seed=5).predict(x)
-        b = learner_post_lasso().train(x, y, GlmFamily.GAUSSIAN, seed=5).predict(x)
+        a = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=5).predict(x)
+        b = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=5).predict(x)
         np.testing.assert_array_equal(a, b)
 
     def test_tiny_training_arm_degrades_gracefully(self, rng):
@@ -50,7 +43,7 @@ class TestPostLasso:
         for n in (1, 2, 3, 4):
             x = rng.standard_normal((n, 2))
             y = rng.standard_normal(n)
-            predictor = learner_post_lasso().train(x, y, GlmFamily.GAUSSIAN, seed=1)
+            predictor = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=1)
             out = predictor.predict(rng.standard_normal((5, 2)))
             assert np.all(np.isfinite(out))
 
@@ -58,21 +51,21 @@ class TestPostLasso:
 class TestRidge:
     def test_tiny_lambda_is_ols(self, rng):
         x, y = linear_data(rng, n=60)
-        predictor = learner_ridge(lambda_grid=[1e-10]).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("ridge", lambda_grid=[1e-10]).train(x, y, GlmFamily.GAUSSIAN)
         from trialcraft.glm import fit_ml, predict as glm_predict
         ols = fit_ml(x, y, GlmFamily.GAUSSIAN)
         np.testing.assert_allclose(predictor.predict(x), glm_predict(ols, x), atol=1e-6)
 
     def test_huge_lambda_predicts_mean(self, rng):
         x, y = linear_data(rng, n=60)
-        predictor = learner_ridge(lambda_grid=[1e12]).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("ridge", lambda_grid=[1e12]).train(x, y, GlmFamily.GAUSSIAN)
         np.testing.assert_allclose(predictor.predict(x), np.full(60, y.mean()), atol=1e-6)
 
     def test_hand_problem_matches_normal_equations(self):
         x = np.array([[1.0, 2.0], [2.0, 1.0], [3.0, 4.0], [4.0, 3.0], [5.0, 5.0]])
         y = np.array([1.0, 2.0, 2.0, 4.0, 3.0])
         lam = 0.7
-        predictor = learner_ridge(lambda_grid=[lam]).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("ridge", lambda_grid=[lam]).train(x, y, GlmFamily.GAUSSIAN)
         # oracle: centered/standardized normal equations solved directly
         means, sds = x.mean(axis=0), x.std(axis=0)
         xs = (x - means) / sds
@@ -84,18 +77,18 @@ class TestRidge:
 class TestKnn:
     def test_k_equals_n_is_training_mean(self, rng):
         x, y = linear_data(rng, n=30)
-        predictor = learner_knn(k=30).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("knn", k=30).train(x, y, GlmFamily.GAUSSIAN)
         np.testing.assert_allclose(predictor.predict(x), np.full(30, y.mean()), atol=1e-12)
 
     def test_k1_reproduces_training_outcome(self, rng):
         x, y = linear_data(rng, n=25)
-        predictor = learner_knn(k=1).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("knn", k=1).train(x, y, GlmFamily.GAUSSIAN)
         np.testing.assert_allclose(predictor.predict(x), y, atol=1e-12)
 
     def test_six_point_hand_example(self):
         x = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = np.array([1.0, 2.0, 3.0, 10.0, 11.0, 12.0])
-        predictor = learner_knn(k=3).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("knn", k=3).train(x, y, GlmFamily.GAUSSIAN)
         query = np.array([[1.0], [11.0]])
         # exhaustive oracle: all pairwise distances, pick 3 closest
         sd = x.std()
@@ -109,31 +102,31 @@ class TestKnn:
     def test_tie_breaks_to_lower_index(self):
         x = np.array([[0.0], [2.0], [2.0], [4.0]])
         y = np.array([0.0, 10.0, 20.0, 30.0])
-        predictor = learner_knn(k=2).train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("knn", k=2).train(x, y, GlmFamily.GAUSSIAN)
         # query at 0: nearest is row 0, then rows 1 and 2 tie; row 1 wins
         np.testing.assert_allclose(predictor.predict(np.array([[0.0]])), [(0.0 + 10.0) / 2])
 
     def test_default_k_is_sqrt_n(self, rng):
         x, y = linear_data(rng, n=50)
-        predictor = learner_knn().train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("knn").train(x, y, GlmFamily.GAUSSIAN)
         assert predictor.k == 8  # ceil(sqrt(50))
 
     def test_invalid_k(self, rng):
         x, y = linear_data(rng, n=10)
         with pytest.raises(ConfigError):
-            learner_knn(k=11).train(x, y, GlmFamily.GAUSSIAN)
+            get_learner("knn", k=11).train(x, y, GlmFamily.GAUSSIAN)
 
 
 class TestConstant:
     def test_predicts_training_mean(self, rng):
         x, y = linear_data(rng, n=40)
-        predictor = learner_constant().train(x, y, GlmFamily.GAUSSIAN)
+        predictor = get_learner("constant").train(x, y, GlmFamily.GAUSSIAN)
         np.testing.assert_allclose(predictor.predict(x[:5]), np.full(5, y.mean()))
 
     def test_binomial_output_in_unit_interval(self, rng):
         x = rng.standard_normal((30, 2))
         y = (rng.uniform(size=30) < 0.4).astype(float)
-        predictor = learner_constant().train(x, y, GlmFamily.BINOMIAL)
+        predictor = get_learner("constant").train(x, y, GlmFamily.BINOMIAL)
         out = predictor.predict(x)
         assert np.all((0 <= out) & (out <= 1))
 
@@ -146,16 +139,16 @@ class TestWrongModel:
         y = f(x) + 0.2 * rng.standard_normal(n)
         xt = rng.standard_normal((n, 2))
         yt = f(xt) + 0.2 * rng.standard_normal(n)
-        wrong = learner_wrong_model().train(x, y, GlmFamily.GAUSSIAN)
-        knn = learner_knn().train(x, y, GlmFamily.GAUSSIAN)
+        wrong = get_learner("wrong_model").train(x, y, GlmFamily.GAUSSIAN)
+        knn = get_learner("knn").train(x, y, GlmFamily.GAUSSIAN)
         mse_wrong = float(np.mean((yt - wrong.predict(xt)) ** 2))
         mse_knn = float(np.mean((yt - knn.predict(xt)) ** 2))
         assert mse_knn < mse_wrong
 
     def test_matches_post_lasso_on_strong_linear_truth(self, rng):
         x, y = linear_data(rng, n=400)
-        wrong = learner_wrong_model().train(x, y, GlmFamily.GAUSSIAN)
-        pl = learner_post_lasso(lambda_rule="min").train(x, y, GlmFamily.GAUSSIAN, seed=2)
+        wrong = get_learner("wrong_model").train(x, y, GlmFamily.GAUSSIAN)
+        pl = get_learner("post_lasso", lambda_rule="min").train(x, y, GlmFamily.GAUSSIAN, seed=2)
         # both are near the truth; their predictions agree closely
         gap = float(np.max(np.abs(wrong.predict(x) - pl.predict(x))))
         assert gap < 0.15

@@ -107,6 +107,16 @@ class TestLassoCv:
         assert res.dropped_zero_variance == ("b",)
         assert "b" not in res.selected_columns
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_weighted_constant_column_dropped(self, seed):
+        # with uneven weights a constant 0.3 column's SD comes out near 1e-16, not 0
+        rng = np.random.default_rng(seed)
+        x = np.column_stack([rng.standard_normal(100), np.full(100, 0.3)])
+        y = x[:, 0] + rng.standard_normal(100)
+        w = rng.uniform(0.5, 2.0, 100)
+        res = lasso_cv(x, y, GlmFamily.GAUSSIAN, seed=0, weights=w, column_names=("a", "c"))
+        assert res.dropped_zero_variance == ("c",)
+
     def test_min_rule_selects_at_least_as_much(self, rng):
         x, y = toy_problem(rng, n=80, p=6)
         r1 = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=2, lambda_rule="1se")
@@ -136,6 +146,12 @@ class TestStepwiseAic:
         res = stepwise_aic(x, y, GlmFamily.GAUSSIAN)
         assert "x0" in res.selected_columns
         assert "x1" not in res.selected_columns
+
+    def test_constant_column_dropped_whatever_its_value(self, rng):
+        x = np.column_stack([rng.standard_normal(60), np.full(60, 0.3), np.zeros(60)])
+        y = x[:, 0] + 0.5 * rng.standard_normal(60)
+        res = stepwise_aic(x, y, GlmFamily.GAUSSIAN)
+        assert res.dropped_zero_variance == ("x1", "x2")
 
     def test_max_terms_cap(self, rng):
         x = rng.standard_normal((100, 5))

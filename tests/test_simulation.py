@@ -126,12 +126,6 @@ class TestComputeMetrics:
 class TestRunMonteCarlo:
     SPEC = DgpSpec("lin", n=60, p=2, pi=0.5, mechanism="linear", effect_size=0.5)
 
-    def test_thread_count_invariance(self):
-        a = run_monte_carlo(self.SPEC, unadjusted_estimator, 120, master_seed=5, threads=1)
-        b = run_monte_carlo(self.SPEC, unadjusted_estimator, 120, master_seed=5, threads=4)
-        assert a.to_dict() == b.to_dict()
-        np.testing.assert_array_equal(a.estimates, b.estimates)
-
     def test_unadjusted_coverage_near_nominal(self):
         rep = run_monte_carlo(self.SPEC, unadjusted_estimator, 800, master_seed=9)
         se_bin = math.sqrt(0.95 * 0.05 / 800)
