@@ -333,13 +333,10 @@ def make_folds(
     if stratified:
         offset = 0
         for arm in (1, 0):
-            idx = np.flatnonzero(np.asarray(z) == arm)
-            perm = rng.permutation(idx)
-            for i, participant in enumerate(perm):
-                assignments[participant] = (offset + i) % k + 1
-            offset += idx.size
+            perm = rng.permutation(np.flatnonzero(z == arm))
+            assignments[perm] = (offset + np.arange(perm.size)) % k + 1
+            offset += perm.size
     else:
         perm = rng.permutation(n)
-        for i, participant in enumerate(perm):
-            assignments[participant] = i % k + 1
+        assignments[perm] = np.arange(n) % k + 1
     return FoldPlan(assignments, k, seed, stratified)

@@ -69,6 +69,12 @@ class PostLassoLearner:
     lambda_rule: str = "1se"
     name: str = field(default="post_lasso", init=False)
 
+    def __post_init__(self):
+        if self.k_cv < 2:
+            raise ConfigError(f"post_lasso needs k_cv >= 2, got {self.k_cv}")
+        if self.lambda_rule not in ("1se", "min"):
+            raise ConfigError(f"post_lasso needs lambda_rule '1se' or 'min', got {self.lambda_rule!r}")
+
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
         x = _as_design(x)
         k_eff = min(self.k_cv, x.shape[0])
@@ -113,6 +119,12 @@ class RidgeLearner:
     lambda_grid: tuple[float, ...] = tuple(np.geomspace(1e-4, 1e4, 25))
     k_cv: int = 5
     name: str = field(default="ridge", init=False)
+
+    def __post_init__(self):
+        if self.k_cv < 2:
+            raise ConfigError(f"ridge needs k_cv >= 2, got {self.k_cv}")
+        if not self.lambda_grid or not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
+            raise ConfigError("ridge needs a non-empty lambda_grid of finite non-negative values")
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
         x = _as_design(x)
@@ -172,6 +184,10 @@ class KnnLearner:
 
     k: int | None = None
     name: str = field(default="knn", init=False)
+
+    def __post_init__(self):
+        if self.k is not None and self.k < 1:
+            raise ConfigError(f"knn needs k >= 1, got k={self.k}")
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
         x = _as_design(x)
@@ -248,5 +264,5 @@ def get_learner(name: str, /, **params):
         if "lambda_grid" in params:
             params["lambda_grid"] = tuple(float(v) for v in params["lambda_grid"])
         return LEARNERS[name](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"plan.learner.params {params}: {exc}") from None

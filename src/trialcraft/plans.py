@@ -51,6 +51,14 @@ NEEDS_FOLDS = ("crossfit_aipw", "cvtmle", "crossfit_aipw_parametric_ps")
 NEEDS_LEARNER = ("crossfit_aipw", "cvtmle", "crossfit_aipw_parametric_ps")
 
 
+def _number(kind, value, where: str):
+    """`kind(value)` for kind int or float, or a ConfigError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
+
+
 def _require_keys(obj: dict, allowed, where: str) -> None:
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
@@ -141,7 +149,7 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         expansion = FeatureExpansion(
             base_columns=tuple(ed["base_columns"]) if ed.get("base_columns") is not None else None,
             interactions=tuple(tuple(pair) for pair in ed.get("interactions", ())),
-            polynomial_degree=int(ed.get("polynomial_degree", 1)),
+            polynomial_degree=_number(int, ed.get("polynomial_degree", 1), "polynomial_degree"),
             forced_columns=tuple(ed.get("forced_columns", ())),
         )
     except ConfigError as exc:
@@ -151,7 +159,7 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
     _require_keys(sd, ("method", "k_cv", "lambda_rule", "max_terms"), "plan.selection")
     selection = SelectionConfig(
         method=sd.get("method", "lasso_cv"),
-        k_cv=int(sd.get("k_cv", 5)),
+        k_cv=_number(int, sd.get("k_cv", 5), "plan.selection.k_cv"),
         lambda_rule=sd.get("lambda_rule", "1se"),
         max_terms=sd.get("max_terms"),
     )
@@ -171,7 +179,7 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         mode = pd.get("mode")
         try:
             if mode == "known":
-                pi = PiSpec.known(float(pd["value"]))
+                pi = PiSpec.known(_number(float, pd["value"], "value"))
             elif mode == "estimated_overall":
                 pi = PiSpec.estimated()
             elif mode == "estimated_per_fold":
@@ -188,8 +196,8 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
     fd = obj.get("folds", {})
     _require_keys(fd, ("k", "seed", "stratified"), "plan.folds")
     folds = FoldConfig(
-        k=int(fd.get("k", 5)),
-        seed=int(fd.get("seed", 0)),
+        k=_number(int, fd.get("k", 5), "plan.folds.k"),
+        seed=_number(int, fd.get("seed", 0), "plan.folds.seed"),
         stratified=bool(fd.get("stratified", True)),
     )
     if estimator in NEEDS_FOLDS and not 2 <= folds.k <= 10:
@@ -252,7 +260,7 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         folds=folds,
         learner=learner,
         learner_params=learner_params,
-        seed=int(obj.get("seed", 0)),
+        seed=_number(int, obj.get("seed", 0), "plan.seed"),
         eem=eem,
         small_sample_correction=bool(obj.get("small_sample_correction", False)),
         contrast=contrast,
@@ -440,14 +448,15 @@ def simulation_spec_from_dict(obj: dict):
     try:
         dgp = DgpSpec(
             name=dd.get("name", "dgp"),
-            n=int(dd["n"]),
-            p=int(dd["p"]),
-            pi=float(dd["pi"]),
+            n=_number(int, dd["n"], "n"),
+            p=_number(int, dd["p"], "p"),
+            pi=_number(float, dd["pi"], "pi"),
             outcome_kind=dd.get("outcome_kind", "continuous"),
             mechanism=dd.get("mechanism", "linear"),
-            effect_size=float(dd.get("effect_size", 0.0)),
-            noise_sd=float(dd.get("noise_sd", 1.0)),
-            true_theta=float(dd["true_theta"]) if dd.get("true_theta") is not None else None,
+            effect_size=_number(float, dd.get("effect_size", 0.0), "effect_size"),
+            noise_sd=_number(float, dd.get("noise_sd", 1.0), "noise_sd"),
+            true_theta=(_number(float, dd["true_theta"], "true_theta")
+                        if dd.get("true_theta") is not None else None),
         )
     except KeyError as exc:
         raise ConfigError(f"spec.dgp.{exc.args[0]}: required") from None
@@ -458,12 +467,12 @@ def simulation_spec_from_dict(obj: dict):
         raise ConfigError("spec.plan: required")
     plan = plan_from_dict(obj["plan"])
 
-    replicates = int(obj.get("replicates", 0))
+    replicates = _number(int, obj.get("replicates", 0), "spec.replicates")
     if replicates < 100:
         raise ConfigError("spec.replicates: must be at least 100")
     run = {
         "replicates": replicates,
-        "master_seed": int(obj.get("master_seed", 0)),
+        "master_seed": _number(int, obj.get("master_seed", 0), "spec.master_seed"),
         "paired_unadjusted": bool(obj.get("paired_unadjusted", False)),
         "per_replicate_csv": obj.get("per_replicate_csv"),
     }

@@ -167,6 +167,12 @@ class TestValidate:
         ("ridge", {"lambda_grid": 5}),
         ("post_lasso", {"k_cv": 2.5}),
         ("ridge", {"k_cv": None}),
+        ("knn", {"k": 0}),
+        ("post_lasso", {"k_cv": 1}),
+        ("post_lasso", {"lambda_rule": "max"}),
+        ("ridge", {"k_cv": 1}),
+        ("ridge", {"lambda_grid": []}),
+        ("ridge", {"lambda_grid": [-1.0]}),
     ])
     def test_bad_learner_params_exit_2(self, tmp_path, capsys, name, params):
         plan = write_plan(tmp_path, {
@@ -175,6 +181,20 @@ class TestValidate:
         })
         assert main(["validate", "--plan", plan]) == 2
         assert "plan.learner.params" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"folds": {"k": "abc"}}, "plan.folds.k"),
+        ({"folds": {"seed": [1]}}, "plan.folds.seed"),
+        ({"seed": "x"}, "plan.seed"),
+        ({"seed": float("inf")}, "plan.seed"),
+        ({"selection": {"k_cv": None}}, "plan.selection.k_cv"),
+        ({"expansion": {"polynomial_degree": "two"}}, "polynomial_degree"),
+        ({"pi": {"mode": "known", "value": "half"}}, "plan.pi: value"),
+    ])
+    def test_bad_number_exit_2(self, tmp_path, capsys, fields, named):
+        plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
+        assert main(["validate", "--plan", plan]) == 2
+        assert named in capsys.readouterr().err
 
     def test_positivity_violation(self, tmp_path, capsys):
         plan = write_plan(tmp_path, {
@@ -215,6 +235,18 @@ class TestSimulate:
         keyed = write_plan(tmp_path, dict(SIM_SPEC, threads=2), name="keyed.json")
         assert main(["simulate", "--spec", keyed, "--out", out]) == 2
         assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        ({"dgp": dict(SIM_SPEC["dgp"], n="abc")}, "spec.dgp: n"),
+        ({"replicates": "many"}, "spec.replicates"),
+        ({"master_seed": None}, "spec.master_seed"),
+        ({"plan": {"estimator": "crossfit_aipw",
+                   "learner": {"name": "knn", "params": {"k": 0}}}}, "plan.learner.params"),
+    ])
+    def test_bad_spec_fails_before_any_replicate(self, tmp_path, capsys, change, named):
+        spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")
+        assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "s.json")]) == 2
+        assert named in capsys.readouterr().err
 
     def test_report_reasonable(self, tmp_path):
         spec = write_plan(tmp_path, SIM_SPEC, name="spec.json")

@@ -160,7 +160,35 @@ class TestExpandFeatures:
         assert a.column_names == b.column_names == ("x1", "x2", "x1^2", "x1^3", "x2^2", "x2^3", "x1:x2")
 
 
+def loop_folds(n, k, z, seed, stratified):
+    """make_folds' assignment as a per-participant loop, the reference for
+    the vectorized one: same generator calls, same order."""
+    rng = np.random.default_rng(seed)
+    assignments = np.zeros(n, dtype=int)
+    if stratified:
+        offset = 0
+        for arm in (1, 0):
+            idx = np.flatnonzero(np.asarray(z) == arm)
+            for i, participant in enumerate(rng.permutation(idx)):
+                assignments[participant] = (offset + i) % k + 1
+            offset += idx.size
+    else:
+        for i, participant in enumerate(rng.permutation(n)):
+            assignments[participant] = i % k + 1
+    return assignments
+
+
 class TestMakeFolds:
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("stratified", [False, True])
+    def test_matches_loop_reference(self, k, stratified):
+        for seed in range(8):
+            rng = np.random.default_rng(300 + seed)
+            n = int(rng.integers(20, 200))
+            z = (rng.uniform(size=n) < 0.4).astype(float)
+            plan = make_folds(n, k, z, seed=seed, stratified=stratified)
+            np.testing.assert_array_equal(plan.assignments, loop_folds(n, k, z, seed, stratified))
+
     def test_three_even_folds(self):
         plan = make_folds(6, 3, seed=1)
         sizes = [plan.fold_indices(k).size for k in (1, 2, 3)]

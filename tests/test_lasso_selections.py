@@ -167,6 +167,135 @@ def test_path_meets_kkt_at_every_grid_point(label, x, y, weights):
     assert worst <= 1e-9
 
 
+# PY_PATH_MAX_WIDTH values that send every Gaussian path to one kernel
+KERNELS = {"python": 10**9, "numpy": -1}
+
+
+def kernel_problems():
+    """(label, x, y, weights): general-position problems with p from 1 to 16."""
+    problems = []
+    for p in (1, 2, 3, 5, 8, 12, 16):
+        for weighted in (False, True):
+            rng = np.random.default_rng(70_000 + 2 * p + weighted)
+            n = int(rng.integers(max(40, 5 * p), 300))
+            x = rng.standard_normal((n, p)) + 0.4 * rng.standard_normal((n, 1))
+            y = x[:, : min(p, 3)].sum(axis=1) * 0.5 + rng.standard_normal(n)
+            weights = rng.uniform(0.5, 2.0, size=n) if weighted else None
+            problems.append((f"p={p} n={n} weighted={weighted}", x, y, weights))
+    return problems
+
+
+KERNEL_PROBLEMS = kernel_problems()
+
+
+def kernel_paths(x, y, weights, monkeypatch):
+    """The penalty grid and {kernel: coefs} of lasso_path on each Gaussian kernel."""
+    lam_max = lasso_lambda_max(x, y, GlmFamily.GAUSSIAN, weights)
+    lambdas = np.geomspace(lam_max, lam_max * 1e-4, 100)
+    paths = {}
+    for kernel, width in KERNELS.items():
+        monkeypatch.setattr(selection, "PY_PATH_MAX_WIDTH", width)
+        paths[kernel] = lasso_path(x, y, GlmFamily.GAUSSIAN, lambdas, weights)[0]
+    return lambdas, paths
+
+
+def worst_kkt(x, y, weights, lambdas, coefs):
+    return max(kkt_violation(x, y, GlmFamily.GAUSSIAN, lam, coef, weights)
+               for lam, coef in zip(lambdas, coefs))
+
+
+@pytest.mark.parametrize("label, x, y, weights", KERNEL_PROBLEMS,
+                         ids=[problem[0] for problem in KERNEL_PROBLEMS])
+def test_path_kernels_agree_and_meet_kkt(label, x, y, weights, monkeypatch):
+    lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
+    for kernel, coefs in paths.items():
+        assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
+    np.testing.assert_allclose(paths["python"], paths["numpy"], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_path_kernels_never_enter_an_exact_copy(seed, monkeypatch):
+    rng = np.random.default_rng(71_000 + seed)
+    x = rng.standard_normal((150, 4)) + 0.3 * rng.standard_normal((150, 1))
+    x[:, 3] = x[:, 1]
+    y = x[:, 0] + x[:, 1] + rng.standard_normal(150)
+    weights = rng.uniform(0.5, 2.0, size=150) if seed % 2 else None
+    lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
+    for kernel, coefs in paths.items():
+        assert not np.any((coefs[:, 2] != 0.0) & (coefs[:, 4] != 0.0)), kernel
+        assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
+
+
+def spy_gaussian_paths(monkeypatch):
+    """Record (gram, c, B) of every Gaussian path lasso_cv solves; the
+    full-data fit comes last."""
+    calls, solve = [], selection._gaussian_path
+
+    def spy(gram, c, lambdas):
+        calls.append((gram, c, solve(gram, c, lambdas)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(selection, "_gaussian_path", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("value", [0.0, 2.5])
+def test_column_constant_in_a_training_fold_never_enters(kernel, value, monkeypatch):
+    # x2 varies only inside test fold 1, so fit 0 sees it constant
+    monkeypatch.setattr(selection, "PY_PATH_MAX_WIDTH", KERNELS[kernel])
+    calls = spy_gaussian_paths(monkeypatch)
+    for seed in range(4):
+        rng = np.random.default_rng(72_000 + seed)
+        x = rng.standard_normal((200, 3))
+        x[:, 2] = value
+        fold1 = make_folds(200, 5, z=None, seed=seed, stratified=False).fold_indices(1)
+        x[fold1, 2] += rng.standard_normal(fold1.size)
+        y = x[:, 0] + 3.0 * x[:, 2] + rng.standard_normal(200)
+        weights = rng.uniform(0.5, 2.0, size=200) if seed % 2 else None
+        calls.clear()
+        lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=seed, weights=weights)
+        (gram, c, B), *others = calls
+        assert gram[2, 2] == 0.0 and c[2] == 0.0 and np.all(B[:, 2] == 0.0)
+        assert all(other_gram[2, 2] > 0.5 for other_gram, _, _ in others)
+
+
+def reference_cv(x, y, weights, k_cv, seed, lambdas):
+    """Mean fold loss and full-data deviance at `lambdas` from lasso_path on
+    each fold's training rows, predicting its test rows."""
+    n = y.shape[0]
+    w = np.ones(n) if weights is None else weights
+    folds = make_folds(n, k_cv, z=None, seed=seed, stratified=False)
+    losses = []
+    for k in range(1, k_cv + 1):
+        train, test = folds.complement_indices(k), folds.fold_indices(k)
+        coefs, _ = lasso_path(x[train], y[train], GlmFamily.GAUSSIAN, lambdas, w[train])
+        pred = coefs[:, 0][None, :] + x[test] @ coefs[:, 1:].T
+        losses.append((w[test, None] * (y[test, None] - pred) ** 2).sum(axis=0) / w[test].sum())
+    return np.mean(losses, axis=0), lasso_path(x, y, GlmFamily.GAUSSIAN, lambdas, weights)[1]
+
+
+@pytest.mark.parametrize("label, x, y, weights", KERNEL_PROBLEMS[::3],
+                         ids=[problem[0] for problem in KERNEL_PROBLEMS[::3]])
+def test_cv_from_fold_moments_matches_fold_refits(label, x, y, weights):
+    # columns far from 0 and on unlike scales: the moments are taken about the means
+    x = x * np.geomspace(1e-2, 1e2, x.shape[1]) + 50.0
+    res = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=4, seed=8, weights=weights)
+    diag = res.path_diagnostics
+    cv_mean, train_dev = reference_cv(x, y, weights, 4, 8, np.array(diag["lambdas"]))
+    np.testing.assert_allclose(diag["cv_mean"], cv_mean, rtol=1e-9)
+    np.testing.assert_allclose(diag["train_deviance"], train_dev, rtol=1e-9)
+
+
+def test_full_data_path_is_zero_at_lambda_max(monkeypatch):
+    # the grid starts at max|c| of the very c the full-data path starts from
+    calls = spy_gaussian_paths(monkeypatch)
+    for label, p, n, weighted, rule, k_cv, seed in selection_cases():
+        x, y, weights = selection_problem(p, n, weighted, seed)
+        lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=k_cv, seed=seed, weights=weights, lambda_rule=rule)
+        assert np.all(calls[-1][2][0] == 0.0), label
+
+
 def binomial_path_problems():
     """(label, x, y, weights): logistic problems with p up to 20, half weighted."""
     problems = []

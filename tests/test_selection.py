@@ -117,6 +117,21 @@ class TestLassoCv:
         res = lasso_cv(x, y, GlmFamily.GAUSSIAN, seed=0, weights=w, column_names=("a", "c"))
         assert res.dropped_zero_variance == ("c",)
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("family, value", [
+        (GlmFamily.GAUSSIAN, 0.0), (GlmFamily.GAUSSIAN, 0.1), (GlmFamily.GAUSSIAN, 3.3),
+        (GlmFamily.GAUSSIAN, -7.25), (GlmFamily.GAUSSIAN, 1e6 + 0.1),
+        (GlmFamily.BINOMIAL, 0.0), (GlmFamily.BINOMIAL, 1.0),
+    ])
+    def test_constant_outcome_noted_whatever_its_value(self, family, value, weighted):
+        # the CV must not run on a penalty grid made of rounding noise
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((120, 3))
+        w = rng.uniform(0.5, 2.0, 120) if weighted else None
+        res = lasso_cv(x, np.full(120, value), family, seed=1, weights=w)
+        assert res.selected_columns == ()
+        assert res.path_diagnostics == {"lambdas": [], "note": "outcome has no variance"}
+
     def test_min_rule_selects_at_least_as_much(self, rng):
         x, y = toy_problem(rng, n=80, p=6)
         r1 = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=2, lambda_rule="1se")
