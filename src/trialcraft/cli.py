@@ -15,15 +15,14 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .data import impute_missing, ingest_csv
 from .errors import ConfigError, DataError, EstimationError, TrialcraftError
-from .estimators import EstimateResult
 from .plans import (
     SCHEMA_VERSION,
-    dgp_to_dict,
     execute_plan,
     plan_estimator,
     plan_from_dict,
@@ -76,19 +75,6 @@ def _load_json(path: str, what: str) -> dict:
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
-def _estimate_payload(result: EstimateResult) -> dict:
-    return {
-        "theta_hat": result.theta_hat,
-        "mu1_hat": result.mu1_hat,
-        "mu0_hat": result.mu0_hat,
-        "se": result.se,
-        "ci_low": result.ci_low,
-        "ci_high": result.ci_high,
-        "method": result.method,
-        "diagnostics": result.diagnostics,
-    }
-
-
 def cmd_analyze(args) -> int:
     plan = plan_from_dict(_load_json(args.plan, "plan"))
     if plan.data is None:
@@ -102,7 +88,7 @@ def cmd_analyze(args) -> int:
         "n": dataset.n,
         "n_treated": dataset.n_treated,
         "n_control": dataset.n_control,
-        "estimate": _estimate_payload(result),
+        "estimate": asdict(result),  # _jsonable drops its arrays
         "plan": plan_to_dict(plan),
         "plan_sha256": plan_hash(plan),
     }
@@ -112,27 +98,20 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     dgp, plan, run = simulation_spec_from_dict(_load_json(args.spec, "spec"))
-    report = run_monte_carlo(
-        dgp,
-        plan_estimator(plan),
-        replicates=run["replicates"],
-        master_seed=run["master_seed"],
-        paired_unadjusted=run["paired_unadjusted"],
-    )
+    csv_path = run.pop("per_replicate_csv")
+    report = run_monte_carlo(dgp, plan_estimator(plan), **run)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "simulate",
-        "dgp": dgp_to_dict(dgp),
+        "dgp": asdict(dgp),
         "plan": plan_to_dict(plan),
         "plan_sha256": plan_hash(plan),
-        "replicates": run["replicates"],
-        "master_seed": run["master_seed"],
-        "paired_unadjusted": run["paired_unadjusted"],
+        **run,
         "report": report.to_dict(),
     }
     _write_json(args.out, payload)
-    if run.get("per_replicate_csv"):
-        with open(run["per_replicate_csv"], "w", newline="", encoding="utf-8") as fh:
+    if csv_path:
+        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["replicate", "seed", "estimate", "se"])
             for r in range(report.replicates):

@@ -22,7 +22,7 @@ sample splitting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -61,6 +61,8 @@ class PiSpec:
     estimated()      overall empirical share of treated (no splitting)
     per_fold()       per-fold empirical share (cross-fit estimators)
     parametric(cols) logistic model on pre-specified columns, no selection
+
+    Only known takes a `value` and only parametric takes `ps_columns`.
     """
 
     mode: str
@@ -78,8 +80,10 @@ class PiSpec:
                 raise ConfigError(
                     f"known pi={self.value} violates the positivity bound [0.01, 0.99]"
                 )
-        if self.mode == "parametric" and self.value is not None:
-            raise ConfigError("parametric pi carries columns, not a value")
+        elif self.value is not None:
+            raise ConfigError(f"pi mode {self.mode!r} takes no value")
+        if self.mode != "parametric" and self.ps_columns:
+            raise ConfigError(f"pi mode {self.mode!r} takes no ps_columns")
 
     @classmethod
     def known(cls, pi: float) -> "PiSpec":
@@ -169,6 +173,14 @@ def propensity_scores(fit: GlmFit, d: TrialDataset):
     return clamp_probabilities(raw)
 
 
+def _parametric_propensity(d: TrialDataset, pi: PiSpec | None):
+    """(clamped fitted propensities, clamp count) for a parametric `pi`,
+    else (None, 0)."""
+    if pi is None or pi.mode != "parametric":
+        return None, 0
+    return propensity_scores(fit_propensity(d, pi.ps_columns), d)
+
+
 # --- unadjusted / standardization ----------------------------------------
 
 def estimate_unadjusted(
@@ -249,34 +261,19 @@ def _select_arm(x_arm, y_arm, family, method, seed, names, selection_k_cv, lambd
     raise ConfigError(f"unknown selection method {method!r}")
 
 
-def _fit_selected(work, rows, family, selection, forced, weights, eem):
-    """Step-1b refit on the selection (ML, or least squares in EEM mode)."""
-    chosen, idx = _refit_columns(work.column_names, selection, forced)
-    fitter = fit_least_squares if eem else fit_ml
-    fit = fitter(work.x[rows][:, idx], work.y[rows], family, weights, column_names=tuple(chosen))
-    pred_all = predict(fit, work.x[:, idx])
-    return fit, pred_all, chosen
-
-
-def _data_adaptive_parts(
-    d, spec, family, method, forced, pi, eem, seed,
-    selection_k_cv, lambda_rule, max_terms,
+def _select_and_refit(
+    d, spec, family, method, forced, eem, seed,
+    selection_k_cv, lambda_rule, max_terms, p_hat=None,
 ):
+    """Per-arm selection (Step 1a) and refit on the selected plus forced
+    columns (Step 1b; ML, or least squares in EEM mode), weighted by the
+    inverse propensity of the arm when `p_hat` is given. Returns per-arm
+    dicts of the selected columns, the refit columns and the predictions
+    for every participant, and the selection warnings."""
     check_complete(d)
     work = expand_features(d, spec) if spec is not None else d
-    p_hat = None
-    clamp_count = 0
-    if pi is not None and pi.mode == "parametric":
-        if eem:
-            raise ConfigError(
-                "EEM mode with a parametric propensity is not supported"
-            )
-        ps_fit = fit_propensity(d, pi.ps_columns)
-        p_hat, clamp_count = propensity_scores(ps_fit, d)
-
-    selections = {}
-    preds = {}
-    fits = {}
+    fitter = fit_least_squares if eem else fit_ml
+    selected, refit, preds = {}, {}, {}
     warnings: list[str] = []
     for arm in (1, 0):
         rows = _arm_rows(d, arm)
@@ -285,16 +282,16 @@ def _data_adaptive_parts(
             derived_seed(np.random.SeedSequence((seed, 901, arm))), work.column_names,
             selection_k_cv, lambda_rule, max_terms,
         )
-        selections[arm] = sel
         warnings.extend(sel.warnings)
         if p_hat is not None:
             w_rows = 1.0 / p_hat[rows] if arm == 1 else 1.0 / (1.0 - p_hat[rows])
         else:
             w_rows = None
-        fit, pred_all, chosen = _fit_selected(work, rows, family, sel, forced, w_rows, eem)
-        fits[arm] = (fit, chosen)
-        preds[arm] = pred_all
-    return work, selections, preds, fits, p_hat, clamp_count, warnings
+        chosen, idx = _refit_columns(work.column_names, sel, forced)
+        fit = fitter(work.x[rows][:, idx], work.y[rows], family, w_rows, column_names=tuple(chosen))
+        selected[arm], refit[arm] = list(sel.selected_columns), chosen
+        preds[arm] = predict(fit, work.x[:, idx])
+    return selected, refit, preds, warnings
 
 
 def estimate_data_adaptive(
@@ -321,16 +318,14 @@ def estimate_data_adaptive(
     estimate switches to the explicit AIPW average because the score-zero
     identity is no longer guaranteed.
     """
-    work, selections, preds, fits, p_hat, clamp_count, warnings = _data_adaptive_parts(
-        d, spec, family, method, forced, pi, eem, seed,
-        selection_k_cv, lambda_rule, max_terms,
+    if eem and pi is not None and pi.mode == "parametric":
+        raise ConfigError("EEM mode with a parametric propensity is not supported")
+    p_hat, clamp_count = _parametric_propensity(d, pi)
+    selected, refit, preds, warnings = _select_and_refit(
+        d, spec, family, method, forced, eem, seed,
+        selection_k_cv, lambda_rule, max_terms, p_hat,
     )
-    if p_hat is not None:
-        pi_for_if = p_hat
-        pi_report = None
-    else:
-        pi_for_if = _overall_pi(d, pi)
-        pi_report = pi_for_if
+    pi_for_if = _overall_pi(d, pi) if p_hat is None else p_hat
     aipw1, aipw0, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_for_if)
     if eem:
         mu1, mu0 = aipw1.mean(), aipw0.mean()
@@ -338,16 +333,13 @@ def estimate_data_adaptive(
         mu1, mu0 = float(preds[1].mean()), float(preds[0].mean())
     factor = 1.0
     if small_sample_correction and not eem:
-        factor = _small_sample_factor(
-            d.n_treated, d.n_control,
-            len(fits[1][1]), len(fits[0][1]),
-        )
+        factor = _small_sample_factor(d.n_treated, d.n_control, len(refit[1]), len(refit[0]))
     diagnostics = {
-        "selected_1": list(selections[1].selected_columns),
-        "selected_0": list(selections[0].selected_columns),
-        "refit_columns_1": fits[1][1],
-        "refit_columns_0": fits[0][1],
-        "pi_hat": pi_report,
+        "selected_1": selected[1],
+        "selected_0": selected[0],
+        "refit_columns_1": refit[1],
+        "refit_columns_0": refit[0],
+        "pi_hat": pi_for_if if p_hat is None else None,
         "pred1": preds[1],
         "pred0": preds[0],
         "propensity_clamped": clamp_count,
@@ -424,35 +416,27 @@ def estimate_tmle(
     where the clever covariate 1/p(X) (arm 0: 1/(1-p(X))) enters a
     no-intercept update instead.
     """
-    parametric = pi is not None and pi.mode == "parametric"
-    work, selections, preds, fits, p_hat, clamp_count, warnings = _data_adaptive_parts(
-        d, spec, family, method, forced,
-        None if parametric else pi,
-        eem=eem, seed=seed,
-        selection_k_cv=selection_k_cv, lambda_rule=lambda_rule, max_terms=max_terms,
+    selected, refit, preds, warnings = _select_and_refit(
+        d, spec, family, method, forced, eem, seed,
+        selection_k_cv, lambda_rule, max_terms,
     )
-    if parametric:
-        ps_fit = fit_propensity(d, pi.ps_columns)
-        p_hat, clamp_count = propensity_scores(ps_fit, d)
-
-    clever = {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)} if parametric else None
+    p_hat, clamp_count = _parametric_propensity(d, pi)
+    clever = None if p_hat is None else {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)}
     updated, epsilons = _targeted_update(d, preds, family, clever)
 
     mu1 = float(updated[1].mean())
     mu0 = float(updated[0].mean())
-    pi_for_if = p_hat if parametric else _overall_pi(d, pi)
+    pi_for_if = _overall_pi(d, pi) if p_hat is None else p_hat
     _, _, v1, v0 = variance.aipw(d.y, d.z, updated[1], updated[0], pi_for_if)
     factor = 1.0
     if small_sample_correction:
-        factor = _small_sample_factor(
-            d.n_treated, d.n_control, len(fits[1][1]), len(fits[0][1])
-        )
+        factor = _small_sample_factor(d.n_treated, d.n_control, len(refit[1]), len(refit[0]))
     diagnostics = {
-        "selected_1": list(selections[1].selected_columns),
-        "selected_0": list(selections[0].selected_columns),
+        "selected_1": selected[1],
+        "selected_0": selected[0],
         "epsilon_1": epsilons[1],
         "epsilon_0": epsilons[0],
-        "pi_hat": None if parametric else pi_for_if,
+        "pi_hat": pi_for_if if p_hat is None else None,
         "pred1": updated[1],
         "pred0": updated[0],
         "propensity_clamped": clamp_count,
@@ -466,15 +450,17 @@ def estimate_tmle(
 # --- cross-fitting ---------------------------------------------------------
 
 def _validate_folds(d: TrialDataset, folds: FoldPlan) -> None:
+    check_complete(d)
     if folds.n != d.n:
         raise ConfigError("fold plan length does not match the dataset")
     if not MIN_FOLDS <= folds.k <= MAX_FOLDS:
         raise ConfigError(f"fold count must lie in [{MIN_FOLDS}, {MAX_FOLDS}], got {folds.k}")
 
 
-def _crossfit_predictions(d: TrialDataset, work_x, learner, folds: FoldPlan, family, seed):
+def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, seed):
     """Out-of-fold predictions per arm: fold k's rows are predicted by
     learners trained on the complement, separately per arm."""
+    _validate_folds(d, folds)
     n = d.n
     pred1 = np.empty(n)
     pred0 = np.empty(n)
@@ -489,8 +475,8 @@ def _crossfit_predictions(d: TrialDataset, work_x, learner, folds: FoldPlan, fam
         for arm, out in ((1, pred1), (0, pred0)):
             rows = train[z_train == arm]
             arm_seed = derived_seed(np.random.SeedSequence((seed, k, arm)))
-            predictor = learner.train(work_x[rows], d.y[rows], family, seed=arm_seed)
-            out[test] = predictor.predict(work_x[test])
+            predictor = learner.train(d.x[rows], d.y[rows], family, seed=arm_seed)
+            out[test] = predictor.predict(d.x[test])
     return pred1, pred0
 
 
@@ -505,8 +491,6 @@ def estimate_crossfit_aipw(
     """K-fold cross-fit AIPW: per fold, average the augmented values using
     that fold's empirical randomization probability (or the known one), then
     average the K fold estimates."""
-    check_complete(d)
-    _validate_folds(d, folds)
     if pi is None:
         pi = PiSpec.per_fold()
     if pi.mode not in ("known", "estimated_per_fold"):
@@ -514,7 +498,7 @@ def estimate_crossfit_aipw(
             "cross-fit AIPW supports pi modes 'known' and 'estimated_per_fold'; "
             "use estimate_crossfit_aipw_parametric_ps for a parametric propensity"
         )
-    pred1, pred0 = _crossfit_predictions(d, d.x, learner, folds, family, seed)
+    pred1, pred0 = _crossfit_predictions(d, learner, folds, family, seed)
 
     known = pi.value if pi.mode == "known" else None
     mu1_folds, mu0_folds, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, known, folds)
@@ -548,9 +532,7 @@ def estimate_cvtmle(
     epsilon per arm fitted by an intercept-only offset GLM over that arm,
     fold-averaged means of the updated predictions. The update restores the
     pooled score equation, so no correction terms enter the variance."""
-    check_complete(d)
-    _validate_folds(d, folds)
-    init1, init0 = _crossfit_predictions(d, d.x, learner, folds, family, seed)
+    init1, init0 = _crossfit_predictions(d, learner, folds, family, seed)
     updated, epsilons = _targeted_update(d, {1: init1, 0: init0}, family)
     fold_rows = [folds.fold_indices(k) for k in range(1, folds.k + 1)]
     mu1 = np.mean([updated[1][idx].mean() for idx in fold_rows])
@@ -628,10 +610,8 @@ def estimate_crossfit_aipw_parametric_ps(
     values add the propensity-score correction c'A^{-1}s built within each
     fold; with no propensity columns this reduces exactly to the per-fold
     empirical probability estimator."""
-    check_complete(d)
-    _validate_folds(d, folds)
     ps_columns = tuple(ps_columns)
-    pred1, pred0 = _crossfit_predictions(d, d.x, learner, folds, family, seed)
+    pred1, pred0 = _crossfit_predictions(d, learner, folds, family, seed)
 
     n = d.n
     p_hat = np.empty(n)
@@ -678,13 +658,9 @@ def transform_contrast(r: EstimateResult, kind: str) -> EstimateResult:
     risk-ratio or log odds-ratio scale. `risk_difference` is the identity."""
     if kind not in CONTRASTS:
         raise ConfigError(f"unknown contrast {kind!r}")
+    labelled = replace(r, method=f"{r.method}:{kind}", diagnostics={**r.diagnostics, "contrast": kind})
     if kind == "risk_difference":
-        diagnostics = dict(r.diagnostics)
-        diagnostics["contrast"] = kind
-        return EstimateResult(
-            r.theta_hat, r.mu1_hat, r.mu0_hat, r.if_mu1, r.if_mu0,
-            r.se, r.ci_low, r.ci_high, f"{r.method}:{kind}", diagnostics,
-        )
+        return labelled
     mu1, mu0 = r.mu1_hat, r.mu0_hat
     if kind == "log_risk_ratio":
         if mu1 <= 0 or mu0 <= 0:
@@ -700,9 +676,4 @@ def transform_contrast(r: EstimateResult, kind: str) -> EstimateResult:
     values = grad1 * r.if_mu1 - grad0 * r.if_mu0
     se = variance.se_from_values(values)
     half = Z_CRIT * se
-    diagnostics = dict(r.diagnostics)
-    diagnostics["contrast"] = kind
-    return EstimateResult(
-        point, mu1, mu0, r.if_mu1, r.if_mu0, se,
-        point - half, point + half, f"{r.method}:{kind}", diagnostics,
-    )
+    return replace(labelled, theta_hat=point, se=se, ci_low=point - half, ci_high=point + half)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,14 +100,8 @@ class GlmFit:
     converged: bool
     iterations: int
     deviance: float
-    fitted_with_weights: bool
-    fitted_with_offset: bool
     method: str = "ml"
     has_intercept: bool = True
-
-    @property
-    def score_zero_guaranteed(self) -> bool:
-        return self.method == "ml" and self.has_intercept
 
 
 def _as_design(x: np.ndarray | None, n: int | None = None) -> np.ndarray:
@@ -119,6 +113,11 @@ def _as_design(x: np.ndarray | None, n: int | None = None) -> np.ndarray:
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     return x
+
+
+def _column_names(names, p: int) -> tuple[str, ...]:
+    """`names` as a tuple, or x0, x1, ... for p unnamed columns."""
+    return tuple(names) if names is not None else tuple(f"x{j}" for j in range(p))
 
 
 def _prepare(x, y, weights, offset):
@@ -213,8 +212,8 @@ def fit_ml_design(
     if q == 0:
         mu = family.inv_link(off)
         return GlmFit(
-            family, coef, tuple(column_names or ()), True, 0,
-            family.deviance(y, mu, w), weights is not None, offset is not None,
+            family, coef, tuple(column_names or ()), True, 0, family.deviance(y, mu, w),
+            has_intercept=has_intercept,
         )
 
     dev_prev = np.inf
@@ -251,7 +250,7 @@ def fit_ml_design(
     _check_diverged(family, design, y, off, w, coef, converged)
     return GlmFit(
         family, coef, tuple(column_names or ()), converged, iterations,
-        float(dev_prev), weights is not None, offset is not None,
+        float(dev_prev), has_intercept=has_intercept,
     )
 
 
@@ -272,17 +271,9 @@ def fit_ml(
     y = np.asarray(y, dtype=float)
     x = _as_design(x, y.shape[0])
     design = np.column_stack([np.ones(y.shape[0]), x])
-    names = tuple(column_names) if column_names is not None else tuple(
-        f"x{j}" for j in range(x.shape[1])
-    )
-    fit = fit_ml_design(
+    return fit_ml_design(
         design, y, family, weights, offset,
-        column_names=("(intercept)", *names), has_intercept=True,
-    )
-    return GlmFit(
-        fit.family, fit.coefficients, names, fit.converged, fit.iterations,
-        fit.deviance, fit.fitted_with_weights, fit.fitted_with_offset,
-        method="ml", has_intercept=True,
+        column_names=_column_names(column_names, x.shape[1]), has_intercept=True,
     )
 
 
@@ -299,26 +290,14 @@ def fit_least_squares(
     this is a damped Gauss-Newton solve of the nonlinear least-squares
     problem; the prediction unbiasedness identity is NOT guaranteed.
     """
-    y = np.asarray(y, dtype=float)
-    x = _as_design(x, y.shape[0])
-    names = tuple(column_names) if column_names is not None else tuple(
-        f"x{j}" for j in range(x.shape[1])
-    )
-
     if family is GlmFamily.GAUSSIAN:
-        fit = fit_ml(x, y, family, weights, column_names=names)
-        return GlmFit(
-            fit.family, fit.coefficients, fit.column_names, fit.converged,
-            fit.iterations, fit.deviance, fit.fitted_with_weights,
-            fit.fitted_with_offset, method="least_squares", has_intercept=True,
-        )
+        return replace(fit_ml(x, y, family, weights, column_names=column_names), method="least_squares")
 
     design, y, w, _ = _prepare(x, y, weights, None)
+    names = _column_names(column_names, design.shape[1])
     design = np.column_stack([np.ones(y.shape[0]), design])
     coef = np.zeros(design.shape[1])
-    ybar = float(np.sum(w * y) / np.sum(w))
-    ybar = min(max(ybar, 1e-6), 1.0 - 1e-6)
-    coef[0] = float(logit(np.array([ybar]))[0])
+    coef[0] = float(logit(np.array([_start_mean(y, family, w)]))[0])
 
     def sse(c):
         return float(np.sum(w * (y - expit(design @ c)) ** 2))
@@ -330,10 +309,7 @@ def fit_least_squares(
         mu = expit(design @ coef)
         dmu = np.clip(mu * (1.0 - mu), MU_FLOOR, None)
         jac = design * dmu[:, None]
-        try:
-            delta = _solve_wls(jac, w, y - mu)
-        except Singular:
-            raise
+        delta = _solve_wls(jac, w, y - mu)
         step = 1.0
         trial = coef + delta
         value = sse(trial)
@@ -350,10 +326,7 @@ def fit_least_squares(
         current = value
 
     _check_diverged(family, design, y, 0.0, w, coef, converged)
-    return GlmFit(
-        family, coef, names, converged, iterations, current,
-        weights is not None, False, method="least_squares", has_intercept=True,
-    )
+    return GlmFit(family, coef, names, converged, iterations, current, method="least_squares")
 
 
 def predict(fit: GlmFit, x: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
@@ -361,10 +334,8 @@ def predict(fit: GlmFit, x: np.ndarray, offset: np.ndarray | None = None) -> np.
 
     Intercept-only fits take an (n, 0) matrix so the row count is explicit.
     """
-    if fit.has_intercept:
-        q = fit.coefficients.shape[0] - 1
-    else:
-        q = fit.coefficients.shape[0]
+    slopes = fit.coefficients[1:] if fit.has_intercept else fit.coefficients
+    q = slopes.shape[0]
     if x is None:
         raise DimensionMismatch(
             "predict needs a matrix; pass an (n, 0) matrix for intercept-only fits"
@@ -375,7 +346,6 @@ def predict(fit: GlmFit, x: np.ndarray, offset: np.ndarray | None = None) -> np.
             f"fit expects {q} covariate columns, got {x.shape[1]}"
         )
     eta = np.full(x.shape[0], fit.coefficients[0]) if fit.has_intercept else np.zeros(x.shape[0])
-    slopes = fit.coefficients[1:] if fit.has_intercept else fit.coefficients
     if q > 0:
         eta = eta + x @ slopes
     if offset is not None:
@@ -409,11 +379,11 @@ def score_residual(
     return design.T @ (w * (y - mu))
 
 
-def clamp_probabilities(p: np.ndarray, low: float = 0.01, high: float = 0.99):
-    """Clamp probabilities into [low, high]; returns (clamped, count clamped).
+def clamp_probabilities(p: np.ndarray):
+    """Clamp probabilities into [0.01, 0.99]; returns (clamped, count clamped).
 
     Used before inverting propensity scores, honoring the positivity bound.
     """
     p = np.asarray(p, dtype=float)
-    out = np.clip(p, low, high)
+    out = np.clip(p, 0.01, 0.99)
     return out, int(np.count_nonzero(out != p))

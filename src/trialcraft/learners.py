@@ -104,11 +104,6 @@ class RidgePredictor(_ClampMixin):
         return self._finalize(self.intercept + xs @ self.beta)
 
 
-def _ridge_solve(xs, yc, lam):
-    p = xs.shape[1]
-    return np.linalg.solve(xs.T @ xs + lam * np.eye(p), xs.T @ yc)
-
-
 @dataclass
 class RidgeLearner:
     """Closed-form gaussian ridge on standardized columns with an internal
@@ -136,6 +131,7 @@ class RidgeLearner:
         xs = (x - means) / sds
         ybar = float(y.mean())
         yc = y - ybar
+        eye = np.eye(p)
 
         if len(self.lambda_grid) == 1 or n < 2 * self.k_cv:
             lam = float(self.lambda_grid[0])
@@ -147,13 +143,16 @@ class RidgeLearner:
                 test = assignment == k
                 train = ~test
                 xbar = xs[train].mean(axis=0)
+                x_train, x_test = xs[train] - xbar, xs[test] - xbar
+                y_mean = yc[train].mean()
+                gram, rhs = x_train.T @ x_train, x_train.T @ (yc[train] - y_mean)
                 for i, lam in enumerate(self.lambda_grid):
-                    beta = _ridge_solve(xs[train] - xbar, yc[train] - yc[train].mean(), lam)
-                    pred = yc[train].mean() + (xs[test] - xbar) @ beta
+                    beta = np.linalg.solve(gram + lam * eye, rhs)
+                    pred = y_mean + x_test @ beta
                     losses[i] += float(((yc[test] - pred) ** 2).sum())
             lam = float(self.lambda_grid[int(np.argmin(losses))])
 
-        beta = _ridge_solve(xs, yc, lam)
+        beta = np.linalg.solve(xs.T @ xs + lam * eye, xs.T @ yc)
         return RidgePredictor(ybar, beta, means, sds, family)
 
 

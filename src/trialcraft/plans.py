@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,19 +37,29 @@ from .simulation import DgpSpec
 
 SCHEMA_VERSION = "1"
 
-ESTIMATORS = (
-    "unadjusted",
-    "standardization",
-    "data_adaptive",
-    "crossfit_aipw",
-    "tmle",
-    "cvtmle",
-    "strong_null",
-    "crossfit_aipw_parametric_ps",
-)
+
+class EstimatorRules(NamedTuple):
+    """What a plan for one estimator may set. `pi_modes` lists the allowed
+    pi modes, None for a plan without pi (the estimator's own estimate);
+    `crossfit` estimators train a learner on folds; `eem` allows EEM mode."""
+
+    pi_modes: tuple[str | None, ...]
+    crossfit: bool = False
+    eem: bool = False
+
+
+OVERALL_PI = (None, "known", "estimated_overall")
+ESTIMATORS = {
+    "unadjusted": EstimatorRules(OVERALL_PI),
+    "standardization": EstimatorRules(OVERALL_PI),
+    "data_adaptive": EstimatorRules((*OVERALL_PI, "parametric"), eem=True),
+    "crossfit_aipw": EstimatorRules((None, "known", "estimated_per_fold"), crossfit=True),
+    "tmle": EstimatorRules((*OVERALL_PI, "parametric"), eem=True),
+    "cvtmle": EstimatorRules(OVERALL_PI, crossfit=True),
+    "strong_null": EstimatorRules(OVERALL_PI),
+    "crossfit_aipw_parametric_ps": EstimatorRules(("parametric",), crossfit=True),
+}
 SELECTION_METHODS = ("lasso_cv", "stepwise_aic", "none")
-NEEDS_FOLDS = ("crossfit_aipw", "cvtmle", "crossfit_aipw_parametric_ps")
-NEEDS_LEARNER = ("crossfit_aipw", "cvtmle", "crossfit_aipw_parametric_ps")
 
 
 def _number(kind, value, where: str):
@@ -59,7 +70,20 @@ def _number(kind, value, where: str):
         raise ConfigError(f"{where}: expected a number, got {value!r}") from None
 
 
+def _flag(value, where: str) -> bool:
+    """A JSON boolean, or a ConfigError naming the field: `bool("false")` is true."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _require_keys(obj: dict, allowed, where: str) -> None:
+    """Require a JSON object with no keys outside `allowed`, a list of names
+    or a dataclass's fields."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    if isinstance(allowed, type):
+        allowed = [f.name for f in fields(allowed)]
     unknown = sorted(set(obj) - set(allowed))
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
@@ -106,26 +130,18 @@ class AnalysisPlan:
 
 def plan_from_dict(obj: dict) -> AnalysisPlan:
     """Parse and validate a plan dictionary (strict keys, named fields)."""
-    if not isinstance(obj, dict):
-        raise ConfigError("plan must be a JSON object")
-    _require_keys(
-        obj,
-        (
-            "schema_version", "estimator", "family", "data", "expansion",
-            "selection", "pi", "folds", "learner", "seed", "eem",
-            "small_sample_correction", "contrast",
-        ),
-        "plan",
-    )
+    top = ({f.name for f in fields(AnalysisPlan)} - {"learner_params"}) | {"schema_version"}
+    _require_keys(obj, top, "plan")
     version = obj.get("schema_version", SCHEMA_VERSION)
     if str(version) != SCHEMA_VERSION:
         raise ConfigError(f"plan.schema_version: unsupported version {version!r}")
 
     estimator = obj.get("estimator")
-    if estimator not in ESTIMATORS:
+    if not isinstance(estimator, str) or estimator not in ESTIMATORS:
         raise ConfigError(
             f"plan.estimator: expected one of {', '.join(ESTIMATORS)}, got {estimator!r}"
         )
+    rules = ESTIMATORS[estimator]
     try:
         family = family_from_string(obj.get("family", "gaussian"))
     except ValueError as exc:
@@ -134,17 +150,14 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
     data = None
     if "data" in obj:
         dd = obj["data"]
-        _require_keys(dd, ("outcome", "arm", "covariates"), "plan.data")
+        _require_keys(dd, DataBinding, "plan.data")
         for key in ("outcome", "arm", "covariates"):
             if key not in dd:
                 raise ConfigError(f"plan.data.{key}: required")
         data = DataBinding(dd["outcome"], dd["arm"], tuple(dd["covariates"]))
 
     ed = obj.get("expansion", {})
-    _require_keys(
-        ed, ("base_columns", "interactions", "polynomial_degree", "forced_columns"),
-        "plan.expansion",
-    )
+    _require_keys(ed, FeatureExpansion, "plan.expansion")
     try:
         expansion = FeatureExpansion(
             base_columns=tuple(ed["base_columns"]) if ed.get("base_columns") is not None else None,
@@ -156,12 +169,13 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         raise ConfigError(f"plan.expansion: {exc}") from None
 
     sd = obj.get("selection", {})
-    _require_keys(sd, ("method", "k_cv", "lambda_rule", "max_terms"), "plan.selection")
+    _require_keys(sd, SelectionConfig, "plan.selection")
+    max_terms = sd.get("max_terms")
     selection = SelectionConfig(
         method=sd.get("method", "lasso_cv"),
         k_cv=_number(int, sd.get("k_cv", 5), "plan.selection.k_cv"),
         lambda_rule=sd.get("lambda_rule", "1se"),
-        max_terms=sd.get("max_terms"),
+        max_terms=None if max_terms is None else _number(int, max_terms, "plan.selection.max_terms"),
     )
     if selection.method not in SELECTION_METHODS:
         raise ConfigError(
@@ -171,36 +185,31 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         raise ConfigError("plan.selection.k_cv: must be at least 2")
     if selection.lambda_rule not in ("1se", "min"):
         raise ConfigError("plan.selection.lambda_rule: must be '1se' or 'min'")
+    if selection.max_terms is not None and selection.max_terms < 0:
+        raise ConfigError("plan.selection.max_terms: must be at least 0")
 
     pi = None
     if "pi" in obj:
         pd = obj["pi"]
-        _require_keys(pd, ("mode", "value", "ps_columns"), "plan.pi")
-        mode = pd.get("mode")
+        _require_keys(pd, PiSpec, "plan.pi")
         try:
-            if mode == "known":
-                pi = PiSpec.known(_number(float, pd["value"], "value"))
-            elif mode == "estimated_overall":
-                pi = PiSpec.estimated()
-            elif mode == "estimated_per_fold":
-                pi = PiSpec.per_fold()
-            elif mode == "parametric":
-                pi = PiSpec.parametric(tuple(pd.get("ps_columns", ())))
-            else:
-                raise ConfigError(f"plan.pi.mode: unknown mode {mode!r}")
-        except KeyError:
-            raise ConfigError("plan.pi.value: required for known pi") from None
+            value = pd.get("value")
+            pi = PiSpec(
+                pd.get("mode"),
+                value=None if value is None else _number(float, value, "value"),
+                ps_columns=tuple(pd.get("ps_columns", ())),
+            )
         except ConfigError as exc:
             raise ConfigError(f"plan.pi: {exc}") from None
 
     fd = obj.get("folds", {})
-    _require_keys(fd, ("k", "seed", "stratified"), "plan.folds")
+    _require_keys(fd, FoldConfig, "plan.folds")
     folds = FoldConfig(
         k=_number(int, fd.get("k", 5), "plan.folds.k"),
         seed=_number(int, fd.get("seed", 0), "plan.folds.seed"),
-        stratified=bool(fd.get("stratified", True)),
+        stratified=_flag(fd.get("stratified", True), "plan.folds.stratified"),
     )
-    if estimator in NEEDS_FOLDS and not 2 <= folds.k <= 10:
+    if rules.crossfit and not 2 <= folds.k <= 10:
         raise ConfigError("plan.folds.k: must lie in [2, 10]")
 
     learner = None
@@ -214,37 +223,24 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
             learner = ld.get("name")
             learner_params = dict(ld.get("params", {}))
         get_learner(learner, **learner_params)  # fail fast on bad names/params
-    if estimator in NEEDS_LEARNER and learner is None:
+    if rules.crossfit and learner is None:
         raise ConfigError(f"plan.learner: required for estimator {estimator!r}")
 
-    eem = bool(obj.get("eem", False))
+    eem = _flag(obj.get("eem", False), "plan.eem")
     if eem and pi is not None and pi.mode == "parametric":
         raise ConfigError(
             "plan.eem: EEM mode cannot be combined with a parametric propensity"
         )
-    if eem and estimator not in ("data_adaptive", "tmle"):
-        raise ConfigError("plan.eem: only data_adaptive and tmle support EEM mode")
-    if estimator == "crossfit_aipw_parametric_ps":
-        if pi is None or pi.mode != "parametric":
-            raise ConfigError(
-                "plan.pi: crossfit_aipw_parametric_ps requires mode 'parametric'"
-            )
-    if pi is not None:
-        allowed_modes = {
-            "unadjusted": ("known", "estimated_overall"),
-            "standardization": ("known", "estimated_overall"),
-            "strong_null": ("known", "estimated_overall"),
-            "cvtmle": ("known", "estimated_overall"),
-            "crossfit_aipw": ("known", "estimated_per_fold"),
-            "data_adaptive": ("known", "estimated_overall", "parametric"),
-            "tmle": ("known", "estimated_overall", "parametric"),
-            "crossfit_aipw_parametric_ps": ("parametric",),
-        }[estimator]
-        if pi.mode not in allowed_modes:
-            raise ConfigError(
-                f"plan.pi.mode: {pi.mode!r} is not valid for estimator "
-                f"{estimator!r} (allowed: {', '.join(allowed_modes)})"
-            )
+    if eem and not rules.eem:
+        supported = " and ".join(name for name, r in ESTIMATORS.items() if r.eem)
+        raise ConfigError(f"plan.eem: only {supported} support EEM mode")
+    mode = None if pi is None else pi.mode
+    if mode not in rules.pi_modes:
+        allowed = ", ".join(m for m in rules.pi_modes if m is not None)
+        raise ConfigError(
+            f"plan.pi.mode: {mode!r} is not valid for estimator "
+            f"{estimator!r} (allowed: {allowed})"
+        )
 
     contrast = obj.get("contrast")
     if contrast is not None and contrast not in CONTRASTS:
@@ -262,56 +258,26 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         learner_params=learner_params,
         seed=_number(int, obj.get("seed", 0), "plan.seed"),
         eem=eem,
-        small_sample_correction=bool(obj.get("small_sample_correction", False)),
+        small_sample_correction=_flag(
+            obj.get("small_sample_correction", False), "plan.small_sample_correction"
+        ),
         contrast=contrast,
     )
 
 
 def plan_to_dict(plan: AnalysisPlan) -> dict:
-    """Canonical serializable echo of a plan (round-trips via plan_from_dict)."""
-    out: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "estimator": plan.estimator,
-        "family": plan.family.value,
-        "expansion": {
-            "base_columns": list(plan.expansion.base_columns) if plan.expansion.base_columns is not None else None,
-            "interactions": [list(pair) for pair in plan.expansion.interactions],
-            "polynomial_degree": plan.expansion.polynomial_degree,
-            "forced_columns": list(plan.expansion.forced_columns),
-        },
-        "selection": {
-            "method": plan.selection.method,
-            "k_cv": plan.selection.k_cv,
-            "lambda_rule": plan.selection.lambda_rule,
-            "max_terms": plan.selection.max_terms,
-        },
-        "folds": {
-            "k": plan.folds.k,
-            "seed": plan.folds.seed,
-            "stratified": plan.folds.stratified,
-        },
-        "seed": plan.seed,
-        "eem": plan.eem,
-        "small_sample_correction": plan.small_sample_correction,
-    }
-    if plan.data is not None:
-        out["data"] = {
-            "outcome": plan.data.outcome,
-            "arm": plan.data.arm,
-            "covariates": list(plan.data.covariates),
-        }
-    if plan.pi is not None:
-        pi_dict: dict = {"mode": plan.pi.mode}
-        if plan.pi.mode == "known":
-            pi_dict["value"] = plan.pi.value
-        if plan.pi.mode == "parametric":
-            pi_dict["ps_columns"] = list(plan.pi.ps_columns)
-        out["pi"] = pi_dict
+    """Canonical serializable echo of a plan (round-trips via plan_from_dict).
+    Unset optional parts are left out, and `pi` keeps only its mode's field."""
+    out = {"schema_version": SCHEMA_VERSION, **asdict(plan), "family": plan.family.value}
+    params = out.pop("learner_params")
     if plan.learner is not None:
-        out["learner"] = {"name": plan.learner, "params": plan.learner_params}
-    if plan.contrast is not None:
-        out["contrast"] = plan.contrast
-    return out
+        out["learner"] = {"name": plan.learner, "params": params}
+    if plan.pi is not None:
+        if plan.pi.mode != "known":
+            del out["pi"]["value"]
+        if plan.pi.mode != "parametric":
+            del out["pi"]["ps_columns"]
+    return {key: value for key, value in out.items() if value is not None}
 
 
 def plan_hash(plan: AnalysisPlan) -> str:
@@ -344,8 +310,9 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
             d, plan.expansion, family, plan.pi,
             small_sample_correction=plan.small_sample_correction,
         )
-    elif kind == "data_adaptive":
-        result = estimate_data_adaptive(
+    elif kind in ("data_adaptive", "tmle"):
+        estimate = estimate_data_adaptive if kind == "data_adaptive" else estimate_tmle
+        result = estimate(
             d, plan.expansion, family,
             method=plan.selection.method,
             forced=plan.expansion.forced_columns,
@@ -357,20 +324,7 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
             lambda_rule=plan.selection.lambda_rule,
             max_terms=plan.selection.max_terms,
         )
-    elif kind == "tmle":
-        result = estimate_tmle(
-            d, plan.expansion, family,
-            method=plan.selection.method,
-            forced=plan.expansion.forced_columns,
-            pi=plan.pi,
-            eem=plan.eem,
-            seed=run_seed,
-            small_sample_correction=plan.small_sample_correction,
-            selection_k_cv=plan.selection.k_cv,
-            lambda_rule=plan.selection.lambda_rule,
-            max_terms=plan.selection.max_terms,
-        )
-    elif kind in ("crossfit_aipw", "cvtmle", "crossfit_aipw_parametric_ps"):
+    elif ESTIMATORS[kind].crossfit:
         folds = make_folds(
             d.n, plan.folds.k, d.z, seed=fold_seed, stratified=plan.folds.stratified
         )
@@ -383,11 +337,9 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
             result = estimate_crossfit_aipw_parametric_ps(
                 d, learner, folds, plan.pi.ps_columns, family, seed=run_seed
             )
-    elif kind == "strong_null":
+    else:
         model = get_learner(plan.learner, **plan.learner_params) if plan.learner else plan.expansion
         result = estimate_strong_null(d, model, family, plan.pi, seed=run_seed)
-    else:  # pragma: no cover - plan_from_dict already rejects
-        raise ConfigError(f"unknown estimator {kind!r}")
 
     if plan.contrast is not None:
         result = transform_contrast(result, plan.contrast)
@@ -411,7 +363,7 @@ def validate_plan(plan: AnalysisPlan) -> list[str]:
             warnings.append(
                 f"known pi={plan.pi.value} is close to the positivity boundary"
             )
-    if plan.estimator in NEEDS_FOLDS and not plan.folds.stratified:
+    if ESTIMATORS[plan.estimator].crossfit and not plan.folds.stratified:
         warnings.append(
             "unstratified folds can produce single-arm training folds at small n"
         )
@@ -425,8 +377,6 @@ def validate_plan(plan: AnalysisPlan) -> list[str]:
 def simulation_spec_from_dict(obj: dict):
     """Parse a simulate config: DGP + plan + run parameters.
     Returns (DgpSpec, AnalysisPlan, dict of run parameters)."""
-    if not isinstance(obj, dict):
-        raise ConfigError("simulation spec must be a JSON object")
     _require_keys(
         obj,
         ("schema_version", "dgp", "plan", "replicates", "master_seed",
@@ -439,12 +389,7 @@ def simulation_spec_from_dict(obj: dict):
     if "dgp" not in obj:
         raise ConfigError("spec.dgp: required")
     dd = obj["dgp"]
-    _require_keys(
-        dd,
-        ("name", "n", "p", "pi", "outcome_kind", "mechanism", "effect_size",
-         "noise_sd", "true_theta"),
-        "spec.dgp",
-    )
+    _require_keys(dd, DgpSpec, "spec.dgp")
     try:
         dgp = DgpSpec(
             name=dd.get("name", "dgp"),
@@ -473,21 +418,8 @@ def simulation_spec_from_dict(obj: dict):
     run = {
         "replicates": replicates,
         "master_seed": _number(int, obj.get("master_seed", 0), "spec.master_seed"),
-        "paired_unadjusted": bool(obj.get("paired_unadjusted", False)),
+        "paired_unadjusted": _flag(obj.get("paired_unadjusted", False), "spec.paired_unadjusted"),
         "per_replicate_csv": obj.get("per_replicate_csv"),
     }
     return dgp, plan, run
 
-
-def dgp_to_dict(dgp: DgpSpec) -> dict:
-    return {
-        "name": dgp.name,
-        "n": dgp.n,
-        "p": dgp.p,
-        "pi": dgp.pi,
-        "outcome_kind": dgp.outcome_kind,
-        "mechanism": dgp.mechanism,
-        "effect_size": dgp.effect_size,
-        "noise_sd": dgp.noise_sd,
-        "true_theta": dgp.true_theta,
-    }

@@ -27,9 +27,10 @@ import numpy as np
 
 from .data import _zero_variance, make_folds
 from .errors import ConfigError, NonConvergence, Separation, Singular
-from .glm import GlmFamily, GlmFit, _as_design, expit, fit_ml
+from .glm import GlmFamily, GlmFit, _as_design, _column_names, expit, fit_ml
 
 COORD_TOL = 1e-9
+CD_TOL = 1e-10
 MAX_SWEEPS = 10_000
 KNOTS_PER_COLUMN = 20
 MAX_OUTER = 200
@@ -51,10 +52,6 @@ class SelectionResult:
     path_diagnostics: dict | None = None
     dropped_zero_variance: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
-
-
-def _default_names(p: int) -> tuple[str, ...]:
-    return tuple(f"x{j}" for j in range(p))
 
 
 def _normalized_weights(weights, n):
@@ -242,7 +239,7 @@ def _gaussian_path_py(gram, c, lambdas):
     raise NonConvergence("gaussian lasso path did not reach the end of the grid")
 
 
-def _cd_gram(rows, grad, lam, b, tol=1e-10):
+def _cd_gram(rows, grad, lam, b):
     """Coordinate descent for min (1/2) b'Gb - c'b + lam |b|_1 from `b` on Python
     floats, with G as nested lists `rows` and `grad` = c - Gb kept up to date
     (covariance updates); a column with G_jj <= 0 keeps b_j = 0."""
@@ -259,7 +256,7 @@ def _cd_gram(rows, grad, lam, b, tol=1e-10):
                 grad = [g - step * r for g, r in zip(grad, row)]
                 b[j] = new
                 delta = max(delta, abs(step))
-        if delta < tol:
+        if delta < CD_TOL:
             return b
     raise NonConvergence("inner coordinate descent did not converge")
 
@@ -444,7 +441,8 @@ def lasso_cv(
 
     The penalty is chosen by the one-standard-error rule by default
     (`lambda_rule="min"` picks the CV minimizer). Zero-variance columns are
-    excluded from the candidates and reported in the diagnostics.
+    excluded from the candidates and reported in `dropped_zero_variance`; a
+    column identical to an earlier one is excluded without being reported.
     """
     if k_cv < 2:
         raise ConfigError("k_cv must be at least 2")
@@ -453,12 +451,17 @@ def lasso_cv(
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
-    names = tuple(column_names) if column_names is not None else _default_names(p)
+    names = _column_names(column_names, p)
     w_full = _normalized_weights(weights, n)
 
     _, _, _, degenerate = _standardize(x, w_full)
+    dropped = tuple(name for name, flat in zip(names, degenerate) if flat)
     keep = ~degenerate
-    dropped = tuple(name for name, ok in zip(names, keep) if not ok)
+    first = {}
+    for j in np.flatnonzero(keep):
+        # copies tie at every knot, so rounding would pick the one that enters;
+        # only the first of identical columns stays a candidate
+        keep[j] = first.setdefault(x[:, j].tobytes(), j) == j
     x_eff = x[:, keep]
     names_eff = tuple(name for name, ok in zip(names, keep) if ok)
 
@@ -522,7 +525,7 @@ def stepwise_aic(
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
-    names = tuple(column_names) if column_names is not None else _default_names(p)
+    names = _column_names(column_names, p)
     if max_terms is None:
         max_terms = p
     if max_terms > p:
@@ -574,7 +577,7 @@ def post_selection_refit(
     identity after any (possibly wrong) selection.
     """
     x = _as_design(x)
-    names = tuple(column_names) if column_names is not None else _default_names(x.shape[1])
+    names = _column_names(column_names, x.shape[1])
     chosen, cols = _refit_columns(names, selected, forced)
     design = x[:, cols] if cols else None
     return fit_ml(design, y, family, weights, column_names=tuple(chosen))

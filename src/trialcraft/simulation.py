@@ -13,7 +13,7 @@ outcomes; binary-outcome effects come from a brute-force plug-in oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,6 +30,8 @@ OUTCOME_KINDS = ("continuous", "binary")
 QUADRATIC_COEF = {1: (0.8, 0.4), 0: (0.3, 0.15)}
 NULL_QUADRATIC_COEF = 0.5
 PS_INFORMATIVE_LOADING = 1.5
+# share of replicates whose estimator may fail before the run is an error
+MAX_FAILURE_FRACTION = 0.01
 
 
 @dataclass(frozen=True)
@@ -149,23 +151,10 @@ class MonteCarloReport:
     estimates: np.ndarray = field(repr=False)
     ses: np.ndarray = field(repr=False)
 
-    def to_dict(self, include_seeds: bool = True) -> dict:
-        out = {
-            "replicates": self.replicates,
-            "true_theta": self.true_theta,
-            "bias": self.bias,
-            "mc_se_of_bias": self.mc_se_of_bias,
-            "empirical_sd": self.empirical_sd,
-            "mean_estimated_se": self.mean_estimated_se,
-            "coverage_95": self.coverage_95,
-            "rejection_rate": self.rejection_rate,
-            "relative_efficiency_vs_unadjusted": self.relative_efficiency_vs_unadjusted,
-            "n_failed": self.n_failed,
-            "failed_indices": list(self.failed_indices),
-        }
-        if include_seeds:
-            out["replicate_seeds"] = list(self.replicate_seeds)
-        return out
+    def to_dict(self) -> dict:
+        """Every field but the per-replicate estimate and SE arrays."""
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: v for name, v in values.items() if not isinstance(v, np.ndarray)}
 
 
 def compute_metrics(estimates, ses, true_theta_value: float) -> dict:
@@ -203,7 +192,6 @@ def run_monte_carlo(
     replicates: int,
     master_seed: int,
     paired_unadjusted: bool = False,
-    max_failure_fraction: float = 0.01,
 ) -> MonteCarloReport:
     """Run `estimate(dataset, seed) -> EstimateResult` on `replicates`
     simulated datasets.
@@ -211,7 +199,7 @@ def run_monte_carlo(
     Replicates run one after another in replicate order, and replicate r
     draws only from its own RNG stream, so the report is a pure function of
     (spec, estimate, replicates, master_seed). Per-replicate estimator
-    errors are recorded, not fatal, unless more than `max_failure_fraction`
+    errors are recorded, not fatal, unless more than MAX_FAILURE_FRACTION
     of replicates fail.
     """
     if replicates < 2:
@@ -237,23 +225,18 @@ def run_monte_carlo(
             unadj = estimate_unadjusted(dataset).theta_hat
         return (theta_hat, se, unadj, err, est_seed)
 
-    rows = [one(r) for r in range(replicates)]
+    estimates, ses, unadjusted, errors, seeds = zip(*(one(r) for r in range(replicates)))
+    estimates, ses, unadjusted = np.array(estimates), np.array(ses), np.array(unadjusted)
+    failures = tuple(r for r, err in enumerate(errors) if err is not None)
 
-    estimates = np.array([row[0] for row in rows])
-    ses = np.array([row[1] for row in rows])
-    unadjusted = np.array([row[2] for row in rows])
-    failures = tuple(r for r, row in enumerate(rows) if row[3] is not None)
-    seeds = tuple(row[4] for row in rows)
-
-    if len(failures) > max_failure_fraction * replicates:
-        examples = "; ".join(rows[r][3] for r in failures[:3])
+    if len(failures) > MAX_FAILURE_FRACTION * replicates:
+        examples = "; ".join(errors[r] for r in failures[:3])
         raise EstimationError(
             f"{len(failures)}/{replicates} replicates failed (> "
-            f"{max_failure_fraction:.0%}): {examples}"
+            f"{MAX_FAILURE_FRACTION:.0%}): {examples}"
         )
 
     ok = np.flatnonzero(np.isfinite(estimates))
-    metrics = compute_metrics(estimates[ok], ses[ok], theta)
 
     relative_efficiency = None
     if paired_unadjusted:
@@ -264,12 +247,7 @@ def run_monte_carlo(
     return MonteCarloReport(
         replicates=replicates,
         true_theta=theta,
-        bias=metrics["bias"],
-        mc_se_of_bias=metrics["mc_se_of_bias"],
-        empirical_sd=metrics["empirical_sd"],
-        mean_estimated_se=metrics["mean_estimated_se"],
-        coverage_95=metrics["coverage_95"],
-        rejection_rate=metrics["rejection_rate"],
+        **compute_metrics(estimates[ok], ses[ok], theta),
         relative_efficiency_vs_unadjusted=relative_efficiency,
         n_failed=len(failures),
         failed_indices=failures,

@@ -190,8 +190,30 @@ class TestValidate:
         ({"selection": {"k_cv": None}}, "plan.selection.k_cv"),
         ({"expansion": {"polynomial_degree": "two"}}, "polynomial_degree"),
         ({"pi": {"mode": "known", "value": "half"}}, "plan.pi: value"),
+        ({"selection": {"max_terms": "abc"}}, "plan.selection.max_terms"),
+        ({"selection": {"max_terms": -1}}, "plan.selection.max_terms"),
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, fields, named):
+        plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
+        assert main(["validate", "--plan", plan]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"folds": 5}, "plan.folds"),
+        ({"expansion": None}, "plan.expansion"),
+    ])
+    def test_section_not_an_object_exit_2(self, tmp_path, capsys, fields, named):
+        plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
+        assert main(["validate", "--plan", plan]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"eem": "false", "estimator": "data_adaptive"}, "plan.eem"),
+        ({"small_sample_correction": "false"}, "plan.small_sample_correction"),
+        ({"folds": {"stratified": "false"}}, "plan.folds.stratified"),
+        ({"folds": {"stratified": 0}}, "plan.folds.stratified"),
+    ])
+    def test_flag_must_be_json_boolean(self, tmp_path, capsys, fields, named):
         plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
         assert main(["validate", "--plan", plan]) == 2
         assert named in capsys.readouterr().err
@@ -240,6 +262,7 @@ class TestSimulate:
         ({"dgp": dict(SIM_SPEC["dgp"], n="abc")}, "spec.dgp: n"),
         ({"replicates": "many"}, "spec.replicates"),
         ({"master_seed": None}, "spec.master_seed"),
+        ({"paired_unadjusted": "false"}, "spec.paired_unadjusted"),
         ({"plan": {"estimator": "crossfit_aipw",
                    "learner": {"name": "knn", "params": {"k": 0}}}}, "plan.learner.params"),
     ])

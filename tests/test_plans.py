@@ -4,6 +4,7 @@ import pytest
 from conftest import simulate_trial
 from trialcraft.errors import ConfigError
 from trialcraft.plans import (
+    ESTIMATORS,
     execute_plan,
     plan_from_dict,
     plan_hash,
@@ -44,6 +45,9 @@ ALL_ESTIMATOR_PLANS = {
 
 
 class TestDispatch:
+    def test_plans_cover_every_estimator(self):
+        assert set(ALL_ESTIMATOR_PLANS) == set(ESTIMATORS)
+
     @pytest.mark.parametrize("name", list(ALL_ESTIMATOR_PLANS))
     def test_every_estimator_runs(self, name, rng):
         plan = plan_from_dict(ALL_ESTIMATOR_PLANS[name])
@@ -113,6 +117,20 @@ class TestParsing:
                 "learner": {"name": "knn", "params": {}},
                 "pi": {"mode": "estimated_overall"},
             })
+
+    @pytest.mark.parametrize("pi", [
+        {"mode": "estimated_overall", "value": 0.3},
+        {"mode": "parametric", "ps_columns": ["x1"], "value": 0.5},
+        {"mode": "known", "value": 0.5, "ps_columns": ["x1"]},
+        {"mode": "estimated_overall", "ps_columns": ["x1"]},
+    ])
+    def test_pi_fields_belong_to_their_mode(self, pi):
+        with pytest.raises(ConfigError, match="plan.pi: pi mode .* takes no"):
+            plan_from_dict({"estimator": "data_adaptive", "pi": pi})
+
+    def test_parametric_ps_estimator_needs_pi(self):
+        with pytest.raises(ConfigError, match="plan.pi"):
+            plan_from_dict({"estimator": "crossfit_aipw_parametric_ps", "learner": "knn"})
 
     def test_eem_restricted(self):
         with pytest.raises(ConfigError, match="eem"):

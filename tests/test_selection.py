@@ -99,6 +99,19 @@ class TestLassoCv:
         b = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=11)
         assert a == b
 
+    def test_exact_duplicate_column_never_enters(self):
+        # both copies reach the same knot; only the lower-index one may enter
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            n, p = int(rng.integers(40, 200)), int(rng.integers(2, 12))
+            x = rng.standard_normal((n, p)) * rng.uniform(0.01, 100, p) + rng.uniform(-50, 50, p)
+            x[:, -1] = x[:, 0]
+            y = (x[:, 0] - x[:, 0].mean()) / x[:, 0].std() + rng.standard_normal(n)
+            w = rng.uniform(0.5, 2.0, n) if seed % 2 else None
+            res = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=seed, weights=w)
+            assert f"x{p - 1}" not in res.selected_columns, seed
+            assert res.dropped_zero_variance == ()
+
     def test_zero_variance_column_dropped(self, rng):
         x = rng.standard_normal((50, 3))
         x[:, 1] = 2.0

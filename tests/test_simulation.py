@@ -157,9 +157,7 @@ class TestRunMonteCarlo:
             return estimate_unadjusted(dataset)
 
         calls["n"] = 0
-        rep = run_monte_carlo(
-            self.SPEC, rarely_flaky, 120, master_seed=1, max_failure_fraction=0.05
-        )
+        rep = run_monte_carlo(self.SPEC, rarely_flaky, 120, master_seed=1)
         assert rep.n_failed == 1
         assert rep.failed_indices == (2,)
 
