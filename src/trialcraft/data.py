@@ -6,8 +6,10 @@ are immutable after construction.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -120,58 +122,106 @@ def _parse_cell(text: str, row: int, col: str) -> float:
         ) from None
 
 
+def _parse_fast(raw: bytes, width: int, usecols):
+    """(y, z, x) of the bound columns `usecols` (outcome, arm, covariates)
+    from one np.loadtxt call, or None unless the file is laid out plainly
+    enough that the per-cell reader would read the same rows into the same
+    floats: no quotes or carriage returns, every data line `width` cells, an
+    observed finite outcome and a 0/1 arm.
+
+    A missing token is rewritten to a NaN spelling loadtxt reads ("" to
+    "nan", "NA" to "NAN"); loadtxt's float parser is float()'s, bit for bit,
+    on every token it accepts, and rejects "1_000" and padded missing tokens,
+    which send the file to the per-cell reader."""
+    start = raw.find(b"\n") + 1
+    if b'"' in raw or b"\r" in raw or start in (0, len(raw)):
+        return None
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    body = np.frombuffer(raw, np.uint8, offset=start)
+    ends = np.flatnonzero((body == ord(",")) | (body == ord("\n")))  # each cell's delimiter
+    rows = ends.size // width
+    newline = body[ends] == ord("\n")
+    if ends.size != rows * width or newline.sum() != rows or not newline[width - 1::width].all():
+        return None
+    starts = np.concatenate([[0], ends[:-1] + 1])
+    pairs = starts[ends - starts == 2]
+    na = pairs[(body[pairs] == ord("N")) & (body[pairs + 1] == ord("A"))] + 2
+    empty = ends[ends == starts]
+    body = np.insert(
+        body,
+        np.concatenate([np.repeat(empty, 3), na]),
+        np.frombuffer(b"nan" * empty.size + b"N" * na.size, np.uint8),
+    ).tobytes()
+    try:  # a byte that is not UTF-8 is a UnicodeDecodeError, a ValueError
+        cells = np.loadtxt(io.BytesIO(body), delimiter=",", comments=None, usecols=usecols,
+                           ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    y, z, x = cells[:, 0], cells[:, 1], cells[:, 2:]
+    if cells.shape[0] != rows or not np.isfinite(y).all() or not np.isin(z, (0.0, 1.0)).all():
+        return None
+    return y.copy(), z.copy(), x.copy()  # contiguous, as the per-cell reader's arrays
+
+
+def _parse_rows(path, width: int, positions, outcome_col, arm_col, covariate_cols):
+    """(y, z, x) cell by cell: every row's width is checked first, then the
+    bound cells are parsed in row order, so an error names its row and column."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        n = 0
+        for n, row in enumerate(islice(csv.reader(fh), 1, None), start=1):
+            if len(row) != width:
+                raise MalformedCsv(f"{path}: row {n} has {len(row)} cells, expected {width}")
+        if n == 0:
+            raise MalformedCsv(f"{path}: no data rows")
+        fh.seek(0)
+        y, z, x = np.empty(n), np.empty(n), np.empty((n, len(covariate_cols)))
+        for r, row in enumerate(islice(csv.reader(fh), 1, None), start=1):
+            yv = _parse_cell(row[positions[outcome_col]], r, outcome_col)
+            if math.isnan(yv):
+                raise MissingOutcome(f"{path}: missing outcome in data row {r}")
+            zv = _parse_cell(row[positions[arm_col]], r, arm_col)
+            if math.isnan(zv):
+                raise ArmNotBinary(f"{path}: missing arm value in data row {r}")
+            if zv not in (0.0, 1.0):
+                raise ArmNotBinary(f"{path}: arm value {zv!r} in data row {r} is not 0/1")
+            y[r - 1] = yv
+            z[r - 1] = zv
+            for j, col in enumerate(covariate_cols):
+                x[r - 1, j] = _parse_cell(row[positions[col]], r, col)
+    return y, z, x
+
+
 def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDataset:
     """Load a trial dataset from a UTF-8, comma-delimited CSV with a header.
 
-    Missing covariate cells (empty or "NA") are kept as NaN for
-    `impute_missing`; a missing outcome or arm cell is fatal.
+    Cells may be quoted and padded with whitespace. Missing covariate cells
+    (empty or "NA") are kept as NaN for `impute_missing`; a missing outcome
+    or arm cell is fatal.
     """
     covariate_cols = list(covariate_cols)
     bound = [outcome_col, arm_col, *covariate_cols]
     if len(set(bound)) != len(bound):
         raise ColumnConflict(f"outcome, arm and covariates must be distinct columns: {bound}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: file is empty") from None
-        header = [h.strip() for h in header]
-        positions = {}
-        for name in bound:
-            if name not in header:
-                raise UnknownColumn(f"{path}: column {name!r} not in header")
-            if header.count(name) > 1:
-                raise ColumnConflict(f"{path}: column {name!r} appears more than once in the header")
-            positions[name] = header.index(name)
+        header = next(csv.reader(fh), None)
+    if header is None:
+        raise MalformedCsv(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    positions = {}
+    for name in bound:
+        if name not in header:
+            raise UnknownColumn(f"{path}: column {name!r} not in header")
+        if header.count(name) > 1:
+            raise ColumnConflict(f"{path}: column {name!r} appears more than once in the header")
+        positions[name] = header.index(name)
 
-        rows = []
-        for r, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise MalformedCsv(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-            rows.append(row)
-
-    if not rows:
-        raise MalformedCsv(f"{path}: no data rows")
-
-    y = np.empty(len(rows))
-    z = np.empty(len(rows))
-    x = np.empty((len(rows), len(covariate_cols)))
-    for r, row in enumerate(rows, start=1):
-        yv = _parse_cell(row[positions[outcome_col]], r, outcome_col)
-        if math.isnan(yv):
-            raise MissingOutcome(f"{path}: missing outcome in data row {r}")
-        zv = _parse_cell(row[positions[arm_col]], r, arm_col)
-        if math.isnan(zv):
-            raise ArmNotBinary(f"{path}: missing arm value in data row {r}")
-        if zv not in (0.0, 1.0):
-            raise ArmNotBinary(f"{path}: arm value {zv!r} in data row {r} is not 0/1")
-        y[r - 1] = yv
-        z[r - 1] = zv
-        for j, col in enumerate(covariate_cols):
-            x[r - 1, j] = _parse_cell(row[positions[col]], r, col)
-
-    return TrialDataset(y, z, x, tuple(covariate_cols))
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    parsed = _parse_fast(raw, len(header), [positions[name] for name in bound])
+    if parsed is None:
+        parsed = _parse_rows(path, len(header), positions, outcome_col, arm_col, covariate_cols)
+    return TrialDataset(*parsed, tuple(covariate_cols))
 
 
 def impute_missing(d: TrialDataset) -> TrialDataset:

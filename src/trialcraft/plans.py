@@ -77,6 +77,23 @@ def _flag(value, where: str) -> bool:
     return value
 
 
+def _names(value, where: str) -> tuple[str, ...]:
+    """A JSON list of column names, or a ConfigError naming the field:
+    `tuple("ab")` would bind the columns a and b."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
+        raise ConfigError(f"{where}: expected a list of column names, got {value!r}")
+    return tuple(value)
+
+
+def _pairs(value, where: str) -> tuple[tuple[str, ...], ...]:
+    """A JSON list of [name, name] pairs, or a ConfigError naming the field."""
+    if not isinstance(value, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
+    ):
+        raise ConfigError(f"{where}: expected a list of [name, name] pairs, got {value!r}")
+    return tuple(_names(pair, where) for pair in value)
+
+
 def _require_keys(obj: dict, allowed, where: str) -> None:
     """Require a JSON object with no keys outside `allowed`, a list of names
     or a dataclass's fields."""
@@ -154,16 +171,18 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         for key in ("outcome", "arm", "covariates"):
             if key not in dd:
                 raise ConfigError(f"plan.data.{key}: required")
-        data = DataBinding(dd["outcome"], dd["arm"], tuple(dd["covariates"]))
+        covariates = _names(dd["covariates"], "plan.data.covariates")
+        data = DataBinding(dd["outcome"], dd["arm"], covariates)
 
     ed = obj.get("expansion", {})
     _require_keys(ed, FeatureExpansion, "plan.expansion")
     try:
+        base = ed.get("base_columns")
         expansion = FeatureExpansion(
-            base_columns=tuple(ed["base_columns"]) if ed.get("base_columns") is not None else None,
-            interactions=tuple(tuple(pair) for pair in ed.get("interactions", ())),
+            base_columns=None if base is None else _names(base, "base_columns"),
+            interactions=_pairs(ed.get("interactions", []), "interactions"),
             polynomial_degree=_number(int, ed.get("polynomial_degree", 1), "polynomial_degree"),
-            forced_columns=tuple(ed.get("forced_columns", ())),
+            forced_columns=_names(ed.get("forced_columns", []), "forced_columns"),
         )
     except ConfigError as exc:
         raise ConfigError(f"plan.expansion: {exc}") from None
@@ -197,7 +216,7 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
             pi = PiSpec(
                 pd.get("mode"),
                 value=None if value is None else _number(float, value, "value"),
-                ps_columns=tuple(pd.get("ps_columns", ())),
+                ps_columns=_names(pd.get("ps_columns", []), "ps_columns"),
             )
         except ConfigError as exc:
             raise ConfigError(f"plan.pi: {exc}") from None
@@ -221,7 +240,10 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         else:
             _require_keys(ld, ("name", "params"), "plan.learner")
             learner = ld.get("name")
-            learner_params = dict(ld.get("params", {}))
+            params = ld.get("params", {})
+            if not isinstance(params, dict):
+                raise ConfigError(f"plan.learner.params: expected a JSON object, got {params!r}")
+            learner_params = dict(params)
         get_learner(learner, **learner_params)  # fail fast on bad names/params
     if rules.crossfit and learner is None:
         raise ConfigError(f"plan.learner: required for estimator {estimator!r}")

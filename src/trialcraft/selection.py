@@ -6,9 +6,11 @@ Lasso internals: columns are standardized to unit (population) variance,
 the intercept is never penalized, and coefficients are reported on the
 original scale. The Gaussian path is piecewise linear in the penalty and
 is computed exactly by a homotopy (LARS with the lasso modification) on the
-Gram matrix: one small linear solve per knot, then every grid penalty on
-that segment at once. Up to PY_PATH_MAX_WIDTH columns the homotopy runs on
-Python floats with an updated Cholesky factor, above that on numpy arrays.
+Gram matrix: at each knot the active block's Cholesky factor gains a row
+(a column enters) or is rebuilt (one leaves), then every grid penalty on
+that segment is written at once. Both kernels update that one factor: up to
+PY_PATH_MAX_WIDTH columns the homotopy runs on Python floats, above that on
+numpy arrays.
 A Gaussian `lasso_cv` needs no pass over the rows per fold: each fit's Gram
 matrix and c, and its test loss at every penalty (a quadratic form), come
 from per-fold weighted moments of [x, y] taken once. Binomial paths run
@@ -37,8 +39,11 @@ MAX_OUTER = 200
 PATH_POINTS = 100
 PATH_MIN_RATIO = 1e-4
 # widest design whose Gaussian path runs on Python floats: per path (n=200,
-# 2-vCPU x86 VM) numpy vs Python took 290/95 us at p=3, 938/588 at 12,
-# 1833/1694 at 20, 2438/2386 at 24 and 7601/12429 at 44
+# 2-vCPU x86 VM, median of 7 runs of 20 paths) numpy vs Python took
+# 145-263/52-67 us at p=3, 522-765/410-516 at 12, 1302/1484-1490 at 20,
+# 1595-1794/2245-2794 at 24 and 3436-3509/11152-11572 at 44. The crossover
+# is a little under 20; staying at 20 keeps every narrower design's path,
+# and so its last bits, on the kernel it has always used.
 PY_PATH_MAX_WIDTH = 20
 
 
@@ -106,10 +111,20 @@ def _gaussian_path_np(gram, c, lambdas):
     v = G_AA^-1 s_A, so each segment is written to every grid point it
     covers at once. The next knot is the largest lam below the current one
     where an inactive correlation a + lam e reaches +-lam from inside, or
-    where an active coefficient moving toward zero reaches it. Columns with a
-    zero Gram diagonal, or with a Schur complement against the active set of
-    at most 1e-10 G_jj (inside its span), never enter; so an exact copy of
-    an active column stays at zero.
+    where an active coefficient moving toward zero reaches it.
+
+    As in `_gaussian_path_py`, G_AA = L L' is kept through its Cholesky
+    factor L. With k active columns, the first k rows of T, Linv and W hold
+    L^-1 G_A. (every column), L^-1, and (cu, sv) = L^-1 (c_A, s_A); S holds
+    s_A. Then a = c - cu'T, e = sv'T, (u, v) = Linv'(cu, sv), and each
+    column's Schur complement against the active set, G_jj minus the sum of
+    its squares in T, is kept as a running difference. An entering column
+    appends one row to each, O(k p) work, with no solve; after a column
+    leaves, the others enter again from scratch. Candidates are ranked as
+    in the Python kernel, ties to the lower index. Columns with a zero Gram
+    diagonal, or with a Schur complement of at most 1e-10 G_jj (inside the
+    active span), never enter; so an exact copy of an active column stays at
+    zero.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     neg = -lambdas  # ascending, for searchsorted
@@ -119,27 +134,40 @@ def _gaussian_path_np(gram, c, lambdas):
     B = np.zeros((lambdas.shape[0], p))
     if not usable.any():
         return B
+    T, Linv, W, S = np.zeros((p, p)), np.zeros((p, p)), np.zeros((p, 2)), np.zeros(p)
+    active, schur, tiny = [], diag.copy(), 1e-10 * diag
+    plus_minus = np.array([[1.0], [-1.0]])
+
+    def admit(j, sign):
+        k = len(active)
+        t = T[:k, j]
+        d = math.sqrt(schur[j])
+        T[k] = (gram[j] - t @ T[:k]) / d
+        W[k] = (np.array((c[j], sign)) - t @ W[:k]) / d
+        Linv[k, :k] = -(t @ Linv[:k, :k]) / d
+        Linv[k, k] = 1.0 / d
+        np.subtract(schur, T[k] ** 2, out=schur)
+        schur[j] = 0.0  # an active column never enters again
+        S[k] = sign
+        active.append(j)
+
     first = int(np.argmax(np.where(usable, np.abs(c), -1.0)))
     lam = abs(float(c[first]))
-    active, signs = [first], [1.0 if c[first] > 0 else -1.0]
+    admit(first, 1.0 if c[first] > 0 else -1.0)
     i = int(np.searchsorted(neg, -lam, side="right"))  # points at lam_max and above stay zero
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(KNOTS_PER_COLUMN * (p + 1)):
-            rows = gram[active]  # G_A. = G_.A' by symmetry
-            sol = np.linalg.solve(rows[:, active], np.column_stack([c[active], signs, rows]))
-            u, v = sol[:, 0], sol[:, 1]
-            a = c - u @ rows
-            e = v @ rows
-            free = usable & (diag - (rows * sol[:, 2:]).sum(axis=0) > 1e-10 * diag)
-            free[active] = False
-            # reaching +lam, then -lam; only a positive denominator crosses
-            # from inside, and a root at or above lam enters at once (ties)
-            den = np.concatenate([1.0 - e, 1.0 + e])
-            roots = np.concatenate([a, -a]) / den
-            ok = np.concatenate([free, free]) & (den > 0) & (roots > 0)
-            enter = np.where(ok, np.minimum(roots, lam), 0.0)
+            k = len(active)
+            u, v = (Linv[:k, :k].T @ W[:k]).T
+            ce, e = W[:k].T @ T[:k]
+            free = usable & (schur > tiny)
+            # row 0 reaches +lam, row 1 -lam; only a positive denominator
+            # crosses from inside, and a root at or above lam enters at once (ties)
+            den = 1.0 - plus_minus * e
+            roots = plus_minus * (c - ce) / den
+            enter = np.where(free & (den > 0) & (roots > 0), np.minimum(roots, lam), 0.0).ravel()
             hits = u / v
-            leave = np.where((v * signs < 0) & (hits > 0), np.minimum(hits, lam), 0.0)
+            leave = np.where((v * S[:k] < 0) & (hits > 0), np.minimum(hits, lam), 0.0)
             j, k = int(enter.argmax()), int(leave.argmax())
             knot = max(float(enter[j]), float(leave[k]))
             i1 = int(np.searchsorted(neg, -knot, side="right"))
@@ -148,11 +176,14 @@ def _gaussian_path_np(gram, c, lambdas):
                 return B
             i, lam = i1, knot
             if leave[k] >= enter[j]:
-                active.pop(k)  # never the last one: a lone coefficient moves away from 0
-                signs.pop(k)
+                # never the last one: a lone coefficient moves away from 0
+                kept = [pair for n, pair in enumerate(zip(active, S.tolist())) if n != k]
+                active.clear()
+                schur[:] = diag
+                for col, sign in kept:
+                    admit(col, sign)
             else:
-                active.append(j % p)
-                signs.append(1.0 if j < p else -1.0)
+                admit(j % p, 1.0 if j < p else -1.0)
     raise NonConvergence("gaussian lasso path did not reach the end of the grid")
 
 

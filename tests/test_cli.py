@@ -218,6 +218,32 @@ class TestValidate:
         assert main(["validate", "--plan", plan]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"data": {"outcome": "y", "arm": "z", "covariates": "ab"}}, "plan.data.covariates"),
+        ({"data": {"outcome": "y", "arm": "z", "covariates": ["a", 1]}}, "plan.data.covariates"),
+        ({"expansion": {"base_columns": "ab"}}, "plan.expansion: base_columns"),
+        ({"expansion": {"forced_columns": "a"}}, "plan.expansion: forced_columns"),
+        ({"estimator": "data_adaptive", "pi": {"mode": "parametric", "ps_columns": "a"}},
+         "plan.pi: ps_columns"),
+    ])
+    def test_name_list_must_be_json_list(self, tmp_path, capsys, fields, named):
+        plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
+        assert main(["validate", "--plan", plan]) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"learner": {"name": "knn", "params": 5}}, "plan.learner.params"),
+        ({"learner": {"name": "knn", "params": ["k", 3]}}, "plan.learner.params"),
+        ({"expansion": {"interactions": [["a", "b", "c"]]}}, "plan.expansion: interactions"),
+        ({"expansion": {"interactions": [["a", 1]]}}, "plan.expansion: interactions"),
+        ({"expansion": {"interactions": "ab"}}, "plan.expansion: interactions"),
+        ({"expansion": {"interactions": 5}}, "plan.expansion: interactions"),
+    ])
+    def test_malformed_field_exit_2(self, tmp_path, capsys, fields, named):
+        plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
+        assert main(["validate", "--plan", plan]) == 2
+        assert named in capsys.readouterr().err
+
     def test_positivity_violation(self, tmp_path, capsys):
         plan = write_plan(tmp_path, {
             "estimator": "unadjusted",

@@ -1,6 +1,12 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from trialcraft import data
 from trialcraft.data import (
     FeatureExpansion,
     TrialDataset,
@@ -86,6 +92,128 @@ class TestIngestCsv:
         path = write_csv(tmp_path, "y,z,a,b,b\n1,1,0.5,7,8\n2,0,1.5,7,8\n")
         d = ingest_csv(path, "y", "z", ["a"])
         np.testing.assert_allclose(d.x[:, 0], [0.5, 1.5])
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("y,z,a\n1,1,0\n2,0\n3,1,1\n", MalformedCsv, "{path}: row 2 has 2 cells, expected 3"),
+        ("y,z,a\n1,1,0\n2,0,1,5\n", MalformedCsv, "{path}: row 2 has 4 cells, expected 3"),
+        ("y,z,a\n1,1,0\n\n2,0,1\n", MalformedCsv, "{path}: row 2 has 0 cells, expected 3"),
+        ("", MalformedCsv, "{path}: file is empty"),
+        ("y,z,a\n", MalformedCsv, "{path}: no data rows"),
+        ("y,z,a", MalformedCsv, "{path}: no data rows"),
+        ("y,z,a\n1,1,0\n2,,1\n", ArmNotBinary, "{path}: missing arm value in data row 2"),
+        ("y,z,a\n1,1,0\n2, NA ,1\n", ArmNotBinary, "{path}: missing arm value in data row 2"),
+        ("y,z,a\n1,1,0\n2,0.5,1\n", ArmNotBinary, "{path}: arm value 0.5 in data row 2 is not 0/1"),
+        ("y,z,a\n1,1,0\nnan,0,1\n", MissingOutcome, "{path}: missing outcome in data row 2"),
+        ("y,z,a\n1,1,0\nNA,0,1\n", MissingOutcome, "{path}: missing outcome in data row 2"),
+        ("y,z,a\n1,1,0\n2,0,1.5.1\n", MalformedCsv, "cannot parse '1.5.1' in column 'a', data row 2"),
+        ("y,z,a\n1,1,0\n2,0,1\n3,1,x\n2,0,1,1\n", MalformedCsv, "{path}: row 4 has 4 cells, expected 3"),
+    ])
+    def test_error_names_its_row(self, tmp_path, text, error, message):
+        path = write_csv(tmp_path, text)
+        with pytest.raises(error) as excinfo:
+            ingest_csv(path, "y", "z", ["a"])
+        assert str(excinfo.value) == message.format(path=path)
+
+    def test_infinite_outcome_is_not_observed(self, tmp_path):
+        path = write_csv(tmp_path, "y,z,a\n1,1,0\ninf,0,1\n")
+        with pytest.raises(MissingOutcome) as excinfo:
+            ingest_csv(path, "y", "z", ["a"])
+        assert str(excinfo.value) == "outcome and arm must be fully observed"
+
+    @pytest.mark.parametrize("text", [
+        "y,z,a,b\r\n1.5,1,0.25,NA\r\n2,0,,-3e2\r\n",  # CRLF line endings
+        '"y","z","a","b"\n"1.5",1,"0.25","NA"\n2,"0","",-3e2\n',  # quoted cells
+        "y,z,a,b\n1.5, 1 ,\t0.25 , NA \n2,0,  ,-3e2\n",  # padded cells and missing tokens
+        "y,z,a,b\n1.5,1,0.25,NA\n2,0,,-3e2",  # no final newline
+        "y,z,a,b\n1.5,1,0.2_5,NA\n2,0,,-3_0_0.0\n",  # underscores, as float() reads them
+        # a quoted note whose line break and commas, split naively, make a row of their own
+        'y,z,a,b,note\n1.5,1,0.25,NA,"see\n9,0,1,1,below"\n2,0,,-3e2,\n',
+    ])
+    def test_cells_read_as_float_reads_them(self, tmp_path, text):
+        path = write_csv(tmp_path, text)
+        d = ingest_csv(path, "y", "z", ["a", "b"])
+        np.testing.assert_array_equal(d.y, [1.5, 2.0])
+        np.testing.assert_array_equal(d.z, [1.0, 0.0])
+        np.testing.assert_array_equal(d.x, [[0.25, np.nan], [np.nan, -300.0]])
+
+    def test_literal_non_finite_covariates_kept(self, tmp_path):
+        path = write_csv(tmp_path, "y,z,a,b\n1,1,nan,inf\n2,0,-inf,-nan\n3,1,1_000,Infinity\n")
+        d = ingest_csv(path, "y", "z", ["a", "b"])
+        np.testing.assert_array_equal(d.x, [[np.nan, np.inf], [-np.inf, np.nan], [1000.0, np.inf]])
+        assert np.signbit(d.x[1, 1]) and not np.signbit(d.x[0, 0])
+
+
+PLAIN_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", "NA", "nan", "-inf", "1e400", "-0.0", "0", "7"]),
+)
+ODD_CELLS = st.sampled_from([
+    " NA ", "\tNA", " 1.5 ", "1_000", "-nan", "NAN", "-Infinity", '"2.5"', '"NA"', '"1,5"',
+    "x", "1e", "#1", "0x1", "\x1c3", "\xa04", "\u20285", "1\x006", "\u0663",
+])
+ODD_ARMS = st.sampled_from(["1.0", " 1 ", '"0"', "2", "", "NA", "nan", "-0.0", "1e0"])
+
+
+@st.composite
+def csv_files(draw):
+    """(text, covariate names) of a small CSV of exact floats and missing
+    tokens, plain or with one or all of the things the per-cell reader must
+    handle: odd or quoted cells, odd arms, quoted text, blank or ragged
+    lines, CRLF."""
+    kinds = ("cells", "arms", "ids", "lines", "crlf")
+    odd = draw(st.sampled_from([(), (), *((kind,) for kind in kinds), kinds]))
+    odd_cells, odd_arms, odd_ids, odd_lines, crlf = (kind in odd for kind in kinds)
+    cells = st.one_of(PLAIN_CELLS, PLAIN_CELLS, ODD_CELLS) if odd_cells else PLAIN_CELLS
+    finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    outcomes = st.one_of(finite, cells) if odd_cells else finite
+    arms = st.sampled_from(["0", "1"])
+    arms = st.one_of(arms, arms, arms, ODD_ARMS) if odd_arms else arms
+    ids = ["p1", "", "é", "a b", "NA"] + ['"p,2"', '"p\n3"', "p\r4"] * odd_ids
+    covariates = [f"x{j}" for j in range(draw(st.sampled_from([2, 3, 1, 0])))]
+    header = ["y", "z", *covariates] + (["id"] if draw(st.booleans()) else [])
+    lines = [",".join(header)]
+    for _ in range(draw(st.sampled_from([4, 5, 6, 3, 2, 1, 0]))):
+        row = [draw(outcomes), draw(arms), *(draw(cells) for _ in covariates)]
+        if "id" in header:
+            row.append(draw(st.sampled_from(ids)))
+        layout = draw(st.sampled_from(["plain"] * 4 + ["short", "long", "blank"])) if odd_lines else "plain"
+        if layout == "short":
+            row.pop()
+        elif layout == "long":
+            row.append("1")
+        lines.append("" if layout == "blank" else ",".join(row))
+    newline = "\r\n" if crlf else "\n"
+    return newline.join(lines) + draw(st.sampled_from([newline, ""])), covariates
+
+
+def read_outcome(path, covariates):
+    """The arrays' bits and names that ingest_csv returns, or its exception."""
+    try:
+        d = ingest_csv(path, "y", "z", covariates)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return d.y.tobytes(), d.z.tobytes(), d.x.tobytes(), d.x.shape, d.column_names
+
+
+@settings(max_examples=400)
+@given(csv_files())
+def test_fast_parse_matches_per_cell_reader(case):
+    text, covariates = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trial.csv"
+        path.write_bytes(text.encode("utf-8"))
+        fast = read_outcome(path, covariates)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data, "_parse_fast", lambda *args: None)
+            assert read_outcome(path, covariates) == fast
+
+
+def test_plain_file_takes_the_fast_parse(tmp_path, monkeypatch):
+    # the differential test above proves nothing if every file falls back
+    path = write_csv(tmp_path, "y,z,a,b,id\n1.5,1,0.25,NA,p1\n2,0,,-3e2,\n")
+    monkeypatch.setattr(data, "_parse_rows", None)
+    d = ingest_csv(path, "y", "z", ["a", "b"])
+    np.testing.assert_array_equal(d.x, [[0.25, np.nan], [np.nan, -300.0]])
 
 
 class TestImputeMissing:

@@ -172,16 +172,26 @@ KERNELS = {"python": 10**9, "numpy": -1}
 
 
 def kernel_problems():
-    """(label, x, y, weights): general-position problems with p from 1 to 16."""
+    """(label, x, y, weights): general-position problems with p from 1 to 60,
+    and wide ones with n < 2p, strongly correlated columns and signals of
+    both signs, whose paths drop active coefficients ("leaving")."""
     problems = []
-    for p in (1, 2, 3, 5, 8, 12, 16):
+    for p in (1, 2, 3, 5, 8, 12, 16, 24, 32, 44, 60):
         for weighted in (False, True):
             rng = np.random.default_rng(70_000 + 2 * p + weighted)
-            n = int(rng.integers(max(40, 5 * p), 300))
+            n = int(rng.integers(max(40, 5 * p), max(300, 6 * p)))
             x = rng.standard_normal((n, p)) + 0.4 * rng.standard_normal((n, 1))
             y = x[:, : min(p, 3)].sum(axis=1) * 0.5 + rng.standard_normal(n)
             weights = rng.uniform(0.5, 2.0, size=n) if weighted else None
             problems.append((f"p={p} n={n} weighted={weighted}", x, y, weights))
+    for p in (24, 32, 44, 60):
+        for weighted in (False, True):
+            rng = np.random.default_rng(74_000 + 2 * p + weighted)
+            n = int(rng.integers(p + 5, 2 * p))
+            x = rng.standard_normal((n, p)) + rng.standard_normal((n, 1))
+            y = x[:, :8] @ np.array([1.0, -1.0, 0.8, -0.8, 0.6, -0.6, 0.4, -0.4]) + rng.standard_normal(n)
+            weights = rng.uniform(0.5, 2.0, size=n) if weighted else None
+            problems.append((f"leaving p={p} n={n} weighted={weighted}", x, y, weights))
     return problems
 
 
@@ -213,6 +223,18 @@ def test_path_kernels_agree_and_meet_kkt(label, x, y, weights, monkeypatch):
     np.testing.assert_allclose(paths["python"], paths["numpy"], rtol=0, atol=1e-12)
 
 
+def test_kernel_problems_include_leaving_coefficients(monkeypatch):
+    # the kernels rebuild their factor when a coefficient leaves; the wide
+    # problems above must take that branch, seen as a coefficient that is
+    # non-zero at one grid point and zero at the next
+    leaving = [problem for problem in KERNEL_PROBLEMS if problem[0].startswith("leaving")]
+    for kernel in KERNELS:
+        drops = [np.sum((coefs[:-1] != 0.0) & (coefs[1:] == 0.0))
+                 for label, x, y, weights in leaving
+                 for coefs in [kernel_paths(x, y, weights, monkeypatch)[1][kernel]]]
+        assert sum(drop > 0 for drop in drops) >= len(leaving) // 2, (kernel, drops)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_path_kernels_never_enter_an_exact_copy(seed, monkeypatch):
     rng = np.random.default_rng(71_000 + seed)
@@ -223,6 +245,24 @@ def test_path_kernels_never_enter_an_exact_copy(seed, monkeypatch):
     lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
     for kernel, coefs in paths.items():
         assert not np.any((coefs[:, 2] != 0.0) & (coefs[:, 4] != 0.0)), kernel
+        assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
+
+
+@pytest.mark.parametrize("p", [30, 50])
+@pytest.mark.parametrize("seed", range(4))
+def test_wide_path_kernels_never_enter_a_copy_or_combination(seed, p, monkeypatch):
+    # x3 copies x1 and x4 = x1 - 2 x2: neither may join the columns it is made of
+    rng = np.random.default_rng(71_100 + seed)
+    x = rng.standard_normal((150, p)) + 0.3 * rng.standard_normal((150, 1))
+    x[:, 3] = x[:, 1]
+    x[:, 4] = x[:, 1] - 2.0 * x[:, 2]
+    y = x[:, 0] + x[:, 1] - x[:, 2] + rng.standard_normal(150)
+    weights = rng.uniform(0.5, 2.0, size=150) if seed % 2 else None
+    lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
+    for kernel, coefs in paths.items():
+        nonzero = coefs[:, 1:] != 0.0
+        assert not np.any(nonzero[:, 1] & nonzero[:, 3]), kernel
+        assert not np.any(nonzero[:, 1] & nonzero[:, 2] & nonzero[:, 4]), kernel
         assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
 
 
