@@ -203,24 +203,28 @@ def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDat
     bound = [outcome_col, arm_col, *covariate_cols]
     if len(set(bound)) != len(bound):
         raise ColumnConflict(f"outcome, arm and covariates must be distinct columns: {bound}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
-    if header is None:
-        raise MalformedCsv(f"{path}: file is empty")
-    header = [h.strip() for h in header]
-    positions = {}
-    for name in bound:
-        if name not in header:
-            raise UnknownColumn(f"{path}: column {name!r} not in header")
-        if header.count(name) > 1:
-            raise ColumnConflict(f"{path}: column {name!r} appears more than once in the header")
-        positions[name] = header.index(name)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+        if header is None:
+            raise MalformedCsv(f"{path}: file is empty")
+        header = [h.strip() for h in header]
+        positions = {}
+        for name in bound:
+            if name not in header:
+                raise UnknownColumn(f"{path}: column {name!r} not in header")
+            if header.count(name) > 1:
+                raise ColumnConflict(
+                    f"{path}: column {name!r} appears more than once in the header")
+            positions[name] = header.index(name)
 
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    parsed = _parse_fast(raw, len(header), [positions[name] for name in bound])
-    if parsed is None:
-        parsed = _parse_rows(path, len(header), positions, outcome_col, arm_col, covariate_cols)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        parsed = _parse_fast(raw, len(header), [positions[name] for name in bound])
+        if parsed is None:
+            parsed = _parse_rows(path, len(header), positions, outcome_col, arm_col, covariate_cols)
+    except UnicodeDecodeError as exc:  # from the header or the per-cell reader
+        raise MalformedCsv(f"{path}: the file is not UTF-8 text ({exc.reason})") from None
     return TrialDataset(*parsed, tuple(covariate_cols))
 
 

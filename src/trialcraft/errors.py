@@ -1,9 +1,17 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the typed reader of JSON configuration.
 
 Three broad classes map onto the CLI exit codes: ConfigError (2),
 DataError (3), EstimationError (4). Everything inherits TrialcraftError
 so library users can catch one type.
+
+Plans, simulate specs and learner params are read into their dataclasses
+by `_section`, which reads each field by its annotation with `_read`; the
+dataclasses are the one statement of each field's name, type and default.
 """
+import functools
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
 
 
 class TrialcraftError(Exception):
@@ -90,3 +98,71 @@ class DomainError(EstimationError):
 
 class LengthMismatch(EstimationError):
     """Aligned vectors have different lengths."""
+
+
+# --- reading JSON configuration -----------------------------------------
+
+@functools.cache
+def _fields(cls) -> dict:
+    """{name: (annotation, required)} of a dataclass's init fields; the
+    annotations are resolved once per class, not once per read."""
+    hints = typing.get_type_hints(cls)
+    return {
+        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls) if f.init
+    }
+
+
+def _read(annotation, value, where: str):
+    """`value` read as the JSON form of `annotation`, or a ConfigError naming
+    the field `where`. int takes a JSON integer, float any JSON number, bool
+    true or false, str a string (a boolean is never a number, nor a string
+    a number); `X | None` takes null or an X; `tuple[X, ...]` and
+    `tuple[X, Y]` take a JSON list of those; a dataclass takes a JSON object
+    read by `_section`, and dict any JSON object, copied as it is. Any other
+    annotation is a TypeError: a field the reader cannot check is a fault of
+    the program, not of the input."""
+    kind, args = annotation, typing.get_args(annotation)
+    if typing.get_origin(kind) is types.UnionType and args[1:] == (type(None),):
+        if value is None:
+            return None
+        kind, args = args[0], typing.get_args(args[0])
+    if is_dataclass(kind):
+        return _section(value, kind, where)
+    if typing.get_origin(kind) is tuple:
+        if isinstance(value, (list, tuple)):
+            kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+            if len(kinds) == len(value):
+                return tuple(_read(k, item, where) for k, item in zip(kinds, value))
+    elif kind in (int, float, bool, str, dict):
+        json_types = (int, float) if kind is float else kind
+        if isinstance(value, json_types) and isinstance(value, bool) == (kind is bool):
+            try:
+                return kind(value)
+            except OverflowError:  # an integer beyond the float range
+                pass
+    else:
+        raise TypeError(f"{where}: no JSON reading for the annotation {annotation!r}")
+    shown = annotation.__name__ if isinstance(annotation, type) else annotation
+    raise ConfigError(f"{where}: expected {shown}, got {value!r}")
+
+
+def _section(obj, cls, where: str, **defaults):
+    """A `cls` built from the JSON object `obj`: each key names an init field
+    and is read by its annotation, `defaults` fill fields `obj` leaves out,
+    and the class's own defaults the rest. A ConfigError from the class's
+    `__post_init__` is prefixed with `where`."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
+    spec = _fields(cls)
+    unknown = sorted(set(obj) - set(spec))
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {unknown}")
+    values = defaults | {key: _read(spec[key][0], v, f"{where}.{key}") for key, v in obj.items()}
+    for name, (_, required) in spec.items():
+        if required and name not in values:
+            raise ConfigError(f"{where}.{name}: required")
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None

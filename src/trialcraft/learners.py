@@ -11,13 +11,12 @@ GLM for robustness experiments.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import _zero_variance
-from .errors import ConfigError
+from .errors import ConfigError, _section
 from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
 from .selection import SelectionResult, lasso_cv, post_selection_refit
 
@@ -35,24 +34,20 @@ class _ClampMixin:
 
 @dataclass
 class GlmPredictor(_ClampMixin):
+    """A GLM fit on the design columns `columns` (post_lasso's selection),
+    or on every column when `columns` is None (wrong_model). Every column
+    means `x` itself: a selected copy is laid out in Fortran order, and the
+    product with the coefficients can then differ in the last bit."""
+
     fit: GlmFit
     family: GlmFamily
+    columns: tuple[int, ...] | None = None
 
     def predict(self, x) -> np.ndarray:
         x = _as_design(x)
-        q = self.fit.coefficients.shape[0] - 1
-        return self._finalize(predict(self.fit, x[:, :q] if q == 0 else x))
-
-
-@dataclass
-class PostLassoGlmPredictor(_ClampMixin):
-    fit: GlmFit
-    columns: tuple[int, ...]
-    family: GlmFamily
-
-    def predict(self, x) -> np.ndarray:
-        x = _as_design(x)
-        return self._finalize(predict(self.fit, x[:, list(self.columns)]))
+        if self.columns is not None:
+            x = x[:, list(self.columns)]
+        return self._finalize(predict(self.fit, x))
 
 
 @dataclass
@@ -87,7 +82,7 @@ class PostLassoLearner:
             selection = SelectionResult((), "lasso_cv")
         fit = post_selection_refit(x, y, family, selection, weights=weights)
         columns = tuple(int(name[1:]) for name in fit.column_names)
-        return PostLassoGlmPredictor(fit, columns, family)
+        return GlmPredictor(fit, family, columns)
 
 
 @dataclass
@@ -253,15 +248,8 @@ LEARNERS = {
 
 
 def get_learner(name: str, /, **params):
-    """Resolve a learner by its config identifier; `params` set its fields."""
+    """Resolve a learner by its config identifier; `params` set its fields,
+    each read by the field's annotation as a plan's JSON is (errors._read)."""
     if name not in LEARNERS:
         raise ConfigError(f"unknown learner {name!r}; expected one of {', '.join(LEARNERS)}")
-    try:
-        for key in ("k", "k_cv"):
-            if key in params:
-                params[key] = operator.index(params[key])
-        if "lambda_grid" in params:
-            params["lambda_grid"] = tuple(float(v) for v in params["lambda_grid"])
-        return LEARNERS[name](**params)
-    except (TypeError, ValueError, ConfigError) as exc:
-        raise ConfigError(f"plan.learner.params {params}: {exc}") from None
+    return _section(params, LEARNERS[name], "plan.learner.params")

@@ -3,20 +3,26 @@
 A plan pins everything the analysis depends on (estimator, family, feature
 expansion, selection method, randomization-probability handling, folds,
 learner, seeds, flags), so re-running it on the same file reproduces every
-digit. Parsing is strict: unknown keys are rejected, because a plan that
-silently ignores a field is not pre-specified.
+digit. Parsing is strict, because a plan that silently ignores or converts
+a field is not pre-specified: unknown keys are rejected, and every section
+is read into its dataclass by `errors._section`, each field by its
+annotation (an int field takes a JSON integer, never 2.7, "3" or true).
+The dataclasses below are the one statement of each field's name, type and
+default; `plan_from_dict` adds only the JSON spellings of `family` and
+`learner` and the checks on values (the selection settings and the
+ESTIMATORS rules).
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .data import FeatureExpansion, TrialDataset, derived_seed, make_folds
-from .errors import ConfigError
+from .errors import ConfigError, _read, _section
 from .estimators import (
     CONTRASTS,
     EstimateResult,
@@ -62,48 +68,16 @@ ESTIMATORS = {
 SELECTION_METHODS = ("lasso_cv", "stepwise_aic", "none")
 
 
-def _number(kind, value, where: str):
-    """`kind(value)` for kind int or float, or a ConfigError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where}: expected a number, got {value!r}") from None
-
-
-def _flag(value, where: str) -> bool:
-    """A JSON boolean, or a ConfigError naming the field: `bool("false")` is true."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _names(value, where: str) -> tuple[str, ...]:
-    """A JSON list of column names, or a ConfigError naming the field:
-    `tuple("ab")` would bind the columns a and b."""
-    if not isinstance(value, (list, tuple)) or not all(isinstance(v, str) for v in value):
-        raise ConfigError(f"{where}: expected a list of column names, got {value!r}")
-    return tuple(value)
-
-
-def _pairs(value, where: str) -> tuple[tuple[str, ...], ...]:
-    """A JSON list of [name, name] pairs, or a ConfigError naming the field."""
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in value
-    ):
-        raise ConfigError(f"{where}: expected a list of [name, name] pairs, got {value!r}")
-    return tuple(_names(pair, where) for pair in value)
-
-
-def _require_keys(obj: dict, allowed, where: str) -> None:
-    """Require a JSON object with no keys outside `allowed`, a list of names
-    or a dataclass's fields."""
+def _top(obj, where: str) -> dict:
+    """A copy of a plan or spec object without its schema_version, which must
+    be this one."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: expected a JSON object, got {obj!r}")
-    if isinstance(allowed, type):
-        allowed = [f.name for f in fields(allowed)]
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
+    top = dict(obj)
+    version = top.pop("schema_version", SCHEMA_VERSION)
+    if str(version) != SCHEMA_VERSION:
+        raise ConfigError(f"{where}.schema_version: unsupported version {version!r}")
+    return top
 
 
 @dataclass(frozen=True)
@@ -129,6 +103,14 @@ class SelectionConfig:
 
 
 @dataclass(frozen=True)
+class LearnerChoice:
+    """A plan's learner: a name in learners.LEARNERS and its fields' values."""
+
+    name: str
+    params: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class AnalysisPlan:
     estimator: str
     family: GlmFamily = GlmFamily.GAUSSIAN
@@ -146,56 +128,33 @@ class AnalysisPlan:
 
 
 def plan_from_dict(obj: dict) -> AnalysisPlan:
-    """Parse and validate a plan dictionary (strict keys, named fields)."""
-    top = ({f.name for f in fields(AnalysisPlan)} - {"learner_params"}) | {"schema_version"}
-    _require_keys(obj, top, "plan")
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if str(version) != SCHEMA_VERSION:
-        raise ConfigError(f"plan.schema_version: unsupported version {version!r}")
+    """Parse and validate a plan dictionary. The sections and fields are read
+    by their annotations in AnalysisPlan (see errors._section); `family` and
+    `learner` have JSON spellings of their own, and the estimator's rules
+    are checked on the parsed plan."""
+    top = _top(obj, "plan")
+    given = {}
+    if "family" in top:
+        try:
+            given["family"] = family_from_string(_read(str, top.pop("family"), "plan.family"))
+        except ValueError as exc:
+            raise ConfigError(f"plan.family: {exc}") from None
+    if "learner" in top:
+        choice = top.pop("learner")
+        choice = _section(choice if isinstance(choice, dict) else {"name": choice},
+                          LearnerChoice, "plan.learner")
+        get_learner(choice.name, **choice.params)  # fail fast on bad names/params
+        given.update(learner=choice.name, learner_params=choice.params)
+    if "learner_params" in top:  # set through "learner", never on its own
+        raise ConfigError("plan: unknown keys ['learner_params']")
+    plan = _section(top, AnalysisPlan, "plan", **given)
 
-    estimator = obj.get("estimator")
-    if not isinstance(estimator, str) or estimator not in ESTIMATORS:
+    if plan.estimator not in ESTIMATORS:
         raise ConfigError(
-            f"plan.estimator: expected one of {', '.join(ESTIMATORS)}, got {estimator!r}"
+            f"plan.estimator: expected one of {', '.join(ESTIMATORS)}, got {plan.estimator!r}"
         )
-    rules = ESTIMATORS[estimator]
-    try:
-        family = family_from_string(obj.get("family", "gaussian"))
-    except ValueError as exc:
-        raise ConfigError(f"plan.family: {exc}") from None
-
-    data = None
-    if "data" in obj:
-        dd = obj["data"]
-        _require_keys(dd, DataBinding, "plan.data")
-        for key in ("outcome", "arm", "covariates"):
-            if key not in dd:
-                raise ConfigError(f"plan.data.{key}: required")
-        covariates = _names(dd["covariates"], "plan.data.covariates")
-        data = DataBinding(dd["outcome"], dd["arm"], covariates)
-
-    ed = obj.get("expansion", {})
-    _require_keys(ed, FeatureExpansion, "plan.expansion")
-    try:
-        base = ed.get("base_columns")
-        expansion = FeatureExpansion(
-            base_columns=None if base is None else _names(base, "base_columns"),
-            interactions=_pairs(ed.get("interactions", []), "interactions"),
-            polynomial_degree=_number(int, ed.get("polynomial_degree", 1), "polynomial_degree"),
-            forced_columns=_names(ed.get("forced_columns", []), "forced_columns"),
-        )
-    except ConfigError as exc:
-        raise ConfigError(f"plan.expansion: {exc}") from None
-
-    sd = obj.get("selection", {})
-    _require_keys(sd, SelectionConfig, "plan.selection")
-    max_terms = sd.get("max_terms")
-    selection = SelectionConfig(
-        method=sd.get("method", "lasso_cv"),
-        k_cv=_number(int, sd.get("k_cv", 5), "plan.selection.k_cv"),
-        lambda_rule=sd.get("lambda_rule", "1se"),
-        max_terms=None if max_terms is None else _number(int, max_terms, "plan.selection.max_terms"),
-    )
+    rules = ESTIMATORS[plan.estimator]
+    selection = plan.selection
     if selection.method not in SELECTION_METHODS:
         raise ConfigError(
             f"plan.selection.method: expected one of {', '.join(SELECTION_METHODS)}"
@@ -206,85 +165,28 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         raise ConfigError("plan.selection.lambda_rule: must be '1se' or 'min'")
     if selection.max_terms is not None and selection.max_terms < 0:
         raise ConfigError("plan.selection.max_terms: must be at least 0")
-
-    pi = None
-    if "pi" in obj:
-        pd = obj["pi"]
-        _require_keys(pd, PiSpec, "plan.pi")
-        try:
-            value = pd.get("value")
-            pi = PiSpec(
-                pd.get("mode"),
-                value=None if value is None else _number(float, value, "value"),
-                ps_columns=_names(pd.get("ps_columns", []), "ps_columns"),
-            )
-        except ConfigError as exc:
-            raise ConfigError(f"plan.pi: {exc}") from None
-
-    fd = obj.get("folds", {})
-    _require_keys(fd, FoldConfig, "plan.folds")
-    folds = FoldConfig(
-        k=_number(int, fd.get("k", 5), "plan.folds.k"),
-        seed=_number(int, fd.get("seed", 0), "plan.folds.seed"),
-        stratified=_flag(fd.get("stratified", True), "plan.folds.stratified"),
-    )
-    if rules.crossfit and not 2 <= folds.k <= 10:
+    if rules.crossfit and not 2 <= plan.folds.k <= 10:
         raise ConfigError("plan.folds.k: must lie in [2, 10]")
+    if rules.crossfit and plan.learner is None:
+        raise ConfigError(f"plan.learner: required for estimator {plan.estimator!r}")
 
-    learner = None
-    learner_params: dict = {}
-    if "learner" in obj:
-        ld = obj["learner"]
-        if isinstance(ld, str):
-            learner = ld
-        else:
-            _require_keys(ld, ("name", "params"), "plan.learner")
-            learner = ld.get("name")
-            params = ld.get("params", {})
-            if not isinstance(params, dict):
-                raise ConfigError(f"plan.learner.params: expected a JSON object, got {params!r}")
-            learner_params = dict(params)
-        get_learner(learner, **learner_params)  # fail fast on bad names/params
-    if rules.crossfit and learner is None:
-        raise ConfigError(f"plan.learner: required for estimator {estimator!r}")
-
-    eem = _flag(obj.get("eem", False), "plan.eem")
-    if eem and pi is not None and pi.mode == "parametric":
+    mode = None if plan.pi is None else plan.pi.mode
+    if plan.eem and mode == "parametric":
         raise ConfigError(
             "plan.eem: EEM mode cannot be combined with a parametric propensity"
         )
-    if eem and not rules.eem:
+    if plan.eem and not rules.eem:
         supported = " and ".join(name for name, r in ESTIMATORS.items() if r.eem)
         raise ConfigError(f"plan.eem: only {supported} support EEM mode")
-    mode = None if pi is None else pi.mode
     if mode not in rules.pi_modes:
         allowed = ", ".join(m for m in rules.pi_modes if m is not None)
         raise ConfigError(
             f"plan.pi.mode: {mode!r} is not valid for estimator "
-            f"{estimator!r} (allowed: {allowed})"
+            f"{plan.estimator!r} (allowed: {allowed})"
         )
-
-    contrast = obj.get("contrast")
-    if contrast is not None and contrast not in CONTRASTS:
+    if plan.contrast is not None and plan.contrast not in CONTRASTS:
         raise ConfigError(f"plan.contrast: expected one of {', '.join(CONTRASTS)}")
-
-    return AnalysisPlan(
-        estimator=estimator,
-        family=family,
-        data=data,
-        expansion=expansion,
-        selection=selection,
-        pi=pi,
-        folds=folds,
-        learner=learner,
-        learner_params=learner_params,
-        seed=_number(int, obj.get("seed", 0), "plan.seed"),
-        eem=eem,
-        small_sample_correction=_flag(
-            obj.get("small_sample_correction", False), "plan.small_sample_correction"
-        ),
-        contrast=contrast,
-    )
+    return plan
 
 
 def plan_to_dict(plan: AnalysisPlan) -> dict:
@@ -396,52 +298,27 @@ def validate_plan(plan: AnalysisPlan) -> list[str]:
 
 # --- simulation specs -------------------------------------------------------
 
+@dataclass(frozen=True)
+class SimulationRun:
+    """The run parameters of a simulate spec: run_monte_carlo's arguments,
+    and the path of the per-replicate CSV."""
+
+    replicates: int
+    master_seed: int = 0
+    paired_unadjusted: bool = False
+    per_replicate_csv: str | None = None
+
+
 def simulation_spec_from_dict(obj: dict):
     """Parse a simulate config: DGP + plan + run parameters.
     Returns (DgpSpec, AnalysisPlan, dict of run parameters)."""
-    _require_keys(
-        obj,
-        ("schema_version", "dgp", "plan", "replicates", "master_seed",
-         "paired_unadjusted", "per_replicate_csv"),
-        "spec",
-    )
-    version = obj.get("schema_version", SCHEMA_VERSION)
-    if str(version) != SCHEMA_VERSION:
-        raise ConfigError(f"spec.schema_version: unsupported version {version!r}")
-    if "dgp" not in obj:
-        raise ConfigError("spec.dgp: required")
-    dd = obj["dgp"]
-    _require_keys(dd, DgpSpec, "spec.dgp")
-    try:
-        dgp = DgpSpec(
-            name=dd.get("name", "dgp"),
-            n=_number(int, dd["n"], "n"),
-            p=_number(int, dd["p"], "p"),
-            pi=_number(float, dd["pi"], "pi"),
-            outcome_kind=dd.get("outcome_kind", "continuous"),
-            mechanism=dd.get("mechanism", "linear"),
-            effect_size=_number(float, dd.get("effect_size", 0.0), "effect_size"),
-            noise_sd=_number(float, dd.get("noise_sd", 1.0), "noise_sd"),
-            true_theta=(_number(float, dd["true_theta"], "true_theta")
-                        if dd.get("true_theta") is not None else None),
-        )
-    except KeyError as exc:
-        raise ConfigError(f"spec.dgp.{exc.args[0]}: required") from None
-    except ConfigError as exc:
-        raise ConfigError(f"spec.dgp: {exc}") from None
-
-    if "plan" not in obj:
-        raise ConfigError("spec.plan: required")
-    plan = plan_from_dict(obj["plan"])
-
-    replicates = _number(int, obj.get("replicates", 0), "spec.replicates")
-    if replicates < 100:
+    top = _top(obj, "spec")
+    for key in ("dgp", "plan"):
+        if key not in top:
+            raise ConfigError(f"spec.{key}: required")
+    dgp = _section(top.pop("dgp"), DgpSpec, "spec.dgp", name="dgp")
+    plan = plan_from_dict(top.pop("plan"))
+    run = _section(top, SimulationRun, "spec")
+    if run.replicates < 100:
         raise ConfigError("spec.replicates: must be at least 100")
-    run = {
-        "replicates": replicates,
-        "master_seed": _number(int, obj.get("master_seed", 0), "spec.master_seed"),
-        "paired_unadjusted": _flag(obj.get("paired_unadjusted", False), "spec.paired_unadjusted"),
-        "per_replicate_csv": obj.get("per_replicate_csv"),
-    }
-    return dgp, plan, run
-
+    return dgp, plan, asdict(run)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -93,6 +94,14 @@ class TestAnalyze:
         assert code == 3
         assert "data error" in capsys.readouterr().err
 
+    def test_non_utf8_file_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "trial.csv"
+        data.write_bytes(FOUR_ROW_CSV.replace("3.5", "3.5\xff").encode("latin-1"))
+        plan = write_plan(tmp_path, UNADJUSTED_PLAN)
+        code = main(["analyze", "--data", str(data), "--plan", plan, "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert f"data error: {data}: the file is not UTF-8 text" in capsys.readouterr().err
+
     def test_outcome_as_covariate_exit_3(self, tmp_path, capsys):
         data = write(tmp_path, "trial.csv", "y,z,a,a\n1,1,0,0\n2,0,1,1\n3,1,2,2\n4,0,3,3\n")
         plan = write_plan(tmp_path, {
@@ -173,6 +182,9 @@ class TestValidate:
         ("ridge", {"k_cv": 1}),
         ("ridge", {"lambda_grid": []}),
         ("ridge", {"lambda_grid": [-1.0]}),
+        ("knn", {"k": True}),
+        ("knn", {"k": 2.0}),
+        ("ridge", {"lambda_grid": ["0.1"]}),
     ])
     def test_bad_learner_params_exit_2(self, tmp_path, capsys, name, params):
         plan = write_plan(tmp_path, {
@@ -182,6 +194,14 @@ class TestValidate:
         assert main(["validate", "--plan", plan]) == 2
         assert "plan.learner.params" in capsys.readouterr().err
 
+    def test_null_learner_param_is_the_fields_default(self, tmp_path, capsys):
+        # knn's k is `int | None`: null is None, the default ceil(sqrt(n_train))
+        plan = write_plan(tmp_path, {
+            "estimator": "crossfit_aipw",
+            "learner": {"name": "knn", "params": {"k": None}},
+        })
+        assert main(["validate", "--plan", plan]) == 0
+
     @pytest.mark.parametrize("fields, named", [
         ({"folds": {"k": "abc"}}, "plan.folds.k"),
         ({"folds": {"seed": [1]}}, "plan.folds.seed"),
@@ -189,9 +209,13 @@ class TestValidate:
         ({"seed": float("inf")}, "plan.seed"),
         ({"selection": {"k_cv": None}}, "plan.selection.k_cv"),
         ({"expansion": {"polynomial_degree": "two"}}, "polynomial_degree"),
-        ({"pi": {"mode": "known", "value": "half"}}, "plan.pi: value"),
+        ({"pi": {"mode": "known", "value": "half"}}, "plan.pi.value"),
         ({"selection": {"max_terms": "abc"}}, "plan.selection.max_terms"),
         ({"selection": {"max_terms": -1}}, "plan.selection.max_terms"),
+        ({"folds": {"k": 2.7}}, "plan.folds.k"),
+        ({"folds": {"k": "3"}}, "plan.folds.k"),
+        ({"seed": True}, "plan.seed"),
+        ({"selection": {"k_cv": True}}, "plan.selection.k_cv"),
     ])
     def test_bad_number_exit_2(self, tmp_path, capsys, fields, named):
         plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
@@ -221,10 +245,10 @@ class TestValidate:
     @pytest.mark.parametrize("fields, named", [
         ({"data": {"outcome": "y", "arm": "z", "covariates": "ab"}}, "plan.data.covariates"),
         ({"data": {"outcome": "y", "arm": "z", "covariates": ["a", 1]}}, "plan.data.covariates"),
-        ({"expansion": {"base_columns": "ab"}}, "plan.expansion: base_columns"),
-        ({"expansion": {"forced_columns": "a"}}, "plan.expansion: forced_columns"),
+        ({"expansion": {"base_columns": "ab"}}, "plan.expansion.base_columns"),
+        ({"expansion": {"forced_columns": "a"}}, "plan.expansion.forced_columns"),
         ({"estimator": "data_adaptive", "pi": {"mode": "parametric", "ps_columns": "a"}},
-         "plan.pi: ps_columns"),
+         "plan.pi.ps_columns"),
     ])
     def test_name_list_must_be_json_list(self, tmp_path, capsys, fields, named):
         plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
@@ -234,10 +258,15 @@ class TestValidate:
     @pytest.mark.parametrize("fields, named", [
         ({"learner": {"name": "knn", "params": 5}}, "plan.learner.params"),
         ({"learner": {"name": "knn", "params": ["k", 3]}}, "plan.learner.params"),
-        ({"expansion": {"interactions": [["a", "b", "c"]]}}, "plan.expansion: interactions"),
-        ({"expansion": {"interactions": [["a", 1]]}}, "plan.expansion: interactions"),
-        ({"expansion": {"interactions": "ab"}}, "plan.expansion: interactions"),
-        ({"expansion": {"interactions": 5}}, "plan.expansion: interactions"),
+        ({"expansion": {"interactions": [["a", "b", "c"]]}}, "plan.expansion.interactions"),
+        ({"expansion": {"interactions": [["a", 1]]}}, "plan.expansion.interactions"),
+        ({"expansion": {"interactions": "ab"}}, "plan.expansion.interactions"),
+        ({"expansion": {"interactions": 5}}, "plan.expansion.interactions"),
+        ({"pi": {"mode": "known", "value": "0.5"}}, "plan.pi.value"),
+        ({"data": {"outcome": 5, "arm": "z", "covariates": ["a"]}}, "plan.data.outcome"),
+        ({"selection": {"method": 5}}, "plan.selection.method"),
+        ({"family": 5}, "plan.family"),
+        ({"learner": {"name": ["knn"]}}, "plan.learner.name"),
     ])
     def test_malformed_field_exit_2(self, tmp_path, capsys, fields, named):
         plan = write_plan(tmp_path, {"estimator": "crossfit_aipw", "learner": "knn", **fields})
@@ -285,7 +314,9 @@ class TestSimulate:
         assert "threads" in capsys.readouterr().err
 
     @pytest.mark.parametrize("change, named", [
-        ({"dgp": dict(SIM_SPEC["dgp"], n="abc")}, "spec.dgp: n"),
+        ({"dgp": dict(SIM_SPEC["dgp"], n="abc")}, "spec.dgp.n"),
+        ({"dgp": dict(SIM_SPEC["dgp"], n=50.5)}, "spec.dgp.n"),
+        ({"replicates": "200"}, "spec.replicates"),
         ({"replicates": "many"}, "spec.replicates"),
         ({"master_seed": None}, "spec.master_seed"),
         ({"paired_unadjusted": "false"}, "spec.paired_unadjusted"),
@@ -296,6 +327,22 @@ class TestSimulate:
         spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")
         assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "s.json")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("csv_path", [2, True, ["a"]])
+    def test_per_replicate_csv_must_be_a_path(self, tmp_path, capsys, csv_path):
+        # open(2) or open(True) would write the CSV into stderr or stdout and close it
+        spec = write_plan(tmp_path, dict(SIM_SPEC, per_replicate_csv=csv_path), name="spec.json")
+        out = tmp_path / "s.json"
+        saved = os.dup(1), os.dup(2)
+        try:
+            code = main(["simulate", "--spec", spec, "--out", str(out)])
+            os.fstat(1), os.fstat(2)  # both still open
+        finally:
+            for fd, copy in zip((1, 2), saved):
+                os.dup2(copy, fd)
+                os.close(copy)
+        assert code == 2 and not out.exists()
+        assert "spec.per_replicate_csv" in capsys.readouterr().err
 
     def test_report_reasonable(self, tmp_path):
         spec = write_plan(tmp_path, SIM_SPEC, name="spec.json")

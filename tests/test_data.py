@@ -63,6 +63,18 @@ class TestIngestCsv:
         with pytest.raises(MalformedCsv):
             ingest_csv(path, "y", "z", ["a"])
 
+    @pytest.mark.parametrize("raw", [
+        b"y,z,a\xff\n1,1,0\n2,0,1\n",  # in the header
+        b"y,z,a\n1,1,0\n2,0,1\xff\n",  # in a bound cell
+        b"y,z,a,b\n1,1,0,\xff\n2,0,1,x\n",  # in a column the plan does not bind
+    ])
+    def test_bytes_that_are_not_utf8(self, tmp_path, raw):
+        path = tmp_path / "trial.csv"
+        path.write_bytes(raw)
+        with pytest.raises(MalformedCsv) as excinfo:
+            ingest_csv(path, "y", "z", ["a"])
+        assert str(excinfo.value) == f"{path}: the file is not UTF-8 text (invalid start byte)"
+
     def test_missing_column_in_header(self, tmp_path):
         path = write_csv(tmp_path, "y,z\n1,1\n2,0\n")
         with pytest.raises(UnknownColumn):

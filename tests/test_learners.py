@@ -110,6 +110,15 @@ class TestKnn:
         x, y = linear_data(rng, n=50)
         predictor = get_learner("knn").train(x, y, GlmFamily.GAUSSIAN)
         assert predictor.k == 8  # ceil(sqrt(50))
+        assert get_learner("knn", k=None).train(x, y, GlmFamily.GAUSSIAN).k == 8
+
+    @pytest.mark.parametrize("name, params", [
+        ("knn", {"k": 2.5}), ("knn", {"k": True}), ("post_lasso", {"k_cv": "3"}),
+        ("ridge", {"lambda_grid": [True]}), ("ridge", {"k_cv": 3.0}),
+    ])
+    def test_params_read_by_their_fields_types(self, name, params):
+        with pytest.raises(ConfigError, match="plan.learner.params"):
+            get_learner(name, **params)
 
     def test_invalid_k(self, rng):
         x, y = linear_data(rng, n=10)

@@ -90,9 +90,11 @@ class TestParsing:
             assert plan_to_dict(again) == plan_to_dict(plan)
             assert plan_hash(again) == plan_hash(plan)
 
-    def test_unknown_top_level_key(self):
+    @pytest.mark.parametrize("key", ["extra", "learner_params"])
+    def test_unknown_top_level_key(self, key):
+        # learner_params is an AnalysisPlan field, but a plan sets it through "learner"
         with pytest.raises(ConfigError, match="unknown keys"):
-            plan_from_dict({"estimator": "unadjusted", "extra": 1})
+            plan_from_dict({"estimator": "unadjusted", key: {}})
 
     def test_unknown_nested_key(self):
         with pytest.raises(ConfigError, match="plan.selection"):
