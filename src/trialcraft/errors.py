@@ -11,7 +11,7 @@ dataclasses are the one statement of each field's name, type and default.
 import functools
 import types
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 
 
 class TrialcraftError(Exception):
@@ -102,11 +102,18 @@ class LengthMismatch(EstimationError):
 
 # --- reading JSON configuration -----------------------------------------
 
+@dataclass(frozen=True)
+class AtLeast:
+    """The lower bound of a number field, declared as `Annotated[int, AtLeast(0)]`."""
+
+    low: float
+
+
 @functools.cache
 def _fields(cls) -> dict:
     """{name: (annotation, required)} of a dataclass's init fields; the
     annotations are resolved once per class, not once per read."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {
         f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls) if f.init
@@ -119,10 +126,16 @@ def _read(annotation, value, where: str):
     true or false, str a string (a boolean is never a number, nor a string
     a number); `X | None` takes null or an X; `tuple[X, ...]` and
     `tuple[X, Y]` take a JSON list of those; a dataclass takes a JSON object
-    read by `_section`, and dict any JSON object, copied as it is. Any other
+    read by `_section`, and dict any JSON object, copied as it is;
+    `Annotated[X, AtLeast(low)]` an X no less than low. Any other
     annotation is a TypeError: a field the reader cannot check is a fault of
     the program, not of the input."""
     kind, args = annotation, typing.get_args(annotation)
+    if typing.get_origin(kind) is typing.Annotated:
+        value, (base, bound) = _read(args[0], value, where), args
+        if value < bound.low:
+            raise ConfigError(f"{where}: expected {base.__name__} >= {bound.low}, got {value!r}")
+        return value
     if typing.get_origin(kind) is types.UnionType and args[1:] == (type(None),):
         if value is None:
             return None

@@ -28,14 +28,11 @@ SEPARATION_ETA = math.log((1.0 - MU_FLOOR) / MU_FLOOR)
 
 
 def expit(eta: np.ndarray) -> np.ndarray:
-    """Numerically stable inverse logit."""
+    """Numerically stable inverse logit: 1 / (1 + e) where eta >= 0 and
+    e / (1 + e) below, with e = exp(-|eta|) never overflowing."""
     eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    e = np.exp(eta[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0, e) / (1.0 + e)
 
 
 def logit(p: np.ndarray) -> np.ndarray:
@@ -264,8 +261,8 @@ def fit_ml(
 ) -> GlmFit:
     """Fit y ~ 1 + x by maximum likelihood with the canonical link.
 
-    The returned fit satisfies the weighted score equations to numerical
-    tolerance; see `score_residual`. Raises Separation, Singular or
+    The returned fit satisfies the weighted score equations sum_i w_i (1, x_i)
+    (y_i - mu_i) = 0 to numerical tolerance. Raises Separation, Singular or
     NonConvergence instead of returning a silently bad fit.
     """
     y = np.asarray(y, dtype=float)
@@ -329,8 +326,8 @@ def fit_least_squares(
     return GlmFit(family, coef, names, converged, iterations, current, method="least_squares")
 
 
-def predict(fit: GlmFit, x: np.ndarray, offset: np.ndarray | None = None) -> np.ndarray:
-    """Response-scale predictions g^{-1}(b0 + x b + offset).
+def predict(fit: GlmFit, x: np.ndarray) -> np.ndarray:
+    """Response-scale predictions g^{-1}(b0 + x b).
 
     Intercept-only fits take an (n, 0) matrix so the row count is explicit.
     """
@@ -348,35 +345,7 @@ def predict(fit: GlmFit, x: np.ndarray, offset: np.ndarray | None = None) -> np.
     eta = np.full(x.shape[0], fit.coefficients[0]) if fit.has_intercept else np.zeros(x.shape[0])
     if q > 0:
         eta = eta + x @ slopes
-    if offset is not None:
-        offset = np.asarray(offset, dtype=float)
-        if offset.shape[0] != x.shape[0]:
-            raise DimensionMismatch("offset length must match x rows")
-        eta = eta + offset
     return fit.family.inv_link(eta)
-
-
-def score_residual(
-    fit: GlmFit,
-    x: np.ndarray | None,
-    y: np.ndarray,
-    weights: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
-) -> np.ndarray:
-    """Weighted score equations sum_i w_i c_ij (y_i - mu_i), intercept first.
-
-    For any converged `fit_ml` output evaluated on its own training data the
-    result is zero to ~1e-8 * n in every component; the intercept component
-    is exactly the prediction unbiasedness condition.
-    """
-    y = np.asarray(y, dtype=float)
-    x = _as_design(x, y.shape[0])
-    mu = predict(fit, x, offset)
-    if y.shape[0] != mu.shape[0]:
-        raise DimensionMismatch("y length must match x rows")
-    w = np.ones(y.shape[0]) if weights is None else np.asarray(weights, dtype=float)
-    design = np.column_stack([np.ones(y.shape[0]), x]) if fit.has_intercept else x
-    return design.T @ (w * (y - mu))
 
 
 def clamp_probabilities(p: np.ndarray):

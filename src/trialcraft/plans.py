@@ -17,12 +17,12 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
 from .data import FeatureExpansion, TrialDataset, derived_seed, make_folds
-from .errors import ConfigError, _read, _section
+from .errors import AtLeast, ConfigError, _read, _section
 from .estimators import (
     CONTRASTS,
     EstimateResult,
@@ -80,6 +80,10 @@ def _top(obj, where: str) -> dict:
     return top
 
 
+# numpy's SeedSequence takes only non-negative integers
+Seed = Annotated[int, AtLeast(0)]
+
+
 @dataclass(frozen=True)
 class DataBinding:
     outcome: str
@@ -90,7 +94,7 @@ class DataBinding:
 @dataclass(frozen=True)
 class FoldConfig:
     k: int = 5
-    seed: int = 0
+    seed: Seed = 0
     stratified: bool = True
 
 
@@ -121,7 +125,7 @@ class AnalysisPlan:
     folds: FoldConfig = field(default_factory=FoldConfig)
     learner: str | None = None
     learner_params: dict = field(default_factory=dict)
-    seed: int = 0
+    seed: Seed = 0
     eem: bool = False
     small_sample_correction: bool = False
     contrast: str | None = None
@@ -304,7 +308,7 @@ class SimulationRun:
     and the path of the per-replicate CSV."""
 
     replicates: int
-    master_seed: int = 0
+    master_seed: Seed = 0
     paired_unadjusted: bool = False
     per_replicate_csv: str | None = None
 

@@ -14,9 +14,11 @@ numpy arrays.
 A Gaussian `lasso_cv` needs no pass over the rows per fold: each fit's Gram
 matrix and c, and its test loss at every penalty (a quadratic form), come
 from per-fold weighted moments of [x, y] taken once. Binomial paths run
-IRLS along the grid, each step a penalized weighted least-squares problem
-solved by coordinate descent on its p x p working Gram matrix; `lasso_cv`
-walks the K fold fits and the full-data fit through the grid as one stack.
+IRLS along the grid from secant guesses, each step a penalized weighted
+least-squares problem solved exactly on the warm active set (a proximal
+Newton step), with coordinate descent on the p x p working Gram matrix where
+the active set or a sign changes; `lasso_cv` walks the K fold fits and the
+full-data fit through the grid as one stack, one batched solve a step.
 """
 from __future__ import annotations
 
@@ -292,21 +294,38 @@ def _cd_gram(rows, grad, lam, b):
     raise NonConvergence("inner coordinate descent did not converge")
 
 
+def _solve_stack(lhs, rhs):
+    """np.linalg.solve on a stack of systems, with NaNs for a singular one."""
+    try:
+        return np.linalg.solve(lhs, rhs)
+    except np.linalg.LinAlgError:
+        if lhs.shape[0] == 1:
+            return np.full_like(rhs, np.nan)
+        return np.concatenate([_solve_stack(a[None], r[None]) for a, r in zip(lhs, rhs)])
+
+
 def _binomial_paths(xs, y, W, lambdas):
     """Logistic lasso paths of m fits sharing the outcome y: fit k has
     standardized columns xs[k] (n x p) and row weights W[k], zero on the rows
     it leaves out. Returns (b0s, B) of shapes (m, L) and (m, L, p).
 
-    At each penalty, warm-started from the last, the fits run IRLS together.
-    A step profiles out the intercept by centering on the working weights v
-    and solves the penalized least squares on G = xc'V xc / n_k by `_cd_gram`.
-    A fit leaves once no coefficient moves by COORD_TOL, so each fit gets the
-    iterates it would get alone."""
+    At each penalty the fits run IRLS together from a secant guess: 2 b(lam_i-1)
+    - b(lam_i-2) for a coefficient or intercept of one sign at both, b(lam_i-1)
+    otherwise. A step profiles out the intercept by centering on the working
+    weights v and solves the penalized least squares on G = xc'V xc / n_k
+    exactly on each fit's warm active set A with signs s, G_AA b_A = c_A - lam s_A,
+    in one batched solve. A fit keeps b if its signs are s and |c_j - G_jA b_A|
+    <= lam off A, which makes b the step's minimizer; otherwise `_cd_gram` solves
+    the step from the warm start. A fit leaves once no coefficient moves by
+    COORD_TOL, so each fit gets the iterates it would get alone."""
     m, _, p = xs.shape
     counts = (W > 0).sum(axis=1).astype(float)
     b0s, B = np.empty((m, len(lambdas))), np.empty((m, len(lambdas), p))
     b0, b = np.zeros(m), np.zeros((m, p))
     for i, lam in enumerate(np.asarray(lambdas, dtype=float).tolist()):
+        if i >= 2:
+            for now, before in ((b0, b0s[:, i - 2]), (b, B[:, i - 2])):
+                np.copyto(now, 2.0 * now - before, where=now * before > 0.0)
         live = np.arange(m)
         for _ in range(MAX_OUTER):
             xl, bl = xs[live], b[live]
@@ -322,9 +341,16 @@ def _binomial_paths(xs, y, W, lambdas):
             xv = (xc * v[:, :, None]).transpose(0, 2, 1)
             gram = xv @ xc / counts[live, None, None]
             c = (xv @ (z - zbar[:, None])[:, :, None])[:, :, 0] / counts[live, None]
-            grad = c - (gram @ bl[:, :, None])[:, :, 0]
-            fits = zip(gram.tolist(), grad.tolist(), bl.tolist())
-            new_b = np.array([_cd_gram(rows, g, lam, b_k) for rows, g, b_k in fits]).reshape(live.size, p)
+            signs = np.sign(bl)
+            active = signs != 0.0
+            lhs = np.where(active[:, :, None] & active[:, None, :], gram, np.eye(p))
+            new_b = _solve_stack(lhs, np.where(active, c - lam * signs, 0.0)[:, :, None])[:, :, 0]
+            # a column with G_jj = 0 has c_j = 0, so it meets the bound
+            kkt = np.abs(c - (gram @ new_b[:, :, None])[:, :, 0]) <= lam
+            exact = ((np.sign(new_b) == signs) & (active | kkt)).all(axis=1)
+            for k in np.flatnonzero(~exact).tolist():
+                grad = c[k] - gram[k] @ bl[k]
+                new_b[k] = _cd_gram(gram[k].tolist(), grad.tolist(), lam, bl[k].tolist())
             new_b0 = zbar - (xbar * new_b).sum(axis=1)
             moved = np.maximum(np.abs(new_b0 - b0[live]), np.abs(new_b - bl).max(axis=1, initial=0.0))
             b0[live], b[live] = new_b0, new_b
@@ -337,26 +363,14 @@ def _binomial_paths(xs, y, W, lambdas):
     return b0s, B
 
 
-def lasso_fit(x, y, family: GlmFamily, lam: float, weights=None) -> np.ndarray:
-    """L1-penalized GLM coefficients (intercept first, original scale).
-
-    Minimizes (1/2n) weighted squared loss (gaussian) or (1/n) weighted
-    negative log-likelihood (binomial) plus lam * sum |beta_j| over the
-    standardized non-intercept coefficients.
-    """
-    if lam < 0:
-        raise ConfigError("lambda must be non-negative")
-    return lasso_path(x, y, family, [lam], weights)[0][0]
-
-
 def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
     """Coefficient path over descending penalties; returns (coefs, train_deviance).
 
     `coefs[i]` is the original-scale coefficient vector at `lambdas[i]`.
     """
     lambdas = np.asarray(lambdas, dtype=float)
-    if np.any(np.diff(lambdas) > 0):
-        raise ConfigError("lasso_path needs a non-increasing penalty grid")
+    if np.any(np.diff(lambdas) > 0) or np.any(lambdas < 0):
+        raise ConfigError("lasso_path needs a non-increasing grid of non-negative penalties")
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import settings
 
 from trialcraft.data import TrialDataset
-from trialcraft.glm import GlmFamily, expit
+from trialcraft.glm import GlmFamily, GlmFit, _as_design, expit, predict
+from trialcraft.selection import lasso_path
 
 # a fixed example sequence and no per-example deadline: the suite gives the
 # same verdict on every run, however slow or noisy the machine
@@ -11,12 +12,13 @@ settings.register_profile("trialcraft", derandomize=True, deadline=None, databas
 settings.load_profile("trialcraft")
 
 
-def kkt_violation(x, y, family, lam, coef, weights=None):
+def kkt_violation(x, y, family, lam, coef, weights=None, clip=0.0):
     """Independent KKT checker for the penalized GLM solution.
 
     Recomputes the standardized-scale gradient from scratch: for inactive
     coordinates |g_j| must not exceed lam, for active ones g_j must equal
-    -lam * sign(b_j). Returns the largest violation.
+    -lam * sign(b_j). Returns the largest violation. A binomial mean is
+    taken into [clip, 1 - clip], as the lasso's IRLS takes it.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -28,7 +30,7 @@ def kkt_violation(x, y, family, lam, coef, weights=None):
     sds = np.where(sds <= 0, 1.0, sds)
     xs = (x - means) / sds
     eta = coef[0] + x @ coef[1:]
-    mu = expit(eta) if family is GlmFamily.BINOMIAL else eta
+    mu = np.clip(expit(eta), clip, 1.0 - clip) if family is GlmFamily.BINOMIAL else eta
     grad = xs.T @ (w * (mu - y)) / n
     b_std = coef[1:] * sds
     worst = 0.0
@@ -40,6 +42,29 @@ def kkt_violation(x, y, family, lam, coef, weights=None):
     # the intercept is unpenalized: its score must vanish
     worst = max(worst, abs(float(np.sum(w * (mu - y)) / n)))
     return worst
+
+
+def lasso_fit(x, y, family, lam, weights=None):
+    """L1-penalized GLM coefficients (intercept first, original scale) at the
+    one penalty `lam`: minimizes (1/2n) weighted squared loss (gaussian) or
+    (1/n) weighted negative log-likelihood (binomial) plus lam * sum |beta_j|
+    over the standardized non-intercept coefficients."""
+    return lasso_path(x, y, family, [lam], weights)[0][0]
+
+
+def score_residual(fit: GlmFit, x, y, weights=None):
+    """Weighted score equations sum_i w_i c_ij (y_i - mu_i), intercept first.
+
+    For any converged `fit_ml` output evaluated on its own training data the
+    result is zero to ~1e-8 * n in every component; the intercept component
+    is exactly the prediction unbiasedness condition.
+    """
+    y = np.asarray(y, dtype=float)
+    x = _as_design(x, y.shape[0])
+    mu = predict(fit, x)
+    w = np.ones(y.shape[0]) if weights is None else np.asarray(weights, dtype=float)
+    design = np.column_stack([np.ones(y.shape[0]), x]) if fit.has_intercept else x
+    return design.T @ (w * (y - mu))
 
 
 def simulate_trial(rng, n=80, p=3, family=GlmFamily.GAUSSIAN, effect=0.5,

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import kkt_violation, simulate_trial
+from conftest import kkt_violation, lasso_fit, simulate_trial
 from test_glm import golden_section, grid_mle_2param
 from trialcraft.cli import main as cli_main
 from trialcraft.data import make_folds
@@ -23,7 +23,7 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.plans import plan_estimator, plan_from_dict
-from trialcraft.selection import lasso_fit, lasso_lambda_max
+from trialcraft.selection import lasso_lambda_max
 from trialcraft.simulation import DgpSpec, run_monte_carlo
 from trialcraft.variance import aipw, se_from_values
 

@@ -53,6 +53,23 @@ class TestAnalyze:
         assert main(["analyze", "--data", data, "--plan", plan, "--out", out2]) == 0
         assert open(out1, "rb").read() == open(out2, "rb").read()
 
+    @pytest.mark.parametrize("fields, named", [
+        ({"seed": -3}, "plan.seed"),
+        ({"folds": {"k": 2, "seed": -1}}, "plan.folds.seed"),
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, fields, named):
+        # a seed numpy cannot take is a config error, before any estimate runs
+        data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)
+        plan = write_plan(tmp_path, {
+            "estimator": "crossfit_aipw", "data": UNADJUSTED_PLAN["data"],
+            "learner": "constant", "pi": {"mode": "known", "value": 0.5}, **fields})
+        out = tmp_path / "report.json"
+        assert main(["validate", "--plan", plan]) == 2
+        assert main(["analyze", "--data", data, "--plan", plan, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.count(f"{named}: expected int >= 0, got -") == 2
+
     def test_round_trip_echoed_plan(self, tmp_path):
         data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)
         plan = write_plan(tmp_path, UNADJUSTED_PLAN)
@@ -327,6 +344,17 @@ class TestSimulate:
         spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")
         assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "s.json")]) == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, named", [
+        ({"master_seed": -1}, "spec.master_seed"),
+        ({"plan": dict(SIM_SPEC["plan"], seed=-3)}, "plan.seed"),
+    ])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, change, named):
+        spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--spec", spec, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"{named}: expected int >= 0, got -" in capsys.readouterr().err
 
     @pytest.mark.parametrize("csv_path", [2, True, ["a"]])
     def test_per_replicate_csv_must_be_a_path(self, tmp_path, capsys, csv_path):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import score_residual
 from trialcraft.errors import DimensionMismatch, Separation, Singular
 from trialcraft.glm import (
     GlmFamily,
@@ -12,7 +13,6 @@ from trialcraft.glm import (
     fit_ml,
     logit,
     predict,
-    score_residual,
 )
 
 
@@ -223,3 +223,26 @@ class TestClampProbabilities:
         p, count = clamp_probabilities(np.array([0.001, 0.5, 0.999]))
         np.testing.assert_allclose(p, [0.01, 0.5, 0.99])
         assert count == 2
+
+
+def masked_expit(eta):
+    """The inverse logit by boolean-mask gathers and scatters: 1/(1 + exp(-eta))
+    where eta >= 0, exp(eta)/(1 + exp(eta)) elsewhere."""
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    e = np.exp(eta[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+class TestExpit:
+    def test_same_bits_as_the_masked_formula(self):
+        edges = np.array([0.0, np.inf, 709.8, 745.2, 1e-300, 5e-324])
+        draws = 40.0 * np.random.default_rng(11).standard_normal(10**6)
+        eta = np.concatenate([edges, -edges, draws])
+        assert np.array_equal(expit(eta).view(np.int64), masked_expit(eta).view(np.int64))
+
+    def test_nan_stays_nan(self):
+        out = expit(np.array([np.nan, -np.nan, 1.0]))
+        assert np.isnan(out[:2]).all() and out[2] == masked_expit(np.array([1.0]))[0]

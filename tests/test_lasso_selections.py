@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from compare_lasso_selections import problem as broad_problem
 from conftest import kkt_violation
 from trialcraft import selection
 from trialcraft.data import make_folds
@@ -387,6 +388,106 @@ def test_stacked_full_data_fit_matches_lasso_path(label, x, y, weights, monkeypa
     sds = np.sqrt(w @ (x - means) ** 2 / n)
     np.testing.assert_allclose(B[-1], coefs[:, 1:] * sds, rtol=0, atol=1e-9)
     np.testing.assert_allclose(b0s[-1], coefs[:, 0] + coefs[:, 1:] @ means, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("label, x, y, weights", BINOMIAL_PATH_PROBLEMS[1::3],
+                         ids=[problem[0] for problem in BINOMIAL_PATH_PROBLEMS[1::3]])
+def test_each_stacked_fit_gets_the_iterates_it_gets_alone(label, x, y, weights, monkeypatch):
+    stacks, solve = [], selection._binomial_paths
+
+    def spy(xs, y, W, lambdas):
+        stacks.append((xs, W, lambdas, solve(xs, y, W, lambdas)))
+        return stacks[-1][3]
+
+    monkeypatch.setattr(selection, "_binomial_paths", spy)
+    lasso_cv(x, y, GlmFamily.BINOMIAL, k_cv=4, seed=5, weights=weights)
+    monkeypatch.undo()
+    (xs, W, lambdas, (b0s, B)), = stacks
+    for k in range(xs.shape[0]):
+        b0, b = solve(xs[k:k + 1], y, W[k:k + 1], lambdas)
+        assert np.array_equal(b0[0], b0s[k]) and np.array_equal(b[0], B[k]), k
+
+
+def cd_calls_by_grid_point(monkeypatch, x, y, lambdas):
+    """lasso_path's binomial path, with the grid index and warm start of
+    every step that `_cd_gram` solves."""
+    calls, cd = [], selection._cd_gram
+
+    def spy(rows, grad, lam, b):
+        calls.append((int(np.flatnonzero(lambdas == lam)[0]), np.array(b)))
+        return cd(rows, grad, lam, b)
+
+    monkeypatch.setattr(selection, "_cd_gram", spy)
+    coefs, _ = lasso_path(x, y, GlmFamily.BINOMIAL, lambdas)
+    monkeypatch.undo()
+    assert max(kkt_violation(x, y, GlmFamily.BINOMIAL, lam, coef)
+               for lam, coef in zip(lambdas, coefs)) <= 1e-6
+    return coefs, calls
+
+
+def binomial_grid(x, y):
+    lam_max = lasso_lambda_max(x, y, GlmFamily.BINOMIAL)
+    return np.geomspace(lam_max, lam_max * 1e-4, 100)
+
+
+def test_binomial_step_is_exact_once_the_support_settles(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((300, 3))
+    y = (rng.uniform(size=300) < expit(0.3 + x @ [1.0, -0.7, 0.4])).astype(float)
+    lambdas = binomial_grid(x, y)
+    coefs, calls = cd_calls_by_grid_point(monkeypatch, x, y, lambdas)
+    support = (coefs[:, 1:] != 0).tolist()
+    changes = {i for i in range(1, len(lambdas)) if support[i] != support[i - 1]}
+    assert len(changes) == 3  # each column enters once and stays
+    # coordinate descent only where the warm active set is not the new one
+    assert {i for i, _ in calls} == {0} | changes
+
+
+def test_binomial_step_falls_back_when_a_sign_changes(monkeypatch):
+    # x3 follows x1 + x2 but enters the outcome with a negative sign: it
+    # enters positive, must leave, and comes back negative
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((300, 3))
+    x[:, 2] = 0.5 * (x[:, 0] + x[:, 1]) + 0.2 * x[:, 2]
+    y = (rng.uniform(size=300) < expit(x @ [1.0, 1.0, -1.0])).astype(float)
+    lambdas = binomial_grid(x, y)
+    coefs, calls = cd_calls_by_grid_point(monkeypatch, x, y, lambdas)
+    x3 = np.sign(coefs[:, 3])
+    leave = int(np.flatnonzero((x3[:-1] > 0) & (x3[1:] == 0))[0]) + 1
+    assert (x3[leave:] < 0).any()
+    # the exact solve on a warm active set holding x3 is rejected there
+    assert any(i == leave and b[2] != 0 for i, b in calls)
+
+
+@pytest.mark.parametrize("seed", [90_073, 90_075])
+def test_binomial_cases_that_did_not_converge(seed):
+    # problems of the sample in compare_lasso_selections.py on which coordinate
+    # descent at every IRLS step raised NonConvergence
+    label, x, y, weights, k_cv, rule = broad_problem(seed)
+    res = lasso_cv(x, y, GlmFamily.BINOMIAL, k_cv=k_cv, seed=seed, weights=weights,
+                   lambda_rule=rule)
+    assert res.path_diagnostics["chosen_index"] >= 0
+    lambdas = np.array(res.path_diagnostics["lambdas"])
+    coefs, _ = lasso_path(x, y, GlmFamily.BINOMIAL, lambdas, weights)
+    for lam, coef in zip(lambdas, coefs):
+        # IRLS clips each mean into [1e-5, 1 - 1e-5]; with no mean past the
+        # clip, that is the likelihood itself
+        assert kkt_violation(x, y, GlmFamily.BINOMIAL, lam, coef, weights, clip=1e-5) <= 1e-6
+        mu = expit(coef[0] + x @ coef[1:])
+        if np.all((mu > 1e-5) & (mu < 1.0 - 1e-5)):
+            assert kkt_violation(x, y, GlmFamily.BINOMIAL, lam, coef, weights) <= 1e-6
+
+
+def test_solve_stack_isolates_a_singular_system():
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((3, 4, 4))
+    a = a @ a.transpose(0, 2, 1) + np.eye(4)
+    a[1, :, 3] = a[1, :, 2]
+    rhs = rng.standard_normal((3, 4, 1))
+    out = selection._solve_stack(a, rhs)
+    assert np.isnan(out[1]).all()
+    for k in (0, 2):
+        assert np.array_equal(out[k], np.linalg.solve(a[k], rhs[k]))
 
 
 def test_duplicate_column_never_selected_twice():

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import kkt_violation
+from conftest import kkt_violation, lasso_fit, score_residual
 from trialcraft.errors import ConfigError
-from trialcraft.glm import GlmFamily, expit, fit_ml, score_residual
+from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     SelectionResult,
     lasso_cv,
-    lasso_fit,
     lasso_lambda_max,
     lasso_path,
     post_selection_refit,
