@@ -10,12 +10,14 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import islice
+from typing import Annotated
 
 import numpy as np
 
 from .errors import (
     AllMissingColumn,
     ArmNotBinary,
+    AtLeast,
     ColumnConflict,
     ConfigError,
     DataError,
@@ -24,12 +26,16 @@ from .errors import (
     MissingOutcome,
     TooManyFolds,
     UnknownColumn,
+    _check,
+    _read,
 )
 
 MISSING_TOKENS = ("", "NA")
 # the computed SD of a constant column is rounding noise of up to about
 # n * 2e-17 times its value (2e-11 at a million rows), not 0
 ZERO_VARIANCE_RTOL = 1e-9
+# a partition needs two folds: every fold must have a complement to train on
+FoldCount = Annotated[int, AtLeast(2)]
 
 
 @dataclass(frozen=True)
@@ -267,18 +273,10 @@ class FeatureExpansion:
 
     base_columns: tuple[str, ...] | None = None
     interactions: tuple[tuple[str, str], ...] = ()
-    polynomial_degree: int = 1
+    polynomial_degree: Annotated[int, AtLeast(1)] = 1
     forced_columns: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.base_columns is not None:
-            object.__setattr__(self, "base_columns", tuple(self.base_columns))
-        object.__setattr__(
-            self, "interactions", tuple((a, b) for a, b in self.interactions)
-        )
-        object.__setattr__(self, "forced_columns", tuple(self.forced_columns))
-        if self.polynomial_degree < 1:
-            raise ConfigError("polynomial_degree must be >= 1")
+    __post_init__ = _check
 
     def expanded_names(self, available) -> tuple[str, ...]:
         base = tuple(self.base_columns) if self.base_columns is not None else tuple(available)
@@ -368,8 +366,7 @@ def make_folds(
     stratified: bool = False,
 ) -> FoldPlan:
     """Seeded shuffle then round-robin assignment; balanced by construction."""
-    if k < 2:
-        raise ConfigError(f"fold count must be at least 2, got {k}")
+    _read(FoldCount, k, "fold count")
     if stratified:
         if z is None:
             raise ConfigError("stratified folds require the arm vector")

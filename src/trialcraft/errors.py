@@ -6,7 +6,8 @@ so library users can catch one type.
 
 Plans, simulate specs and learner params are read into their dataclasses
 by `_section`, which reads each field by its annotation with `_read`; the
-dataclasses are the one statement of each field's name, type and default.
+dataclasses are the one statement of each field's name, type, default and
+allowed values, and `_check` holds one built directly to the same rules.
 """
 import functools
 import types
@@ -79,7 +80,7 @@ class NonConvergence(EstimationError):
 
 
 class DimensionMismatch(EstimationError):
-    """Matrix/vector shapes are inconsistent with the fitted model."""
+    """Matrix or vector shapes or lengths are inconsistent."""
 
 
 # --- estimators / variance ----------------------------------------------
@@ -96,10 +97,6 @@ class DomainError(EstimationError):
     """Arm means fall outside the domain of the requested contrast."""
 
 
-class LengthMismatch(EstimationError):
-    """Aligned vectors have different lengths."""
-
-
 # --- reading JSON configuration -----------------------------------------
 
 @dataclass(frozen=True)
@@ -107,6 +104,28 @@ class AtLeast:
     """The lower bound of a number field, declared as `Annotated[int, AtLeast(0)]`."""
 
     low: float
+
+    def holds(self, value) -> bool:
+        return value >= self.low
+
+    def __str__(self) -> str:
+        return f">= {self.low}"
+
+
+@dataclass(frozen=True)
+class AtMost:
+    """The upper bound of a number field, declared as `Annotated[int, AtMost(10)]`."""
+
+    high: float
+
+    def holds(self, value) -> bool:
+        return value <= self.high
+
+    def __str__(self) -> str:
+        return f"<= {self.high}"
+
+
+_JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str, dict: dict}
 
 
 @functools.cache
@@ -127,37 +146,40 @@ def _read(annotation, value, where: str):
     a number); `X | None` takes null or an X; `tuple[X, ...]` and
     `tuple[X, Y]` take a JSON list of those; a dataclass takes a JSON object
     read by `_section`, and dict any JSON object, copied as it is;
-    `Annotated[X, AtLeast(low)]` an X no less than low. Any other
-    annotation is a TypeError: a field the reader cannot check is a fault of
-    the program, not of the input."""
-    kind, args = annotation, typing.get_args(annotation)
-    if typing.get_origin(kind) is typing.Annotated:
-        value, (base, bound) = _read(args[0], value, where), args
-        if value < bound.low:
-            raise ConfigError(f"{where}: expected {base.__name__} >= {bound.low}, got {value!r}")
-        return value
-    if typing.get_origin(kind) is types.UnionType and args[1:] == (type(None),):
-        if value is None:
-            return None
-        kind, args = args[0], typing.get_args(args[0])
-    if is_dataclass(kind):
-        return _section(value, kind, where)
-    if typing.get_origin(kind) is tuple:
-        if isinstance(value, (list, tuple)):
-            kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
-            if len(kinds) == len(value):
-                return tuple(_read(k, item, where) for k, item in zip(kinds, value))
-    elif kind in (int, float, bool, str, dict):
-        json_types = (int, float) if kind is float else kind
-        if isinstance(value, json_types) and isinstance(value, bool) == (kind is bool):
+    `Literal[a, b]` one of the values listed, of its type;
+    `Annotated[X, AtLeast(low), AtMost(high)]` an X within its bounds. Any
+    other annotation is a TypeError: a field the reader cannot check is a
+    fault of the program, not of the input."""
+    json_types = _JSON_TYPES.get(annotation) if isinstance(annotation, type) else None
+    if json_types is not None:
+        if isinstance(value, json_types) and isinstance(value, bool) == (annotation is bool):
             try:
-                return kind(value)
+                return annotation(value)
             except OverflowError:  # an integer beyond the float range
                 pass
-    else:
+        raise ConfigError(f"{where}: expected {annotation.__name__}, got {value!r}")
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (types.UnionType, typing.Union) and args[1:] == (type(None),):
+        return None if value is None else _read(args[0], value, where)
+    if origin is typing.Annotated:
+        value = _read(args[0], value, where)
+        for bound in args[1:]:
+            if not bound.holds(value):
+                raise ConfigError(f"{where}: expected {args[0].__name__} {bound}, got {value!r}")
+        return value
+    if origin is typing.Literal:
+        if any(type(value) is type(option) and value == option for option in args):
+            return value
+        raise ConfigError(f"{where}: expected one of {', '.join(map(str, args))}, got {value!r}")
+    if is_dataclass(annotation):
+        return _section(value, annotation, where)
+    if origin is not tuple:
         raise TypeError(f"{where}: no JSON reading for the annotation {annotation!r}")
-    shown = annotation.__name__ if isinstance(annotation, type) else annotation
-    raise ConfigError(f"{where}: expected {shown}, got {value!r}")
+    if isinstance(value, (list, tuple)):
+        kinds = (args[0],) * len(value) if args[-1] is Ellipsis else args
+        if len(kinds) == len(value):
+            return tuple(_read(k, item, where) for k, item in zip(kinds, value))
+    raise ConfigError(f"{where}: expected {annotation}, got {value!r}")
 
 
 def _section(obj, cls, where: str, **defaults):
@@ -179,3 +201,11 @@ def _section(obj, cls, where: str, **defaults):
         return cls(**values)
     except ConfigError as exc:
         raise ConfigError(f"{where}: {exc}") from None
+
+
+def _check(obj) -> None:
+    """The `__post_init__` of a dataclass also built directly, not from JSON:
+    each field is read again by its annotation and holds what `_read` gives
+    (a list becomes a tuple), so one annotation rules both ways in."""
+    for name, (annotation, _) in _fields(type(obj)).items():
+        object.__setattr__(obj, name, _read(annotation, getattr(obj, name), name))

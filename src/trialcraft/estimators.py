@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Annotated, Literal
 
 import numpy as np
 
 from . import variance
 from .data import (
     FeatureExpansion,
+    FoldCount,
     FoldPlan,
     TrialDataset,
     _zero_variance,
@@ -36,7 +38,8 @@ from .data import (
     derived_seed,
     expand_features,
 )
-from .errors import ConfigError, DegenerateFold, DomainError, EstimationError
+from .errors import AtLeast, AtMost, ConfigError, DegenerateFold, DomainError, EstimationError
+from .errors import _check, _read
 from .glm import (
     GlmFamily,
     GlmFit,
@@ -46,11 +49,13 @@ from .glm import (
     fit_ml_design,
     predict,
 )
-from .selection import SelectionResult, _refit_columns, lasso_cv, stepwise_aic
+from .selection import SelectionConfig, SelectionResult, _refit_columns, lasso_cv, stepwise_aic
 
 Z_CRIT = 1.959964
 TMLE_PRED_CLIP = 1e-6
-MIN_FOLDS, MAX_FOLDS = 2, 10
+# the cross-fit estimators split into 2 to 10 folds
+CrossFitFolds = Annotated[FoldCount, AtMost(10)]
+Contrast = Literal["risk_difference", "log_risk_ratio", "log_odds_ratio"]
 
 
 @dataclass(frozen=True)
@@ -65,21 +70,16 @@ class PiSpec:
     Only known takes a `value` and only parametric takes `ps_columns`.
     """
 
-    mode: str
-    value: float | None = None
+    mode: Literal["known", "estimated_overall", "estimated_per_fold", "parametric"]
+    # a known pi keeps away from 0 and 1 (positivity)
+    value: Annotated[float, AtLeast(0.01), AtMost(0.99)] | None = None
     ps_columns: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "ps_columns", tuple(self.ps_columns))
-        if self.mode not in ("known", "estimated_overall", "estimated_per_fold", "parametric"):
-            raise ConfigError(f"unknown pi mode {self.mode!r}")
+        _check(self)
         if self.mode == "known":
             if self.value is None:
                 raise ConfigError("known pi requires a value")
-            if not 0.01 <= self.value <= 0.99:
-                raise ConfigError(
-                    f"known pi={self.value} violates the positivity bound [0.01, 0.99]"
-                )
         elif self.value is not None:
             raise ConfigError(f"pi mode {self.mode!r} takes no value")
         if self.mode != "parametric" and self.ps_columns:
@@ -246,41 +246,36 @@ def estimate_standardization(
 
 # --- data-adaptive (selection + refit) ------------------------------------
 
-def _select_arm(x_arm, y_arm, family, method, seed, names, selection_k_cv, lambda_rule, max_terms):
-    if method == "lasso_cv":
+def _select_arm(x_arm, y_arm, family, selection: SelectionConfig, seed, names):
+    if selection.method == "lasso_cv":
         return lasso_cv(
-            x_arm, y_arm, family, k_cv=selection_k_cv, seed=seed,
-            lambda_rule=lambda_rule, column_names=names,
+            x_arm, y_arm, family, k_cv=selection.k_cv, seed=seed,
+            lambda_rule=selection.lambda_rule, column_names=names,
         )
-    if method == "stepwise_aic":
-        return stepwise_aic(x_arm, y_arm, family, max_terms=max_terms, column_names=names)
-    if method == "none":
-        constant = _zero_variance(x_arm.mean(axis=0), x_arm.std(axis=0))
-        usable = tuple(name for name, c in zip(names, constant) if not c)
-        return SelectionResult(usable, "none")
-    raise ConfigError(f"unknown selection method {method!r}")
+    if selection.method == "stepwise_aic":
+        return stepwise_aic(x_arm, y_arm, family, max_terms=selection.max_terms, column_names=names)
+    constant = _zero_variance(x_arm.mean(axis=0), x_arm.std(axis=0))
+    usable = tuple(name for name, c in zip(names, constant) if not c)
+    return SelectionResult(usable, "none")
 
 
-def _select_and_refit(
-    d, spec, family, method, forced, eem, seed,
-    selection_k_cv, lambda_rule, max_terms, p_hat=None,
-):
-    """Per-arm selection (Step 1a) and refit on the selected plus forced
-    columns (Step 1b; ML, or least squares in EEM mode), weighted by the
-    inverse propensity of the arm when `p_hat` is given. Returns per-arm
+def _select_and_refit(d, spec, family, selection: SelectionConfig, eem, seed, p_hat=None):
+    """Per-arm selection (Step 1a) and refit on the selected plus the spec's
+    forced columns (Step 1b; ML, or least squares in EEM mode), weighted by
+    the inverse propensity of the arm when `p_hat` is given. Returns per-arm
     dicts of the selected columns, the refit columns and the predictions
     for every participant, and the selection warnings."""
     check_complete(d)
     work = expand_features(d, spec) if spec is not None else d
+    forced = spec.forced_columns if spec is not None else ()
     fitter = fit_least_squares if eem else fit_ml
     selected, refit, preds = {}, {}, {}
     warnings: list[str] = []
     for arm in (1, 0):
         rows = _arm_rows(d, arm)
         sel = _select_arm(
-            work.x[rows], work.y[rows], family, method,
+            work.x[rows], work.y[rows], family, selection,
             derived_seed(np.random.SeedSequence((seed, 901, arm))), work.column_names,
-            selection_k_cv, lambda_rule, max_terms,
         )
         warnings.extend(sel.warnings)
         if p_hat is not None:
@@ -298,18 +293,14 @@ def estimate_data_adaptive(
     d: TrialDataset,
     spec: FeatureExpansion | None = None,
     family: GlmFamily = GlmFamily.GAUSSIAN,
-    method: str = "lasso_cv",
-    forced=(),
+    selection: SelectionConfig = SelectionConfig(),
     pi: PiSpec | None = None,
     eem: bool = False,
     seed: int = 0,
     small_sample_correction: bool = False,
-    selection_k_cv: int = 5,
-    lambda_rule: str = "1se",
-    max_terms: int | None = None,
 ) -> EstimateResult:
-    """Per-arm selection (Step 1a) followed by an unpenalized canonical ML
-    refit on the selected plus forced columns (Step 1b), then
+    """Per-arm selection by `selection` (Step 1a), an unpenalized canonical ML
+    refit on the selected plus `spec`'s forced columns (Step 1b), then
     standardization over all participants.
 
     With a parametric `pi` the refit is weighted by the inverse fitted
@@ -322,8 +313,7 @@ def estimate_data_adaptive(
         raise ConfigError("EEM mode with a parametric propensity is not supported")
     p_hat, clamp_count = _parametric_propensity(d, pi)
     selected, refit, preds, warnings = _select_and_refit(
-        d, spec, family, method, forced, eem, seed,
-        selection_k_cv, lambda_rule, max_terms, p_hat,
+        d, spec, family, selection, eem, seed, p_hat
     )
     pi_for_if = _overall_pi(d, pi) if p_hat is None else p_hat
     aipw1, aipw0, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_for_if)
@@ -397,15 +387,11 @@ def estimate_tmle(
     d: TrialDataset,
     spec: FeatureExpansion | None = None,
     family: GlmFamily = GlmFamily.GAUSSIAN,
-    method: str = "lasso_cv",
-    forced=(),
+    selection: SelectionConfig = SelectionConfig(),
     pi: PiSpec | None = None,
     eem: bool = False,
     seed: int = 0,
     small_sample_correction: bool = False,
-    selection_k_cv: int = 5,
-    lambda_rule: str = "1se",
-    max_terms: int | None = None,
 ) -> EstimateResult:
     """Targeted update of the data-adaptive initial fit.
 
@@ -416,10 +402,7 @@ def estimate_tmle(
     where the clever covariate 1/p(X) (arm 0: 1/(1-p(X))) enters a
     no-intercept update instead.
     """
-    selected, refit, preds, warnings = _select_and_refit(
-        d, spec, family, method, forced, eem, seed,
-        selection_k_cv, lambda_rule, max_terms,
-    )
+    selected, refit, preds, warnings = _select_and_refit(d, spec, family, selection, eem, seed)
     p_hat, clamp_count = _parametric_propensity(d, pi)
     clever = None if p_hat is None else {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)}
     updated, epsilons = _targeted_update(d, preds, family, clever)
@@ -453,8 +436,7 @@ def _validate_folds(d: TrialDataset, folds: FoldPlan) -> None:
     check_complete(d)
     if folds.n != d.n:
         raise ConfigError("fold plan length does not match the dataset")
-    if not MIN_FOLDS <= folds.k <= MAX_FOLDS:
-        raise ConfigError(f"fold count must lie in [{MIN_FOLDS}, {MAX_FOLDS}], got {folds.k}")
+    _read(CrossFitFolds, folds.k, "fold count")
 
 
 def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, seed):
@@ -650,14 +632,10 @@ def estimate_crossfit_aipw_parametric_ps(
 
 # --- contrasts ---------------------------------------------------------------
 
-CONTRASTS = ("risk_difference", "log_risk_ratio", "log_odds_ratio")
-
-
-def transform_contrast(r: EstimateResult, kind: str) -> EstimateResult:
+def transform_contrast(r: EstimateResult, kind: Contrast) -> EstimateResult:
     """Delta-method transform of a difference-in-means result onto the log
     risk-ratio or log odds-ratio scale. `risk_difference` is the identity."""
-    if kind not in CONTRASTS:
-        raise ConfigError(f"unknown contrast {kind!r}")
+    _read(Contrast, kind, "contrast")
     labelled = replace(r, method=f"{r.method}:{kind}", diagnostics={**r.diagnostics, "contrast": kind})
     if kind == "risk_difference":
         return labelled

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .data import _zero_variance
-from .errors import ConfigError, _section
+from .data import FoldCount, _zero_variance
+from .errors import AtLeast, ConfigError, _check, _read, _section
 from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
-from .selection import SelectionResult, lasso_cv, post_selection_refit
+from .selection import LambdaRule, SelectionResult, lasso_cv, post_selection_refit
 
 
 class _ClampMixin:
@@ -60,22 +61,17 @@ class PostLassoLearner:
     small; below two rows selection is skipped and the refit is the
     training mean."""
 
-    k_cv: int = 5
-    lambda_rule: str = "1se"
+    k_cv: FoldCount = 5
+    lambda_rule: LambdaRule = "1se"
     name: str = field(default="post_lasso", init=False)
 
-    def __post_init__(self):
-        if self.k_cv < 2:
-            raise ConfigError(f"post_lasso needs k_cv >= 2, got {self.k_cv}")
-        if self.lambda_rule not in ("1se", "min"):
-            raise ConfigError(f"post_lasso needs lambda_rule '1se' or 'min', got {self.lambda_rule!r}")
+    __post_init__ = _check
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
         x = _as_design(x)
-        k_eff = min(self.k_cv, x.shape[0])
-        if k_eff >= 2:
+        if x.shape[0] >= 2:
             selection = lasso_cv(
-                x, y, family, k_cv=k_eff, seed=seed, weights=weights,
+                x, y, family, k_cv=min(self.k_cv, x.shape[0]), seed=seed, weights=weights,
                 lambda_rule=self.lambda_rule,
             )
         else:
@@ -107,12 +103,11 @@ class RidgeLearner:
     even misspecified, predictions)."""
 
     lambda_grid: tuple[float, ...] = tuple(np.geomspace(1e-4, 1e4, 25))
-    k_cv: int = 5
+    k_cv: FoldCount = 5
     name: str = field(default="ridge", init=False)
 
     def __post_init__(self):
-        if self.k_cv < 2:
-            raise ConfigError(f"ridge needs k_cv >= 2, got {self.k_cv}")
+        _check(self)
         if not self.lambda_grid or not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
             raise ConfigError("ridge needs a non-empty lambda_grid of finite non-negative values")
 
@@ -176,20 +171,18 @@ class KnnLearner:
     """k-nearest-neighbour mean outcome; k defaults to ceil(sqrt(n_train)).
     Standardization parameters come from the training rows only."""
 
-    k: int | None = None
+    k: Annotated[int, AtLeast(1)] | None = None
     name: str = field(default="knn", init=False)
 
-    def __post_init__(self):
-        if self.k is not None and self.k < 1:
-            raise ConfigError(f"knn needs k >= 1, got k={self.k}")
+    __post_init__ = _check
 
     def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
         x = _as_design(x)
         y = np.asarray(y, dtype=float)
         n = x.shape[0]
         k = self.k if self.k is not None else math.ceil(math.sqrt(n))
-        if not 1 <= k <= n:
-            raise ConfigError(f"knn needs 1 <= k <= n_train, got k={k}, n={n}")
+        if k > n or n == 0:
+            raise ConfigError(f"knn needs a training row and k <= n_train, got k={k}, n={n}")
         means = x.mean(axis=0)
         sds = x.std(axis=0)
         sds = np.where(_zero_variance(means, sds), 1.0, sds)
@@ -245,11 +238,11 @@ LEARNERS = {
     "constant": ConstantLearner,
     "wrong_model": WrongModelLearner,
 }
+LearnerName = Literal[tuple(LEARNERS)]
 
 
-def get_learner(name: str, /, **params):
+def get_learner(name: LearnerName, /, **params):
     """Resolve a learner by its config identifier; `params` set its fields,
     each read by the field's annotation as a plan's JSON is (errors._read)."""
-    if name not in LEARNERS:
-        raise ConfigError(f"unknown learner {name!r}; expected one of {', '.join(LEARNERS)}")
+    _read(LearnerName, name, "learner")
     return _section(params, LEARNERS[name], "plan.learner.params")

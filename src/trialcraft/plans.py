@@ -7,24 +7,25 @@ digit. Parsing is strict, because a plan that silently ignores or converts
 a field is not pre-specified: unknown keys are rejected, and every section
 is read into its dataclass by `errors._section`, each field by its
 annotation (an int field takes a JSON integer, never 2.7, "3" or true).
-The dataclasses below are the one statement of each field's name, type and
-default; `plan_from_dict` adds only the JSON spellings of `family` and
-`learner` and the checks on values (the selection settings and the
-ESTIMATORS rules).
+The dataclasses are the one statement of each field's name, type, default
+and allowed values (a `Literal`, or bounds in `Annotated`); `plan_from_dict`
+adds only the JSON spellings of `family` and `learner` and the ESTIMATORS
+rules, which tie fields to each other.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Annotated, NamedTuple
+from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
 from .data import FeatureExpansion, TrialDataset, derived_seed, make_folds
 from .errors import AtLeast, ConfigError, _read, _section
 from .estimators import (
-    CONTRASTS,
+    Contrast,
+    CrossFitFolds,
     EstimateResult,
     PiSpec,
     estimate_crossfit_aipw,
@@ -38,7 +39,8 @@ from .estimators import (
     transform_contrast,
 )
 from .glm import GlmFamily, family_from_string
-from .learners import get_learner
+from .learners import LearnerName, get_learner
+from .selection import SelectionConfig
 from .simulation import DgpSpec
 
 SCHEMA_VERSION = "1"
@@ -65,7 +67,6 @@ ESTIMATORS = {
     "strong_null": EstimatorRules(OVERALL_PI),
     "crossfit_aipw_parametric_ps": EstimatorRules(("parametric",), crossfit=True),
 }
-SELECTION_METHODS = ("lasso_cv", "stepwise_aic", "none")
 
 
 def _top(obj, where: str) -> dict:
@@ -93,42 +94,37 @@ class DataBinding:
 
 @dataclass(frozen=True)
 class FoldConfig:
-    k: int = 5
+    k: CrossFitFolds = 5
     seed: Seed = 0
     stratified: bool = True
 
 
 @dataclass(frozen=True)
-class SelectionConfig:
-    method: str = "lasso_cv"
-    k_cv: int = 5
-    lambda_rule: str = "1se"
-    max_terms: int | None = None
-
-
-@dataclass(frozen=True)
 class LearnerChoice:
-    """A plan's learner: a name in learners.LEARNERS and its fields' values."""
+    """A plan's learner: a name in learners.LEARNERS and its fields' values.
+    A plan may give the name alone."""
 
-    name: str
+    name: LearnerName
     params: dict = field(default_factory=dict)
+
+    def build(self):
+        return get_learner(self.name, **self.params)
 
 
 @dataclass(frozen=True)
 class AnalysisPlan:
-    estimator: str
+    estimator: Literal[tuple(ESTIMATORS)]
     family: GlmFamily = GlmFamily.GAUSSIAN
     data: DataBinding | None = None
     expansion: FeatureExpansion = field(default_factory=FeatureExpansion)
     selection: SelectionConfig = field(default_factory=SelectionConfig)
     pi: PiSpec | None = None
     folds: FoldConfig = field(default_factory=FoldConfig)
-    learner: str | None = None
-    learner_params: dict = field(default_factory=dict)
+    learner: LearnerChoice | None = None
     seed: Seed = 0
     eem: bool = False
     small_sample_correction: bool = False
-    contrast: str | None = None
+    contrast: Contrast | None = None
 
 
 def plan_from_dict(obj: dict) -> AnalysisPlan:
@@ -143,34 +139,13 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
             given["family"] = family_from_string(_read(str, top.pop("family"), "plan.family"))
         except ValueError as exc:
             raise ConfigError(f"plan.family: {exc}") from None
-    if "learner" in top:
-        choice = top.pop("learner")
-        choice = _section(choice if isinstance(choice, dict) else {"name": choice},
-                          LearnerChoice, "plan.learner")
-        get_learner(choice.name, **choice.params)  # fail fast on bad names/params
-        given.update(learner=choice.name, learner_params=choice.params)
-    if "learner_params" in top:  # set through "learner", never on its own
-        raise ConfigError("plan: unknown keys ['learner_params']")
+    if not isinstance(top.get("learner", {}), dict):
+        top["learner"] = {"name": top["learner"]}
     plan = _section(top, AnalysisPlan, "plan", **given)
+    if plan.learner is not None:
+        plan.learner.build()  # fail fast on bad params
 
-    if plan.estimator not in ESTIMATORS:
-        raise ConfigError(
-            f"plan.estimator: expected one of {', '.join(ESTIMATORS)}, got {plan.estimator!r}"
-        )
     rules = ESTIMATORS[plan.estimator]
-    selection = plan.selection
-    if selection.method not in SELECTION_METHODS:
-        raise ConfigError(
-            f"plan.selection.method: expected one of {', '.join(SELECTION_METHODS)}"
-        )
-    if selection.k_cv < 2:
-        raise ConfigError("plan.selection.k_cv: must be at least 2")
-    if selection.lambda_rule not in ("1se", "min"):
-        raise ConfigError("plan.selection.lambda_rule: must be '1se' or 'min'")
-    if selection.max_terms is not None and selection.max_terms < 0:
-        raise ConfigError("plan.selection.max_terms: must be at least 0")
-    if rules.crossfit and not 2 <= plan.folds.k <= 10:
-        raise ConfigError("plan.folds.k: must lie in [2, 10]")
     if rules.crossfit and plan.learner is None:
         raise ConfigError(f"plan.learner: required for estimator {plan.estimator!r}")
 
@@ -188,8 +163,6 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
             f"plan.pi.mode: {mode!r} is not valid for estimator "
             f"{plan.estimator!r} (allowed: {allowed})"
         )
-    if plan.contrast is not None and plan.contrast not in CONTRASTS:
-        raise ConfigError(f"plan.contrast: expected one of {', '.join(CONTRASTS)}")
     return plan
 
 
@@ -197,9 +170,6 @@ def plan_to_dict(plan: AnalysisPlan) -> dict:
     """Canonical serializable echo of a plan (round-trips via plan_from_dict).
     Unset optional parts are left out, and `pi` keeps only its mode's field."""
     out = {"schema_version": SCHEMA_VERSION, **asdict(plan), "family": plan.family.value}
-    params = out.pop("learner_params")
-    if plan.learner is not None:
-        out["learner"] = {"name": plan.learner, "params": params}
     if plan.pi is not None:
         if plan.pi.mode != "known":
             del out["pi"]["value"]
@@ -241,22 +211,14 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
     elif kind in ("data_adaptive", "tmle"):
         estimate = estimate_data_adaptive if kind == "data_adaptive" else estimate_tmle
         result = estimate(
-            d, plan.expansion, family,
-            method=plan.selection.method,
-            forced=plan.expansion.forced_columns,
-            pi=plan.pi,
-            eem=plan.eem,
-            seed=run_seed,
+            d, plan.expansion, family, plan.selection, plan.pi, eem=plan.eem, seed=run_seed,
             small_sample_correction=plan.small_sample_correction,
-            selection_k_cv=plan.selection.k_cv,
-            lambda_rule=plan.selection.lambda_rule,
-            max_terms=plan.selection.max_terms,
         )
     elif ESTIMATORS[kind].crossfit:
         folds = make_folds(
             d.n, plan.folds.k, d.z, seed=fold_seed, stratified=plan.folds.stratified
         )
-        learner = get_learner(plan.learner, **plan.learner_params)
+        learner = plan.learner.build()
         if kind == "crossfit_aipw":
             result = estimate_crossfit_aipw(d, learner, folds, plan.pi, family, seed=run_seed)
         elif kind == "cvtmle":
@@ -266,7 +228,7 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
                 d, learner, folds, plan.pi.ps_columns, family, seed=run_seed
             )
     else:
-        model = get_learner(plan.learner, **plan.learner_params) if plan.learner else plan.expansion
+        model = plan.learner.build() if plan.learner else plan.expansion
         result = estimate_strong_null(d, model, family, plan.pi, seed=run_seed)
 
     if plan.contrast is not None:
@@ -307,7 +269,7 @@ class SimulationRun:
     """The run parameters of a simulate spec: run_monte_carlo's arguments,
     and the path of the per-replicate CSV."""
 
-    replicates: int
+    replicates: Annotated[int, AtLeast(100)]
     master_seed: Seed = 0
     paired_unadjusted: bool = False
     per_replicate_csv: str | None = None
@@ -323,6 +285,4 @@ def simulation_spec_from_dict(obj: dict):
     dgp = _section(top.pop("dgp"), DgpSpec, "spec.dgp", name="dgp")
     plan = plan_from_dict(top.pop("plan"))
     run = _section(top, SimulationRun, "spec")
-    if run.replicates < 100:
-        raise ConfigError("spec.replicates: must be at least 100")
     return dgp, plan, asdict(run)

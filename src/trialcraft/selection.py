@@ -26,11 +26,12 @@ import bisect
 import math
 from dataclasses import dataclass
 from operator import mul
+from typing import Annotated, Literal
 
 import numpy as np
 
-from .data import _zero_variance, make_folds
-from .errors import ConfigError, NonConvergence, Separation, Singular
+from .data import FoldCount, _zero_variance, make_folds
+from .errors import AtLeast, ConfigError, NonConvergence, Separation, Singular, _check, _read
 from .glm import GlmFamily, GlmFit, _as_design, _column_names, expit, fit_ml
 
 COORD_TOL = 1e-9
@@ -47,6 +48,23 @@ PATH_MIN_RATIO = 1e-4
 # is a little under 20; staying at 20 keeps every narrower design's path,
 # and so its last bits, on the kernel it has always used.
 PY_PATH_MAX_WIDTH = 20
+
+
+LambdaRule = Literal["1se", "min"]
+
+
+@dataclass(frozen=True)
+class SelectionConfig:
+    """How data_adaptive and tmle select each arm's columns (a plan's
+    `selection`): `lasso_cv` with `k_cv` folds and `lambda_rule`,
+    `stepwise_aic` adding at most `max_terms` columns, or `none`."""
+
+    method: Literal["lasso_cv", "stepwise_aic", "none"] = "lasso_cv"
+    k_cv: FoldCount = 5
+    lambda_rule: LambdaRule = "1se"
+    max_terms: Annotated[int, AtLeast(0)] | None = None
+
+    __post_init__ = _check
 
 
 @dataclass(frozen=True)
@@ -476,10 +494,10 @@ def lasso_cv(
     x,
     y,
     family: GlmFamily,
-    k_cv: int = 5,
+    k_cv: FoldCount = 5,
     seed: int = 0,
     weights=None,
-    lambda_rule: str = "1se",
+    lambda_rule: LambdaRule = "1se",
     column_names=None,
 ) -> SelectionResult:
     """Lasso over a 100-point log-spaced penalty path with K-fold CV.
@@ -489,10 +507,8 @@ def lasso_cv(
     excluded from the candidates and reported in `dropped_zero_variance`; a
     column identical to an earlier one is excluded without being reported.
     """
-    if k_cv < 2:
-        raise ConfigError("k_cv must be at least 2")
-    if lambda_rule not in ("1se", "min"):
-        raise ConfigError(f"unknown lambda_rule {lambda_rule!r}")
+    _read(FoldCount, k_cv, "k_cv")
+    _read(LambdaRule, lambda_rule, "lambda_rule")
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape

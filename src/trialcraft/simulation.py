@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .data import TrialDataset, derived_seed
-from .errors import ConfigError, EmptyArm, EstimationError, LengthMismatch, TrialcraftError
+from .errors import AtLeast, AtMost, ConfigError, DimensionMismatch, EmptyArm, EstimationError
+from .errors import TrialcraftError, _check
 from .estimators import Z_CRIT, estimate_unadjusted
 from .glm import expit
-
-MECHANISMS = ("linear", "quadratic", "null_effect", "ps_informative")
-OUTCOME_KINDS = ("continuous", "binary")
 
 # mechanism shape constants; the quadratic terms are centered so the
 # continuous treatment effect stays exactly effect_size
@@ -39,26 +38,17 @@ class DgpSpec:
     """A named data-generating process for the Monte Carlo harness."""
 
     name: str
-    n: int
-    p: int
-    pi: float
-    outcome_kind: str = "continuous"
-    mechanism: str = "linear"
+    n: Annotated[int, AtLeast(2)]
+    p: Annotated[int, AtLeast(1)]
+    pi: Annotated[float, AtLeast(0.05), AtMost(0.95)]
+    outcome_kind: Literal["continuous", "binary"] = "continuous"
+    mechanism: Literal["linear", "quadratic", "null_effect", "ps_informative"] = "linear"
     effect_size: float = 0.0
     noise_sd: float = 1.0
     true_theta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ConfigError("n must be at least 2")
-        if self.p < 1:
-            raise ConfigError("p must be at least 1")
-        if not 0.05 <= self.pi <= 0.95:
-            raise ConfigError("pi must lie in [0.05, 0.95]")
-        if self.outcome_kind not in OUTCOME_KINDS:
-            raise ConfigError(f"unknown outcome kind {self.outcome_kind!r}")
-        if self.mechanism not in MECHANISMS:
-            raise ConfigError(f"unknown mechanism {self.mechanism!r}")
+        _check(self)
         if self.mechanism in ("quadratic", "null_effect") and self.p < 2:
             raise ConfigError(f"mechanism {self.mechanism!r} needs p >= 2")
         if self.noise_sd <= 0:
@@ -163,10 +153,10 @@ def compute_metrics(estimates, ses, true_theta_value: float) -> dict:
     estimates = np.asarray(estimates, dtype=float)
     ses = np.asarray(ses, dtype=float)
     if estimates.shape != ses.shape:
-        raise LengthMismatch("estimates and ses must have the same length")
+        raise DimensionMismatch("estimates and ses must have the same length")
     r = estimates.shape[0]
     if r < 2:
-        raise LengthMismatch("need at least 2 replicates")
+        raise DimensionMismatch("need at least 2 replicates")
     half = Z_CRIT * ses
     lo, hi = estimates - half, estimates + half
     sd = float(np.std(estimates, ddof=1))

@@ -18,14 +18,14 @@ import math
 import numpy as np
 
 from .data import FoldPlan
-from .errors import DegenerateFold, DegeneratePi, LengthMismatch, Singular
+from .errors import DegenerateFold, DegeneratePi, DimensionMismatch, Singular
 
 
 def se_from_values(values: np.ndarray) -> float:
     """sqrt( sample-variance(values) / n ); zero for constant values."""
     n = values.shape[0]
     if n < 2:
-        raise LengthMismatch("need at least 2 values for a standard error")
+        raise DimensionMismatch("need at least 2 values for a standard error")
     return math.sqrt(float(np.var(values, ddof=1)) / n)
 
 

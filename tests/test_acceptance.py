@@ -23,7 +23,7 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.plans import plan_estimator, plan_from_dict
-from trialcraft.selection import lasso_lambda_max
+from trialcraft.selection import SelectionConfig, lasso_lambda_max
 from trialcraft.simulation import DgpSpec, run_monte_carlo
 from trialcraft.variance import aipw, se_from_values
 
@@ -60,11 +60,11 @@ def test_c02_estimator_identity():
         family = GlmFamily.GAUSSIAN if i % 2 == 0 else GlmFamily.BINOMIAL
         d = random_trial(20_000 + i, family)
         pi_hat = d.n_treated / d.n
-        method = "lasso_cv" if i % 4 < 2 else "stepwise_aic"
+        selection = SelectionConfig(method="lasso_cv" if i % 4 < 2 else "stepwise_aic")
         results = [
             estimate_standardization(d, family=family),
-            estimate_data_adaptive(d, family=family, method=method, seed=i),
-            estimate_tmle(d, family=family, method=method, seed=i),
+            estimate_data_adaptive(d, family=family, selection=selection, seed=i),
+            estimate_tmle(d, family=family, selection=selection, seed=i),
         ]
         for r in results:
             pred1, pred0 = r.diagnostics["pred1"], r.diagnostics["pred0"]
@@ -262,7 +262,8 @@ def test_c10_tmle_score_zero():
     for i in range(100):
         family = GlmFamily.GAUSSIAN if i % 2 == 0 else GlmFamily.BINOMIAL
         d = random_trial(90_000 + i, family)
-        r = estimate_tmle(d, family=family, method="stepwise_aic", seed=i)
+        r = estimate_tmle(d, family=family, selection=SelectionConfig(method="stepwise_aic"),
+                          seed=i)
         for arm in (1, 0):
             score = abs(float(np.sum((d.z == arm) * (d.y - r.diagnostics[f"pred{arm}"]))))
             worst_score = max(worst_score, score / d.n)

@@ -21,6 +21,7 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily
 from trialcraft.plans import plan_estimator, plan_from_dict
+from trialcraft.selection import SelectionConfig
 from trialcraft.simulation import DgpSpec, run_monte_carlo, theta_oracle
 
 # plug-in oracle values, 1e7 draws each; the oracle's own MC error is ~1e-4
@@ -64,7 +65,7 @@ def test_binary_crossfit_knn_known_pi_unbiased():
 
 def test_tmle_parametric_clever_covariate_binomial(rng):
     d = simulate_trial(rng, n=200, family=GlmFamily.BINOMIAL)
-    r = estimate_tmle(d, family=GlmFamily.BINOMIAL, method="none",
+    r = estimate_tmle(d, family=GlmFamily.BINOMIAL, selection=SelectionConfig(method="none"),
                       pi=PiSpec.parametric(("x1",)), seed=3)
     p_hat, _ = propensity_scores(fit_propensity(d, ("x1",)), d)
     # the weighted score the clever covariate enforces, per arm

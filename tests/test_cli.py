@@ -1,11 +1,28 @@
+import copy
 import json
 import math
 import os
+import types
+import typing
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from trialcraft.cli import _write_json, main
+from trialcraft.data import FoldPlan, TrialDataset, make_folds
+from trialcraft.errors import AtLeast, AtMost, ConfigError
+from trialcraft.estimators import (
+    PiSpec,
+    estimate_crossfit_aipw,
+    estimate_unadjusted,
+    transform_contrast,
+)
+from trialcraft.glm import GlmFamily
+from trialcraft.learners import LEARNERS, KnnLearner, get_learner
+from trialcraft.plans import AnalysisPlan, SimulationRun
+from trialcraft.selection import SelectionConfig, lasso_cv
+from trialcraft.simulation import DgpSpec
 
 FOUR_ROW_CSV = "y,z,a,b\n1,1,0.5,1\n3,1,1.5,0\n0,0,2.5,1\n2,0,3.5,\n"
 
@@ -296,7 +313,7 @@ class TestValidate:
             "pi": {"mode": "known", "value": 0.001},
         })
         assert main(["validate", "--plan", plan]) == 2
-        assert "positivity" in capsys.readouterr().err
+        assert "plan.pi.value: expected float >= 0.01, got 0.001" in capsys.readouterr().err
 
     def test_eem_with_parametric_ps_refused(self, tmp_path, capsys):
         plan = write_plan(tmp_path, {
@@ -418,6 +435,128 @@ class TestSimulate:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["simulate", "--spec", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "s.json")]) == 2
+
+
+def outside(annotation):
+    """One value outside the domain of each rule `annotation` declares: a
+    name no Literal lists, and a number past each bound. A rule of another
+    kind fails here, so a rule the reader does not know cannot pass unseen."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
+        return outside(args[0])
+    if origin is typing.Literal:
+        return ["no_such_value"]
+    if origin is not typing.Annotated:
+        return []
+    base, values = args[0], []
+    for bound in args[1:]:
+        if isinstance(bound, AtLeast):
+            values.append(base(bound.low) - 1)
+        elif isinstance(bound, AtMost):
+            values.append(base(bound.high) + 1)
+        else:
+            raise AssertionError(f"no value outside {bound!r}")
+    return values
+
+
+def ruled_fields(cls, keys=()):
+    """(JSON keys, value outside the field's domain) for every Literal or
+    bounded init field of the dataclass `cls` and of its section classes."""
+    hints = typing.get_type_hints(cls, include_extras=True)
+    for f in fields(cls):
+        if not f.init:
+            continue
+        annotation, args = hints[f.name], typing.get_args(hints[f.name])
+        section = args[0] if args[1:] == (type(None),) else annotation  # X | None
+        if is_dataclass(section):
+            yield from ruled_fields(section, keys + (f.name,))
+        for value in outside(annotation):
+            yield keys + (f.name,), value
+
+
+BASE_PLAN = {"estimator": "crossfit_aipw", "learner": {"name": "knn", "params": {}}}
+
+
+def rule_cases():
+    """(command, dotted field, config) for one value outside every declared
+    rule: plans go through `validate`, simulate specs through `simulate`."""
+    sources = [("validate", "plan", BASE_PLAN, ruled_fields(AnalysisPlan)),
+               ("simulate", "spec", SIM_SPEC, ruled_fields(SimulationRun)),
+               ("simulate", "spec", SIM_SPEC, ruled_fields(DgpSpec, ("dgp",)))]
+    for name, cls in LEARNERS.items():
+        plan = dict(BASE_PLAN, learner={"name": name, "params": {}})
+        sources.append(("validate", "plan", plan, ruled_fields(cls, ("learner", "params"))))
+    cases = []
+    for command, root, base, found in sources:
+        for keys, value in found:
+            config = copy.deepcopy(base)
+            node = config
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node[keys[-1]] = value
+            dotted = ".".join((root,) + keys)
+            cases.append(pytest.param(command, dotted, config, id=f"{dotted}={value!r}"))
+    return cases
+
+
+RULE_CASES = rule_cases()
+
+
+class TestDeclaredRules:
+    """Every range and enumeration is declared on a dataclass field, and the
+    reader enforces each one at `validate` and `simulate`."""
+
+    def test_every_rule_is_found(self):
+        found = {case.values[1] for case in RULE_CASES}
+        assert {
+            "plan.estimator", "plan.contrast", "plan.seed", "plan.learner.name",
+            "plan.selection.method", "plan.selection.k_cv", "plan.selection.lambda_rule",
+            "plan.selection.max_terms", "plan.folds.k", "plan.folds.seed", "plan.pi.mode",
+            "plan.pi.value", "plan.expansion.polynomial_degree", "plan.learner.params.k",
+            "plan.learner.params.k_cv", "plan.learner.params.lambda_rule",
+            "spec.replicates", "spec.master_seed", "spec.dgp.n", "spec.dgp.p", "spec.dgp.pi",
+            "spec.dgp.outcome_kind", "spec.dgp.mechanism",
+        } <= found
+
+    @pytest.mark.parametrize("command, dotted, config", RULE_CASES)
+    def test_value_outside_the_rule_exits_2(self, tmp_path, capsys, command, dotted, config):
+        if command == "validate":
+            argv = ["validate", "--plan", write_plan(tmp_path, config)]
+        else:
+            out = tmp_path / "s.json"
+            argv = ["simulate", "--spec", write_plan(tmp_path, config, name="spec.json"),
+                    "--out", str(out)]
+        assert main(argv) == 2
+        assert f"config error: {dotted}: expected" in capsys.readouterr().err
+        assert command == "validate" or not out.exists()
+
+    @staticmethod
+    def trial():
+        rng = np.random.default_rng(5)
+        return TrialDataset(rng.standard_normal(30), np.arange(30) % 2,
+                            rng.standard_normal((30, 2)), ("a", "b"))
+
+    @pytest.mark.parametrize("build", [
+        lambda d: DgpSpec("d", n=50, p=2, pi=0.5, mechanism="cubic"),
+        lambda d: DgpSpec("d", n=50, p=2, pi=0.5, outcome_kind="count"),
+        lambda d: PiSpec("bogus"),
+        lambda d: PiSpec.known(1.0),
+        lambda d: SelectionConfig(method="lasso"),
+        lambda d: SelectionConfig(max_terms=-1),
+        lambda d: KnnLearner(k=0),
+        lambda d: get_learner("gradient_forest"),
+        lambda d: make_folds(d.n, 1),
+        lambda d: lasso_cv(d.x, d.y, GlmFamily.GAUSSIAN, k_cv=1),
+        lambda d: lasso_cv(d.x, d.y, GlmFamily.GAUSSIAN, lambda_rule="max"),
+        lambda d: estimate_crossfit_aipw(d, get_learner("constant"),
+                                         FoldPlan(np.arange(d.n) % 11 + 1, 11, 0, False)),
+        lambda d: transform_contrast(estimate_unadjusted(d), "risk_ratio"),
+    ], ids=["dgp-mechanism", "dgp-outcome-kind", "pi-mode", "pi-value", "selection-method",
+            "selection-max-terms", "knn-k", "learner-name", "make-folds-k", "lasso-cv-k",
+            "lasso-cv-lambda-rule", "crossfit-11-folds", "contrast"])
+    def test_built_directly_the_same_rules_hold(self, build):
+        with pytest.raises(ConfigError):
+            build(self.trial())
 
 
 class TestUsage:

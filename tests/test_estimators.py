@@ -25,7 +25,11 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily, fit_ml, predict
 from trialcraft.learners import get_learner
+from trialcraft.selection import SelectionConfig
 from trialcraft.simulation import DgpSpec, generate_dataset
+
+NO_SELECTION = SelectionConfig(method="none")
+STEPWISE = SelectionConfig(method="stepwise_aic")
 
 
 def tiny_dataset():
@@ -110,14 +114,15 @@ class TestDataAdaptive:
             a = rng.standard_normal(60)
             d = TrialDataset(a + 0.5 * z + rng.standard_normal(60), z,
                              np.column_stack([a, np.full(60, value)]), ("a", "c"))
-            r = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, method="none")
+            r = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION)
             assert r.diagnostics["refit_columns_1"] == ["a"]
             assert r.diagnostics["refit_columns_0"] == ["a"]
 
     @pytest.mark.parametrize("method", ["lasso_cv", "stepwise_aic", "none"])
     def test_refit_scores_vanish(self, method, rng):
         d = simulate_trial(rng, n=100)
-        r = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, method=method, seed=1)
+        selection = SelectionConfig(method=method)
+        r = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, selection=selection, seed=1)
         for arm in (1, 0):
             resid_sum = np.sum(
                 (d.z == arm) * (d.y - r.diagnostics[f"pred{arm}"])
@@ -127,7 +132,7 @@ class TestDataAdaptive:
     def test_forced_column_always_in_refit(self, rng):
         d = simulate_trial(rng, n=80)
         r = estimate_data_adaptive(
-            d, family=GlmFamily.GAUSSIAN, forced=("x2",), seed=5
+            d, FeatureExpansion(forced_columns=("x2",)), GlmFamily.GAUSSIAN, seed=5
         )
         assert "x2" in r.diagnostics["refit_columns_1"]
         assert "x2" in r.diagnostics["refit_columns_0"]
@@ -152,7 +157,8 @@ class TestDataAdaptive:
 
     def test_eem_binomial_uses_aipw_form(self, rng):
         d = simulate_trial(rng, n=120, family=GlmFamily.BINOMIAL)
-        r = estimate_data_adaptive(d, family=GlmFamily.BINOMIAL, seed=6, eem=True, method="none")
+        r = estimate_data_adaptive(d, family=GlmFamily.BINOMIAL, selection=NO_SELECTION, seed=6,
+                                   eem=True)
         manual = aipw_by_hand(
             d.y, d.z, r.diagnostics["pred1"], r.diagnostics["pred0"], d.n_treated / d.n
         )
@@ -165,9 +171,9 @@ class TestDataAdaptive:
 
     def test_small_sample_factor_inflates_se(self, rng):
         d = simulate_trial(rng, n=40)
-        a = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, method="none", seed=1)
+        a = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION, seed=1)
         b = estimate_data_adaptive(
-            d, family=GlmFamily.GAUSSIAN, method="none", seed=1,
+            d, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION, seed=1,
             small_sample_correction=True,
         )
         assert b.se > a.se
@@ -257,8 +263,8 @@ class TestTmle:
     @pytest.mark.parametrize("family", list(GlmFamily))
     def test_post_update_score_zero_and_equals_data_adaptive(self, family, rng):
         d = simulate_trial(rng, n=120, family=family)
-        t = estimate_tmle(d, family=family, method="stepwise_aic", seed=1)
-        a = estimate_data_adaptive(d, family=family, method="stepwise_aic", seed=1)
+        t = estimate_tmle(d, family=family, selection=STEPWISE, seed=1)
+        a = estimate_data_adaptive(d, family=family, selection=STEPWISE, seed=1)
         for arm in (1, 0):
             score = np.sum((d.z == arm) * (d.y - t.diagnostics[f"pred{arm}"]))
             assert abs(score) <= 1e-8 * d.n
@@ -267,7 +273,7 @@ class TestTmle:
     def test_parametric_clever_covariate_score(self, rng):
         d = simulate_trial(rng, n=150)
         r = estimate_tmle(
-            d, family=GlmFamily.GAUSSIAN, method="none",
+            d, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION,
             pi=PiSpec.parametric(("x1",)), seed=2,
         )
         ps_fit = fit_propensity(d, ("x1",))
@@ -277,7 +283,7 @@ class TestTmle:
 
     def test_binomial_means_sample_bounded(self, rng):
         d = simulate_trial(rng, n=90, family=GlmFamily.BINOMIAL)
-        r = estimate_tmle(d, family=GlmFamily.BINOMIAL, method="none")
+        r = estimate_tmle(d, family=GlmFamily.BINOMIAL, selection=NO_SELECTION)
         assert d.y.min() <= r.mu1_hat <= d.y.max()
         assert d.y.min() <= r.mu0_hat <= d.y.max()
 
@@ -286,7 +292,7 @@ class TestTmle:
         # step restores it, so the EEM-mode targeted estimate needs no
         # switch to the explicit augmented form
         d = simulate_trial(rng, n=150, family=GlmFamily.BINOMIAL)
-        r = estimate_tmle(d, family=GlmFamily.BINOMIAL, method="none", eem=True)
+        r = estimate_tmle(d, family=GlmFamily.BINOMIAL, selection=NO_SELECTION, eem=True)
         assert abs(r.diagnostics["epsilon_1"]) > 1e-6  # update did real work
         for arm in (1, 0):
             score = np.sum((d.z == arm) * (d.y - r.diagnostics[f"pred{arm}"]))
@@ -485,8 +491,9 @@ class TestSharedInvariants:
         runs = [
             lambda dd: estimate_unadjusted(dd),
             lambda dd: estimate_standardization(dd, family=GlmFamily.GAUSSIAN),
-            lambda dd: estimate_data_adaptive(dd, family=GlmFamily.GAUSSIAN, method="none"),
-            lambda dd: estimate_tmle(dd, family=GlmFamily.GAUSSIAN, method="none"),
+            lambda dd: estimate_data_adaptive(dd, family=GlmFamily.GAUSSIAN,
+                                              selection=NO_SELECTION),
+            lambda dd: estimate_tmle(dd, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION),
             lambda dd: estimate_crossfit_aipw(dd, get_learner("wrong_model"), folds, seed=1),
             lambda dd: estimate_cvtmle(dd, get_learner("wrong_model"), folds, seed=1),
             lambda dd: estimate_strong_null(dd, FeatureExpansion(), GlmFamily.GAUSSIAN),

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import simulate_trial
+from trialcraft.data import TrialDataset
 from trialcraft.errors import ConfigError
 from trialcraft.plans import (
     ESTIMATORS,
@@ -12,6 +17,7 @@ from trialcraft.plans import (
     simulation_spec_from_dict,
     validate_plan,
 )
+from trialcraft.simulation import DgpSpec, generate_dataset
 
 ALL_ESTIMATOR_PLANS = {
     "unadjusted": {"estimator": "unadjusted"},
@@ -82,6 +88,38 @@ class TestDispatch:
         assert a.theta_hat == b.theta_hat
 
 
+class TestAffineOutcome:
+    """theta and SE follow the outcome under y -> a y + b (Gaussian), for
+    every estimator through execute_plan. Selection is `none`: lasso_cv's CV
+    curve can tie, and rounding of the moved outcome can break the tie the
+    other way; stepwise_aic's Gaussian AIC depends on the outcome's units
+    (the xfail in test_selection)."""
+
+    DGP = DgpSpec("affine", n=80, p=2, pi=0.5, mechanism="quadratic", effect_size=0.5)
+
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from(sorted(ESTIMATORS)),
+        st.sampled_from(["wrong_model", "knn", "constant", "ridge"]),
+        st.floats(0.01, 100) | st.floats(-100, -0.01),
+        st.floats(-100, 100),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_theta_and_se_follow_the_outcome(self, estimator, learner, a, b, seed):
+        plan = plan_from_dict({
+            "estimator": estimator, "family": "gaussian", "learner": learner,
+            "selection": {"method": "none"}, "folds": {"k": 3, "seed": 1},
+            **({"pi": {"mode": "parametric", "ps_columns": ["x1"]}}
+               if estimator == "crossfit_aipw_parametric_ps" else {}),
+        })
+        d = generate_dataset(self.DGP, seed)
+        r = execute_plan(d, plan)
+        moved = execute_plan(TrialDataset(a * d.y + b, d.z, d.x, d.column_names), plan)
+        tol = 1e-9 * (abs(a) + abs(b)) * max(1.0, float(np.abs(d.y).max()))
+        assert math.isclose(moved.theta_hat, a * r.theta_hat, rel_tol=1e-9, abs_tol=tol)
+        assert math.isclose(moved.se, abs(a) * r.se, rel_tol=1e-9, abs_tol=tol)
+
+
 class TestParsing:
     def test_round_trip(self):
         for raw in ALL_ESTIMATOR_PLANS.values():
@@ -92,7 +130,7 @@ class TestParsing:
 
     @pytest.mark.parametrize("key", ["extra", "learner_params"])
     def test_unknown_top_level_key(self, key):
-        # learner_params is an AnalysisPlan field, but a plan sets it through "learner"
+        # a learner's params are set only inside "learner"
         with pytest.raises(ConfigError, match="unknown keys"):
             plan_from_dict({"estimator": "unadjusted", key: {}})
 

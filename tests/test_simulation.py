@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trialcraft.errors import ConfigError, EstimationError, LengthMismatch
+from trialcraft.errors import ConfigError, DimensionMismatch, EstimationError
 from trialcraft.estimators import estimate_unadjusted
 from trialcraft.glm import expit
 from trialcraft.plans import plan_estimator, plan_from_dict
@@ -119,7 +119,7 @@ class TestComputeMetrics:
         assert m["rejection_rate"] == pytest.approx(4 / 5)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch):
             compute_metrics(np.ones(3), np.ones(4), 0.0)
 
 
