@@ -173,11 +173,13 @@ def propensity_scores(fit: GlmFit, d: TrialDataset):
     return clamp_probabilities(raw)
 
 
-def _parametric_propensity(d: TrialDataset, pi: PiSpec | None):
+def _parametric_propensity(d: TrialDataset, pi: PiSpec | None, eem: bool):
     """(clamped fitted propensities, clamp count) for a parametric `pi`,
-    else (None, 0)."""
+    else (None, 0). EEM mode refuses a parametric `pi`."""
     if pi is None or pi.mode != "parametric":
         return None, 0
+    if eem:
+        raise ConfigError("EEM mode with a parametric propensity is not supported")
     return propensity_scores(fit_propensity(d, pi.ps_columns), d)
 
 
@@ -309,9 +311,7 @@ def estimate_data_adaptive(
     estimate switches to the explicit AIPW average because the score-zero
     identity is no longer guaranteed.
     """
-    if eem and pi is not None and pi.mode == "parametric":
-        raise ConfigError("EEM mode with a parametric propensity is not supported")
-    p_hat, clamp_count = _parametric_propensity(d, pi)
+    p_hat, clamp_count = _parametric_propensity(d, pi, eem)
     selected, refit, preds, warnings = _select_and_refit(
         d, spec, family, selection, eem, seed, p_hat
     )
@@ -402,8 +402,8 @@ def estimate_tmle(
     where the clever covariate 1/p(X) (arm 0: 1/(1-p(X))) enters a
     no-intercept update instead.
     """
+    p_hat, clamp_count = _parametric_propensity(d, pi, eem)
     selected, refit, preds, warnings = _select_and_refit(d, spec, family, selection, eem, seed)
-    p_hat, clamp_count = _parametric_propensity(d, pi)
     clever = None if p_hat is None else {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)}
     updated, epsilons = _targeted_update(d, preds, family, clever)
 

@@ -95,12 +95,34 @@ class RidgePredictor(_ClampMixin):
         return self._finalize(self.intercept + xs @ self.beta)
 
 
+def _cv_losses(xs, yc, lams, k_cv, seed):
+    """Each penalty's summed squared CV error over `k_cv` folds drawn from
+    `seed`, by one stacked solve per fold. The stacked matvec rounds as one
+    matvec per penalty does; `betas @ x_test.T`, a gemm, would not."""
+    assignment = np.random.default_rng(seed).permutation(len(yc)) % k_cv
+    eye = np.eye(xs.shape[1])
+    losses = np.zeros(len(lams))
+    for k in range(k_cv):
+        test = assignment == k
+        train = ~test
+        xbar = xs[train].mean(axis=0)
+        x_train, x_test = xs[train] - xbar, xs[test] - xbar
+        y_mean = yc[train].mean()
+        gram, rhs = x_train.T @ x_train, x_train.T @ (yc[train] - y_mean)
+        betas = np.linalg.solve(gram + lams[:, None, None] * eye, rhs[:, None])
+        pred = y_mean + (x_test @ betas)[:, :, 0]
+        losses += ((yc[test] - pred) ** 2).sum(axis=1)
+    return losses
+
+
 @dataclass
 class RidgeLearner:
-    """Closed-form gaussian ridge on standardized columns with an internal
-    K-fold CV over the penalty grid. Used on binomial outcomes it simply
-    clamps the linear predictions into [0, 1] (the theory permits arbitrary,
-    even misspecified, predictions)."""
+    """Closed-form gaussian ridge on standardized columns. The penalty is
+    picked by K-fold CV over the grid, with one stacked solve of every
+    penalty's system per fold; the losses, and so the pick, have the bits of
+    one solve per penalty. Used on binomial outcomes it simply clamps the
+    linear predictions into [0, 1] (the theory permits arbitrary, even
+    misspecified, predictions)."""
 
     lambda_grid: tuple[float, ...] = tuple(np.geomspace(1e-4, 1e4, 25))
     k_cv: FoldCount = 5
@@ -121,33 +143,22 @@ class RidgeLearner:
         xs = (x - means) / sds
         ybar = float(y.mean())
         yc = y - ybar
-        eye = np.eye(p)
-
-        if len(self.lambda_grid) == 1 or n < 2 * self.k_cv:
-            lam = float(self.lambda_grid[0])
+        lams = np.asarray(self.lambda_grid)
+        if len(lams) == 1 or n < 2 * self.k_cv:
+            lam = lams[0]
         else:
-            rng = np.random.default_rng(seed)
-            assignment = rng.permutation(n) % self.k_cv
-            losses = np.zeros(len(self.lambda_grid))
-            for k in range(self.k_cv):
-                test = assignment == k
-                train = ~test
-                xbar = xs[train].mean(axis=0)
-                x_train, x_test = xs[train] - xbar, xs[test] - xbar
-                y_mean = yc[train].mean()
-                gram, rhs = x_train.T @ x_train, x_train.T @ (yc[train] - y_mean)
-                for i, lam in enumerate(self.lambda_grid):
-                    beta = np.linalg.solve(gram + lam * eye, rhs)
-                    pred = y_mean + x_test @ beta
-                    losses[i] += float(((yc[test] - pred) ** 2).sum())
-            lam = float(self.lambda_grid[int(np.argmin(losses))])
-
-        beta = np.linalg.solve(xs.T @ xs + lam * eye, xs.T @ yc)
+            lam = lams[int(np.argmin(_cv_losses(xs, yc, lams, self.k_cv, seed)))]
+        beta = np.linalg.solve(xs.T @ xs + lam * np.eye(p), xs.T @ yc)
         return RidgePredictor(ybar, beta, means, sds, family)
 
 
 @dataclass
 class KnnPredictor(_ClampMixin):
+    """The mean outcome of the k nearest training rows, on columns
+    standardized by the training rows. A distance tie goes to the lower
+    training row, and the neighbours are averaged in distance order: the
+    bits of a full stable sort of each row's distances."""
+
     x_train: np.ndarray
     y_train: np.ndarray
     k: int
@@ -161,9 +172,16 @@ class KnnPredictor(_ClampMixin):
         xt = (self.x_train - self.means) / self.sds
         # squared Euclidean distances, (n_query, n_train)
         d2 = ((xq**2).sum(axis=1)[:, None] - 2.0 * xq @ xt.T + (xt**2).sum(axis=1)[None, :])
-        # stable sort: distance ties resolve to the lower training index
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self.k]
-        return self._finalize(self.y_train[order].mean(axis=1))
+        # Any sort orders a row as the stable sort does if its k + 1 nearest
+        # distances strictly increase; the other rows (a tie, a NaN) are
+        # sorted stably.
+        order = np.argsort(d2, axis=1)[:, : self.k + 1]
+        near = d2[np.arange(len(d2))[:, None], order]
+        increasing = near[:, 1:] > near[:, :-1]
+        if not increasing.all():
+            redo = ~increasing.all(axis=1)
+            order[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, : self.k + 1]
+        return self._finalize(self.y_train[order[:, : self.k]].mean(axis=1))
 
 
 @dataclass

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trialcraft.data import TrialDataset
+from trialcraft.data import TrialDataset, _zero_variance
 from trialcraft.glm import GlmFamily, GlmFit, _as_design, expit, predict
+from trialcraft.learners import RidgePredictor
 from trialcraft.selection import lasso_path
 
 # a fixed example sequence and no per-example deadline: the suite gives the
@@ -50,6 +51,53 @@ def lasso_fit(x, y, family, lam, weights=None):
     (1/n) weighted negative log-likelihood (binomial) plus lam * sum |beta_j|
     over the standardized non-intercept coefficients."""
     return lasso_path(x, y, family, [lam], weights)[0][0]
+
+
+def knn_reference(predictor, x):
+    """A KnnPredictor's predictions by a full stable sort of each query row's
+    squared distances to the training rows: the k nearest, ties to the lower
+    training row, averaged in distance order."""
+    x = _as_design(x)
+    xq = (x - predictor.means) / predictor.sds
+    xt = (predictor.x_train - predictor.means) / predictor.sds
+    d2 = ((xq**2).sum(axis=1)[:, None] - 2.0 * xq @ xt.T + (xt**2).sum(axis=1)[None, :])
+    order = np.argsort(d2, axis=1, kind="stable")[:, : predictor.k]
+    return predictor._finalize(predictor.y_train[order].mean(axis=1))
+
+
+def ridge_reference(learner, x, y, seed=0):
+    """A RidgeLearner's training with its CV solving one penalty at a time:
+    (index of the chosen penalty, CV losses or None when CV is skipped, the
+    gaussian predictor)."""
+    x = _as_design(x)
+    y = np.asarray(y, dtype=float)
+    n, p = x.shape
+    means = x.mean(axis=0)
+    sds = x.std(axis=0)
+    sds = np.where(_zero_variance(means, sds), 1.0, sds)
+    xs = (x - means) / sds
+    ybar = float(y.mean())
+    yc = y - ybar
+    eye = np.eye(p)
+    index, losses = 0, None
+    if len(learner.lambda_grid) > 1 and n >= 2 * learner.k_cv:
+        assignment = np.random.default_rng(seed).permutation(n) % learner.k_cv
+        losses = np.zeros(len(learner.lambda_grid))
+        for k in range(learner.k_cv):
+            test = assignment == k
+            train = ~test
+            xbar = xs[train].mean(axis=0)
+            x_train, x_test = xs[train] - xbar, xs[test] - xbar
+            y_mean = yc[train].mean()
+            gram, rhs = x_train.T @ x_train, x_train.T @ (yc[train] - y_mean)
+            for i, lam in enumerate(learner.lambda_grid):
+                beta = np.linalg.solve(gram + lam * eye, rhs)
+                pred = y_mean + x_test @ beta
+                losses[i] += float(((yc[test] - pred) ** 2).sum())
+        index = int(np.argmin(losses))
+    lam = float(learner.lambda_grid[index])
+    beta = np.linalg.solve(xs.T @ xs + lam * eye, xs.T @ yc)
+    return index, losses, RidgePredictor(ybar, beta, means, sds, GlmFamily.GAUSSIAN)
 
 
 def score_residual(fit: GlmFit, x, y, weights=None):

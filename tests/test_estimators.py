@@ -164,10 +164,11 @@ class TestDataAdaptive:
         )
         assert r.theta_hat == pytest.approx(manual, abs=1e-12)
 
-    def test_eem_refuses_parametric_ps(self, rng):
-        d = simulate_trial(rng, n=50)
-        with pytest.raises(ConfigError):
-            estimate_data_adaptive(d, pi=PiSpec.parametric(("x1",)), eem=True)
+    @pytest.mark.parametrize("estimate", [estimate_data_adaptive, estimate_tmle])
+    def test_eem_refuses_parametric_ps(self, estimate, rng):
+        d = simulate_trial(rng, n=120)
+        with pytest.raises(ConfigError, match="EEM mode with a parametric propensity"):
+            estimate(d, pi=PiSpec.parametric(("x1",)), eem=True, selection=NO_SELECTION)
 
     def test_small_sample_factor_inflates_se(self, rng):
         d = simulate_trial(rng, n=40)

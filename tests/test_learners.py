@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import knn_reference, ridge_reference
 from trialcraft.errors import ConfigError
 from trialcraft.glm import GlmFamily, expit
-from trialcraft.learners import get_learner
+from trialcraft.learners import _cv_losses, get_learner
 
 ALL_LEARNERS = ["post_lasso", "ridge", "knn", "constant", "wrong_model"]
 
@@ -73,8 +77,70 @@ class TestRidge:
         expected = y.mean() + xs @ beta
         np.testing.assert_allclose(predictor.predict(x), expected, atol=1e-10)
 
+    @pytest.mark.parametrize("branch, seed", [("cv", 0), ("one_penalty", 1), ("too_few_rows", 2)])
+    def test_stacked_cv_matches_one_solve_per_penalty(self, branch, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            p, k_cv = int(rng.integers(1, 9)), int(rng.integers(2, 6))
+            n = 2 * k_cv - 1 if branch == "too_few_rows" else int(rng.integers(10, 301))
+            x = rng.standard_normal((n, p)) * rng.uniform(0.1, 10.0, size=p)
+            y = x @ rng.standard_normal(p) + rng.standard_normal(n)
+            xq = rng.standard_normal((20, p)) * x.std(axis=0)
+            params = {"lambda_grid": [0.3]} if branch == "one_penalty" else {}
+            learner = get_learner("ridge", k_cv=k_cv, **params)
+            seed = int(rng.integers(2**31))
+            index, losses, reference = ridge_reference(learner, x, y, seed)
+            predictor = learner.train(x, y, GlmFamily.GAUSSIAN, seed=seed)
+            np.testing.assert_array_equal(predictor.predict(xq), reference.predict(xq))
+            np.testing.assert_array_equal(predictor.beta, reference.beta)
+            assert (losses is None) == (branch != "cv")
+            if losses is not None:
+                xs = (x - predictor.means) / predictor.sds
+                cv = _cv_losses(xs, y - predictor.intercept, np.asarray(learner.lambda_grid),
+                                k_cv, seed)
+                # equal bits, not a tolerance: a loss a rounding apart could
+                # move the chosen penalty on a near tie
+                np.testing.assert_array_equal(cv, losses)
+                assert int(np.argmin(cv)) == index
+
+
+@st.composite
+def knn_problems(draw):
+    """Tie-heavy kNN inputs: integer covariates in a small range, duplicated
+    training rows, query rows copied from the training rows, p = 0, any k,
+    and at most one non-finite cell."""
+    p = draw(st.integers(0, 3))
+    span = draw(st.integers(1, 4))
+    cells = st.integers(-span, span).map(float)
+    distinct = draw(arrays(float, (draw(st.integers(1, 12)), p), elements=cells))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=30))
+    x_train = distinct[picks]
+    n = len(x_train)
+    y_train = draw(arrays(float, n, elements=st.floats(-5.0, 5.0)))
+    fresh = draw(arrays(float, (draw(st.integers(0, 8)), p), elements=cells))
+    copied = x_train[draw(st.lists(st.integers(0, n - 1), max_size=8))]
+    x_query = np.concatenate([fresh, copied])
+    k = draw(st.integers(1, n))
+    target = draw(st.sampled_from(["none", "train", "query"]))
+    array = {"train": x_train, "query": x_query}.get(target)
+    if array is not None and array.size:
+        row = draw(st.integers(0, array.shape[0] - 1))
+        col = draw(st.integers(0, p - 1))
+        array[row, col] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    family = draw(st.sampled_from(list(GlmFamily)))
+    return x_train, y_train, x_query, k, family
+
 
 class TestKnn:
+    @settings(max_examples=400)
+    @given(knn_problems())
+    def test_same_bits_as_a_full_stable_sort(self, problem):
+        x_train, y_train, x_query, k, family = problem
+        with np.errstate(all="ignore"):
+            predictor = get_learner("knn", k=k).train(x_train, y_train, family)
+            np.testing.assert_array_equal(predictor.predict(x_query),
+                                          knn_reference(predictor, x_query))
+
     def test_k_equals_n_is_training_mean(self, rng):
         x, y = linear_data(rng, n=30)
         predictor = get_learner("knn", k=30).train(x, y, GlmFamily.GAUSSIAN)

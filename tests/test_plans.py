@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import simulate_trial
 from trialcraft.data import TrialDataset
-from trialcraft.errors import ConfigError
+from trialcraft.errors import ConfigError, TrialcraftError
 from trialcraft.plans import (
     ESTIMATORS,
     execute_plan,
@@ -118,6 +118,44 @@ class TestAffineOutcome:
         tol = 1e-9 * (abs(a) + abs(b)) * max(1.0, float(np.abs(d.y).max()))
         assert math.isclose(moved.theta_hat, a * r.theta_hat, rel_tol=1e-9, abs_tol=tol)
         assert math.isclose(moved.se, abs(a) * r.se, rel_tol=1e-9, abs_tol=tol)
+
+
+class TestArmRelabelling:
+    """Swapping the arms (z -> 1 - z) negates theta and keeps the SE, for
+    cross-fit AIPW through execute_plan. Left out: stratified folds, whose
+    assignment depends on z; `ridge` and `post_lasso`, whose internal CV
+    seeds come from (seed, fold, arm), so a swapped arm's learner draws other
+    CV folds. With known pi = 0.5 the swap is exact. A per-fold pi is exact
+    only to rounding: arm 0 enters through 1 - mean(z), and after the swap
+    through mean(z') = mean(1 - z), which can differ from it in the last bit."""
+
+    @settings(max_examples=60)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(40, 160),
+        st.sampled_from(["knn", "constant", "wrong_model"]),
+        st.sampled_from([{"mode": "known", "value": 0.5}, {"mode": "estimated_per_fold"}]),
+    )
+    def test_swapped_arms_negate_theta(self, seed, n, learner, pi):
+        plan = plan_from_dict({
+            "estimator": "crossfit_aipw", "family": "gaussian", "learner": learner, "pi": pi,
+            "folds": {"k": 5, "seed": seed, "stratified": False},
+        })
+        d = simulate_trial(np.random.default_rng(seed), n=n)
+        swapped = TrialDataset(d.y, 1.0 - d.z, d.x, d.column_names)
+        try:
+            r = execute_plan(d, plan)
+        except TrialcraftError as exc:
+            with pytest.raises(type(exc)):
+                execute_plan(swapped, plan)
+            return
+        s = execute_plan(swapped, plan)
+        if pi["mode"] == "known":
+            assert (s.theta_hat, s.se) == (-r.theta_hat, r.se)
+        else:
+            scale = max(1.0, float(np.abs(d.y).max()))
+            assert math.isclose(s.theta_hat, -r.theta_hat, rel_tol=1e-12, abs_tol=1e-12 * scale)
+            assert math.isclose(s.se, r.se, rel_tol=1e-12)
 
 
 class TestParsing:
