@@ -15,14 +15,12 @@ from .estimators import (
     EstimateResult,
     PiSpec,
     estimate_crossfit_aipw,
-    estimate_crossfit_aipw_parametric_ps,
     estimate_cvtmle,
     estimate_data_adaptive,
     estimate_standardization,
     estimate_strong_null,
     estimate_tmle,
     estimate_unadjusted,
-    fit_propensity,
     transform_contrast,
 )
 from .glm import GlmFamily, GlmFit, fit_least_squares, fit_ml, predict
@@ -47,7 +45,6 @@ __all__ = [
     "TrialDataset",
     "compute_metrics",
     "estimate_crossfit_aipw",
-    "estimate_crossfit_aipw_parametric_ps",
     "estimate_cvtmle",
     "estimate_data_adaptive",
     "estimate_standardization",
@@ -58,7 +55,6 @@ __all__ = [
     "expand_features",
     "fit_least_squares",
     "fit_ml",
-    "fit_propensity",
     "generate_dataset",
     "get_learner",
     "impute_missing",

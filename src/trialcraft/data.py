@@ -278,40 +278,21 @@ class FeatureExpansion:
 
     __post_init__ = _check
 
-    def expanded_names(self, available) -> tuple[str, ...]:
-        base = tuple(self.base_columns) if self.base_columns is not None else tuple(available)
-        for name in base:
-            if name not in available:
-                raise UnknownColumn(f"unknown column {name!r}")
-        names = list(base)
-        for name in base:
-            for degree in range(2, self.polynomial_degree + 1):
-                names.append(f"{name}^{degree}")
-        for a, b in self.interactions:
-            for name in (a, b):
-                if name not in available:
-                    raise UnknownColumn(f"unknown column {name!r}")
-            names.append(f"{a}:{b}")
-        for name in self.forced_columns:
-            if name not in names:
-                raise UnknownColumn(
-                    f"forced column {name!r} is not among the expanded columns"
-                )
-        return tuple(names)
-
 
 def expand_features(d: TrialDataset, spec: FeatureExpansion) -> TrialDataset:
     """Apply a FeatureExpansion; pure function of (x, spec), stable order."""
-    names = spec.expanded_names(d.column_names)
-    base = tuple(spec.base_columns) if spec.base_columns is not None else d.column_names
-    cols = [d.x[:, d.column_index(name)] for name in base]
-    for name in base:
-        col = d.x[:, d.column_index(name)]
+    base = spec.base_columns if spec.base_columns is not None else d.column_names
+    terms = [(name, d.x[:, d.column_index(name)]) for name in base]
+    for name, col in terms[:]:
         for degree in range(2, spec.polynomial_degree + 1):
-            cols.append(col**degree)
+            terms.append((f"{name}^{degree}", col**degree))
     for a, b in spec.interactions:
-        cols.append(d.x[:, d.column_index(a)] * d.x[:, d.column_index(b)])
-    return d.with_covariates(np.column_stack(cols), names)
+        terms.append((f"{a}:{b}", d.x[:, d.column_index(a)] * d.x[:, d.column_index(b)]))
+    names = tuple(name for name, _ in terms)
+    for name in spec.forced_columns:
+        if name not in names:
+            raise UnknownColumn(f"forced column {name!r} is not among the expanded columns")
+    return d.with_covariates(np.column_stack([col for _, col in terms]), names)
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,12 @@ The family:
   crossfit_aipw       K-fold cross-fitting with arbitrary learners
   cvtmle              cross-fitted initial predictions, pooled update
   strong_null         one pooled covariate-only model, no splitting
-  crossfit_aipw_parametric_ps
-                      cross-fit AIPW with per-fold logistic propensity
+
+A PiSpec says how the randomization probability enters. A parametric pi is
+a logistic propensity model on pre-specified columns, fitted by the one
+`propensity_scores`: over everyone for data_adaptive and tmle, within each
+fold for crossfit_aipw, whose method label then reads
+crossfit_aipw_parametric_ps.
 
 Standardization-type estimators coincide with their AIPW form because the
 canonical ML fit zeroes the within-arm residual sums; cross-fit estimators
@@ -42,7 +46,6 @@ from .errors import AtLeast, AtMost, ConfigError, DegenerateFold, DomainError, E
 from .errors import _check, _read
 from .glm import (
     GlmFamily,
-    GlmFit,
     clamp_probabilities,
     fit_least_squares,
     fit_ml,
@@ -158,19 +161,15 @@ def _small_sample_factor(n1, n0, p1, p0) -> float:
 
 # --- propensity ----------------------------------------------------------
 
-def fit_propensity(d: TrialDataset, ps_columns) -> GlmFit:
+def propensity_scores(d: TrialDataset, ps_columns, rows=slice(None)):
     """Logistic fit of the arm indicator on pre-specified columns (with
-    intercept). No selection is allowed for the propensity model."""
-    check_complete(d)
+    intercept) over `rows`, and its fitted treatment probabilities there,
+    clamped into [0.01, 0.99]. No selection is allowed for the propensity
+    model. Returns (p_hat, clamp_count)."""
     ps_columns = tuple(ps_columns)
-    return fit_ml(d.columns(ps_columns), d.z, GlmFamily.BINOMIAL, column_names=ps_columns)
-
-
-def propensity_scores(fit: GlmFit, d: TrialDataset):
-    """Fitted treatment probabilities, clamped into [0.01, 0.99].
-    Returns (p_hat, clamp_count)."""
-    raw = predict(fit, d.columns(fit.column_names))
-    return clamp_probabilities(raw)
+    cols = d.columns(ps_columns)[rows]
+    fit = fit_ml(cols, d.z[rows], GlmFamily.BINOMIAL, column_names=ps_columns)
+    return clamp_probabilities(predict(fit, cols))
 
 
 def _parametric_propensity(d: TrialDataset, pi: PiSpec | None, eem: bool):
@@ -180,7 +179,8 @@ def _parametric_propensity(d: TrialDataset, pi: PiSpec | None, eem: bool):
         return None, 0
     if eem:
         raise ConfigError("EEM mode with a parametric propensity is not supported")
-    return propensity_scores(fit_propensity(d, pi.ps_columns), d)
+    check_complete(d)
+    return propensity_scores(d, pi.ps_columns)
 
 
 # --- unadjusted / standardization ----------------------------------------
@@ -471,35 +471,52 @@ def estimate_crossfit_aipw(
     seed: int = 0,
 ) -> EstimateResult:
     """K-fold cross-fit AIPW: per fold, average the augmented values using
-    that fold's empirical randomization probability (or the known one), then
-    average the K fold estimates."""
+    that fold's empirical randomization probability, the known one, or a
+    logistic propensity model fitted within the fold (a parametric `pi`),
+    then average the K fold estimates. A parametric `pi` adds the
+    propensity-score correction c'A^{-1}s built within each fold to the
+    influence values; with no propensity columns it reduces exactly to the
+    per-fold empirical probability."""
     if pi is None:
         pi = PiSpec.per_fold()
-    if pi.mode not in ("known", "estimated_per_fold"):
+    if pi.mode == "estimated_overall":
         raise ConfigError(
-            "cross-fit AIPW supports pi modes 'known' and 'estimated_per_fold'; "
-            "use estimate_crossfit_aipw_parametric_ps for a parametric propensity"
+            "cross-fit AIPW supports pi modes 'known', 'estimated_per_fold' and 'parametric'"
         )
     pred1, pred0 = _crossfit_predictions(d, learner, folds, family, seed)
+    p_hat, ps_design = pi.value, None
+    if pi.mode == "parametric":
+        ps_design = np.column_stack([np.ones(d.n), d.columns(pi.ps_columns)])
+        p_hat = np.empty(d.n)
+        clamp_count = 0
+        for k in range(1, folds.k + 1):
+            rows = folds.fold_indices(k)
+            z_rows = d.z[rows]
+            if z_rows.sum() < 1 or (1 - z_rows).sum() < 1:
+                raise DegenerateFold(f"fold {k} contains a single arm; use stratified folds")
+            p_hat[rows], clamped = propensity_scores(d, pi.ps_columns, rows)
+            clamp_count += clamped
+    mu1_folds, mu0_folds, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, p_hat, folds, ps_design)
 
-    known = pi.value if pi.mode == "known" else None
-    mu1_folds, mu0_folds, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, known, folds)
-    pi_by_fold = {
-        k: known if known is not None else float(d.z[folds.fold_indices(k)].mean())
-        for k in range(1, folds.k + 1)
-    }
     diagnostics = {
         "learner": getattr(learner, "name", type(learner).__name__),
         "fold_seed": folds.seed,
         "k": folds.k,
-        "pi_by_fold": pi_by_fold,
-        "pred1": pred1,
-        "pred0": pred0,
-        "theta_by_fold": (mu1_folds - mu0_folds).tolist(),
     }
-    return _package(
-        "crossfit_aipw", mu1_folds.mean(), mu0_folds.mean(), v1, v0, diagnostics
-    )
+    if ps_design is None:
+        method = "crossfit_aipw"
+        diagnostics["pi_by_fold"] = {
+            k: pi.value if pi.value is not None else float(d.z[folds.fold_indices(k)].mean())
+            for k in range(1, folds.k + 1)
+        }
+        diagnostics.update(pred1=pred1, pred0=pred0, theta_by_fold=(mu1_folds - mu0_folds).tolist())
+    else:
+        method = "crossfit_aipw_parametric_ps"
+        diagnostics.update(
+            ps_columns=list(pi.ps_columns), propensity_clamped=clamp_count,
+            pred1=pred1, pred0=pred0, p_hat=p_hat,
+        )
+    return _package(method, mu1_folds.mean(), mu0_folds.mean(), v1, v0, diagnostics)
 
 
 def estimate_cvtmle(
@@ -575,59 +592,6 @@ def estimate_strong_null(
     z_stat = result.theta_hat / result.se if result.se > 0 else math.inf * np.sign(result.theta_hat)
     result.diagnostics["z_statistic"] = float(z_stat)
     return result
-
-
-# --- parametric propensity cross-fit ----------------------------------------
-
-def estimate_crossfit_aipw_parametric_ps(
-    d: TrialDataset,
-    learner,
-    folds: FoldPlan,
-    ps_columns,
-    family: GlmFamily = GlmFamily.GAUSSIAN,
-    seed: int = 0,
-) -> EstimateResult:
-    """Cross-fit AIPW with a logistic propensity model fitted within each
-    fold (outcome learners still train on the complement). The influence
-    values add the propensity-score correction c'A^{-1}s built within each
-    fold; with no propensity columns this reduces exactly to the per-fold
-    empirical probability estimator."""
-    ps_columns = tuple(ps_columns)
-    pred1, pred0 = _crossfit_predictions(d, learner, folds, family, seed)
-
-    n = d.n
-    p_hat = np.empty(n)
-    clamp_count = 0
-    ps_design = np.column_stack([np.ones(n), d.columns(ps_columns)])
-    for k in range(1, folds.k + 1):
-        idx = folds.fold_indices(k)
-        zk = d.z[idx]
-        if zk.sum() < 1 or (1 - zk).sum() < 1:
-            raise DegenerateFold(f"fold {k} contains a single arm; use stratified folds")
-        cols = d.columns(ps_columns)[idx]
-        fit = fit_ml(cols, zk, GlmFamily.BINOMIAL, column_names=ps_columns)
-        raw = predict(fit, cols)
-        clamped, c = clamp_probabilities(raw)
-        p_hat[idx] = clamped
-        clamp_count += c
-
-    mu1_folds, mu0_folds, v1, v0 = variance.aipw(
-        d.y, d.z, pred1, pred0, p_hat, folds, ps_design
-    )
-    diagnostics = {
-        "learner": getattr(learner, "name", type(learner).__name__),
-        "fold_seed": folds.seed,
-        "k": folds.k,
-        "ps_columns": list(ps_columns),
-        "propensity_clamped": clamp_count,
-        "pred1": pred1,
-        "pred0": pred0,
-        "p_hat": p_hat,
-    }
-    return _package(
-        "crossfit_aipw_parametric_ps",
-        mu1_folds.mean(), mu0_folds.mean(), v1, v0, diagnostics,
-    )
 
 
 # --- contrasts ---------------------------------------------------------------

@@ -67,16 +67,16 @@ class PostLassoLearner:
 
     __post_init__ = _check
 
-    def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
+    def train(self, x, y, family: GlmFamily, seed: int = 0):
         x = _as_design(x)
         if x.shape[0] >= 2:
             selection = lasso_cv(
-                x, y, family, k_cv=min(self.k_cv, x.shape[0]), seed=seed, weights=weights,
+                x, y, family, k_cv=min(self.k_cv, x.shape[0]), seed=seed,
                 lambda_rule=self.lambda_rule,
             )
         else:
             selection = SelectionResult((), "lasso_cv")
-        fit = post_selection_refit(x, y, family, selection, weights=weights)
+        fit = post_selection_refit(x, y, family, selection)
         columns = tuple(int(name[1:]) for name in fit.column_names)
         return GlmPredictor(fit, family, columns)
 
@@ -133,7 +133,7 @@ class RidgeLearner:
         if not self.lambda_grid or not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
             raise ConfigError("ridge needs a non-empty lambda_grid of finite non-negative values")
 
-    def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
+    def train(self, x, y, family: GlmFamily, seed: int = 0):
         x = _as_design(x)
         y = np.asarray(y, dtype=float)
         n, p = x.shape
@@ -194,7 +194,7 @@ class KnnLearner:
 
     __post_init__ = _check
 
-    def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
+    def train(self, x, y, family: GlmFamily, seed: int = 0):
         x = _as_design(x)
         y = np.asarray(y, dtype=float)
         n = x.shape[0]
@@ -225,14 +225,8 @@ class ConstantLearner:
 
     name: str = field(default="constant", init=False)
 
-    def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
-        y = np.asarray(y, dtype=float)
-        if weights is not None:
-            w = np.asarray(weights, dtype=float)
-            value = float((w * y).sum() / w.sum())
-        else:
-            value = float(y.mean())
-        return ConstantPredictor(value, family)
+    def train(self, x, y, family: GlmFamily, seed: int = 0):
+        return ConstantPredictor(float(np.asarray(y, dtype=float).mean()), family)
 
 
 @dataclass
@@ -243,9 +237,9 @@ class WrongModelLearner:
 
     name: str = field(default="wrong_model", init=False)
 
-    def train(self, x, y, family: GlmFamily, weights=None, seed: int = 0):
+    def train(self, x, y, family: GlmFamily, seed: int = 0):
         x = _as_design(x)
-        fit = fit_ml(x, y, family, weights)
+        fit = fit_ml(x, y, family)
         return GlmPredictor(fit, family)
 
 

@@ -29,7 +29,6 @@ from .estimators import (
     EstimateResult,
     PiSpec,
     estimate_crossfit_aipw,
-    estimate_crossfit_aipw_parametric_ps,
     estimate_cvtmle,
     estimate_data_adaptive,
     estimate_standardization,
@@ -219,14 +218,10 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
             d.n, plan.folds.k, d.z, seed=fold_seed, stratified=plan.folds.stratified
         )
         learner = plan.learner.build()
-        if kind == "crossfit_aipw":
-            result = estimate_crossfit_aipw(d, learner, folds, plan.pi, family, seed=run_seed)
-        elif kind == "cvtmle":
+        if kind == "cvtmle":
             result = estimate_cvtmle(d, learner, folds, family, plan.pi, seed=run_seed)
-        else:
-            result = estimate_crossfit_aipw_parametric_ps(
-                d, learner, folds, plan.pi.ps_columns, family, seed=run_seed
-            )
+        else:  # crossfit_aipw, and crossfit_aipw_parametric_ps with its parametric pi
+            result = estimate_crossfit_aipw(d, learner, folds, plan.pi, family, seed=run_seed)
     else:
         model = plan.learner.build() if plan.learner else plan.expansion
         result = estimate_strong_null(d, model, family, plan.pi, seed=run_seed)

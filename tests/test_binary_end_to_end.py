@@ -16,7 +16,6 @@ from trialcraft.estimators import (
     estimate_standardization,
     estimate_tmle,
     estimate_unadjusted,
-    fit_propensity,
     propensity_scores,
 )
 from trialcraft.glm import GlmFamily
@@ -67,7 +66,7 @@ def test_tmle_parametric_clever_covariate_binomial(rng):
     d = simulate_trial(rng, n=200, family=GlmFamily.BINOMIAL)
     r = estimate_tmle(d, family=GlmFamily.BINOMIAL, selection=SelectionConfig(method="none"),
                       pi=PiSpec.parametric(("x1",)), seed=3)
-    p_hat, _ = propensity_scores(fit_propensity(d, ("x1",)), d)
+    p_hat, _ = propensity_scores(d, ("x1",))
     # the weighted score the clever covariate enforces, per arm
     s1 = np.sum((d.z == 1) * (d.y - r.diagnostics["pred1"]) / p_hat)
     s0 = np.sum((d.z == 0) * (d.y - r.diagnostics["pred0"]) / (1 - p_hat))

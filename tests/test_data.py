@@ -280,11 +280,16 @@ class TestExpandFeatures:
 
     def test_unknown_column(self):
         d = TrialDataset([1, 2], [1, 0], [[1.0], [2.0]], ("a",))
-        with pytest.raises(UnknownColumn):
+        with pytest.raises(UnknownColumn, match="unknown column 'zzz'"):
             expand_features(d, FeatureExpansion(base_columns=("zzz",)))
 
+    def test_unknown_interaction_column(self):
+        d = TrialDataset([1, 2], [1, 0], [[1.0], [2.0]], ("a",))
+        with pytest.raises(UnknownColumn, match="unknown column 'b'"):
+            expand_features(d, FeatureExpansion(interactions=(("a", "b"),)))
+
     def test_forced_must_be_expanded(self):
-        with pytest.raises(UnknownColumn):
+        with pytest.raises(UnknownColumn, match="forced column 'b' is not among the expanded"):
             expand_features(
                 TrialDataset([1, 2], [1, 0], [[1.0], [2.0]], ("a",)),
                 FeatureExpansion(forced_columns=("b",)),

@@ -11,14 +11,12 @@ from trialcraft.errors import ConfigError, DegenerateFold, DomainError, Trialcra
 from trialcraft.estimators import (
     PiSpec,
     estimate_crossfit_aipw,
-    estimate_crossfit_aipw_parametric_ps,
     estimate_cvtmle,
     estimate_data_adaptive,
     estimate_standardization,
     estimate_strong_null,
     estimate_tmle,
     estimate_unadjusted,
-    fit_propensity,
     propensity_scores,
     tmle_update,
     transform_contrast,
@@ -142,8 +140,7 @@ class TestDataAdaptive:
         r = estimate_data_adaptive(
             d, family=GlmFamily.GAUSSIAN, pi=PiSpec.parametric(("x1",)), seed=2,
         )
-        ps_fit = fit_propensity(d, ("x1",))
-        p_hat, _ = propensity_scores(ps_fit, d)
+        p_hat, _ = propensity_scores(d, ("x1",))
         resid = (d.z == 1) * (d.y - r.diagnostics["pred1"]) / p_hat
         assert abs(resid.sum()) <= 1e-7 * d.n
 
@@ -277,8 +274,7 @@ class TestTmle:
             d, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION,
             pi=PiSpec.parametric(("x1",)), seed=2,
         )
-        ps_fit = fit_propensity(d, ("x1",))
-        p_hat, _ = propensity_scores(ps_fit, d)
+        p_hat, _ = propensity_scores(d, ("x1",))
         weighted_score = np.sum((d.z == 1) * (d.y - r.diagnostics["pred1"]) / p_hat)
         assert abs(weighted_score) <= 1e-7 * d.n
 
@@ -326,7 +322,7 @@ class TestCvTmle:
                 self.values = {1: value1, 0: value0}
                 self.arm = None
 
-            def train(self, x, yy, family, weights=None, seed=0):
+            def train(self, x, yy, family, seed=0):
                 value = self.values[1] if self.arm == 1 else self.values[0]
 
                 class P:
@@ -340,9 +336,9 @@ class TestCvTmle:
         arms = iter([1, 0] * folds.k)
         learner.train_orig = learner.train
 
-        def train(x, yy, family, weights=None, seed=0):
+        def train(x, yy, family, seed=0):
             learner.arm = next(arms)
-            return learner.train_orig(x, yy, family, weights, seed)
+            return learner.train_orig(x, yy, family, seed)
 
         learner.train = train
         r = estimate_cvtmle(d, learner, folds, GlmFamily.GAUSSIAN, seed=0)
@@ -366,7 +362,7 @@ class TestStrongNull:
         class ZeroLearner:
             name = "zero"
 
-            def train(self, x, yy, family, weights=None, seed=0):
+            def train(self, x, yy, family, seed=0):
                 class P:
                     def predict(self, x):
                         return np.zeros(len(x))
@@ -399,17 +395,14 @@ class TestStrongNull:
 class TestFitPropensity:
     def test_intercept_only_gives_arm_share(self, rng):
         d = simulate_trial(rng, n=60)
-        fit = fit_propensity(d, ())
-        p_hat, _ = propensity_scores(fit, d)
+        p_hat, _ = propensity_scores(d, ())
         np.testing.assert_allclose(p_hat, np.full(d.n, d.n_treated / d.n), atol=1e-8)
 
     def test_orthogonal_covariate_slope_zero(self):
         # balanced binary covariate crossed with arm: exact independence
         z = np.array([1.0, 1.0, 0.0, 0.0] * 4)
         x = np.array([[1.0], [0.0], [1.0], [0.0]] * 4)
-        y = np.arange(16.0)
-        d = TrialDataset(y, z, x, ("s",))
-        fit = fit_propensity(d, ("s",))
+        fit = fit_ml(x, z, GlmFamily.BINOMIAL)
         assert abs(fit.coefficients[1]) <= 1e-8
         # oracle: grid over the 2-parameter logistic likelihood
         from test_glm import grid_mle_2param
@@ -425,8 +418,7 @@ class TestFitPropensity:
         z = (x[:, 0] > 0).astype(float)
         z[29], z[30] = 1.0, 0.0  # flips near the boundary prevent separation
         d = TrialDataset(rng.standard_normal(n), z, x, ("v",))
-        fit = fit_propensity(d, ("v",))
-        p_hat, clamped = propensity_scores(fit, d)
+        p_hat, clamped = propensity_scores(d, ("v",))
         assert np.all((0.01 <= p_hat) & (p_hat <= 0.99))
         assert clamped > 0
 
@@ -436,9 +428,30 @@ class TestCrossfitParametricPs:
         d = simulate_trial(rng, n=80)
         folds = make_folds(d.n, 4, d.z, seed=2, stratified=True)
         a = estimate_crossfit_aipw(d, get_learner("wrong_model"), folds, PiSpec.per_fold(), seed=9)
-        b = estimate_crossfit_aipw_parametric_ps(d, get_learner("wrong_model"), folds, (), seed=9)
+        b = estimate_crossfit_aipw(d, get_learner("wrong_model"), folds, PiSpec.parametric(()),
+                                   seed=9)
         assert abs(a.theta_hat - b.theta_hat) <= 1e-10
         assert abs(a.se - b.se) <= 1e-10
+        assert b.method == "crossfit_aipw_parametric_ps"
+        assert "pi_by_fold" not in b.diagnostics and b.diagnostics["ps_columns"] == []
+
+    def test_single_arm_test_fold_raises_before_propensity_fit(self, monkeypatch):
+        # fold 1 holds only treated rows; every training complement holds both arms
+        from trialcraft import estimators
+        from trialcraft.data import FoldPlan
+
+        z = np.r_[np.ones(4), np.ones(4), np.zeros(4)]
+        z[[5, 6]] = 0.0
+        z[[9, 10]] = 1.0
+        folds = FoldPlan(np.repeat([1, 2, 3], 4), 3, 0, False)
+        d = TrialDataset(np.arange(12.0), z, np.arange(12.0).reshape(-1, 1), ("a",))
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("propensity model fitted")
+
+        monkeypatch.setattr(estimators, "propensity_scores", no_fit)
+        with pytest.raises(DegenerateFold, match="fold 1 contains a single arm"):
+            estimate_crossfit_aipw(d, get_learner("constant"), folds, PiSpec.parametric(("a",)))
 
 
 class TestTransformContrast:
@@ -638,8 +651,8 @@ class TestMonteCarloSmoke:
         for r in range(300):
             d = generate_dataset(spec, np.random.SeedSequence((606, r)))
             folds = make_folds(d.n, 4, d.z, seed=r, stratified=True)
-            adj.append(estimate_crossfit_aipw_parametric_ps(
-                d, get_learner("constant"), folds, ("x1",), seed=r).theta_hat)
+            adj.append(estimate_crossfit_aipw(
+                d, get_learner("constant"), folds, PiSpec.parametric(("x1",)), seed=r).theta_hat)
             plain.append(estimate_crossfit_aipw(
                 d, get_learner("constant"), folds, PiSpec.per_fold(), seed=r).theta_hat)
         assert np.var(adj, ddof=1) < np.var(plain, ddof=1)

@@ -123,6 +123,12 @@ REPORTS = {
         "data": {"outcome": "y", "arm": "z", "covariates": ["x1", "x2"]},
         "selection": {"method": "lasso_cv", "k_cv": 3, "lambda_rule": "1se"},
     }),
+    "c12_analyze_parametric_ps": ("analyze", ANALYZE_CSV, {
+        "estimator": "crossfit_aipw_parametric_ps", "family": "gaussian", "seed": 5,
+        "data": {"outcome": "y", "arm": "z", "covariates": ["x1", "x2"]},
+        "learner": "wrong_model", "folds": {"k": 3, "seed": 11},
+        "pi": {"mode": "parametric", "ps_columns": ["x1"]},
+    }),
     "c12_simulate": ("simulate", None, SIM_SPEC),
     "cli_four_row_unadjusted": ("analyze", FOUR_ROW_CSV, UNADJUSTED_PLAN),
     "cli_four_row_crossfit": ("analyze", FOUR_ROW_CSV, {
