@@ -26,7 +26,7 @@ from .estimators import (
 from .glm import GlmFamily, GlmFit, fit_least_squares, fit_ml, predict
 from .learners import get_learner
 from .plans import AnalysisPlan, execute_plan, plan_estimator, plan_from_dict
-from .selection import SelectionResult, lasso_cv, post_selection_refit, stepwise_aic
+from .selection import SelectionResult, lasso_cv, stepwise_aic
 from .simulation import DgpSpec, MonteCarloReport, compute_metrics, generate_dataset, run_monte_carlo
 
 __version__ = "0.1.0"
@@ -63,7 +63,6 @@ __all__ = [
     "make_folds",
     "plan_estimator",
     "plan_from_dict",
-    "post_selection_refit",
     "predict",
     "run_monte_carlo",
     "stepwise_aic",

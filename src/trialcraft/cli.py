@@ -107,7 +107,7 @@ def cmd_simulate(args) -> int:
         "plan": plan_to_dict(plan),
         "plan_sha256": plan_hash(plan),
         **run,
-        "report": report.to_dict(),
+        "report": asdict(report),  # _jsonable drops its arrays
     }
     _write_json(args.out, payload)
     if csv_path:

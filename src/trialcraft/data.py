@@ -210,7 +210,7 @@ def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDat
     if len(set(bound)) != len(bound):
         raise ColumnConflict(f"outcome, arm and covariates must be distinct columns: {bound}")
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             header = next(csv.reader(fh), None)
         if header is None:
             raise MalformedCsv(f"{path}: file is empty")
@@ -306,7 +306,6 @@ class FoldPlan:
     assignments: np.ndarray
     k: int
     seed: int
-    stratified_by_arm: bool
 
     def __post_init__(self) -> None:
         a = np.asarray(self.assignments, dtype=int)
@@ -371,4 +370,4 @@ def make_folds(
     else:
         perm = rng.permutation(n)
         assignments[perm] = np.arange(n) % k + 1
-    return FoldPlan(assignments, k, seed, stratified)
+    return FoldPlan(assignments, k, seed)

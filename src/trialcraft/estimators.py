@@ -166,9 +166,8 @@ def propensity_scores(d: TrialDataset, ps_columns, rows=slice(None)):
     intercept) over `rows`, and its fitted treatment probabilities there,
     clamped into [0.01, 0.99]. No selection is allowed for the propensity
     model. Returns (p_hat, clamp_count)."""
-    ps_columns = tuple(ps_columns)
     cols = d.columns(ps_columns)[rows]
-    fit = fit_ml(cols, d.z[rows], GlmFamily.BINOMIAL, column_names=ps_columns)
+    fit = fit_ml(cols, d.z[rows], GlmFamily.BINOMIAL)
     return clamp_probabilities(predict(fit, cols))
 
 
@@ -223,7 +222,7 @@ def estimate_standardization(
     preds = {}
     for arm in (1, 0):
         rows = _arm_rows(d, arm)
-        fit = fit_ml(work.x[rows], work.y[rows], family, column_names=work.column_names)
+        fit = fit_ml(work.x[rows], work.y[rows], family)
         preds[arm] = predict(fit, work.x)
     mu1 = float(preds[1].mean())
     mu0 = float(preds[0].mean())
@@ -258,7 +257,7 @@ def _select_arm(x_arm, y_arm, family, selection: SelectionConfig, seed, names):
         return stepwise_aic(x_arm, y_arm, family, max_terms=selection.max_terms, column_names=names)
     constant = _zero_variance(x_arm.mean(axis=0), x_arm.std(axis=0))
     usable = tuple(name for name, c in zip(names, constant) if not c)
-    return SelectionResult(usable, "none")
+    return SelectionResult(usable)
 
 
 def _select_and_refit(d, spec, family, selection: SelectionConfig, eem, seed, p_hat=None):
@@ -285,7 +284,7 @@ def _select_and_refit(d, spec, family, selection: SelectionConfig, eem, seed, p_
         else:
             w_rows = None
         chosen, idx = _refit_columns(work.column_names, sel, forced)
-        fit = fitter(work.x[rows][:, idx], work.y[rows], family, w_rows, column_names=tuple(chosen))
+        fit = fitter(work.x[rows][:, idx], work.y[rows], family, w_rows)
         selected[arm], refit[arm] = list(sel.selected_columns), chosen
         preds[arm] = predict(fit, work.x[:, idx])
     return selected, refit, preds, warnings
@@ -357,10 +356,8 @@ def tmle_update(init_pred_arm, y_arm, family, clever_arm=None):
     if clever_arm is None:
         fit = fit_ml(None, y_arm, family, offset=offset)
         return float(fit.coefficients[0])
-    fit = fit_ml_design(
-        np.asarray(clever_arm, dtype=float).reshape(-1, 1), y_arm, family,
-        offset=offset, column_names=("clever",), has_intercept=False,
-    )
+    fit = fit_ml_design(np.asarray(clever_arm, dtype=float).reshape(-1, 1), y_arm, family,
+                        offset=offset)
     return float(fit.coefficients[0])
 
 
@@ -573,7 +570,7 @@ def estimate_strong_null(
         model = FeatureExpansion()
     if isinstance(model, FeatureExpansion):
         work = expand_features(d, model)
-        fit = fit_ml(work.x, work.y, family, column_names=work.column_names)
+        fit = fit_ml(work.x, work.y, family)
         pred = predict(fit, work.x)
         model_name = "pooled_glm"
     else:

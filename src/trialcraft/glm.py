@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,20 +84,15 @@ def family_from_string(name: str) -> GlmFamily:
 
 @dataclass(frozen=True)
 class GlmFit:
-    """A fitted GLM. `coefficients` has the intercept first when the fit was
-    built by `fit_ml`/`fit_least_squares`; `has_intercept` records that.
-
-    `method` is "ml" or "least_squares"; only "ml" guarantees the score
-    equations (the prediction unbiasedness identity) on the training data.
-    """
+    """A fitted GLM, its coefficients matched to the design's columns by
+    position, the intercept first when built by `fit_ml`/`fit_least_squares`
+    (`has_intercept`). Only a converged fit is returned; `iterations` counts
+    its IRLS or Gauss-Newton steps."""
 
     family: GlmFamily
     coefficients: np.ndarray
-    column_names: tuple[str, ...]
-    converged: bool
     iterations: int
     deviance: float
-    method: str = "ml"
     has_intercept: bool = True
 
 
@@ -110,11 +105,6 @@ def _as_design(x: np.ndarray | None, n: int | None = None) -> np.ndarray:
     if x.ndim == 1:
         x = x.reshape(-1, 1)
     return x
-
-
-def _column_names(names, p: int) -> tuple[str, ...]:
-    """`names` as a tuple, or x0, x1, ... for p unnamed columns."""
-    return tuple(names) if names is not None else tuple(f"x{j}" for j in range(p))
 
 
 def _prepare(x, y, weights, offset):
@@ -190,7 +180,6 @@ def fit_ml_design(
     family: GlmFamily,
     weights: np.ndarray | None = None,
     offset: np.ndarray | None = None,
-    column_names: tuple[str, ...] | None = None,
     has_intercept: bool = False,
 ) -> GlmFit:
     """Maximum-likelihood fit on an explicit design matrix (no implicit
@@ -208,10 +197,7 @@ def fit_ml_design(
 
     if q == 0:
         mu = family.inv_link(off)
-        return GlmFit(
-            family, coef, tuple(column_names or ()), True, 0, family.deviance(y, mu, w),
-            has_intercept=has_intercept,
-        )
+        return GlmFit(family, coef, 0, family.deviance(y, mu, w), has_intercept)
 
     dev_prev = np.inf
     converged = False
@@ -245,10 +231,7 @@ def fit_ml_design(
         dev_prev = dev
 
     _check_diverged(family, design, y, off, w, coef, converged)
-    return GlmFit(
-        family, coef, tuple(column_names or ()), converged, iterations,
-        float(dev_prev), has_intercept=has_intercept,
-    )
+    return GlmFit(family, coef, iterations, float(dev_prev), has_intercept)
 
 
 def fit_ml(
@@ -257,7 +240,6 @@ def fit_ml(
     family: GlmFamily,
     weights: np.ndarray | None = None,
     offset: np.ndarray | None = None,
-    column_names=None,
 ) -> GlmFit:
     """Fit y ~ 1 + x by maximum likelihood with the canonical link.
 
@@ -268,10 +250,7 @@ def fit_ml(
     y = np.asarray(y, dtype=float)
     x = _as_design(x, y.shape[0])
     design = np.column_stack([np.ones(y.shape[0]), x])
-    return fit_ml_design(
-        design, y, family, weights, offset,
-        column_names=_column_names(column_names, x.shape[1]), has_intercept=True,
-    )
+    return fit_ml_design(design, y, family, weights, offset, has_intercept=True)
 
 
 def fit_least_squares(
@@ -279,7 +258,6 @@ def fit_least_squares(
     y: np.ndarray,
     family: GlmFamily,
     weights: np.ndarray | None = None,
-    column_names=None,
 ) -> GlmFit:
     """Minimize sum_i w_i (y_i - g^{-1}(b0 + x_i b))^2.
 
@@ -288,10 +266,9 @@ def fit_least_squares(
     problem; the prediction unbiasedness identity is NOT guaranteed.
     """
     if family is GlmFamily.GAUSSIAN:
-        return replace(fit_ml(x, y, family, weights, column_names=column_names), method="least_squares")
+        return fit_ml(x, y, family, weights)
 
     design, y, w, _ = _prepare(x, y, weights, None)
-    names = _column_names(column_names, design.shape[1])
     design = np.column_stack([np.ones(y.shape[0]), design])
     coef = np.zeros(design.shape[1])
     coef[0] = float(logit(np.array([_start_mean(y, family, w)]))[0])
@@ -323,7 +300,7 @@ def fit_least_squares(
         current = value
 
     _check_diverged(family, design, y, 0.0, w, coef, converged)
-    return GlmFit(family, coef, names, converged, iterations, current, method="least_squares")
+    return GlmFit(family, coef, iterations, current)
 
 
 def predict(fit: GlmFit, x: np.ndarray) -> np.ndarray:

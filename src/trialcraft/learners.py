@@ -19,7 +19,7 @@ import numpy as np
 from .data import FoldCount, _zero_variance
 from .errors import AtLeast, ConfigError, _check, _read, _section
 from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
-from .selection import LambdaRule, SelectionResult, lasso_cv, post_selection_refit
+from .selection import LambdaRule, SelectionResult, _column_names, _refit_columns, lasso_cv
 
 
 class _ClampMixin:
@@ -35,10 +35,10 @@ class _ClampMixin:
 
 @dataclass
 class GlmPredictor(_ClampMixin):
-    """A GLM fit on the design columns `columns` (post_lasso's selection),
-    or on every column when `columns` is None (wrong_model). Every column
-    means `x` itself: a selected copy is laid out in Fortran order, and the
-    product with the coefficients can then differ in the last bit."""
+    """A GLM fit on the design columns at indices `columns` (post_lasso's
+    selection), or on every column when `columns` is None (wrong_model): `x`
+    itself, as a selected copy is laid out in Fortran order and its product
+    with the coefficients can then differ in the last bit."""
 
     fit: GlmFit
     family: GlmFamily
@@ -75,10 +75,9 @@ class PostLassoLearner:
                 lambda_rule=self.lambda_rule,
             )
         else:
-            selection = SelectionResult((), "lasso_cv")
-        fit = post_selection_refit(x, y, family, selection)
-        columns = tuple(int(name[1:]) for name in fit.column_names)
-        return GlmPredictor(fit, family, columns)
+            selection = SelectionResult(())
+        _, cols = _refit_columns(_column_names(None, x.shape[1]), selection)
+        return GlmPredictor(fit_ml(x[:, cols], y, family), family, tuple(cols))
 
 
 @dataclass

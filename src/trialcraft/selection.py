@@ -1,6 +1,7 @@
-"""Data-adaptive variable selection: lasso with a cross-validated penalty
-path, forward stepwise by AIC, and the post-selection maximum-likelihood
-refit that restores the prediction unbiasedness identity.
+"""Data-adaptive variable selection (Step 1a): lasso with a cross-validated
+penalty path and forward stepwise by AIC, each naming the columns it keeps.
+Its callers run Step 1b, the unpenalized `fit_ml` on `_refit_columns`'
+indices that restores the prediction unbiasedness identity.
 
 Lasso internals: columns are standardized to unit (population) variance,
 the intercept is never penalized, and coefficients are reported on the
@@ -32,7 +33,7 @@ import numpy as np
 
 from .data import FoldCount, _zero_variance, make_folds
 from .errors import AtLeast, ConfigError, NonConvergence, Separation, Singular, _check, _read
-from .glm import GlmFamily, GlmFit, _as_design, _column_names, expit, fit_ml
+from .glm import GlmFamily, _as_design, expit, fit_ml
 
 COORD_TOL = 1e-9
 CD_TOL = 1e-10
@@ -73,10 +74,14 @@ class SelectionResult:
     columns (those are appended at refit time)."""
 
     selected_columns: tuple[str, ...]
-    method: str
     path_diagnostics: dict | None = None
     dropped_zero_variance: tuple[str, ...] = ()
     warnings: tuple[str, ...] = ()
+
+
+def _column_names(names, p: int) -> tuple[str, ...]:
+    """`names` as a tuple, or x0, x1, ... for p unnamed columns."""
+    return tuple(names) if names is not None else tuple(f"x{j}" for j in range(p))
 
 
 def _normalized_weights(weights, n):
@@ -527,7 +532,7 @@ def lasso_cv(
     names_eff = tuple(name for name, ok in zip(names, keep) if ok)
 
     def skipped(note):
-        return SelectionResult((), "lasso_cv", {"lambdas": [], "note": note}, dropped)
+        return SelectionResult((), {"lambdas": [], "note": note}, dropped)
 
     if x_eff.shape[1] == 0:
         return skipped("no usable candidates")
@@ -569,7 +574,7 @@ def lasso_cv(
         "chosen_lambda": float(lambdas[chosen]),
         "lambda_rule": lambda_rule,
     }
-    return SelectionResult(selected, "lasso_cv", diagnostics, dropped, warnings)
+    return SelectionResult(selected, diagnostics, dropped, warnings)
 
 
 def stepwise_aic(
@@ -619,34 +624,13 @@ def stepwise_aic(
 
     selected = tuple(names[j] for j in current)
     warnings = _support_warning(len(selected), n, p)
-    return SelectionResult(selected, "stepwise_aic", None, dropped, warnings)
-
-
-def post_selection_refit(
-    x,
-    y,
-    family: GlmFamily,
-    selected: SelectionResult,
-    forced=(),
-    weights=None,
-    column_names=None,
-) -> GlmFit:
-    """Step-1b refit: unpenalized ML GLM on selected plus forced columns.
-
-    Deduplicated, selection order first; an empty union gives the
-    intercept-only fit. This is the step that restores the score-zero
-    identity after any (possibly wrong) selection.
-    """
-    x = _as_design(x)
-    names = _column_names(column_names, x.shape[1])
-    chosen, cols = _refit_columns(names, selected, forced)
-    design = x[:, cols] if cols else None
-    return fit_ml(design, y, family, weights, column_names=tuple(chosen))
+    return SelectionResult(selected, None, dropped, warnings)
 
 
 def _refit_columns(names, selected: SelectionResult, forced=()):
     """The selected then the forced column names, deduplicated in that order,
-    and their indices in `names`."""
+    and their indices in `names`: Step 1b's design is x[:, indices], and an
+    empty union gives the intercept-only fit."""
     chosen = list(dict.fromkeys(tuple(selected.selected_columns) + tuple(forced)))
     index = {name: j for j, name in enumerate(names)}
     missing = [name for name in chosen if name not in index]

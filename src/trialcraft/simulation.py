@@ -13,7 +13,7 @@ outcomes; binary-outcome effects come from a brute-force plug-in oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Annotated, Literal
 
 import numpy as np
@@ -140,11 +140,6 @@ class MonteCarloReport:
     replicate_seeds: tuple[int, ...]
     estimates: np.ndarray = field(repr=False)
     ses: np.ndarray = field(repr=False)
-
-    def to_dict(self) -> dict:
-        """Every field but the per-replicate estimate and SE arrays."""
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {name: v for name, v in values.items() if not isinstance(v, np.ndarray)}
 
 
 def compute_metrics(estimates, ses, true_theta_value: float) -> dict:

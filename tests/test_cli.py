@@ -136,6 +136,19 @@ class TestAnalyze:
         assert code == 3
         assert f"data error: {data}: the file is not UTF-8 text" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])  # the fast and the per-cell reader
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, newline):
+        # spreadsheet "CSV UTF-8" exports start with a UTF-8 byte-order mark
+        text = FOUR_ROW_CSV.replace("\n", newline).encode("utf-8")
+        plan = write_plan(tmp_path, UNADJUSTED_PLAN)
+        reports = []
+        for name, raw in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+            data, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            data.write_bytes(raw)
+            assert main(["analyze", "--data", str(data), "--plan", plan, "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_outcome_as_covariate_exit_3(self, tmp_path, capsys):
         data = write(tmp_path, "trial.csv", "y,z,a,a\n1,1,0,0\n2,0,1,1\n3,1,2,2\n4,0,3,3\n")
         plan = write_plan(tmp_path, {
@@ -549,7 +562,7 @@ class TestDeclaredRules:
         lambda d: lasso_cv(d.x, d.y, GlmFamily.GAUSSIAN, k_cv=1),
         lambda d: lasso_cv(d.x, d.y, GlmFamily.GAUSSIAN, lambda_rule="max"),
         lambda d: estimate_crossfit_aipw(d, get_learner("constant"),
-                                         FoldPlan(np.arange(d.n) % 11 + 1, 11, 0, False)),
+                                         FoldPlan(np.arange(d.n) % 11 + 1, 11, 0)),
         lambda d: transform_contrast(estimate_unadjusted(d), "risk_ratio"),
     ], ids=["dgp-mechanism", "dgp-outcome-kind", "pi-mode", "pi-value", "selection-method",
             "selection-max-terms", "knn-k", "learner-name", "make-folds-k", "lasso-cv-k",

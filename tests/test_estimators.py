@@ -210,7 +210,7 @@ class TestCrossfitAipw:
         from trialcraft.data import FoldPlan
 
         labels = (np.arange(30) % 11) + 1
-        plan = FoldPlan(labels, 11, 0, False)
+        plan = FoldPlan(labels, 11, 0)
         with pytest.raises(ConfigError):
             estimate_crossfit_aipw(d, get_learner("constant"), plan)
 
@@ -226,7 +226,7 @@ class TestCrossfitAipw:
         from trialcraft.data import FoldPlan
 
         labels = np.r_[np.ones(4), np.full(4, 2.0)].astype(int)
-        folds = FoldPlan(labels, 2, 0, False)
+        folds = FoldPlan(labels, 2, 0)
         d = TrialDataset(y, z, np.zeros((8, 1)), ("a",))
         with pytest.raises(DegenerateFold):
             estimate_crossfit_aipw(d, get_learner("constant"), folds)
@@ -443,7 +443,7 @@ class TestCrossfitParametricPs:
         z = np.r_[np.ones(4), np.ones(4), np.zeros(4)]
         z[[5, 6]] = 0.0
         z[[9, 10]] = 1.0
-        folds = FoldPlan(np.repeat([1, 2, 3], 4), 3, 0, False)
+        folds = FoldPlan(np.repeat([1, 2, 3], 4), 3, 0)
         d = TrialDataset(np.arange(12.0), z, np.arange(12.0).reshape(-1, 1), ("a",))
 
         def no_fit(*args, **kwargs):

@@ -63,8 +63,9 @@ VARIANTS = {
     "tmle": [{"eem": True}, {"small_sample_correction": True},
              {"selection": {"method": "stepwise_aic"}}],
     "crossfit_aipw": [{"learner": "knn"}, {"learner": "constant"}, {"learner": "ridge"},
+                      {"learner": "post_lasso"},
                       {"folds": {"k": 4, "seed": 2, "stratified": False}}],
-    "cvtmle": [{"learner": "knn"}],
+    "cvtmle": [{"learner": "knn"}, {"learner": "post_lasso"}],
     "strong_null": [{"learner": "knn"}],
 }
 CONTRAST_ESTIMATORS = ("unadjusted", "standardization", "tmle", "crossfit_aipw", "cvtmle")

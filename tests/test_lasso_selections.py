@@ -23,8 +23,8 @@ from compare_lasso_selections import problem as broad_problem
 from conftest import kkt_violation
 from trialcraft import selection
 from trialcraft.data import make_folds
-from trialcraft.glm import GlmFamily, expit
-from trialcraft.selection import lasso_cv, lasso_lambda_max, lasso_path, post_selection_refit
+from trialcraft.glm import GlmFamily, expit, fit_ml
+from trialcraft.selection import _column_names, _refit_columns, lasso_cv, lasso_lambda_max, lasso_path
 
 PINNED = Path(__file__).with_name("lasso_selections.json")
 
@@ -499,7 +499,8 @@ def test_duplicate_column_never_selected_twice():
         y = x[:, 0] + x[:, 1] + rng.standard_normal(200)
         sel = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=seed)
         assert not {"x1", "x2"} <= set(sel.selected_columns), seed
-        post_selection_refit(x, y, GlmFamily.GAUSSIAN, sel)
+        _, idx = _refit_columns(_column_names(None, 3), sel)
+        fit_ml(x[:, idx], y, GlmFamily.GAUSSIAN)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import knn_reference, ridge_reference
 from trialcraft.errors import ConfigError
-from trialcraft.glm import GlmFamily, expit
+from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.learners import _cv_losses, get_learner
+from trialcraft.selection import lasso_cv
 
 ALL_LEARNERS = ["post_lasso", "ridge", "knn", "constant", "wrong_model"]
 
@@ -35,6 +36,18 @@ class TestPostLasso:
         predictor = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=7)
         np.testing.assert_allclose(predictor.predict(x), np.full(100, y.mean()), atol=1e-10)
 
+    def test_refits_lasso_selection_at_multi_digit_indices(self, rng):
+        # the signal sits in x10 and x11, so the selection names two-digit columns
+        x = rng.standard_normal((150, 12))
+        y = 1.5 * x[:, 10] - x[:, 11] + 0.5 * rng.standard_normal(150)
+        sel = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=3, lambda_rule="1se")
+        idx = [int(name[1:]) for name in sel.selected_columns]
+        assert {10, 11} <= set(idx)
+        expected = predict(fit_ml(x[:, idx], y, GlmFamily.GAUSSIAN), x[:, idx])
+        predictor = get_learner("post_lasso", k_cv=5, lambda_rule="1se").train(
+            x, y, GlmFamily.GAUSSIAN, seed=3)
+        assert np.array_equal(predictor.predict(x), expected)
+
     def test_deterministic(self, rng):
         x, y = linear_data(rng)
         a = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=5).predict(x)
@@ -56,9 +69,8 @@ class TestRidge:
     def test_tiny_lambda_is_ols(self, rng):
         x, y = linear_data(rng, n=60)
         predictor = get_learner("ridge", lambda_grid=[1e-10]).train(x, y, GlmFamily.GAUSSIAN)
-        from trialcraft.glm import fit_ml, predict as glm_predict
         ols = fit_ml(x, y, GlmFamily.GAUSSIAN)
-        np.testing.assert_allclose(predictor.predict(x), glm_predict(ols, x), atol=1e-6)
+        np.testing.assert_allclose(predictor.predict(x), predict(ols, x), atol=1e-6)
 
     def test_huge_lambda_predicts_mean(self, rng):
         x, y = linear_data(rng, n=60)

@@ -6,10 +6,11 @@ from trialcraft.errors import ConfigError
 from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     SelectionResult,
+    _column_names,
+    _refit_columns,
     lasso_cv,
     lasso_lambda_max,
     lasso_path,
-    post_selection_refit,
     stepwise_aic,
 )
 
@@ -203,22 +204,21 @@ class TestPostSelectionRefit:
     def test_empty_selection_gives_arm_mean(self, rng):
         x = rng.standard_normal((30, 2))
         y = rng.standard_normal(30)
-        fit = post_selection_refit(x, y, GlmFamily.GAUSSIAN, SelectionResult((), "none"))
+        _, idx = _refit_columns(("x0", "x1"), SelectionResult(()))
+        fit = fit_ml(x[:, idx], y, GlmFamily.GAUSSIAN)
         np.testing.assert_allclose(fit.coefficients, [y.mean()], atol=1e-10)
 
     def test_refit_restores_score_zero(self, rng):
         x, y = toy_problem(rng, n=60, p=6)
         sel = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=4)
-        fit = post_selection_refit(x, y, GlmFamily.GAUSSIAN, sel)
-        idx = [int(c[1:]) for c in fit.column_names]
+        _, idx = _refit_columns(_column_names(None, 6), sel)
+        fit = fit_ml(x[:, idx], y, GlmFamily.GAUSSIAN)
         s = score_residual(fit, x[:, idx], y)
         assert np.max(np.abs(s)) <= 1e-8 * 60
 
-    def test_forced_column_deduplicated(self, rng):
-        x, y = toy_problem(rng, n=40, p=3)
-        sel = SelectionResult(("x0",), "none")
-        fit = post_selection_refit(x, y, GlmFamily.GAUSSIAN, sel, forced=("x0", "x2"))
-        assert fit.column_names == ("x0", "x2")
+    def test_forced_column_deduplicated(self):
+        sel = SelectionResult(("x0",))
+        assert _refit_columns(("x0", "x1", "x2"), sel, forced=("x0", "x2")) == (["x0", "x2"], [0, 2])
 
 
 class TestSupportSizeGuard:

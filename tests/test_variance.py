@@ -77,7 +77,7 @@ class TestCrossfit:
         y = np.arange(8.0)
         z = np.r_[np.ones(4), np.zeros(4)]
         assignments = np.r_[np.ones(4), np.full(4, 2.0)]  # fold 1 all treated
-        folds = FoldPlan(assignments.astype(int), 2, 0, False)
+        folds = FoldPlan(assignments.astype(int), 2, 0)
         with pytest.raises(DegenerateFold):
             aipw(y, z, y, y, folds=folds)
 
@@ -170,7 +170,7 @@ def aipw_inputs(draw):
     for g in range(1, groups + 1):
         first, second = np.flatnonzero(labels == g)[:2]
         z[first], z[second] = 1.0, 0.0
-    kwargs = {"folds": None if k is None else FoldPlan(labels, k, 0, False)}
+    kwargs = {"folds": None if k is None else FoldPlan(labels, k, 0)}
     if branch == "known":
         kwargs["pi"] = draw(PROBABILITIES)
     elif branch in ("pointwise", "ps_design"):
