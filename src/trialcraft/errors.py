@@ -9,6 +9,7 @@ by `_section`, which reads each field by its annotation with `_read`; the
 dataclasses are the one statement of each field's name, type, default and
 allowed values, and `_check` holds one built directly to the same rules.
 """
+import enum
 import functools
 import types
 import typing
@@ -146,10 +147,10 @@ def _read(annotation, value, where: str):
     a number); `X | None` takes null or an X; `tuple[X, ...]` and
     `tuple[X, Y]` take a JSON list of those; a dataclass takes a JSON object
     read by `_section`, and dict any JSON object, copied as it is;
-    `Literal[a, b]` one of the values listed, of its type;
-    `Annotated[X, AtLeast(low), AtMost(high)]` an X within its bounds. Any
-    other annotation is a TypeError: a field the reader cannot check is a
-    fault of the program, not of the input."""
+    `Literal[a, b]` one of the values listed, of its type; an Enum a value
+    its constructor takes; `Annotated[X, AtLeast(low), AtMost(high)]` an X
+    within its bounds. Any other annotation is a TypeError: a field the
+    reader cannot check is a fault of the program, not of the input."""
     json_types = _JSON_TYPES.get(annotation) if isinstance(annotation, type) else None
     if json_types is not None:
         if isinstance(value, json_types) and isinstance(value, bool) == (annotation is bool):
@@ -171,6 +172,12 @@ def _read(annotation, value, where: str):
         if any(type(value) is type(option) and value == option for option in args):
             return value
         raise ConfigError(f"{where}: expected one of {', '.join(map(str, args))}, got {value!r}")
+    if isinstance(annotation, enum.EnumMeta):
+        try:
+            return annotation(value)
+        except (ValueError, TypeError):  # TypeError: a JSON list or object
+            options = ", ".join(str(member.value) for member in annotation)
+            raise ConfigError(f"{where}: expected one of {options}, got {value!r}") from None
     if is_dataclass(annotation):
         return _section(value, annotation, where)
     if origin is not tuple:

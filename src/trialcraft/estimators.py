@@ -171,17 +171,6 @@ def propensity_scores(d: TrialDataset, ps_columns, rows=slice(None)):
     return clamp_probabilities(predict(fit, cols))
 
 
-def _parametric_propensity(d: TrialDataset, pi: PiSpec | None, eem: bool):
-    """(clamped fitted propensities, clamp count) for a parametric `pi`,
-    else (None, 0). EEM mode refuses a parametric `pi`."""
-    if pi is None or pi.mode != "parametric":
-        return None, 0
-    if eem:
-        raise ConfigError("EEM mode with a parametric propensity is not supported")
-    check_complete(d)
-    return propensity_scores(d, pi.ps_columns)
-
-
 # --- unadjusted / standardization ----------------------------------------
 
 def estimate_unadjusted(
@@ -260,13 +249,22 @@ def _select_arm(x_arm, y_arm, family, selection: SelectionConfig, seed, names):
     return SelectionResult(usable)
 
 
-def _select_and_refit(d, spec, family, selection: SelectionConfig, eem, seed, p_hat=None):
-    """Per-arm selection (Step 1a) and refit on the selected plus the spec's
-    forced columns (Step 1b; ML, or least squares in EEM mode), weighted by
-    the inverse propensity of the arm when `p_hat` is given. Returns per-arm
-    dicts of the selected columns, the refit columns and the predictions
-    for every participant, and the selection warnings."""
+def _first_stage(d, spec, family, selection: SelectionConfig, pi, eem, seed, weighted,
+                 small_sample_correction):
+    """Steps 1a and 1b, shared by data_adaptive and tmle. A parametric `pi`
+    (refused in EEM mode) is fitted first. Each arm's covariates are then
+    selected, and refit on the selected plus the spec's forced columns (ML,
+    or least squares in EEM mode), weighted by the arm's inverse propensity
+    when `weighted`. Returns each arm's inverse propensity over all
+    participants (None unless `pi` is parametric), the pi the influence
+    values use, each arm's refit columns and predictions for every
+    participant, and the diagnostics the two estimators share."""
+    parametric = pi is not None and pi.mode == "parametric"
+    if parametric and eem:
+        raise ConfigError("EEM mode with a parametric propensity is not supported")
     check_complete(d)
+    p_hat, clamp_count = propensity_scores(d, pi.ps_columns) if parametric else (None, 0)
+    inverse = {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)} if parametric else None
     work = expand_features(d, spec) if spec is not None else d
     forced = spec.forced_columns if spec is not None else ()
     fitter = fit_least_squares if eem else fit_ml
@@ -279,15 +277,25 @@ def _select_and_refit(d, spec, family, selection: SelectionConfig, eem, seed, p_
             derived_seed(np.random.SeedSequence((seed, 901, arm))), work.column_names,
         )
         warnings.extend(sel.warnings)
-        if p_hat is not None:
-            w_rows = 1.0 / p_hat[rows] if arm == 1 else 1.0 / (1.0 - p_hat[rows])
-        else:
-            w_rows = None
+        w_rows = inverse[arm][rows] if weighted and parametric else None
         chosen, idx = _refit_columns(work.column_names, sel, forced)
         fit = fitter(work.x[rows][:, idx], work.y[rows], family, w_rows)
         selected[arm], refit[arm] = list(sel.selected_columns), chosen
         preds[arm] = predict(fit, work.x[:, idx])
-    return selected, refit, preds, warnings
+    pi_hat = p_hat if parametric else _overall_pi(d, pi)
+    factor = 1.0
+    if small_sample_correction:
+        factor = _small_sample_factor(d.n_treated, d.n_control, len(refit[1]), len(refit[0]))
+    diagnostics = {
+        "selected_1": selected[1],
+        "selected_0": selected[0],
+        "pi_hat": None if parametric else pi_hat,
+        "propensity_clamped": clamp_count,
+        "eem": eem,
+        "warnings": warnings,
+        "small_sample_factor": factor,
+    }
+    return inverse, pi_hat, refit, preds, diagnostics
 
 
 def estimate_data_adaptive(
@@ -310,34 +318,20 @@ def estimate_data_adaptive(
     estimate switches to the explicit AIPW average because the score-zero
     identity is no longer guaranteed.
     """
-    p_hat, clamp_count = _parametric_propensity(d, pi, eem)
-    selected, refit, preds, warnings = _select_and_refit(
-        d, spec, family, selection, eem, seed, p_hat
+    _, pi_hat, refit, preds, diagnostics = _first_stage(
+        d, spec, family, selection, pi, eem, seed, weighted=True,
+        small_sample_correction=small_sample_correction and not eem,
     )
-    pi_for_if = _overall_pi(d, pi) if p_hat is None else p_hat
-    aipw1, aipw0, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_for_if)
+    aipw1, aipw0, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_hat)
     if eem:
         mu1, mu0 = aipw1.mean(), aipw0.mean()
     else:
-        mu1, mu0 = float(preds[1].mean()), float(preds[0].mean())
-    factor = 1.0
-    if small_sample_correction and not eem:
-        factor = _small_sample_factor(d.n_treated, d.n_control, len(refit[1]), len(refit[0]))
-    diagnostics = {
-        "selected_1": selected[1],
-        "selected_0": selected[0],
-        "refit_columns_1": refit[1],
-        "refit_columns_0": refit[0],
-        "pi_hat": pi_for_if if p_hat is None else None,
-        "pred1": preds[1],
-        "pred0": preds[0],
-        "propensity_clamped": clamp_count,
-        "eem": eem,
-        "warnings": warnings,
-        "small_sample_factor": factor,
-    }
+        mu1, mu0 = preds[1].mean(), preds[0].mean()
+    diagnostics.update(refit_columns_1=refit[1], refit_columns_0=refit[0],
+                       pred1=preds[1], pred0=preds[0])
     method_name = "data_adaptive" + ("_eem" if eem else "")
-    return _package(method_name, mu1, mu0, v1, v0, diagnostics, variance_factor=factor)
+    return _package(method_name, mu1, mu0, v1, v0, diagnostics,
+                    variance_factor=diagnostics["small_sample_factor"])
 
 
 # --- TMLE ------------------------------------------------------------------
@@ -353,11 +347,9 @@ def tmle_update(init_pred_arm, y_arm, family, clever_arm=None):
     if family is GlmFamily.BINOMIAL:
         init = np.clip(init, TMLE_PRED_CLIP, 1.0 - TMLE_PRED_CLIP)
     offset = family.link(init)
-    if clever_arm is None:
-        fit = fit_ml(None, y_arm, family, offset=offset)
-        return float(fit.coefficients[0])
-    fit = fit_ml_design(np.asarray(clever_arm, dtype=float).reshape(-1, 1), y_arm, family,
-                        offset=offset)
+    column = np.ones(len(init)) if clever_arm is None else np.asarray(clever_arm, dtype=float)
+    fit = fit_ml_design(column.reshape(-1, 1), y_arm, family, offset=offset,
+                        has_intercept=clever_arm is None)
     return float(fit.coefficients[0])
 
 
@@ -399,32 +391,16 @@ def estimate_tmle(
     where the clever covariate 1/p(X) (arm 0: 1/(1-p(X))) enters a
     no-intercept update instead.
     """
-    p_hat, clamp_count = _parametric_propensity(d, pi, eem)
-    selected, refit, preds, warnings = _select_and_refit(d, spec, family, selection, eem, seed)
-    clever = None if p_hat is None else {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)}
+    clever, pi_hat, _, preds, diagnostics = _first_stage(
+        d, spec, family, selection, pi, eem, seed, weighted=False,
+        small_sample_correction=small_sample_correction,
+    )
     updated, epsilons = _targeted_update(d, preds, family, clever)
-
-    mu1 = float(updated[1].mean())
-    mu0 = float(updated[0].mean())
-    pi_for_if = _overall_pi(d, pi) if p_hat is None else p_hat
-    _, _, v1, v0 = variance.aipw(d.y, d.z, updated[1], updated[0], pi_for_if)
-    factor = 1.0
-    if small_sample_correction:
-        factor = _small_sample_factor(d.n_treated, d.n_control, len(refit[1]), len(refit[0]))
-    diagnostics = {
-        "selected_1": selected[1],
-        "selected_0": selected[0],
-        "epsilon_1": epsilons[1],
-        "epsilon_0": epsilons[0],
-        "pi_hat": pi_for_if if p_hat is None else None,
-        "pred1": updated[1],
-        "pred0": updated[0],
-        "propensity_clamped": clamp_count,
-        "eem": eem,
-        "warnings": warnings,
-        "small_sample_factor": factor,
-    }
-    return _package("tmle", mu1, mu0, v1, v0, diagnostics, variance_factor=factor)
+    _, _, v1, v0 = variance.aipw(d.y, d.z, updated[1], updated[0], pi_hat)
+    diagnostics.update(epsilon_1=epsilons[1], epsilon_0=epsilons[0],
+                       pred1=updated[1], pred0=updated[0])
+    return _package("tmle", updated[1].mean(), updated[0].mean(), v1, v0, diagnostics,
+                    variance_factor=diagnostics["small_sample_factor"])
 
 
 # --- cross-fitting ---------------------------------------------------------

@@ -41,8 +41,15 @@ def logit(p: np.ndarray) -> np.ndarray:
 
 
 class GlmFamily(enum.Enum):
+    """A family and its canonical link; a plan may name it by its value or
+    by the family alone (`GlmFamily("gaussian")`)."""
+
     GAUSSIAN = "gaussian_identity"
     BINOMIAL = "binomial_logit"
+
+    @classmethod
+    def _missing_(cls, value):
+        return {"gaussian": cls.GAUSSIAN, "binomial": cls.BINOMIAL}.get(value)
 
     def link(self, mu: np.ndarray) -> np.ndarray:
         if self is GlmFamily.GAUSSIAN:
@@ -67,19 +74,6 @@ class GlmFamily(enum.Enum):
                 t0 = np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
             dev = 2.0 * (weights * (t1 + t0)).sum(axis=0)
         return dev if np.ndim(mu) == 2 else float(dev)
-
-
-def family_from_string(name: str) -> GlmFamily:
-    key = name.strip().lower()
-    aliases = {
-        "gaussian": GlmFamily.GAUSSIAN,
-        "gaussian_identity": GlmFamily.GAUSSIAN,
-        "binomial": GlmFamily.BINOMIAL,
-        "binomial_logit": GlmFamily.BINOMIAL,
-    }
-    if key not in aliases:
-        raise ValueError(f"unknown family {name!r}")
-    return aliases[key]
 
 
 @dataclass(frozen=True)

@@ -22,33 +22,21 @@ from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
 from .selection import LambdaRule, SelectionResult, _column_names, _refit_columns, lasso_cv
 
 
-class _ClampMixin:
-    """Binomial-family predictions are forced into [0, 1]."""
-
-    family: GlmFamily
-
-    def _finalize(self, values: np.ndarray) -> np.ndarray:
-        if self.family is GlmFamily.BINOMIAL:
-            return np.clip(values, 0.0, 1.0)
-        return values
-
-
 @dataclass
-class GlmPredictor(_ClampMixin):
+class GlmPredictor:
     """A GLM fit on the design columns at indices `columns` (post_lasso's
     selection), or on every column when `columns` is None (wrong_model): `x`
     itself, as a selected copy is laid out in Fortran order and its product
     with the coefficients can then differ in the last bit."""
 
     fit: GlmFit
-    family: GlmFamily
     columns: tuple[int, ...] | None = None
 
     def predict(self, x) -> np.ndarray:
         x = _as_design(x)
         if self.columns is not None:
             x = x[:, list(self.columns)]
-        return self._finalize(predict(self.fit, x))
+        return predict(self.fit, x)
 
 
 @dataclass
@@ -77,11 +65,11 @@ class PostLassoLearner:
         else:
             selection = SelectionResult(())
         _, cols = _refit_columns(_column_names(None, x.shape[1]), selection)
-        return GlmPredictor(fit_ml(x[:, cols], y, family), family, tuple(cols))
+        return GlmPredictor(fit_ml(x[:, cols], y, family), tuple(cols))
 
 
 @dataclass
-class RidgePredictor(_ClampMixin):
+class RidgePredictor:
     intercept: float
     beta: np.ndarray
     means: np.ndarray
@@ -91,7 +79,9 @@ class RidgePredictor(_ClampMixin):
     def predict(self, x) -> np.ndarray:
         x = _as_design(x)
         xs = (x - self.means) / self.sds
-        return self._finalize(self.intercept + xs @ self.beta)
+        values = self.intercept + xs @ self.beta
+        # the one learner whose binomial predictions can leave [0, 1]
+        return np.clip(values, 0.0, 1.0) if self.family is GlmFamily.BINOMIAL else values
 
 
 def _cv_losses(xs, yc, lams, k_cv, seed):
@@ -152,7 +142,7 @@ class RidgeLearner:
 
 
 @dataclass
-class KnnPredictor(_ClampMixin):
+class KnnPredictor:
     """The mean outcome of the k nearest training rows, on columns
     standardized by the training rows. A distance tie goes to the lower
     training row, and the neighbours are averaged in distance order: the
@@ -163,7 +153,6 @@ class KnnPredictor(_ClampMixin):
     k: int
     means: np.ndarray
     sds: np.ndarray
-    family: GlmFamily
 
     def predict(self, x) -> np.ndarray:
         x = _as_design(x)
@@ -180,7 +169,7 @@ class KnnPredictor(_ClampMixin):
         if not increasing.all():
             redo = ~increasing.all(axis=1)
             order[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, : self.k + 1]
-        return self._finalize(self.y_train[order[:, : self.k]].mean(axis=1))
+        return self.y_train[order[:, : self.k]].mean(axis=1)
 
 
 @dataclass
@@ -203,17 +192,16 @@ class KnnLearner:
         means = x.mean(axis=0)
         sds = x.std(axis=0)
         sds = np.where(_zero_variance(means, sds), 1.0, sds)
-        return KnnPredictor(x.copy(), y.copy(), k, means, sds, family)
+        return KnnPredictor(x.copy(), y.copy(), k, means, sds)
 
 
 @dataclass
-class ConstantPredictor(_ClampMixin):
+class ConstantPredictor:
     value: float
-    family: GlmFamily
 
     def predict(self, x) -> np.ndarray:
         x = _as_design(x)
-        return self._finalize(np.full(x.shape[0], self.value))
+        return np.full(x.shape[0], self.value)
 
 
 @dataclass
@@ -225,7 +213,7 @@ class ConstantLearner:
     name: str = field(default="constant", init=False)
 
     def train(self, x, y, family: GlmFamily, seed: int = 0):
-        return ConstantPredictor(float(np.asarray(y, dtype=float).mean()), family)
+        return ConstantPredictor(float(np.asarray(y, dtype=float).mean()))
 
 
 @dataclass
@@ -239,7 +227,7 @@ class WrongModelLearner:
     def train(self, x, y, family: GlmFamily, seed: int = 0):
         x = _as_design(x)
         fit = fit_ml(x, y, family)
-        return GlmPredictor(fit, family)
+        return GlmPredictor(fit)
 
 
 LEARNERS = {

@@ -8,8 +8,8 @@ a field is not pre-specified: unknown keys are rejected, and every section
 is read into its dataclass by `errors._section`, each field by its
 annotation (an int field takes a JSON integer, never 2.7, "3" or true).
 The dataclasses are the one statement of each field's name, type, default
-and allowed values (a `Literal`, or bounds in `Annotated`); `plan_from_dict`
-adds only the JSON spellings of `family` and `learner` and the ESTIMATORS
+and allowed values (a `Literal` or an Enum, or bounds in `Annotated`);
+`plan_from_dict` adds only the JSON spelling of `learner` and the ESTIMATORS
 rules, which tie fields to each other.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Annotated, Literal, NamedTuple
 import numpy as np
 
 from .data import FeatureExpansion, TrialDataset, derived_seed, make_folds
-from .errors import AtLeast, ConfigError, _read, _section
+from .errors import AtLeast, ConfigError, DataError, _section
 from .estimators import (
     Contrast,
     CrossFitFolds,
@@ -37,7 +37,7 @@ from .estimators import (
     estimate_unadjusted,
     transform_contrast,
 )
-from .glm import GlmFamily, family_from_string
+from .glm import GlmFamily
 from .learners import LearnerName, get_learner
 from .selection import SelectionConfig
 from .simulation import DgpSpec
@@ -128,19 +128,13 @@ class AnalysisPlan:
 
 def plan_from_dict(obj: dict) -> AnalysisPlan:
     """Parse and validate a plan dictionary. The sections and fields are read
-    by their annotations in AnalysisPlan (see errors._section); `family` and
-    `learner` have JSON spellings of their own, and the estimator's rules
-    are checked on the parsed plan."""
+    by their annotations in AnalysisPlan (see errors._section); `learner`
+    may be given by its name alone, and the estimator's rules are checked on
+    the parsed plan."""
     top = _top(obj, "plan")
-    given = {}
-    if "family" in top:
-        try:
-            given["family"] = family_from_string(_read(str, top.pop("family"), "plan.family"))
-        except ValueError as exc:
-            raise ConfigError(f"plan.family: {exc}") from None
     if not isinstance(top.get("learner", {}), dict):
         top["learner"] = {"name": top["learner"]}
-    plan = _section(top, AnalysisPlan, "plan", **given)
+    plan = _section(top, AnalysisPlan, "plan")
     if plan.learner is not None:
         plan.learner.build()  # fail fast on bad params
 
@@ -199,6 +193,9 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
 
     kind = plan.estimator
     family = plan.family
+    if family is GlmFamily.BINOMIAL and not np.all((d.y >= 0) & (d.y <= 1)):
+        name = "the outcome" if plan.data is None else f"outcome column {plan.data.outcome!r}"
+        raise DataError(f"{name}: binomial outcomes must lie in [0, 1]")
 
     if kind == "unadjusted":
         result = estimate_unadjusted(d, plan.pi)

@@ -1,4 +1,5 @@
 import copy
+import enum
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily
 from trialcraft.learners import LEARNERS, KnnLearner, get_learner
-from trialcraft.plans import AnalysisPlan, SimulationRun
+from trialcraft.plans import AnalysisPlan, SimulationRun, plan_from_dict
 from trialcraft.selection import SelectionConfig, lasso_cv
 from trialcraft.simulation import DgpSpec
 
@@ -42,6 +43,21 @@ UNADJUSTED_PLAN = {
     "family": "gaussian",
     "data": {"outcome": "y", "arm": "z", "covariates": ["a", "b"]},
 }
+
+
+def binomial_trial(tmp_path, outcome):
+    """A 200-row CSV with two covariates and alternating arms, whose outcome
+    in row i is `outcome(i)`."""
+    x = np.random.default_rng(3).standard_normal((200, 2))
+    rows = "".join(f"{outcome(i)},{i % 2},{a:.4f},{b:.4f}\n" for i, (a, b) in enumerate(x))
+    return write(tmp_path, "trial.csv", "y,z,a,b\n" + rows)
+
+
+BINOMIAL_PLANS = [
+    pytest.param({"estimator": "standardization"}, id="standardization"),
+    pytest.param({"estimator": "data_adaptive"}, id="data_adaptive"),
+    pytest.param({"estimator": "crossfit_aipw", "learner": "knn"}, id="crossfit_aipw-knn"),
+]
 
 
 class TestAnalyze:
@@ -158,6 +174,31 @@ class TestAnalyze:
         code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
         assert code == 3
         assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", BINOMIAL_PLANS)
+    def test_binomial_outcome_outside_0_1_exit_3(self, tmp_path, capsys, fields):
+        # outcomes 0 and 2 in both arms: refused before any estimator runs,
+        # not clipped into [0, 1] by a learner or raised from a fit
+        data = binomial_trial(tmp_path, lambda i: 2 * (i // 2 % 2))
+        plan = write_plan(tmp_path, {
+            **fields, "family": "binomial",
+            "data": {"outcome": "y", "arm": "z", "covariates": ["a", "b"]},
+        })
+        out = tmp_path / "o.json"
+        assert main(["analyze", "--data", data, "--plan", plan, "--out", str(out)]) == 3
+        assert ("data error: outcome column 'y': binomial outcomes must lie in [0, 1]"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fields", BINOMIAL_PLANS)
+    def test_fractional_binomial_outcome_exit_0(self, tmp_path, fields):
+        data = binomial_trial(tmp_path, lambda i: (i * 37 % 101 + 1) / 103)
+        plan = write_plan(tmp_path, {
+            **fields, "family": "binomial",
+            "data": {"outcome": "y", "arm": "z", "covariates": ["a", "b"]},
+        })
+        out = str(tmp_path / "o.json")
+        assert main(["analyze", "--data", data, "--plan", plan, "--out", out]) == 0
 
     def test_estimation_error_exit_4(self, tmp_path, capsys):
         # perfectly separating covariate: logistic ML does not exist
@@ -320,6 +361,20 @@ class TestValidate:
         assert main(["validate", "--plan", plan]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spelling, family", [
+        ("gaussian", GlmFamily.GAUSSIAN), ("gaussian_identity", GlmFamily.GAUSSIAN),
+        ("binomial", GlmFamily.BINOMIAL), ("binomial_logit", GlmFamily.BINOMIAL),
+    ])
+    def test_family_spellings(self, spelling, family):
+        # the short names, and the echo's spellings so that an echoed plan reads back
+        assert plan_from_dict({"estimator": "unadjusted", "family": spelling}).family is family
+
+    @pytest.mark.parametrize("value", [" Gaussian ", "GAUSSIAN", 1, None, ["gaussian"]])
+    def test_family_is_one_of_the_spellings_exactly(self, tmp_path, capsys, value):
+        plan = write_plan(tmp_path, dict(UNADJUSTED_PLAN, family=value))
+        assert main(["validate", "--plan", plan]) == 2
+        assert "config error: plan.family: expected" in capsys.readouterr().err
+
     def test_positivity_violation(self, tmp_path, capsys):
         plan = write_plan(tmp_path, {
             "estimator": "unadjusted",
@@ -452,12 +507,13 @@ class TestSimulate:
 
 def outside(annotation):
     """One value outside the domain of each rule `annotation` declares: a
-    name no Literal lists, and a number past each bound. A rule of another
-    kind fails here, so a rule the reader does not know cannot pass unseen."""
+    name no Literal or Enum lists, and a number past each bound. A rule of
+    another kind fails here, so a rule the reader does not know cannot pass
+    unseen."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
         return outside(args[0])
-    if origin is typing.Literal:
+    if origin is typing.Literal or isinstance(annotation, enum.EnumMeta):
         return ["no_such_value"]
     if origin is not typing.Annotated:
         return []
@@ -522,7 +578,7 @@ class TestDeclaredRules:
     def test_every_rule_is_found(self):
         found = {case.values[1] for case in RULE_CASES}
         assert {
-            "plan.estimator", "plan.contrast", "plan.seed", "plan.learner.name",
+            "plan.estimator", "plan.family", "plan.contrast", "plan.seed", "plan.learner.name",
             "plan.selection.method", "plan.selection.k_cv", "plan.selection.lambda_rule",
             "plan.selection.max_terms", "plan.folds.k", "plan.folds.seed", "plan.pi.mode",
             "plan.pi.value", "plan.expansion.polynomial_degree", "plan.learner.params.k",

@@ -130,6 +130,17 @@ REPORTS = {
         "learner": "wrong_model", "folds": {"k": 3, "seed": 11},
         "pi": {"mode": "parametric", "ps_columns": ["x1"]},
     }),
+    "c12_analyze_tmle_parametric_ps": ("analyze", ANALYZE_CSV, {
+        "estimator": "tmle", "family": "gaussian", "seed": 5,
+        "data": {"outcome": "y", "arm": "z", "covariates": ["x1", "x2"]},
+        "selection": {"method": "lasso_cv", "k_cv": 3, "lambda_rule": "1se"},
+        "pi": {"mode": "parametric", "ps_columns": ["x1"]},
+    }),
+    "c12_analyze_eem": ("analyze", ANALYZE_CSV, {
+        "estimator": "data_adaptive", "family": "gaussian", "seed": 5, "eem": True,
+        "data": {"outcome": "y", "arm": "z", "covariates": ["x1", "x2"]},
+        "selection": {"method": "lasso_cv", "k_cv": 3, "lambda_rule": "1se"},
+    }),
     "c12_simulate": ("simulate", None, SIM_SPEC),
     "cli_four_row_unadjusted": ("analyze", FOUR_ROW_CSV, UNADJUSTED_PLAN),
     "cli_four_row_crossfit": ("analyze", FOUR_ROW_CSV, {

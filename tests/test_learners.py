@@ -5,12 +5,17 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import knn_reference, ridge_reference
-from trialcraft.errors import ConfigError
+from trialcraft.errors import ConfigError, EstimationError
 from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.learners import _cv_losses, get_learner
 from trialcraft.selection import lasso_cv
 
 ALL_LEARNERS = ["post_lasso", "ridge", "knn", "constant", "wrong_model"]
+# binomial outcomes anywhere in [0, 1]: fractional (0 and 1 among them), all 0, all 1
+BINOMIAL_OUTCOMES = st.one_of(
+    arrays(float, st.integers(2, 40), elements=st.floats(0.0, 1.0)),
+    st.tuples(st.integers(2, 40), st.sampled_from([0.0, 1.0])).map(lambda nv: np.full(*nv)),
+)
 
 
 def linear_data(rng, n=120, p=3):
@@ -263,10 +268,16 @@ class TestContract:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("name", ALL_LEARNERS)
-    def test_binomial_range(self, name, rng):
-        x = rng.standard_normal((50, 2))
-        y = (rng.uniform(size=50) < expit(2 * x[:, 0])).astype(float)
-        out = get_learner(name).train(x, y, GlmFamily.BINOMIAL, seed=1).predict(x)
+    @settings(max_examples=40)
+    @given(y=BINOMIAL_OUTCOMES, seed=st.integers(0, 2**16))
+    def test_binomial_range(self, name, y, seed):
+        x = np.random.default_rng(seed).standard_normal((len(y), 2))
+        try:
+            predictor = get_learner(name).train(x, y, GlmFamily.BINOMIAL, seed=1)
+        except EstimationError:  # a logistic fit these outcomes do not determine
+            return
+        # far from the training rows, ridge's linear predictions leave [0, 1]
+        out = predictor.predict(np.concatenate([x, 100.0 * x]))
         assert np.all((0.0 <= out) & (out <= 1.0))
         assert np.all(np.isfinite(out))
 
