@@ -414,7 +414,8 @@ def _validate_folds(d: TrialDataset, folds: FoldPlan) -> None:
 
 def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, seed):
     """Out-of-fold predictions per arm: fold k's rows are predicted by
-    learners trained on the complement, separately per arm."""
+    learners trained on the complement, separately per arm. Returns them
+    with the head of the cross-fit estimators' diagnostics."""
     _validate_folds(d, folds)
     n = d.n
     pred1 = np.empty(n)
@@ -432,7 +433,8 @@ def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, see
             arm_seed = derived_seed(np.random.SeedSequence((seed, k, arm)))
             predictor = learner.train(d.x[rows], d.y[rows], family, seed=arm_seed)
             out[test] = predictor.predict(d.x[test])
-    return pred1, pred0
+    learner_name = getattr(learner, "name", type(learner).__name__)
+    return pred1, pred0, {"learner": learner_name, "fold_seed": folds.seed, "k": folds.k}
 
 
 def estimate_crossfit_aipw(
@@ -456,7 +458,7 @@ def estimate_crossfit_aipw(
         raise ConfigError(
             "cross-fit AIPW supports pi modes 'known', 'estimated_per_fold' and 'parametric'"
         )
-    pred1, pred0 = _crossfit_predictions(d, learner, folds, family, seed)
+    pred1, pred0, diagnostics = _crossfit_predictions(d, learner, folds, family, seed)
     p_hat, ps_design = pi.value, None
     if pi.mode == "parametric":
         ps_design = np.column_stack([np.ones(d.n), d.columns(pi.ps_columns)])
@@ -471,11 +473,6 @@ def estimate_crossfit_aipw(
             clamp_count += clamped
     mu1_folds, mu0_folds, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, p_hat, folds, ps_design)
 
-    diagnostics = {
-        "learner": getattr(learner, "name", type(learner).__name__),
-        "fold_seed": folds.seed,
-        "k": folds.k,
-    }
     if ps_design is None:
         method = "crossfit_aipw"
         diagnostics["pi_by_fold"] = {
@@ -504,7 +501,7 @@ def estimate_cvtmle(
     epsilon per arm fitted by an intercept-only offset GLM over that arm,
     fold-averaged means of the updated predictions. The update restores the
     pooled score equation, so no correction terms enter the variance."""
-    init1, init0 = _crossfit_predictions(d, learner, folds, family, seed)
+    init1, init0, diagnostics = _crossfit_predictions(d, learner, folds, family, seed)
     updated, epsilons = _targeted_update(d, {1: init1, 0: init0}, family)
     fold_rows = [folds.fold_indices(k) for k in range(1, folds.k + 1)]
     mu1 = np.mean([updated[1][idx].mean() for idx in fold_rows])
@@ -512,16 +509,8 @@ def estimate_cvtmle(
 
     pi_hat = _overall_pi(d, pi)
     _, _, v1, v0 = variance.aipw(d.y, d.z, updated[1], updated[0], pi_hat)
-    diagnostics = {
-        "learner": getattr(learner, "name", type(learner).__name__),
-        "fold_seed": folds.seed,
-        "k": folds.k,
-        "epsilon_1": epsilons[1],
-        "epsilon_0": epsilons[0],
-        "pi_hat": pi_hat,
-        "pred1": updated[1],
-        "pred0": updated[0],
-    }
+    diagnostics.update(epsilon_1=epsilons[1], epsilon_0=epsilons[0], pi_hat=pi_hat,
+                       pred1=updated[1], pred0=updated[0])
     return _package("cvtmle", mu1, mu0, v1, v0, diagnostics)
 
 

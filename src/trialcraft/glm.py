@@ -93,7 +93,9 @@ class GlmFit:
 def _as_design(x: np.ndarray | None, n: int | None = None) -> np.ndarray:
     if x is None:
         if n is None:
-            raise DimensionMismatch("cannot infer number of rows")
+            raise DimensionMismatch(
+                "cannot infer number of rows; pass an (n, 0) matrix for intercept-only fits"
+            )
         return np.empty((n, 0))
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -304,10 +306,6 @@ def predict(fit: GlmFit, x: np.ndarray) -> np.ndarray:
     """
     slopes = fit.coefficients[1:] if fit.has_intercept else fit.coefficients
     q = slopes.shape[0]
-    if x is None:
-        raise DimensionMismatch(
-            "predict needs a matrix; pass an (n, 0) matrix for intercept-only fits"
-        )
     x = _as_design(x)
     if x.shape[1] != q:
         raise DimensionMismatch(

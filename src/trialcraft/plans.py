@@ -276,5 +276,10 @@ def simulation_spec_from_dict(obj: dict):
             raise ConfigError(f"spec.{key}: required")
     dgp = _section(top.pop("dgp"), DgpSpec, "spec.dgp", name="dgp")
     plan = plan_from_dict(top.pop("plan"))
+    if plan.family is GlmFamily.BINOMIAL and dgp.outcome_kind != "binary":
+        raise ConfigError(f"plan.family: binomial needs a binary dgp, not {dgp.outcome_kind!r}")
+    ratio = plan.contrast not in (None, "risk_difference")  # true_theta is a difference
+    if ratio and dgp.true_theta is None and dgp.mechanism != "null_effect":
+        raise ConfigError(f"plan.contrast: {plan.contrast} needs a binary dgp that pins true_theta")
     run = _section(top, SimulationRun, "spec")
     return dgp, plan, asdict(run)

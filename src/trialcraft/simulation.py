@@ -6,9 +6,9 @@ errors, 95% CI coverage, Type I error, and relative efficiency against the
 unadjusted estimator on the same simulated datasets.
 
 Covariates are iid standard normal and assignment is Bernoulli(pi)
-independent of the covariates (simple randomization), so the linear and
-quadratic mechanisms below have analytic true effects for continuous
-outcomes; binary-outcome effects come from a brute-force plug-in oracle.
+independent of the covariates (simple randomization), so every mechanism
+below has an analytic true effect for continuous outcomes; binary-outcome
+effects are computed by Gauss-Hermite quadrature.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .data import TrialDataset, derived_seed
-from .errors import AtLeast, AtMost, ConfigError, DimensionMismatch, EmptyArm, EstimationError
+from .errors import AtLeast, AtMost, ConfigError, DimensionMismatch, EstimationError
 from .errors import TrialcraftError, _check
 from .estimators import Z_CRIT, estimate_unadjusted
 from .glm import expit
@@ -29,7 +29,10 @@ from .glm import expit
 QUADRATIC_COEF = {1: (0.8, 0.4), 0: (0.3, 0.15)}
 NULL_QUADRATIC_COEF = 0.5
 PS_INFORMATIVE_LOADING = 1.5
-# share of replicates whose estimator may fail before the run is an error
+# Gauss-Hermite nodes per standard normal in the binary-truth rule; 80 nodes
+# move no mechanism's truth by more than 4e-8 (p 1-10, effect_size -2 to 3)
+TRUTH_NODES = 60
+# share of replicates that may fail before the run is an error
 MAX_FAILURE_FRACTION = 0.01
 
 
@@ -55,6 +58,8 @@ class DgpSpec:
             raise ConfigError("noise_sd must be positive")
         if self.mechanism == "null_effect" and self.true_theta not in (None, 0.0):
             raise ConfigError("null_effect implies true_theta = 0")
+        if self.outcome_kind == "continuous" and self.true_theta is not None:
+            raise ConfigError("a continuous truth is the difference effect_size; do not pin it")
 
 
 def mean_function(spec: DgpSpec, x: np.ndarray, arm: int) -> np.ndarray:
@@ -75,39 +80,23 @@ def mean_function(spec: DgpSpec, x: np.ndarray, arm: int) -> np.ndarray:
 
 
 def true_theta(spec: DgpSpec) -> float:
-    """Analytic truth when available, the pinned value otherwise."""
-    if spec.mechanism == "null_effect":
-        return 0.0
+    """The effect as a difference of arm means: for continuous outcomes
+    `effect_size` (every nonlinear term is mean zero), or 0 under
+    `null_effect`. A binary outcome's pinned `true_theta` wins; otherwise its
+    truth E[expit(m1(X))] - E[expit(m0(X))] (exactly 0 under `null_effect`)
+    is a tensor Gauss-Hermite rule on at most three standard normals pushed
+    through `mean_function`: m depends on X only through x1, x2 and the sum
+    of the rest, which is sqrt(p - 2) times a standard normal."""
     if spec.outcome_kind == "continuous":
-        # every shipped mechanism has mean-zero nonlinear terms
-        return spec.effect_size
+        return 0.0 if spec.mechanism == "null_effect" else spec.effect_size
     if spec.true_theta is not None:
         return float(spec.true_theta)
-    raise ConfigError(
-        f"binary mechanism {spec.mechanism!r} has no analytic effect; set "
-        "true_theta (compute it once with theta_oracle)"
-    )
-
-
-def theta_oracle(spec: DgpSpec, draws: int = 10_000_000, seed: int = 0) -> float:
-    """Brute-force plug-in truth: E[m1(X)] - E[m0(X)] over fresh covariate
-    draws (response scale). Used once per spec to pin binary-outcome
-    effects; never computed inside the harness."""
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    block = 1_000_000
-    done = 0
-    while done < draws:
-        m = min(block, draws - done)
-        x = rng.standard_normal((m, spec.p))
-        m1 = mean_function(spec, x, 1)
-        m0 = mean_function(spec, x, 0)
-        if spec.outcome_kind == "binary":
-            total += float(np.sum(expit(m1) - expit(m0)))
-        else:
-            total += float(np.sum(m1 - m0))
-        done += m
-    return total / draws
+    nodes, weights = np.polynomial.hermite.hermgauss(TRUTH_NODES)
+    d = min(spec.p, 3)
+    x = np.stack(np.meshgrid(*[math.sqrt(2.0) * nodes] * d, indexing="ij"), -1).reshape(-1, d)
+    x[:, 2:] *= math.sqrt(max(spec.p - 2, 1))  # x3 + ... + xp, for p >= 3
+    w = np.prod(np.meshgrid(*[weights / math.sqrt(math.pi)] * d, indexing="ij"), axis=0).ravel()
+    return float(w @ (expit(mean_function(spec, x, 1)) - expit(mean_function(spec, x, 0))))
 
 
 def generate_dataset(spec: DgpSpec, seed) -> TrialDataset:
@@ -183,9 +172,10 @@ def run_monte_carlo(
 
     Replicates run one after another in replicate order, and replicate r
     draws only from its own RNG stream, so the report is a pure function of
-    (spec, estimate, replicates, master_seed). Per-replicate estimator
-    errors are recorded, not fatal, unless more than MAX_FAILURE_FRACTION
-    of replicates fail.
+    (spec, estimate, replicates, master_seed). A TrialcraftError from a
+    replicate's data, estimate or paired unadjusted estimate fails that
+    replicate and is recorded as "Class: message"; it is fatal only when
+    more than MAX_FAILURE_FRACTION of replicates fail.
     """
     if replicates < 2:
         raise ConfigError("need at least 2 replicates")
@@ -197,18 +187,11 @@ def run_monte_carlo(
         est_seed = derived_seed(est_ss)
         try:
             dataset = generate_dataset(spec, data_ss)
-        except EmptyArm as exc:
-            return (math.nan, math.nan, math.nan, str(exc), est_seed)
-        try:
             result = estimate(dataset, est_seed)
-            theta_hat, se = result.theta_hat, result.se
-            err = None
+            unadj = estimate_unadjusted(dataset).theta_hat if paired_unadjusted else math.nan
         except TrialcraftError as exc:
-            theta_hat, se, err = math.nan, math.nan, f"{type(exc).__name__}: {exc}"
-        unadj = math.nan
-        if paired_unadjusted:
-            unadj = estimate_unadjusted(dataset).theta_hat
-        return (theta_hat, se, unadj, err, est_seed)
+            return (math.nan, math.nan, math.nan, f"{type(exc).__name__}: {exc}", est_seed)
+        return (result.theta_hat, result.se, unadj, None, est_seed)
 
     estimates, ses, unadjusted, errors, seeds = zip(*(one(r) for r in range(replicates)))
     estimates, ses, unadjusted = np.array(estimates), np.array(ses), np.array(unadjusted)

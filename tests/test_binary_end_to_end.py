@@ -1,5 +1,5 @@
 """Binary-outcome paths end to end: risk-difference estimation against
-oracle-pinned true effects, the clever-covariate update on the logit scale,
+pinned true effects, the clever-covariate update on the logit scale,
 and ratio contrasts through the CLI."""
 import json
 import math
@@ -21,9 +21,9 @@ from trialcraft.estimators import (
 from trialcraft.glm import GlmFamily
 from trialcraft.plans import plan_estimator, plan_from_dict
 from trialcraft.selection import SelectionConfig
-from trialcraft.simulation import DgpSpec, run_monte_carlo, theta_oracle
+from trialcraft.simulation import DgpSpec, run_monte_carlo, true_theta
 
-# plug-in oracle values, 1e7 draws each; the oracle's own MC error is ~1e-4
+# plug-in Monte Carlo values, 1e7 draws each, so their own MC error is ~1e-4
 BINARY_LINEAR_THETA = 0.19673  # linear mechanism, effect_size 1.0, p = 3
 BINARY_PS_THETA = 0.13766      # ps_informative mechanism, effect_size 0.8, p = 2
 
@@ -33,8 +33,8 @@ def test_pinned_thetas_match_oracle_reruns():
                   mechanism="linear", effect_size=1.0)
     ps = DgpSpec("bp", n=400, p=2, pi=0.5, outcome_kind="binary",
                  mechanism="ps_informative", effect_size=0.8)
-    assert abs(theta_oracle(lin, draws=2_000_000, seed=5) - BINARY_LINEAR_THETA) < 1e-3
-    assert abs(theta_oracle(ps, draws=2_000_000, seed=5) - BINARY_PS_THETA) < 1e-3
+    assert abs(true_theta(lin) - BINARY_LINEAR_THETA) < 1e-4
+    assert abs(true_theta(ps) - BINARY_PS_THETA) < 1e-4
 
 
 def test_binary_standardization_coverage_and_bias():
@@ -83,7 +83,7 @@ def test_unadjusted_known_pi_changes_se_not_theta(rng):
     assert a.se != b.se
 
 
-def test_cli_binary_dgp_requires_pinned_theta(tmp_path):
+def test_cli_binary_dgp_truth_by_quadrature_unless_pinned(tmp_path):
     spec = {
         "dgp": {"name": "b", "n": 80, "p": 3, "pi": 0.5,
                 "outcome_kind": "binary", "mechanism": "linear",
@@ -95,7 +95,9 @@ def test_cli_binary_dgp_requires_pinned_theta(tmp_path):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     out = str(tmp_path / "out.json")
-    assert cli_main(["simulate", "--spec", str(path), "--out", out]) == 2
+    assert cli_main(["simulate", "--spec", str(path), "--out", out]) == 0
+    report = json.loads(open(out).read())["report"]
+    assert report["true_theta"] == true_theta(DgpSpec(**spec["dgp"]))
 
     spec["dgp"]["true_theta"] = BINARY_LINEAR_THETA
     path.write_text(json.dumps(spec))

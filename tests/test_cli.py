@@ -424,6 +424,13 @@ class TestSimulate:
         ({"paired_unadjusted": "false"}, "spec.paired_unadjusted"),
         ({"plan": {"estimator": "crossfit_aipw",
                    "learner": {"name": "knn", "params": {"k": 0}}}}, "plan.learner.params"),
+        ({"plan": {"estimator": "crossfit_aipw", "family": "binomial",
+                   "learner": {"name": "knn", "params": {}}}}, "plan.family: binomial"),
+        # true_theta is a difference of means: a ratio-scale truth must be pinned
+        ({"dgp": dict(SIM_SPEC["dgp"], outcome_kind="binary"),
+          "plan": {"estimator": "unadjusted", "family": "binomial",
+                   "contrast": "log_odds_ratio"}}, "plan.contrast: log_odds_ratio"),
+        ({"plan": dict(SIM_SPEC["plan"], contrast="log_risk_ratio")}, "plan.contrast"),
     ])
     def test_bad_spec_fails_before_any_replicate(self, tmp_path, capsys, change, named):
         spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")

@@ -150,8 +150,9 @@ class TestPredict:
 
     def test_dimension_mismatch(self, rng):
         fit = fit_ml(rng.standard_normal((10, 2)), rng.standard_normal(10), GlmFamily.GAUSSIAN)
-        with pytest.raises(DimensionMismatch):
-            predict(fit, rng.standard_normal((5, 3)))
+        for x, message in ((rng.standard_normal((5, 3)), "expects 2"), (None, r"\(n, 0\) matrix")):
+            with pytest.raises(DimensionMismatch, match=message):
+                predict(fit, x)
 
 
 class TestFitLeastSquares:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import simulate_trial
 from trialcraft.data import TrialDataset
 from trialcraft.errors import ConfigError, TrialcraftError
+from trialcraft.glm import GlmFamily
 from trialcraft.plans import (
     ESTIMATORS,
     execute_plan,
@@ -158,6 +159,48 @@ class TestArmRelabelling:
             assert math.isclose(s.se, r.se, rel_tol=1e-12)
 
 
+class TestRowOrder:
+    """Permuting the rows leaves theta and the SE unchanged to rounding, for
+    every estimator whose result does not depend on row positions, through
+    execute_plan in both families. Left out: the cross-fit estimators, whose
+    folds are drawn by row position, and lasso_cv, whose CV folds are too.
+    Measured envelope of these plans at p = 5: 3.3e-16 in theta and 2.8e-17
+    in the SE at n = 250 over 10 seeds, and 5.6e-16 and 5.6e-17 at n from 40
+    to 250 over 40 seeds; the tolerances leave about 20 times that."""
+
+    PLANS = [
+        {"estimator": "unadjusted"},
+        {"estimator": "standardization"},
+        *({"estimator": name, "selection": {"method": method}}
+          for name in ("data_adaptive", "tmle") for method in ("none", "stepwise_aic")),
+        {"estimator": "strong_null"},
+        {"estimator": "strong_null", "learner": "knn"},
+    ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(PLANS),
+        st.sampled_from(["gaussian", "binomial"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(40, 250),
+    )
+    def test_permuted_rows_keep_theta_and_se(self, raw, family, seed, n):
+        plan = plan_from_dict({**raw, "family": family})
+        rng = np.random.default_rng(seed)
+        d = simulate_trial(rng, n=n, p=5, family=GlmFamily(family))
+        order = rng.permutation(n)
+        permuted = TrialDataset(d.y[order], d.z[order], d.x[order], d.column_names)
+        try:
+            r = execute_plan(d, plan)
+        except TrialcraftError as exc:
+            with pytest.raises(type(exc)):
+                execute_plan(permuted, plan)
+            return
+        s = execute_plan(permuted, plan)
+        assert math.isclose(s.theta_hat, r.theta_hat, rel_tol=1e-13, abs_tol=1e-14)
+        assert math.isclose(s.se, r.se, rel_tol=1e-13, abs_tol=1e-14)
+
+
 class TestParsing:
     def test_round_trip(self):
         for raw in ALL_ESTIMATOR_PLANS.values():
@@ -251,3 +294,14 @@ class TestSimulationSpec:
     def test_replicate_floor(self):
         with pytest.raises(ConfigError, match="replicates"):
             simulation_spec_from_dict(dict(self.BASE, replicates=5))
+
+    def test_ratio_contrast_needs_a_pinned_or_null_truth(self):
+        binary = dict(self.BASE["dgp"], outcome_kind="binary")
+        plan = {"estimator": "unadjusted", "family": "binomial", "contrast": "log_odds_ratio"}
+        with pytest.raises(ConfigError, match="plan.contrast"):
+            simulation_spec_from_dict(dict(self.BASE, dgp=binary, plan=plan))
+        for dgp in (dict(binary, true_theta=0.6), dict(binary, mechanism="null_effect")):
+            parsed, _, _ = simulation_spec_from_dict(dict(self.BASE, dgp=dgp, plan=plan))
+            assert parsed.mechanism == dgp["mechanism"]
+        rd = dict(plan, contrast="risk_difference")
+        simulation_spec_from_dict(dict(self.BASE, dgp=binary, plan=rd))

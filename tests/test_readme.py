@@ -1,6 +1,8 @@
 """The python examples under README's "Library use" run against the package
-as installed, so a documented name that leaves the public API fails here."""
+as installed, and every `trialcraft.<module>.<name>` the README mentions
+exists, so a documented name that leaves the package fails here."""
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -35,3 +37,12 @@ def test_library_use_examples_run():
                 assert not missing, f"README imports names outside __all__: {sorted(missing)}"
         exec(compile(block, str(README), "exec"), namespace)
     assert np.isfinite(namespace["result"].theta_hat)
+
+
+def test_dotted_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    dotted = sorted(set(re.findall(r"\btrialcraft\.(\w+)\.(\w+)", text)))
+    assert dotted, "README names no trialcraft.<module>.<name>"
+    missing = [f"trialcraft.{module}.{name}" for module, name in dotted
+               if not hasattr(importlib.import_module(f"trialcraft.{module}"), name)]
+    assert not missing, f"README names what the package lacks: {missing}"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from trialcraft.simulation import (
     generate_dataset,
     mean_function,
     run_monte_carlo,
-    theta_oracle,
     true_theta,
 )
 
@@ -37,33 +37,36 @@ class TestDgpSpec:
         # the quadratic terms are mean-zero under standard normal covariates
         spec = DgpSpec("quad", n=50, p=2, pi=0.5, mechanism="quadratic", effect_size=0.4)
         assert true_theta(spec) == 0.4
-        mc = theta_oracle(spec, draws=2_000_000, seed=1)
+        x = np.random.default_rng(1).standard_normal((2_000_000, 2))
+        mc = float(np.mean(mean_function(spec, x, 1) - mean_function(spec, x, 0)))
         assert abs(mc - 0.4) < 5e-3
 
     def test_binary_linear_theta_from_oracle_matches_quadrature(self):
-        spec = DgpSpec(
-            "binlin", n=50, p=3, pi=0.5, outcome_kind="binary",
-            mechanism="linear", effect_size=1.0,
-        )
-        mc = theta_oracle(spec, draws=4_000_000, seed=3)
         # independent 1-D quadrature: u ~ N(0,1), theta = E expit(1+u) - E expit(u)
         grid = np.linspace(-9, 9, 200_001)
         phi = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
         quad = float(np.trapezoid((expit(1.0 + grid) - expit(grid)) * phi, grid))
-        assert abs(mc - quad) < 2e-3
+        for p in (1, 2, 3, 7):
+            spec = DgpSpec(
+                "binlin", n=50, p=p, pi=0.5, outcome_kind="binary",
+                mechanism="linear", effect_size=1.0,
+            )
+            assert abs(true_theta(spec) - quad) < 1e-9
 
-    def test_binary_nonlinear_requires_pinned_theta(self):
-        spec = DgpSpec(
-            "binquad", n=50, p=2, pi=0.5, outcome_kind="binary", mechanism="quadratic",
-            effect_size=0.5,
-        )
-        with pytest.raises(ConfigError):
-            true_theta(spec)
-        pinned = DgpSpec(
-            "binquad", n=50, p=2, pi=0.5, outcome_kind="binary", mechanism="quadratic",
-            effect_size=0.5, true_theta=0.1,
-        )
-        assert true_theta(pinned) == 0.1
+    def test_binary_nonlinear_theta_by_quadrature(self):
+        for mechanism, p in (("quadratic", 2), ("quadratic", 5), ("ps_informative", 1),
+                             ("ps_informative", 4)):
+            spec = DgpSpec(
+                "bin", n=50, p=p, pi=0.5, outcome_kind="binary", mechanism=mechanism,
+                effect_size=0.5,
+            )
+            # a Monte Carlo reference over 10^6 covariate draws
+            x = np.random.default_rng(8).standard_normal((1_000_000, p))
+            diff = expit(mean_function(spec, x, 1)) - expit(mean_function(spec, x, 0))
+            mc_se = diff.std() / math.sqrt(diff.size)
+            assert abs(true_theta(spec) - diff.mean()) <= 4 * mc_se, (mechanism, p)
+            # a pinned truth wins
+            assert true_theta(replace(spec, true_theta=0.1)) == 0.1
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -72,6 +75,8 @@ class TestDgpSpec:
             DgpSpec("bad", n=50, p=2, pi=0.99)
         with pytest.raises(ConfigError):
             DgpSpec("bad", n=50, p=2, pi=0.5, mechanism="null_effect", true_theta=1.0)
+        with pytest.raises(ConfigError, match="continuous"):
+            DgpSpec("bad", n=50, p=2, pi=0.5, effect_size=0.5, true_theta=0.5)
 
 
 class TestGenerateDataset:
@@ -160,6 +165,12 @@ class TestRunMonteCarlo:
         rep = run_monte_carlo(self.SPEC, rarely_flaky, 120, master_seed=1)
         assert rep.n_failed == 1
         assert rep.failed_indices == (2,)
+
+    def test_a_failed_dataset_is_recorded_by_class(self):
+        # with n = 4 and pi = 0.05 most draws leave the treated arm empty
+        spec = DgpSpec("tiny", n=4, p=1, pi=0.05)
+        with pytest.raises(EstimationError, match="EmptyArm: both arms"):
+            run_monte_carlo(spec, unadjusted_estimator, 100, master_seed=0)
 
     def test_seed_streams_distinct(self):
         rep = run_monte_carlo(self.SPEC, unadjusted_estimator, 150, master_seed=2)
