@@ -257,6 +257,8 @@ def impute_missing(d: TrialDataset) -> TrialDataset:
         x[col_missing, j] = observed.mean()
         indicators.append(col_missing.astype(float))
         indicator_names.append(f"{names[j]}_missing")
+        if indicator_names[-1] in names:
+            raise ColumnConflict(f"missingness indicator {indicator_names[-1]!r} is already a column")
     x = np.column_stack([x, *indicators])
     return d.with_covariates(x, tuple(names) + tuple(indicator_names))
 

@@ -235,7 +235,6 @@ def fit_ml(
     y: np.ndarray,
     family: GlmFamily,
     weights: np.ndarray | None = None,
-    offset: np.ndarray | None = None,
 ) -> GlmFit:
     """Fit y ~ 1 + x by maximum likelihood with the canonical link.
 
@@ -246,7 +245,7 @@ def fit_ml(
     y = np.asarray(y, dtype=float)
     x = _as_design(x, y.shape[0])
     design = np.column_stack([np.ones(y.shape[0]), x])
-    return fit_ml_design(design, y, family, weights, offset, has_intercept=True)
+    return fit_ml_design(design, y, family, weights, has_intercept=True)
 
 
 def fit_least_squares(

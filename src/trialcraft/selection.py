@@ -17,9 +17,11 @@ matrix and c, and its test loss at every penalty (a quadratic form), come
 from per-fold weighted moments of [x, y] taken once. Binomial paths run
 IRLS along the grid from secant guesses, each step a penalized weighted
 least-squares problem solved exactly on the warm active set (a proximal
-Newton step), with coordinate descent on the p x p working Gram matrix where
-the active set or a sign changes; `lasso_cv` walks the K fold fits and the
-full-data fit through the grid as one stack, one batched solve a step.
+Newton step), or by the homotopy on the p x p working Gram matrix where the
+active set or a sign changes; `lasso_cv` walks the K fold fits and the
+full-data fit through the grid as one stack, one batched solve a step. The
+grid starts at lam_max, where every coefficient is zero, so `lasso_cv`
+selects nothing at index 0 whatever rounding leaves on a binomial path.
 """
 from __future__ import annotations
 
@@ -36,8 +38,6 @@ from .errors import AtLeast, ConfigError, NonConvergence, Separation, Singular, 
 from .glm import GlmFamily, _as_design, expit, fit_ml
 
 COORD_TOL = 1e-9
-CD_TOL = 1e-10
-MAX_SWEEPS = 10_000
 KNOTS_PER_COLUMN = 20
 MAX_OUTER = 200
 PATH_POINTS = 100
@@ -295,28 +295,6 @@ def _gaussian_path_py(gram, c, lambdas):
     raise NonConvergence("gaussian lasso path did not reach the end of the grid")
 
 
-def _cd_gram(rows, grad, lam, b):
-    """Coordinate descent for min (1/2) b'Gb - c'b + lam |b|_1 from `b` on Python
-    floats, with G as nested lists `rows` and `grad` = c - Gb kept up to date
-    (covariance updates); a column with G_jj <= 0 keeps b_j = 0."""
-    for _ in range(MAX_SWEEPS):
-        delta = 0.0
-        for j, row in enumerate(rows):
-            gjj = row[j]
-            if gjj <= 0.0:
-                continue
-            rho = grad[j] + gjj * b[j]
-            new = (rho - lam) / gjj if rho > lam else (rho + lam) / gjj if rho < -lam else 0.0
-            step = new - b[j]
-            if step != 0.0:
-                grad = [g - step * r for g, r in zip(grad, row)]
-                b[j] = new
-                delta = max(delta, abs(step))
-        if delta < CD_TOL:
-            return b
-    raise NonConvergence("inner coordinate descent did not converge")
-
-
 def _solve_stack(lhs, rhs):
     """np.linalg.solve on a stack of systems, with NaNs for a singular one."""
     try:
@@ -338,9 +316,11 @@ def _binomial_paths(xs, y, W, lambdas):
     weights v and solves the penalized least squares on G = xc'V xc / n_k
     exactly on each fit's warm active set A with signs s, G_AA b_A = c_A - lam s_A,
     in one batched solve. A fit keeps b if its signs are s and |c_j - G_jA b_A|
-    <= lam off A, which makes b the step's minimizer; otherwise `_cd_gram` solves
-    the step from the warm start. A fit leaves once no coefficient moves by
-    COORD_TOL, so each fit gets the iterates it would get alone."""
+    <= lam off A, which makes b the step's minimizer; otherwise the homotopy
+    `_gaussian_path` solves the step at lam alone. A fit leaves once no
+    coefficient moves by COORD_TOL, so each fit gets the iterates it would get
+    alone. Grid point 0 may keep about 1e-16 where lam_max is exactly on the KKT
+    bound; `lasso_cv` selects nothing there."""
     m, _, p = xs.shape
     counts = (W > 0).sum(axis=1).astype(float)
     b0s, B = np.empty((m, len(lambdas))), np.empty((m, len(lambdas), p))
@@ -372,8 +352,7 @@ def _binomial_paths(xs, y, W, lambdas):
             kkt = np.abs(c - (gram @ new_b[:, :, None])[:, :, 0]) <= lam
             exact = ((np.sign(new_b) == signs) & (active | kkt)).all(axis=1)
             for k in np.flatnonzero(~exact).tolist():
-                grad = c[k] - gram[k] @ bl[k]
-                new_b[k] = _cd_gram(gram[k].tolist(), grad.tolist(), lam, bl[k].tolist())
+                new_b[k] = _gaussian_path(gram[k], c[k], [lam])[0]
             new_b0 = zbar - (xbar * new_b).sum(axis=1)
             moved = np.maximum(np.abs(new_b0 - b0[live]), np.abs(new_b - bl).max(axis=1, initial=0.0))
             b0[live], b[live] = new_b0, new_b
@@ -563,7 +542,8 @@ def lasso_cv(
         cutoff = cv_mean[idx_min] + cv_se[idx_min]
         chosen = int(np.flatnonzero(cv_mean <= cutoff)[0])
 
-    selected = tuple(name for name, b in zip(names_eff, beta[chosen]) if b != 0.0)
+    # lam_max zeroes every coefficient, whatever rounding leaves on a binomial path
+    selected = tuple(name for name, b in zip(names_eff, beta[chosen]) if b != 0.0) if chosen else ()
     warnings = _support_warning(len(selected), n, p)
     diagnostics = {
         "lambdas": lambdas.tolist(),
@@ -582,7 +562,6 @@ def stepwise_aic(
     y,
     family: GlmFamily,
     max_terms: int | None = None,
-    weights=None,
     column_names=None,
 ) -> SelectionResult:
     """Forward selection minimizing AIC = deviance + 2 * (number of
@@ -602,7 +581,7 @@ def stepwise_aic(
     dropped = tuple(names[j] for j in range(p) if constant[j])
 
     current: list[int] = []
-    base = fit_ml(None, y, family, weights)
+    base = fit_ml(None, y, family)
     best_aic = base.deviance + 2.0
     while len(current) < max_terms:
         best_j, best_candidate_aic = None, best_aic
@@ -611,7 +590,7 @@ def stepwise_aic(
                 continue
             cols = current + [j]
             try:
-                fit = fit_ml(x[:, cols], y, family, weights)
+                fit = fit_ml(x[:, cols], y, family)
             except (Separation, Singular, NonConvergence):
                 continue
             aic = fit.deviance + 2.0 * (len(cols) + 1)

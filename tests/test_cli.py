@@ -134,6 +134,25 @@ class TestAnalyze:
         report = json.loads(open(out).read())
         assert "b_missing" in report["estimate"]["diagnostics"]["columns"]
 
+    def test_indicator_name_already_a_column_exit_3(self, tmp_path, capsys):
+        # a's indicator would be a second column named a_missing, and a
+        # refit by name would use the covariate in its place
+        x = np.random.default_rng(4).standard_normal((40, 2))
+        cells = [[f"{v:.3f}" for v in row] for row in x]
+        cells[3][0] = cells[20][0] = ""
+        rows = "".join(f"{i % 3},{i % 2},{a},{b}\n" for i, (a, b) in enumerate(cells))
+        plan = {"estimator": "data_adaptive", "selection": {"method": "none"}}
+        for header, code in (("a,a_missing", 3), ("a,other", 0)):
+            data = write(tmp_path, "trial.csv", f"y,z,{header}\n" + rows)
+            covariates = header.split(",")
+            path = write_plan(tmp_path, {
+                **plan, "data": {"outcome": "y", "arm": "z", "covariates": covariates}})
+            out = tmp_path / f"{code}.json"
+            assert main(["analyze", "--data", data, "--plan", path, "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert ("data error: missingness indicator 'a_missing' is already a column"
+                in capsys.readouterr().err)
+
     def test_data_error_exit_3(self, tmp_path, capsys):
         data = write(tmp_path, "trial.csv", "y,z,a\n1,2,0\n2,0,1\n")
         plan = write_plan(tmp_path, {

@@ -13,6 +13,7 @@ from trialcraft.selection import (
     lasso_path,
     stepwise_aic,
 )
+from trialcraft.simulation import DgpSpec, generate_dataset
 
 
 def toy_problem(rng, n=20, p=8, family=GlmFamily.GAUSSIAN):
@@ -144,6 +145,22 @@ class TestLassoCv:
         res = lasso_cv(x, np.full(120, value), family, seed=1, weights=w)
         assert res.selected_columns == ()
         assert res.path_diagnostics == {"lambdas": [], "note": "outcome has no variance"}
+
+    def test_binomial_selection_at_lambda_max_ignores_covariate_units(self):
+        # lambda_max zeroes every coefficient, but the binomial path can leave
+        # about 1e-16 on the column that attains it: x0 was selected at chosen
+        # index 0 for seed 5 under (1e4, 0) and (1, 1e4), and for seed 6 under (1, 1e4)
+        spec = DgpSpec("linear", n=200, p=5, pi=0.5, outcome_kind="binary", effect_size=0.3)
+        for seed in range(10):
+            d = generate_dataset(spec, seed)
+            x, y = d.x[d.z == 0], d.y[d.z == 0]
+            base = lasso_cv(x, y, GlmFamily.BINOMIAL, seed=seed).selected_columns
+            for a, b in [(1e-4, 0.0), (1e4, 0.0), (1.0, 1e4), (1e3, -5e5)]:
+                moved = x.copy()
+                moved[:, 0] = a * moved[:, 0] + b
+                moved[:, 3] *= a
+                res = lasso_cv(moved, y, GlmFamily.BINOMIAL, seed=seed)
+                assert res.selected_columns == base, (seed, a, b)
 
     def test_min_rule_selects_at_least_as_much(self, rng):
         x, y = toy_problem(rng, n=80, p=6)
