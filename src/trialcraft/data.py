@@ -291,6 +291,9 @@ def expand_features(d: TrialDataset, spec: FeatureExpansion) -> TrialDataset:
     for a, b in spec.interactions:
         terms.append((f"{a}:{b}", d.x[:, d.column_index(a)] * d.x[:, d.column_index(b)]))
     names = tuple(name for name, _ in terms)
+    if len(set(names)) < len(names):  # a covariate named like a term (a and a^2 at degree 2)
+        repeated = next(name for i, name in enumerate(names) if name in names[:i])
+        raise ColumnConflict(f"expanded column {repeated!r} is named twice")
     for name in spec.forced_columns:
         if name not in names:
             raise UnknownColumn(f"forced column {name!r} is not among the expanded columns")

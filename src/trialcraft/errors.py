@@ -131,11 +131,11 @@ _JSON_TYPES = {int: int, float: (int, float), bool: bool, str: str, dict: dict}
 
 @functools.cache
 def _fields(cls) -> dict:
-    """{name: (annotation, required)} of a dataclass's init fields; the
-    annotations are resolved once per class, not once per read."""
+    """{name: (annotation, default)} of a dataclass's init fields, MISSING for
+    a required one; each is resolved once per class, not once per read."""
     hints = typing.get_type_hints(cls, include_extras=True)
     return {
-        f.name: (hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        f.name: (hints[f.name], f.default if f.default_factory is MISSING else f.default_factory())
         for f in fields(cls) if f.init
     }
 
@@ -201,8 +201,8 @@ def _section(obj, cls, where: str, **defaults):
     if unknown:
         raise ConfigError(f"{where}: unknown keys {unknown}")
     values = defaults | {key: _read(spec[key][0], v, f"{where}.{key}") for key, v in obj.items()}
-    for name, (_, required) in spec.items():
-        if required and name not in values:
+    for name, (_, default) in spec.items():
+        if default is MISSING and name not in values:
             raise ConfigError(f"{where}.{name}: required")
     try:
         return cls(**values)
@@ -216,3 +216,9 @@ def _check(obj) -> None:
     (a list becomes a tuple), so one annotation rules both ways in."""
     for name, (annotation, _) in _fields(type(obj)).items():
         object.__setattr__(obj, name, _read(annotation, getattr(obj, name), name))
+
+
+def _set_fields(obj) -> list[str]:
+    """The init fields of the dataclass `obj` that differ from their defaults."""
+    return [name for name, (_, default) in _fields(type(obj)).items()
+            if getattr(obj, name) != default]

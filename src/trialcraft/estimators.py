@@ -43,7 +43,7 @@ from .data import (
     expand_features,
 )
 from .errors import AtLeast, AtMost, ConfigError, DegenerateFold, DomainError, EstimationError
-from .errors import _check, _read
+from .errors import _check, _read, _set_fields
 from .glm import (
     GlmFamily,
     clamp_probabilities,
@@ -52,7 +52,8 @@ from .glm import (
     fit_ml_design,
     predict,
 )
-from .selection import SelectionConfig, SelectionResult, _refit_columns, lasso_cv, stepwise_aic
+from .selection import METHOD_READS, SelectionConfig, SelectionResult, _refit_columns, lasso_cv
+from .selection import stepwise_aic
 
 Z_CRIT = 1.959964
 TMLE_PRED_CLIP = 1e-6
@@ -151,9 +152,12 @@ def _overall_pi(d: TrialDataset, pi: PiSpec | None) -> float:
     raise ConfigError(f"pi mode {pi.mode!r} is not valid for this estimator")
 
 
-def _small_sample_factor(n1, n0, p1, p0) -> float:
+def _small_sample_factor(apply: bool, d: TrialDataset, p1, p0) -> float:
     """Variance inflation [(n0-p0-1)^-1 + (n1-p1-1)^-1] / [(n0-1)^-1 + (n1-1)^-1]
-    with p_z the non-intercept parameter count of the arm-z fit."""
+    with p_z the non-intercept parameter count of the arm-z fit; 1 unless `apply`."""
+    if not apply:
+        return 1.0
+    n1, n0 = d.n_treated, d.n_control
     if n1 - p1 - 1 <= 0 or n0 - p0 - 1 <= 0:
         raise EstimationError("too few residual degrees of freedom for the small-sample factor")
     return ((1 / (n0 - p0 - 1)) + (1 / (n1 - p1 - 1))) / ((1 / (n0 - 1)) + (1 / (n1 - 1)))
@@ -198,7 +202,7 @@ def _arm_rows(d: TrialDataset, arm: int) -> np.ndarray:
 
 def estimate_standardization(
     d: TrialDataset,
-    spec: FeatureExpansion | None = None,
+    expansion: FeatureExpansion | None = None,
     family: GlmFamily = GlmFamily.GAUSSIAN,
     pi: PiSpec | None = None,
     small_sample_correction: bool = False,
@@ -206,7 +210,7 @@ def estimate_standardization(
     """Per-arm canonical ML fit on all (expanded) covariates, predict every
     participant under each arm, average the predictions."""
     check_complete(d)
-    work = expand_features(d, spec) if spec is not None else d
+    work = expand_features(d, expansion) if expansion is not None else d
     pi_hat = _overall_pi(d, pi)
     preds = {}
     for arm in (1, 0):
@@ -216,11 +220,7 @@ def estimate_standardization(
     mu1 = float(preds[1].mean())
     mu0 = float(preds[0].mean())
     _, _, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_hat)
-    factor = 1.0
-    if small_sample_correction:
-        factor = _small_sample_factor(
-            d.n_treated, d.n_control, work.p, work.p
-        )
+    factor = _small_sample_factor(small_sample_correction, d, work.p, work.p)
     return _package(
         "standardization", mu1, mu0, v1, v0,
         {
@@ -237,23 +237,21 @@ def estimate_standardization(
 # --- data-adaptive (selection + refit) ------------------------------------
 
 def _select_arm(x_arm, y_arm, family, selection: SelectionConfig, seed, names):
+    args = {name: getattr(selection, name) for name in METHOD_READS[selection.method]}
     if selection.method == "lasso_cv":
-        return lasso_cv(
-            x_arm, y_arm, family, k_cv=selection.k_cv, seed=seed,
-            lambda_rule=selection.lambda_rule, column_names=names,
-        )
+        return lasso_cv(x_arm, y_arm, family, seed=seed, column_names=names, **args)
     if selection.method == "stepwise_aic":
-        return stepwise_aic(x_arm, y_arm, family, max_terms=selection.max_terms, column_names=names)
+        return stepwise_aic(x_arm, y_arm, family, column_names=names, **args)
     constant = _zero_variance(x_arm.mean(axis=0), x_arm.std(axis=0))
     usable = tuple(name for name, c in zip(names, constant) if not c)
     return SelectionResult(usable)
 
 
-def _first_stage(d, spec, family, selection: SelectionConfig, pi, eem, seed, weighted,
+def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed, weighted,
                  small_sample_correction):
     """Steps 1a and 1b, shared by data_adaptive and tmle. A parametric `pi`
     (refused in EEM mode) is fitted first. Each arm's covariates are then
-    selected, and refit on the selected plus the spec's forced columns (ML,
+    selected, and refit on the selected plus the expansion's forced columns (ML,
     or least squares in EEM mode), weighted by the arm's inverse propensity
     when `weighted`. Returns each arm's inverse propensity over all
     participants (None unless `pi` is parametric), the pi the influence
@@ -265,8 +263,8 @@ def _first_stage(d, spec, family, selection: SelectionConfig, pi, eem, seed, wei
     check_complete(d)
     p_hat, clamp_count = propensity_scores(d, pi.ps_columns) if parametric else (None, 0)
     inverse = {1: 1.0 / p_hat, 0: 1.0 / (1.0 - p_hat)} if parametric else None
-    work = expand_features(d, spec) if spec is not None else d
-    forced = spec.forced_columns if spec is not None else ()
+    work = expand_features(d, expansion) if expansion is not None else d
+    forced = expansion.forced_columns if expansion is not None else ()
     fitter = fit_least_squares if eem else fit_ml
     selected, refit, preds = {}, {}, {}
     warnings: list[str] = []
@@ -283,9 +281,7 @@ def _first_stage(d, spec, family, selection: SelectionConfig, pi, eem, seed, wei
         selected[arm], refit[arm] = list(sel.selected_columns), chosen
         preds[arm] = predict(fit, work.x[:, idx])
     pi_hat = p_hat if parametric else _overall_pi(d, pi)
-    factor = 1.0
-    if small_sample_correction:
-        factor = _small_sample_factor(d.n_treated, d.n_control, len(refit[1]), len(refit[0]))
+    factor = _small_sample_factor(small_sample_correction, d, len(refit[1]), len(refit[0]))
     diagnostics = {
         "selected_1": selected[1],
         "selected_0": selected[0],
@@ -300,7 +296,7 @@ def _first_stage(d, spec, family, selection: SelectionConfig, pi, eem, seed, wei
 
 def estimate_data_adaptive(
     d: TrialDataset,
-    spec: FeatureExpansion | None = None,
+    expansion: FeatureExpansion | None = None,
     family: GlmFamily = GlmFamily.GAUSSIAN,
     selection: SelectionConfig = SelectionConfig(),
     pi: PiSpec | None = None,
@@ -309,18 +305,20 @@ def estimate_data_adaptive(
     small_sample_correction: bool = False,
 ) -> EstimateResult:
     """Per-arm selection by `selection` (Step 1a), an unpenalized canonical ML
-    refit on the selected plus `spec`'s forced columns (Step 1b), then
+    refit on the selected plus `expansion`'s forced columns (Step 1b), then
     standardization over all participants.
 
     With a parametric `pi` the refit is weighted by the inverse fitted
     propensity and the influence values use the pointwise propensities. In
-    EEM mode the refit minimizes squared error instead, and the point
-    estimate switches to the explicit AIPW average because the score-zero
-    identity is no longer guaranteed.
+    EEM mode the refit minimizes squared error instead, the point estimate
+    is the explicit AIPW average (the score-zero identity no longer holds),
+    and a small-sample correction is refused, as it was never applied.
     """
+    if eem and small_sample_correction:
+        raise ConfigError("small_sample_correction: data_adaptive does not read it with eem")
     _, pi_hat, refit, preds, diagnostics = _first_stage(
-        d, spec, family, selection, pi, eem, seed, weighted=True,
-        small_sample_correction=small_sample_correction and not eem,
+        d, expansion, family, selection, pi, eem, seed, weighted=True,
+        small_sample_correction=small_sample_correction,
     )
     aipw1, aipw0, v1, v0 = variance.aipw(d.y, d.z, preds[1], preds[0], pi_hat)
     if eem:
@@ -374,7 +372,7 @@ def _targeted_update(d: TrialDataset, preds, family, clever=None):
 
 def estimate_tmle(
     d: TrialDataset,
-    spec: FeatureExpansion | None = None,
+    expansion: FeatureExpansion | None = None,
     family: GlmFamily = GlmFamily.GAUSSIAN,
     selection: SelectionConfig = SelectionConfig(),
     pi: PiSpec | None = None,
@@ -392,7 +390,7 @@ def estimate_tmle(
     no-intercept update instead.
     """
     clever, pi_hat, _, preds, diagnostics = _first_stage(
-        d, spec, family, selection, pi, eem, seed, weighted=False,
+        d, expansion, family, selection, pi, eem, seed, weighted=False,
         small_sample_correction=small_sample_correction,
     )
     updated, epsilons = _targeted_update(d, preds, family, clever)
@@ -405,18 +403,14 @@ def estimate_tmle(
 
 # --- cross-fitting ---------------------------------------------------------
 
-def _validate_folds(d: TrialDataset, folds: FoldPlan) -> None:
-    check_complete(d)
-    if folds.n != d.n:
-        raise ConfigError("fold plan length does not match the dataset")
-    _read(CrossFitFolds, folds.k, "fold count")
-
-
 def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, seed):
     """Out-of-fold predictions per arm: fold k's rows are predicted by
     learners trained on the complement, separately per arm. Returns them
     with the head of the cross-fit estimators' diagnostics."""
-    _validate_folds(d, folds)
+    check_complete(d)
+    if folds.n != d.n:
+        raise ConfigError("fold plan length does not match the dataset")
+    _read(CrossFitFolds, folds.k, "fold count")
     n = d.n
     pred1 = np.empty(n)
     pred0 = np.empty(n)
@@ -518,31 +512,32 @@ def estimate_cvtmle(
 
 def estimate_strong_null(
     d: TrialDataset,
-    model=None,
+    learner=None,
     family: GlmFamily = GlmFamily.GAUSSIAN,
     pi: PiSpec | None = None,
     seed: int = 0,
+    expansion: FeatureExpansion = FeatureExpansion(),
 ) -> EstimateResult:
     """Test of the strong null (Z independent of (Y, X)): one pooled model
     of the outcome on covariates only, fit to ALL participants, shared by
     both arms. Any learner may be used, without sample splitting.
 
-    `model` is a Learner, a FeatureExpansion (pooled canonical ML GLM on the
-    expanded columns), or None (pooled main-effects GLM).
+    With `learner=None` the model is the pooled canonical ML GLM on the
+    columns of `expansion`, which a learner does not read.
     """
     check_complete(d)
-    if model is None:
-        model = FeatureExpansion()
-    if isinstance(model, FeatureExpansion):
-        work = expand_features(d, model)
+    if learner is None:
+        work = expand_features(d, expansion)
         fit = fit_ml(work.x, work.y, family)
         pred = predict(fit, work.x)
         model_name = "pooled_glm"
+    elif _set_fields(expansion):
+        raise ConfigError("expansion: strong_null does not read it with a learner")
     else:
         model_seed = derived_seed(np.random.SeedSequence((seed, 902)))
-        predictor = model.train(d.x, d.y, family, seed=model_seed)
+        predictor = learner.train(d.x, d.y, family, seed=model_seed)
         pred = np.asarray(predictor.predict(d.x), dtype=float)
-        model_name = getattr(model, "name", type(model).__name__)
+        model_name = getattr(learner, "name", type(learner).__name__)
 
     known = pi is not None and pi.mode == "known"
     pi_hat = _overall_pi(d, pi)

@@ -10,7 +10,10 @@ annotation (an int field takes a JSON integer, never 2.7, "3" or true).
 The dataclasses are the one statement of each field's name, type, default
 and allowed values (a `Literal` or an Enum, or bounds in `Annotated`);
 `plan_from_dict` adds only the JSON spelling of `learner` and the ESTIMATORS
-rules, which tie fields to each other.
+rules, which tie fields to each other. An ESTIMATORS row is the one
+statement of what its estimator reads: `execute_plan` calls the row's
+function with those plan fields, and a plan that sets any other field
+(bar `family`, `data` and `contrast`) away from its default is refused.
 """
 from __future__ import annotations
 
@@ -21,22 +24,10 @@ from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
+from . import estimators
 from .data import FeatureExpansion, TrialDataset, derived_seed, make_folds
-from .errors import AtLeast, ConfigError, DataError, _section
-from .estimators import (
-    Contrast,
-    CrossFitFolds,
-    EstimateResult,
-    PiSpec,
-    estimate_crossfit_aipw,
-    estimate_cvtmle,
-    estimate_data_adaptive,
-    estimate_standardization,
-    estimate_strong_null,
-    estimate_tmle,
-    estimate_unadjusted,
-    transform_contrast,
-)
+from .errors import AtLeast, ConfigError, DataError, _section, _set_fields
+from .estimators import Contrast, CrossFitFolds, EstimateResult, PiSpec, transform_contrast
 from .glm import GlmFamily
 from .learners import LearnerName, get_learner
 from .selection import SelectionConfig
@@ -46,25 +37,35 @@ SCHEMA_VERSION = "1"
 
 
 class EstimatorRules(NamedTuple):
-    """What a plan for one estimator may set. `pi_modes` lists the allowed
-    pi modes, None for a plan without pi (the estimator's own estimate);
-    `crossfit` estimators train a learner on folds; `eem` allows EEM mode."""
+    """What a plan for one estimator may set: the `reads` of the function
+    `estimators.<function>`, which takes them by keyword after the dataset
+    (one that reads `folds` also needs a learner); `pi_modes`, None for no
+    pi (the estimator's own estimate); and an `exclusive` pair of read
+    fields, the second of which it does not read once the first is set."""
 
+    function: str
+    reads: tuple[str, ...]
     pi_modes: tuple[str | None, ...]
-    crossfit: bool = False
-    eem: bool = False
+    exclusive: tuple[str, str] | None = None
 
 
 OVERALL_PI = (None, "known", "estimated_overall")
+SELECTING = ("expansion", "family", "selection", "pi", "eem", "seed", "small_sample_correction")
+CROSSFIT = ("learner", "folds", "pi", "family", "seed")
 ESTIMATORS = {
-    "unadjusted": EstimatorRules(OVERALL_PI),
-    "standardization": EstimatorRules(OVERALL_PI),
-    "data_adaptive": EstimatorRules((*OVERALL_PI, "parametric"), eem=True),
-    "crossfit_aipw": EstimatorRules((None, "known", "estimated_per_fold"), crossfit=True),
-    "tmle": EstimatorRules((*OVERALL_PI, "parametric"), eem=True),
-    "cvtmle": EstimatorRules(OVERALL_PI, crossfit=True),
-    "strong_null": EstimatorRules(OVERALL_PI),
-    "crossfit_aipw_parametric_ps": EstimatorRules(("parametric",), crossfit=True),
+    "unadjusted": EstimatorRules("estimate_unadjusted", ("pi",), OVERALL_PI),
+    "standardization": EstimatorRules("estimate_standardization", (
+        "expansion", "family", "pi", "small_sample_correction"), OVERALL_PI),
+    "data_adaptive": EstimatorRules("estimate_data_adaptive", SELECTING, (
+        *OVERALL_PI, "parametric"), ("eem", "small_sample_correction")),
+    "crossfit_aipw": EstimatorRules("estimate_crossfit_aipw", CROSSFIT, (
+        None, "known", "estimated_per_fold")),
+    "tmle": EstimatorRules("estimate_tmle", SELECTING, (*OVERALL_PI, "parametric")),
+    "cvtmle": EstimatorRules("estimate_cvtmle", CROSSFIT, OVERALL_PI),
+    "strong_null": EstimatorRules("estimate_strong_null", (
+        "learner", "family", "pi", "seed", "expansion"), OVERALL_PI, ("learner", "expansion")),
+    "crossfit_aipw_parametric_ps": EstimatorRules("estimate_crossfit_aipw", CROSSFIT,
+                                                  ("parametric",)),
 }
 
 
@@ -139,7 +140,14 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         plan.learner.build()  # fail fast on bad params
 
     rules = ESTIMATORS[plan.estimator]
-    if rules.crossfit and plan.learner is None:
+    set_fields = _set_fields(plan)
+    refusal = f"estimator {plan.estimator!r} does not read it"
+    for name in set_fields:
+        if name not in (*rules.reads, "estimator", "family", "data", "contrast"):
+            raise ConfigError(f"plan.{name}: {refusal}")
+    if rules.exclusive and set(rules.exclusive) <= set(set_fields):
+        raise ConfigError(f"plan.{rules.exclusive[1]}: {refusal} with {rules.exclusive[0]}")
+    if "folds" in rules.reads and plan.learner is None:
         raise ConfigError(f"plan.learner: required for estimator {plan.estimator!r}")
 
     mode = None if plan.pi is None else plan.pi.mode
@@ -147,9 +155,6 @@ def plan_from_dict(obj: dict) -> AnalysisPlan:
         raise ConfigError(
             "plan.eem: EEM mode cannot be combined with a parametric propensity"
         )
-    if plan.eem and not rules.eem:
-        supported = " and ".join(name for name, r in ESTIMATORS.items() if r.eem)
-        raise ConfigError(f"plan.eem: only {supported} support EEM mode")
     if mode not in rules.pi_modes:
         allowed = ", ".join(m for m in rules.pi_modes if m is not None)
         raise ConfigError(
@@ -184,44 +189,22 @@ def execute_plan(d: TrialDataset, plan: AnalysisPlan, seed: int | None = None) -
     which also re-derives the fold seed so fold randomness is integrated
     over replicates.
     """
-    if seed is None:
-        run_seed = plan.seed
-        fold_seed = plan.folds.seed
-    else:
-        run_seed = seed
-        fold_seed = derived_seed(np.random.SeedSequence((seed, 104)))
-
-    kind = plan.estimator
-    family = plan.family
-    if family is GlmFamily.BINOMIAL and not np.all((d.y >= 0) & (d.y <= 1)):
+    if plan.family is GlmFamily.BINOMIAL and not np.all((d.y >= 0) & (d.y <= 1)):
         name = "the outcome" if plan.data is None else f"outcome column {plan.data.outcome!r}"
         raise DataError(f"{name}: binomial outcomes must lie in [0, 1]")
 
-    if kind == "unadjusted":
-        result = estimate_unadjusted(d, plan.pi)
-    elif kind == "standardization":
-        result = estimate_standardization(
-            d, plan.expansion, family, plan.pi,
-            small_sample_correction=plan.small_sample_correction,
-        )
-    elif kind in ("data_adaptive", "tmle"):
-        estimate = estimate_data_adaptive if kind == "data_adaptive" else estimate_tmle
-        result = estimate(
-            d, plan.expansion, family, plan.selection, plan.pi, eem=plan.eem, seed=run_seed,
-            small_sample_correction=plan.small_sample_correction,
-        )
-    elif ESTIMATORS[kind].crossfit:
-        folds = make_folds(
-            d.n, plan.folds.k, d.z, seed=fold_seed, stratified=plan.folds.stratified
-        )
-        learner = plan.learner.build()
-        if kind == "cvtmle":
-            result = estimate_cvtmle(d, learner, folds, family, plan.pi, seed=run_seed)
-        else:  # crossfit_aipw, and crossfit_aipw_parametric_ps with its parametric pi
-            result = estimate_crossfit_aipw(d, learner, folds, plan.pi, family, seed=run_seed)
-    else:
-        model = plan.learner.build() if plan.learner else plan.expansion
-        result = estimate_strong_null(d, model, family, plan.pi, seed=run_seed)
+    rules = ESTIMATORS[plan.estimator]
+    args = {name: getattr(plan, name) for name in rules.reads}
+    if "seed" in args and seed is not None:
+        args["seed"] = seed
+    if "folds" in args:
+        fold_seed = plan.folds.seed if seed is None else derived_seed(
+            np.random.SeedSequence((seed, 104)))
+        args["folds"] = make_folds(d.n, plan.folds.k, d.z, fold_seed, plan.folds.stratified)
+    if args.get("learner") is not None:
+        args["learner"] = plan.learner.build()
+    # looked up at each call, so that a wrapper set on the module (a tracer) runs
+    result = getattr(estimators, rules.function)(d, **args)
 
     if plan.contrast is not None:
         result = transform_contrast(result, plan.contrast)
@@ -245,7 +228,7 @@ def validate_plan(plan: AnalysisPlan) -> list[str]:
             warnings.append(
                 f"known pi={plan.pi.value} is close to the positivity boundary"
             )
-    if ESTIMATORS[plan.estimator].crossfit and not plan.folds.stratified:
+    if "folds" in ESTIMATORS[plan.estimator].reads and not plan.folds.stratified:
         warnings.append(
             "unstratified folds can produce single-arm training folds at small n"
         )

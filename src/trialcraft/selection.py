@@ -34,7 +34,8 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .data import FoldCount, _zero_variance, make_folds
-from .errors import AtLeast, ConfigError, NonConvergence, Separation, Singular, _check, _read
+from .errors import AtLeast, ConfigError, NonConvergence, Separation, Singular
+from .errors import _check, _read, _set_fields
 from .glm import GlmFamily, _as_design, expit, fit_ml
 
 COORD_TOL = 1e-9
@@ -52,20 +53,27 @@ PY_PATH_MAX_WIDTH = 20
 
 
 LambdaRule = Literal["1se", "min"]
+# the fields of SelectionConfig each method reads, by keyword
+METHOD_READS = {"lasso_cv": ("k_cv", "lambda_rule"), "stepwise_aic": ("max_terms",), "none": ()}
 
 
 @dataclass(frozen=True)
 class SelectionConfig:
     """How data_adaptive and tmle select each arm's columns (a plan's
     `selection`): `lasso_cv` with `k_cv` folds and `lambda_rule`,
-    `stepwise_aic` adding at most `max_terms` columns, or `none`."""
+    `stepwise_aic` adding at most `max_terms` columns, or `none`. A field
+    its method does not read must keep its default."""
 
     method: Literal["lasso_cv", "stepwise_aic", "none"] = "lasso_cv"
     k_cv: FoldCount = 5
     lambda_rule: LambdaRule = "1se"
     max_terms: Annotated[int, AtLeast(0)] | None = None
 
-    __post_init__ = _check
+    def __post_init__(self) -> None:
+        _check(self)
+        for name in _set_fields(self):
+            if name not in ("method", *METHOD_READS[self.method]):
+                raise ConfigError(f"{name}: method {self.method!r} does not read it")
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from trialcraft.glm import GlmFamily
 from trialcraft.learners import LEARNERS, KnnLearner, get_learner
 from trialcraft.plans import AnalysisPlan, SimulationRun, plan_from_dict
 from trialcraft.selection import SelectionConfig, lasso_cv
-from trialcraft.simulation import DgpSpec
+from trialcraft.simulation import DgpSpec, generate_dataset
 
 FOUR_ROW_CSV = "y,z,a,b\n1,1,0.5,1\n3,1,1.5,0\n0,0,2.5,1\n2,0,3.5,\n"
 
@@ -251,6 +251,46 @@ class TestAnalyze:
             out = str(tmp_path / "o.json")
             assert main(["analyze", "--data", data, "--plan", plan, "--out", out]) == 0, seed
 
+    def test_max_terms_with_lasso_cv_exit_2(self, tmp_path, capsys):
+        # lasso_cv has no cap: with "max_terms": 1 it selected the same
+        # columns as without, so a plan that sets it is refused
+        d = generate_dataset(DgpSpec("cap", n=400, p=8, pi=0.5, mechanism="linear"), 3)
+        names = list(d.column_names)
+        rows = "".join(",".join(repr(float(v)) for v in row) + "\n"
+                       for row in np.column_stack([d.y, d.z, d.x]))
+        data = write(tmp_path, "trial.csv", ",".join(["y", "z", *names]) + "\n" + rows)
+        raw = {"estimator": "data_adaptive",
+               "data": {"outcome": "y", "arm": "z", "covariates": names},
+               "selection": {"method": "lasso_cv", "lambda_rule": "min"}}
+        out = str(tmp_path / "o.json")
+        assert main(["analyze", "--data", data, "--plan", write_plan(tmp_path, raw),
+                     "--out", out]) == 0
+        assert len(json.loads(open(out).read())["estimate"]["diagnostics"]["selected_1"]) > 1
+        capped = dict(raw, selection=dict(raw["selection"], max_terms=1))
+        assert main(["analyze", "--data", data, "--plan", write_plan(tmp_path, capped),
+                     "--out", out]) == 2
+        assert ("plan.selection: max_terms: method 'lasso_cv' does not read it"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("expansion, repeated", [
+        ({"polynomial_degree": 2}, "a^2"),
+        ({"interactions": [["a", "b"], ["a", "b"]]}, "a:b"),
+    ], ids=["power-named-like-a-covariate", "repeated-interaction"])
+    def test_expanded_name_twice_exit_3(self, tmp_path, capsys, expansion, repeated):
+        # covariates a and a^2 at degree 2 expand to a, a^2, a^2, a^2^2
+        x = np.random.default_rng(4).standard_normal((60, 2))
+        rows = "".join(f"{a + b:.4f},{i % 2},{a:.4f},{a * a:.4f},{b:.4f}\n"
+                       for i, (a, b) in enumerate(x))
+        data = write(tmp_path, "trial.csv", "y,z,a,a^2,b\n" + rows)
+        plan = write_plan(tmp_path, {
+            "estimator": "data_adaptive", "selection": {"method": "none"},
+            "data": {"outcome": "y", "arm": "z", "covariates": ["a", "a^2", "b"]},
+            "expansion": expansion,
+        })
+        code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
+        assert code == 3
+        assert f"expanded column {repeated!r} is named twice" in capsys.readouterr().err
+
     def test_unknown_plan_key_exit_2(self, tmp_path, capsys):
         data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)
         plan = write_plan(tmp_path, dict(UNADJUSTED_PLAN, bogus=1))
@@ -412,6 +452,42 @@ class TestValidate:
         assert "eem" in capsys.readouterr().err.lower()
 
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"estimator": "crossfit_aipw", "learner": "knn",
+          "expansion": {"polynomial_degree": 2}},
+         "plan.expansion: estimator 'crossfit_aipw' does not read it"),
+        ({"estimator": "standardization", "seed": 3},
+         "plan.seed: estimator 'standardization' does not read it"),
+        ({"estimator": "data_adaptive", "learner": "knn"},
+         "plan.learner: estimator 'data_adaptive' does not read it"),
+        ({"estimator": "data_adaptive", "selection": {"max_terms": 2}},
+         "plan.selection: max_terms: method 'lasso_cv' does not read it"),
+        ({"estimator": "tmle", "selection": {"method": "stepwise_aic", "k_cv": 3}},
+         "plan.selection: k_cv: method 'stepwise_aic' does not read it"),
+        ({"estimator": "data_adaptive", "selection": {"method": "none", "lambda_rule": "min"}},
+         "plan.selection: lambda_rule: method 'none' does not read it"),
+        ({"estimator": "data_adaptive", "eem": True, "small_sample_correction": True},
+         "plan.small_sample_correction: estimator 'data_adaptive' does not read it with eem"),
+        ({"estimator": "strong_null", "learner": "knn", "expansion": {"polynomial_degree": 2}},
+         "plan.expansion: estimator 'strong_null' does not read it with learner"),
+        ({"estimator": "unadjusted", "folds": {"k": 3}},
+         "plan.folds: estimator 'unadjusted' does not read it"),
+        ({"estimator": "crossfit_aipw", "learner": "knn", "eem": True},
+         "plan.eem: estimator 'crossfit_aipw' does not read it"),
+    ])
+    def test_field_its_estimator_does_not_read_exit_2(self, tmp_path, capsys, fields, message):
+        assert main(["validate", "--plan", write_plan(tmp_path, fields)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
+
+    def test_unread_field_at_its_default_is_accepted(self, tmp_path):
+        # spelling out a default sets nothing, so echoed plans read back
+        plan = write_plan(tmp_path, {
+            "estimator": "crossfit_aipw", "learner": "knn", "eem": False,
+            "expansion": {"polynomial_degree": 1}, "selection": {"method": "lasso_cv"},
+        })
+        assert main(["validate", "--plan", plan]) == 0
+
+
 SIM_SPEC = {
     "dgp": {
         "name": "toy", "n": 40, "p": 2, "pi": 0.5,
@@ -455,6 +531,15 @@ class TestSimulate:
         spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")
         assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "s.json")]) == 2
         assert named in capsys.readouterr().err
+
+    def test_field_its_estimator_does_not_read_exit_2(self, tmp_path, capsys):
+        spec = write_plan(tmp_path, dict(SIM_SPEC, plan=dict(SIM_SPEC["plan"], seed=4)),
+                          name="spec.json")
+        out = tmp_path / "s.json"
+        assert main(["simulate", "--spec", spec, "--out", str(out)]) == 2
+        assert ("config error: plan.seed: estimator 'unadjusted' does not read it"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     @pytest.mark.parametrize("change, named", [
         ({"master_seed": -1}, "spec.master_seed"),

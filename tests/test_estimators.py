@@ -167,6 +167,15 @@ class TestDataAdaptive:
         with pytest.raises(ConfigError, match="EEM mode with a parametric propensity"):
             estimate(d, pi=PiSpec.parametric(("x1",)), eem=True, selection=NO_SELECTION)
 
+    def test_eem_refuses_small_sample_correction(self, rng):
+        # data_adaptive never applied the factor in EEM mode; tmle does
+        d = simulate_trial(rng, n=120)
+        with pytest.raises(ConfigError, match="small_sample_correction"):
+            estimate_data_adaptive(d, eem=True, small_sample_correction=True,
+                                   selection=NO_SELECTION)
+        r = estimate_tmle(d, eem=True, small_sample_correction=True, selection=NO_SELECTION)
+        assert r.diagnostics["small_sample_factor"] > 1.0
+
     def test_small_sample_factor_inflates_se(self, rng):
         d = simulate_trial(rng, n=40)
         a = estimate_data_adaptive(d, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION, seed=1)
@@ -373,22 +382,28 @@ class TestStrongNull:
         diff_means = y[z == 1].mean() - y[z == 0].mean()
         assert r.theta_hat == pytest.approx(diff_means, abs=1e-12)
 
+    def test_learner_refuses_an_expansion(self, rng):
+        d = simulate_trial(rng, n=60)
+        with pytest.raises(ConfigError, match="expansion"):
+            estimate_strong_null(d, get_learner("knn"), expansion=FeatureExpansion(polynomial_degree=2))
+        estimate_strong_null(d, get_learner("knn"), expansion=FeatureExpansion())
+
     def test_default_pooled_glm(self, rng):
         d = simulate_trial(rng, n=60)
-        r = estimate_strong_null(d, FeatureExpansion(), GlmFamily.GAUSSIAN)
+        r = estimate_strong_null(d, None, GlmFamily.GAUSSIAN)
         assert r.diagnostics["model"] == "pooled_glm"
         assert "z_statistic" in r.diagnostics
 
     def test_known_pi_mean_zero_ifs(self, rng):
         d = simulate_trial(rng, n=70, effect=0.0)
-        r = estimate_strong_null(d, FeatureExpansion(), GlmFamily.GAUSSIAN, pi=PiSpec.known(0.5))
+        r = estimate_strong_null(d, None, GlmFamily.GAUSSIAN, pi=PiSpec.known(0.5))
         assert abs(r.if_mu1.mean()) <= 1e-10
 
     def test_antisymmetry_exact(self, rng):
         d = simulate_trial(rng, n=50)
         swapped = TrialDataset(d.y, 1 - d.z, d.x, d.column_names)
-        a = estimate_strong_null(d, FeatureExpansion(), GlmFamily.GAUSSIAN)
-        b = estimate_strong_null(swapped, FeatureExpansion(), GlmFamily.GAUSSIAN)
+        a = estimate_strong_null(d, None, GlmFamily.GAUSSIAN)
+        b = estimate_strong_null(swapped, None, GlmFamily.GAUSSIAN)
         assert a.theta_hat == pytest.approx(-b.theta_hat, abs=1e-12)
 
 
@@ -510,7 +525,7 @@ class TestSharedInvariants:
             lambda dd: estimate_tmle(dd, family=GlmFamily.GAUSSIAN, selection=NO_SELECTION),
             lambda dd: estimate_crossfit_aipw(dd, get_learner("wrong_model"), folds, seed=1),
             lambda dd: estimate_cvtmle(dd, get_learner("wrong_model"), folds, seed=1),
-            lambda dd: estimate_strong_null(dd, FeatureExpansion(), GlmFamily.GAUSSIAN),
+            lambda dd: estimate_strong_null(dd, None, GlmFamily.GAUSSIAN),
         ]
         for run in runs:
             a, b = run(d), run(shifted)

@@ -1,14 +1,17 @@
 """The python examples under README's "Library use" run against the package
-as installed, and every `trialcraft.<module>.<name>` the README mentions
-exists, so a documented name that leaves the package fails here."""
+as installed, every plan the README shows parses, and every
+`trialcraft.<module>.<name>` the README mentions exists, so a documented
+name that leaves the package fails here."""
 import ast
 import importlib
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 import trialcraft
+from trialcraft.plans import plan_from_dict, simulation_spec_from_dict
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -46,3 +49,14 @@ def test_dotted_names_resolve():
     missing = [f"trialcraft.{module}.{name}" for module, name in dotted
                if not hasattr(importlib.import_module(f"trialcraft.{module}"), name)]
     assert not missing, f"README names what the package lacks: {missing}"
+
+
+def test_example_plans_parse():
+    blocks = [json.loads(block) for block in
+              re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.DOTALL)]
+    plans = [block for block in blocks if "estimator" in block]
+    assert plans, "README shows no plan"
+    for plan in plans:
+        plan_from_dict(plan)
+    for spec in (block for block in blocks if "plan" in block):
+        simulation_spec_from_dict(spec)

@@ -5,6 +5,7 @@ from conftest import kkt_violation, lasso_fit, score_residual
 from trialcraft.errors import ConfigError
 from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
+    SelectionConfig,
     SelectionResult,
     _column_names,
     _refit_columns,
@@ -248,3 +249,22 @@ class TestSupportSizeGuard:
         threshold = np.sqrt(n) / np.log(max(p, n))
         if len(res.selected_columns) > threshold:
             assert res.warnings
+
+
+class TestSelectionConfig:
+    @pytest.mark.parametrize("method, field, value", [
+        ("lasso_cv", "max_terms", 2), ("none", "max_terms", 0),
+        ("stepwise_aic", "k_cv", 3), ("stepwise_aic", "lambda_rule", "min"),
+        ("none", "k_cv", 10), ("none", "lambda_rule", "min"),
+    ])
+    def test_a_field_its_method_does_not_read_is_refused(self, method, field, value):
+        with pytest.raises(ConfigError, match=f"{field}: method '{method}' does not read it"):
+            SelectionConfig(method, **{field: value})
+
+    @pytest.mark.parametrize("config", [
+        {"method": "lasso_cv", "k_cv": 3, "lambda_rule": "min"},
+        {"method": "stepwise_aic", "max_terms": 2},
+        {"method": "none", "k_cv": 5, "lambda_rule": "1se", "max_terms": None},
+    ])
+    def test_fields_it_reads_or_left_at_their_defaults_are_accepted(self, config):
+        assert SelectionConfig(**config).method == config["method"]
