@@ -191,16 +191,19 @@ def fit_ml_design(
         ybar = _start_mean(y, family, w)
         coef[0] = float(family.link(np.array([ybar]))[0])
 
+    def fitted(c):  # the linear predictor, mean and deviance at coefficients c
+        eta = design @ c + off
+        mu = family.inv_link(eta)
+        return eta, mu, family.deviance(y, mu, w)
+
     if q == 0:
-        mu = family.inv_link(off)
-        return GlmFit(family, coef, 0, family.deviance(y, mu, w), has_intercept)
+        return GlmFit(family, coef, 0, fitted(coef)[2], has_intercept)
 
     dev_prev = np.inf
-    converged = False
     iterations = 0
+    eta = design @ coef + off
+    mu = family.inv_link(eta)
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
-        eta = design @ coef + off
-        mu = family.inv_link(eta)
         if family is GlmFamily.BINOMIAL:
             mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
             var = mu * (1.0 - mu)
@@ -213,18 +216,17 @@ def fit_ml_design(
         # step-halve if the deviance increased (keeps separation paths tame)
         direction = new_coef - coef
         step = 1.0
-        dev = family.deviance(y, family.inv_link(design @ new_coef + off), w)
+        eta, mu, dev = fitted(new_coef)
         while dev > dev_prev + 1e-12 and step > 1e-8:
             step /= 2.0
             new_coef = coef + step * direction
-            dev = family.deviance(y, family.inv_link(design @ new_coef + off), w)
+            eta, mu, dev = fitted(new_coef)
         coef = new_coef
 
-        if abs(dev - dev_prev) <= DEVIANCE_RTOL * (abs(dev) + 0.1):
-            converged = True
-            dev_prev = dev
-            break
+        converged = abs(dev - dev_prev) <= DEVIANCE_RTOL * (abs(dev) + 0.1)
         dev_prev = dev
+        if converged:
+            break
 
     _check_diverged(family, design, y, off, w, coef, converged)
     return GlmFit(family, coef, iterations, float(dev_prev), has_intercept)
@@ -268,31 +270,29 @@ def fit_least_squares(
     coef = np.zeros(design.shape[1])
     coef[0] = float(logit(np.array([_start_mean(y, family, w)]))[0])
 
-    def sse(c):
-        return float(np.sum(w * (y - expit(design @ c)) ** 2))
+    def sse(c):  # the weighted squared error and the mean at coefficients c
+        mu = expit(design @ c)
+        return float(np.sum(w * (y - mu) ** 2)), mu
 
-    current = sse(coef)
-    converged = False
+    current, mu = sse(coef)
     iterations = 0
     for iterations in range(1, MAX_GAUSS_NEWTON_ITERATIONS + 1):
-        mu = expit(design @ coef)
         dmu = np.clip(mu * (1.0 - mu), MU_FLOOR, None)
         jac = design * dmu[:, None]
         delta = _solve_wls(jac, w, y - mu)
         step = 1.0
         trial = coef + delta
-        value = sse(trial)
+        value, trial_mu = sse(trial)
         while value > current + 1e-14 and step > 1e-10:
             step /= 2.0
             trial = coef + step * delta
-            value = sse(trial)
+            value, trial_mu = sse(trial)
         moved = np.max(np.abs(trial - coef))
-        coef = trial
-        if abs(current - value) <= 1e-12 * (abs(value) + 1e-3) and moved < 1e-10:
-            current = value
-            converged = True
-            break
+        coef, mu = trial, trial_mu
+        converged = abs(current - value) <= 1e-12 * (abs(value) + 1e-3) and moved < 1e-10
         current = value
+        if converged:
+            break
 
     _check_diverged(family, design, y, 0.0, w, coef, converged)
     return GlmFit(family, coef, iterations, current)

@@ -15,13 +15,13 @@ numpy arrays.
 A Gaussian `lasso_cv` needs no pass over the rows per fold: each fit's Gram
 matrix and c, and its test loss at every penalty (a quadratic form), come
 from per-fold weighted moments of [x, y] taken once. Binomial paths run
-IRLS along the grid from secant guesses, each step a penalized weighted
-least-squares problem solved exactly on the warm active set (a proximal
-Newton step), or by the homotopy on the p x p working Gram matrix where the
-active set or a sign changes; `lasso_cv` walks the K fold fits and the
-full-data fit through the grid as one stack, one batched solve a step. The
-grid starts at lam_max, where every coefficient is zero, so `lasso_cv`
-selects nothing at index 0 whatever rounding leaves on a binomial path.
+IRLS along the grid from secant guesses; a step's working Gram matrix and
+score come from one weighted moment product of [1, x, z], z the working
+response, and it is solved exactly on the warm active set (a proximal Newton
+step), or by the homotopy where the active set or a sign changes. `lasso_cv`
+walks the K fold fits and the full-data fit through the grid as one stack,
+one moment product and one batched solve a step. The grid starts at lam_max,
+where every coefficient is zero, so `lasso_cv` selects nothing at index 0.
 """
 from __future__ import annotations
 
@@ -38,9 +38,9 @@ from .errors import AtLeast, ConfigError, NonConvergence, Separation, Singular
 from .errors import _check, _read, _set_fields
 from .glm import GlmFamily, _as_design, expit, fit_ml
 
-COORD_TOL = 1e-9
+IRLS_MOVE_TOL = 1e-9
 KNOTS_PER_COLUMN = 20
-MAX_OUTER = 200
+MAX_IRLS_STEPS = 200
 PATH_POINTS = 100
 PATH_MIN_RATIO = 1e-4
 # widest design whose Gaussian path runs on Python floats: per path (n=200,
@@ -320,57 +320,57 @@ def _binomial_paths(xs, y, W, lambdas):
 
     At each penalty the fits run IRLS together from a secant guess: 2 b(lam_i-1)
     - b(lam_i-2) for a coefficient or intercept of one sign at both, b(lam_i-1)
-    otherwise. A step profiles out the intercept by centering on the working
-    weights v and solves the penalized least squares on G = xc'V xc / n_k
-    exactly on each fit's warm active set A with signs s, G_AA b_A = c_A - lam s_A,
-    in one batched solve. A fit keeps b if its signs are s and |c_j - G_jA b_A|
-    <= lam off A, which makes b the step's minimizer; otherwise the homotopy
-    `_gaussian_path` solves the step at lam alone. A fit leaves once no
-    coefficient moves by COORD_TOL, so each fit gets the iterates it would get
-    alone. Grid point 0 may keep about 1e-16 where lam_max is exactly on the KKT
-    bound; `lasso_cv` selects nothing there."""
-    m, _, p = xs.shape
-    counts = (W > 0).sum(axis=1).astype(float)
-    b0s, B = np.empty((m, len(lambdas))), np.empty((m, len(lambdas), p))
-    b0, b = np.zeros(m), np.zeros((m, p))
+    otherwise. A step writes the working response z beside each fit's rows
+    [1, xs] and takes one batched moment product M = [1, xs]'V [1, xs, z], V
+    the working weights over the fit's row count n_k. Row 0 of M, t, holds
+    sum(v) and the weighted sums of x and z; profiling out the intercept
+    b0 = zbar - xbar'b leaves the Gram matrix G and score c as S - t t'/sum(v),
+    S the rest of M. The step is solved exactly on each fit's warm active set
+    A with signs s_A, G_AA b_A = c_A - lam s_A, in one batched solve. A fit
+    keeps b if its signs are s_A and |c_j - G_jA b_A| <= lam off A, which makes
+    b the step's minimizer; otherwise `_gaussian_path` solves the step at lam.
+    Once no coefficient of a fit moves by IRLS_MOVE_TOL, its later steps are
+    dropped, so each fit gets the iterates it would get alone. Grid point 0 may
+    keep about 1e-16 at lam_max; `lasso_cv` selects nothing there."""
+    m, n, p = xs.shape
+    W = W / (W > 0).sum(axis=1, keepdims=True)  # each fit's weights over n_k
+    rows = np.concatenate([np.ones((m, n, 1)), xs, np.zeros((m, n, 1))], axis=2)
+    rows_t = np.ascontiguousarray(rows[:, :, :p + 1].transpose(0, 2, 1))
+    path = np.empty((m, len(lambdas), p + 1))
+    beta = np.zeros((m, p + 1))  # each fit's (b0, b)
+    eye = np.eye(p)
     for i, lam in enumerate(np.asarray(lambdas, dtype=float).tolist()):
         if i >= 2:
-            for now, before in ((b0, b0s[:, i - 2]), (b, B[:, i - 2])):
-                np.copyto(now, 2.0 * now - before, where=now * before > 0.0)
-        live = np.arange(m)
-        for _ in range(MAX_OUTER):
-            xl, bl = xs[live], b[live]
-            eta = b0[live, None] + (xl @ bl[:, :, None])[:, :, 0]
-            mu = np.clip(expit(eta), 1e-5, 1.0 - 1e-5)
+            np.copyto(beta, 2.0 * beta - path[:, i - 2], where=beta * path[:, i - 2] > 0.0)
+        live = np.ones(m, dtype=bool)
+        for _ in range(MAX_IRLS_STEPS):
+            eta = (beta[:, None, :] @ rows_t)[:, 0]
+            mu = expit(eta).clip(1e-5, 1.0 - 1e-5)
             var = mu * (1.0 - mu)
-            v = W[live] * var
-            z = eta + (y - mu) / var
-            vsum = v.sum(axis=1)
-            xbar = (v[:, None, :] @ xl)[:, 0] / vsum[:, None]
-            zbar = (v * z).sum(axis=1) / vsum
-            xc = xl - xbar[:, None, :]
-            xv = (xc * v[:, :, None]).transpose(0, 2, 1)
-            gram = xv @ xc / counts[live, None, None]
-            c = (xv @ (z - zbar[:, None])[:, :, None])[:, :, 0] / counts[live, None]
-            signs = np.sign(bl)
+            rows[:, :, -1] = eta + (y - mu) / var
+            M = (rows_t * (W * var)[:, None, :]) @ rows
+            gc = M[:, 1:, 1:] - M[:, 1:, :1] * M[:, :1, 1:] / M[:, :1, :1]
+            gram, c = gc[:, :, :p], gc[:, :, p]
+            signs = np.sign(beta[:, 1:])
             active = signs != 0.0
-            lhs = np.where(active[:, :, None] & active[:, None, :], gram, np.eye(p))
+            lhs = np.where(active[:, :, None] & active[:, None, :], gram, eye)
             new_b = _solve_stack(lhs, np.where(active, c - lam * signs, 0.0)[:, :, None])[:, :, 0]
             # a column with G_jj = 0 has c_j = 0, so it meets the bound
             kkt = np.abs(c - (gram @ new_b[:, :, None])[:, :, 0]) <= lam
             exact = ((np.sign(new_b) == signs) & (active | kkt)).all(axis=1)
-            for k in np.flatnonzero(~exact).tolist():
+            for k in np.flatnonzero(live & ~exact).tolist():
                 new_b[k] = _gaussian_path(gram[k], c[k], [lam])[0]
-            new_b0 = zbar - (xbar * new_b).sum(axis=1)
-            moved = np.maximum(np.abs(new_b0 - b0[live]), np.abs(new_b - bl).max(axis=1, initial=0.0))
-            b0[live], b[live] = new_b0, new_b
-            live = live[moved >= COORD_TOL]
-            if live.size == 0:
+            b0 = (M[:, 0, -1] - (M[:, 0, 1:-1] * new_b).sum(axis=1)) / M[:, 0, 0]
+            new = np.concatenate([b0[:, None], new_b], axis=1)
+            moved = np.abs(new - beta).max(axis=1) >= IRLS_MOVE_TOL
+            np.copyto(beta, new, where=live[:, None])
+            live &= moved
+            if not live.any():
                 break
         else:
             raise NonConvergence("binomial lasso did not converge")
-        b0s[:, i], B[:, i] = b0, b
-    return b0s, B
+        path[:, i] = beta
+    return path[:, :, 0], path[:, :, 1:]
 
 
 def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):

@@ -38,7 +38,8 @@ MAX_FAILURE_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class DgpSpec:
-    """A named data-generating process for the Monte Carlo harness."""
+    """A named data-generating process for the Monte Carlo harness; a field
+    its outcome or mechanism does not read must keep its default."""
 
     name: str
     n: Annotated[int, AtLeast(2)]
@@ -56,6 +57,10 @@ class DgpSpec:
             raise ConfigError(f"mechanism {self.mechanism!r} needs p >= 2")
         if self.noise_sd <= 0:
             raise ConfigError("noise_sd must be positive")
+        if self.outcome_kind == "binary" and self.noise_sd != 1.0:
+            raise ConfigError("noise_sd: a binary outcome does not read it")
+        if self.mechanism == "null_effect" and self.effect_size != 0.0:
+            raise ConfigError("effect_size: mechanism 'null_effect' does not read it")
         if self.mechanism == "null_effect" and self.true_theta not in (None, 0.0):
             raise ConfigError("null_effect implies true_theta = 0")
         if self.outcome_kind == "continuous" and self.true_theta is not None:

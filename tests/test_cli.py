@@ -526,6 +526,11 @@ class TestSimulate:
           "plan": {"estimator": "unadjusted", "family": "binomial",
                    "contrast": "log_odds_ratio"}}, "plan.contrast: log_odds_ratio"),
         ({"plan": dict(SIM_SPEC["plan"], contrast="log_risk_ratio")}, "plan.contrast"),
+        # a field the DGP does not read must keep its default
+        ({"dgp": dict(SIM_SPEC["dgp"], outcome_kind="binary", noise_sd=2.0)},
+         "spec.dgp: noise_sd: a binary outcome does not read it"),
+        ({"dgp": dict(SIM_SPEC["dgp"], mechanism="null_effect")},
+         "spec.dgp: effect_size: mechanism 'null_effect' does not read it"),
     ])
     def test_bad_spec_fails_before_any_replicate(self, tmp_path, capsys, change, named):
         spec = write_plan(tmp_path, dict(SIM_SPEC, **change), name="spec.json")

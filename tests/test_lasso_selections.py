@@ -7,8 +7,9 @@ the chosen path index. The problems are in general position: no column is
 an exact copy or combination of others. Entries whose label starts with
 "binomial" hold 15 logistic lasso problems (p in {1, 3, 8, 20}, n in
 {60, 200, 600}), one of them with a column that is constant inside a
-training fold. A change that is meant to alter selections re-records the
-file with
+training fold, and one with a fractional outcome in (0, 1); and 16 of the
+broad sample of `compare_lasso_selections.py` (every 10th seed). A change
+that is meant to alter selections re-records the file with
 
     PYTHONPATH=src python tests/test_lasso_selections.py
 """
@@ -59,15 +60,21 @@ def selection_problem(p, n, weighted, seed):
 
 
 def binomial_cases():
-    """(label, p, n, weighted, lambda_rule, k_cv, seed) for every pinned logistic problem."""
+    """(label, x, y, weights, lambda_rule, k_cv, seed) for every pinned logistic problem."""
     variants = [(False, "1se", 5), (True, "min", 3), (True, "1se", 3), (False, "min", 5)]
     sizes = [(p, n) for p in (1, 3, 8, 20) for n in (60, 200, 600)] + [(3, 200), (8, 600)]
     cases = []
     for index, (p, n) in enumerate(sizes):
         weighted, rule, k_cv = variants[index % len(variants)]
         label = f"binomial p={p} n={n} weighted={weighted} rule={rule} k={k_cv} seed={index}"
-        cases.append((label, p, n, weighted, rule, k_cv, index))
-    cases.append(("binomial constant-in-fold p=4 n=200 k=5 seed=99", 4, 200, True, "min", 5, 99))
+        cases.append((label, *binomial_problem(p, n, weighted, index, k_cv), rule, k_cv, index))
+    cases.append(("binomial constant-in-fold p=4 n=200 k=5 seed=99",
+                  *binomial_problem(4, 200, True, 99), "min", 5, 99))
+    cases.append(("binomial fractional p=3 n=200 k=5 seed=98",
+                  *binomial_problem(3, 200, False, 98), "1se", 5, 98))
+    for seed in range(90_000, 90_160, 10):
+        label, x, y, weights, k_cv, rule = broad_problem(seed)
+        cases.append((f"binomial broad {label}", x, y, weights, rule, k_cv, seed))
     return cases
 
 
@@ -75,13 +82,18 @@ def binomial_problem(p, n, weighted, seed, k_cv=5):
     """Correlated Gaussian covariates and a logistic outcome with decaying
     signals; seed 99 turns the last column into a rare indicator whose ones
     all fall in the first test fold, so it is constant in that fold's
-    training rows."""
+    training rows, and seed 98 gives a fractional outcome in (0, 1), the
+    logistic mean of a linear predictor with standard normal noise."""
     rng = np.random.default_rng(7_000 + seed)
     shared = rng.standard_normal((n, 1))
     x = rng.standard_normal((n, p)) + 0.4 * shared
     beta = np.zeros(p)
     beta[: min(p, 5)] = 1.0 / np.arange(1, min(p, 5) + 1)
-    y = (rng.uniform(size=n) < expit(-0.3 + x @ beta)).astype(float)
+    eta = -0.3 + x @ beta
+    if seed == 98:
+        y = expit(eta + rng.standard_normal(n))
+    else:
+        y = (rng.uniform(size=n) < expit(eta)).astype(float)
     weights = rng.uniform(0.5, 2.0, size=n) if weighted else None
     if seed == 99:
         x[:, -1] = 0.0
@@ -105,8 +117,7 @@ def record_selections() -> dict:
 
 def record_binomial_selections() -> dict:
     out = {}
-    for label, p, n, weighted, rule, k_cv, seed in binomial_cases():
-        x, y, weights = binomial_problem(p, n, weighted, seed, k_cv)
+    for label, x, y, weights, rule, k_cv, seed in binomial_cases():
         out[label] = pinned_selection(x, y, GlmFamily.BINOMIAL, k_cv, seed, weights, rule)
     return out
 

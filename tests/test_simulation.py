@@ -77,6 +77,11 @@ class TestDgpSpec:
             DgpSpec("bad", n=50, p=2, pi=0.5, mechanism="null_effect", true_theta=1.0)
         with pytest.raises(ConfigError, match="continuous"):
             DgpSpec("bad", n=50, p=2, pi=0.5, effect_size=0.5, true_theta=0.5)
+        # a binary outcome draws no noise, and null_effect has no effect to scale
+        with pytest.raises(ConfigError, match="^noise_sd: a binary outcome does not read it$"):
+            DgpSpec("bad", n=50, p=2, pi=0.5, outcome_kind="binary", noise_sd=2.0)
+        with pytest.raises(ConfigError, match="^effect_size: mechanism 'null_effect'"):
+            DgpSpec("bad", n=50, p=2, pi=0.5, mechanism="null_effect", effect_size=0.3)
 
 
 class TestGenerateDataset:
