@@ -1,11 +1,16 @@
-"""Compare binomial `lasso_cv` selections between two versions of trialcraft.
+"""Compare `lasso_cv` selections between two versions of trialcraft.
 
-A check to run by hand whenever the binomial lasso's iterates change; pytest
-does not collect it. It fits a fixed broad sample of 160 logistic lasso
-problems: p from 1 to 20, n from max(40, 3p) to 400, columns shifted and
-rescaled, half of the problems weighted, every 4th near-separated, 3 to 5
-folds and both penalty rules. For each it keeps the selected columns and
-`chosen_index`, or the class of the exception raised.
+A check to run by hand whenever the lasso's paths or iterates change; pytest
+does not collect it. It fits two fixed broad samples of 160 problems each,
+and for each keeps the selected columns and `chosen_index`, or the class of
+the exception raised:
+
+- logistic: p from 1 to 20, n from max(40, 3p) to 400, columns shifted and
+  rescaled, half of the problems weighted, every 4th near-separated, 3 to 5
+  folds and both penalty rules;
+- Gaussian: p from 1 to 60, every 4th with n < 2p (from p = 6), every 5th
+  with a column that is a shifted multiple of another, columns shifted and
+  rescaled, half weighted, 3 to 5 folds and both penalty rules.
 
     PYTHONPATH=<old checkout>/src python tests/compare_lasso_selections.py --record old.json
     PYTHONPATH=src python tests/compare_lasso_selections.py --compare old.json
@@ -31,7 +36,7 @@ N_PROBLEMS = 160
 
 
 def problem(seed):
-    """(label, x, y, weights, k_cv, rule) of the sample's problem `seed`."""
+    """(label, x, y, weights, k_cv, rule) of the logistic sample's problem `seed`."""
     i = seed - 90_000
     rng = np.random.default_rng(seed)
     p = int(rng.integers(1, 21))
@@ -53,13 +58,40 @@ def problem(seed):
     return label, x, y, weights, k_cv, rule
 
 
+def gaussian_problem(seed):
+    """(label, x, y, weights, k_cv, rule) of the Gaussian sample's problem `seed`."""
+    i = seed - 91_000
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, 61))
+    wide = i % 4 == 1 and p >= 6
+    n = int(rng.integers(p // 2 + 5, 2 * p) if wide else rng.integers(max(40, 3 * p), 401))
+    x = rng.standard_normal((n, p)) + rng.uniform(0.0, 1.0) * rng.standard_normal((n, 1))
+    copy = i % 5 == 2 and p >= 2
+    if copy:
+        x[:, -1] = x[:, 0]  # a shifted multiple of x0 once the columns are rescaled
+    beta = np.zeros(p)
+    k = min(p, 5)
+    beta[:k] = rng.uniform(0.1, 1.0, size=k) * rng.choice([-1.0, 1.0], size=k)
+    y = rng.uniform(-5.0, 5.0) + x @ beta + rng.uniform(0.5, 2.0) * rng.standard_normal(n)
+    x = x * 10.0 ** rng.uniform(-3, 3, size=p) + rng.uniform(-1e3, 1e3, size=p)
+    weighted = (i // 4) % 2 == 1
+    weights = rng.uniform(0.2, 3.0, size=n) if weighted else None
+    k_cv, rule = 3 + i % 3, ("1se", "min")[(i + i // 8) % 2]
+    label = (f"gaussian seed={seed} p={p} n={n} weighted={weighted} copy={copy} "
+             f"k={k_cv} rule={rule}")
+    return label, x, y, weights, k_cv, rule
+
+
 def record():
     out = {}
-    for seed in range(90_000, 90_000 + N_PROBLEMS):
-        label, x, y, weights, k_cv, rule = problem(seed)
+    sample = [(seed, problem, GlmFamily.BINOMIAL) for seed in range(90_000, 90_000 + N_PROBLEMS)]
+    sample += [(seed, gaussian_problem, GlmFamily.GAUSSIAN)
+               for seed in range(91_000, 91_000 + N_PROBLEMS)]
+    for seed, make, family in sample:
+        label, x, y, weights, k_cv, rule = make(seed)
         start = time.perf_counter()
         try:
-            res = lasso_cv(x, y, GlmFamily.BINOMIAL, k_cv=k_cv, seed=seed, weights=weights,
+            res = lasso_cv(x, y, family, k_cv=k_cv, seed=seed, weights=weights,
                            lambda_rule=rule)
             out[label] = {"selected_columns": list(res.selected_columns),
                           "chosen_index": res.path_diagnostics.get("chosen_index")}

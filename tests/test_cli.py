@@ -232,6 +232,25 @@ class TestAnalyze:
         assert code == 4
         assert "estimation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fields", [
+        {"estimator": "data_adaptive"},
+        {"estimator": "tmle"},
+        {"estimator": "crossfit_aipw", "learner": "post_lasso"},
+    ], ids=["data_adaptive", "tmle", "crossfit_aipw-post_lasso"])
+    def test_lasso_moments_that_overflow_exit_4(self, tmp_path, capsys, fields):
+        # b's squares overflow float64 inside the Gaussian lasso's CV
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((200, 2)) * [1.0, 1e160]
+        rows = "".join(f"{a + rng.standard_normal():.6f},{i % 2},{a:.6f},{b:.6e}\n"
+                       for i, (a, b) in enumerate(x))
+        data = write(tmp_path, "trial.csv", "y,z,a,b\n" + rows)
+        plan = write_plan(tmp_path, {**fields, "family": "gaussian",
+                                     "data": UNADJUSTED_PLAN["data"]})
+        code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
+        err = capsys.readouterr().err
+        assert code == 4, err
+        assert err.startswith("estimation error:") and "overflow" in err and err.count("\n") == 1
+
     def test_binary_covariate_squared_is_not_selected_twice(self, tmp_path):
         # sex^2 is an exact copy of sex; the lasso must not pick both for the refit
         for seed in range(5):

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compare_lasso_selections import problem as broad_problem
 from conftest import kkt_violation
@@ -179,10 +181,6 @@ def test_path_meets_kkt_at_every_grid_point(label, x, y, weights):
     assert worst <= 1e-9
 
 
-# PY_PATH_MAX_WIDTH values that send every Gaussian path to one kernel
-KERNELS = {"python": 10**9, "numpy": -1}
-
-
 def kernel_problems():
     """(label, x, y, weights): general-position problems with p from 1 to 60,
     and wide ones with n < 2p, strongly correlated columns and signals of
@@ -210,15 +208,11 @@ def kernel_problems():
 KERNEL_PROBLEMS = kernel_problems()
 
 
-def kernel_paths(x, y, weights, monkeypatch):
-    """The penalty grid and {kernel: coefs} of lasso_path on each Gaussian kernel."""
+def gaussian_path(x, y, weights):
+    """The penalty grid of lasso_cv and lasso_path's coefficients on it."""
     lam_max = lasso_lambda_max(x, y, GlmFamily.GAUSSIAN, weights)
     lambdas = np.geomspace(lam_max, lam_max * 1e-4, 100)
-    paths = {}
-    for kernel, width in KERNELS.items():
-        monkeypatch.setattr(selection, "PY_PATH_MAX_WIDTH", width)
-        paths[kernel] = lasso_path(x, y, GlmFamily.GAUSSIAN, lambdas, weights)[0]
-    return lambdas, paths
+    return lambdas, lasso_path(x, y, GlmFamily.GAUSSIAN, lambdas, weights)[0]
 
 
 def worst_kkt(x, y, weights, lambdas, coefs):
@@ -226,43 +220,98 @@ def worst_kkt(x, y, weights, lambdas, coefs):
                for lam, coef in zip(lambdas, coefs))
 
 
+def spy_gaussian_paths(monkeypatch):
+    """Record (grams, cs, lambdas, B) of every stack of Gaussian paths solved;
+    in lasso_cv's one stack the full-data fit comes last."""
+    calls, solve = [], selection._gaussian_paths
+
+    def spy(grams, cs, lambdas):
+        calls.append((grams, cs, lambdas, solve(grams, cs, lambdas)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(selection, "_gaussian_paths", spy)
+    return calls
+
+
+def assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B):
+    for k in range(B.shape[0]):
+        alone = selection._gaussian_paths(grams[k:k + 1], cs[k:k + 1], lambdas)[0]
+        assert np.array_equal(alone, B[k]), k
+
+
 @pytest.mark.parametrize("label, x, y, weights", KERNEL_PROBLEMS,
                          ids=[problem[0] for problem in KERNEL_PROBLEMS])
-def test_path_kernels_agree_and_meet_kkt(label, x, y, weights, monkeypatch):
-    lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
-    for kernel, coefs in paths.items():
-        assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
-    np.testing.assert_allclose(paths["python"], paths["numpy"], rtol=0, atol=1e-12)
+def test_each_fit_of_a_cv_stack_is_its_path_alone_and_meets_kkt(label, x, y, weights, monkeypatch):
+    calls = spy_gaussian_paths(monkeypatch)
+    lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=3, weights=weights)
+    monkeypatch.undo()
+    (grams, cs, lambdas, B), = calls
+    assert B.shape == (6, 100, x.shape[1])
+    assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B)
+    assert worst_kkt(x, y, weights, *gaussian_path(x, y, weights)) <= 1e-9
 
 
-def test_kernel_problems_include_leaving_coefficients(monkeypatch):
-    # the kernels rebuild their factor when a coefficient leaves; the wide
+def gram_kkt(gram, c, lambdas, B):
+    """Largest KKT violation of the paths B (L, p) of the Gaussian lasso
+    problem (1/2) b'G b - c'b + lam |b|_1 over the grid."""
+    g = c - B @ gram.T
+    return np.where(B != 0.0, np.abs(g - lambdas[:, None] * np.sign(B)),
+                    np.abs(g) - lambdas[:, None]).max()
+
+
+@given(m=st.integers(1, 7), p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       zero=st.booleans(), copy=st.booleans())
+@settings(max_examples=150)
+def test_each_fit_of_any_stack_is_its_path_alone_and_meets_kkt(m, p, seed, zero, copy):
+    # fits of unlike data, some with a zero column (G_jj = 0) or an exact copy
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(p // 2 + 3, 4 * p + 20))
+    grams, cs = np.empty((m, p, p)), np.empty((m, p))
+    for k in range(m):
+        x = rng.standard_normal((n, p)) + 0.5 * rng.standard_normal((n, 1))
+        if zero:
+            x[:, rng.integers(p)] = 0.0
+        if copy and p > 1:
+            x[:, -1] = x[:, 0]
+        y = x[:, :3].sum(axis=1) * 0.5 + rng.standard_normal(n)
+        sds = x.std(axis=0)
+        xs = (x - x.mean(axis=0)) / np.where(sds > 0, sds, 1.0)
+        grams[k], cs[k] = xs.T @ xs / n, xs.T @ (y - y.mean()) / n
+    lambdas = np.geomspace(np.abs(cs[-1]).max() or 1.0, 1e-4, 100)
+    B = selection._gaussian_paths(grams, cs, lambdas)
+    assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B)
+    for k in range(m):
+        assert gram_kkt(grams[k], cs[k], lambdas, B[k]) <= 1e-9, k
+        if copy and p > 1:
+            assert not np.any((B[k, :, 0] != 0.0) & (B[k, :, -1] != 0.0)), k
+
+
+def test_kernel_problems_include_leaving_coefficients():
+    # a leaving coefficient downdates a fit's inverse Gram block; the wide
     # problems above must take that branch, seen as a coefficient that is
     # non-zero at one grid point and zero at the next
     leaving = [problem for problem in KERNEL_PROBLEMS if problem[0].startswith("leaving")]
-    for kernel in KERNELS:
-        drops = [np.sum((coefs[:-1] != 0.0) & (coefs[1:] == 0.0))
-                 for label, x, y, weights in leaving
-                 for coefs in [kernel_paths(x, y, weights, monkeypatch)[1][kernel]]]
-        assert sum(drop > 0 for drop in drops) >= len(leaving) // 2, (kernel, drops)
+    drops = [np.sum((coefs[:-1] != 0.0) & (coefs[1:] == 0.0))
+             for label, x, y, weights in leaving
+             for coefs in [gaussian_path(x, y, weights)[1]]]
+    assert sum(drop > 0 for drop in drops) >= len(leaving) // 2, drops
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_path_kernels_never_enter_an_exact_copy(seed, monkeypatch):
+def test_path_kernels_never_enter_an_exact_copy(seed):
     rng = np.random.default_rng(71_000 + seed)
     x = rng.standard_normal((150, 4)) + 0.3 * rng.standard_normal((150, 1))
     x[:, 3] = x[:, 1]
     y = x[:, 0] + x[:, 1] + rng.standard_normal(150)
     weights = rng.uniform(0.5, 2.0, size=150) if seed % 2 else None
-    lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
-    for kernel, coefs in paths.items():
-        assert not np.any((coefs[:, 2] != 0.0) & (coefs[:, 4] != 0.0)), kernel
-        assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
+    lambdas, coefs = gaussian_path(x, y, weights)
+    assert not np.any((coefs[:, 2] != 0.0) & (coefs[:, 4] != 0.0))
+    assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9
 
 
 @pytest.mark.parametrize("p", [30, 50])
 @pytest.mark.parametrize("seed", range(4))
-def test_wide_path_kernels_never_enter_a_copy_or_combination(seed, p, monkeypatch):
+def test_wide_path_kernels_never_enter_a_copy_or_combination(seed, p):
     # x3 copies x1 and x4 = x1 - 2 x2: neither may join the columns it is made of
     rng = np.random.default_rng(71_100 + seed)
     x = rng.standard_normal((150, p)) + 0.3 * rng.standard_normal((150, 1))
@@ -270,32 +319,16 @@ def test_wide_path_kernels_never_enter_a_copy_or_combination(seed, p, monkeypatc
     x[:, 4] = x[:, 1] - 2.0 * x[:, 2]
     y = x[:, 0] + x[:, 1] - x[:, 2] + rng.standard_normal(150)
     weights = rng.uniform(0.5, 2.0, size=150) if seed % 2 else None
-    lambdas, paths = kernel_paths(x, y, weights, monkeypatch)
-    for kernel, coefs in paths.items():
-        nonzero = coefs[:, 1:] != 0.0
-        assert not np.any(nonzero[:, 1] & nonzero[:, 3]), kernel
-        assert not np.any(nonzero[:, 1] & nonzero[:, 2] & nonzero[:, 4]), kernel
-        assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9, kernel
+    lambdas, coefs = gaussian_path(x, y, weights)
+    nonzero = coefs[:, 1:] != 0.0
+    assert not np.any(nonzero[:, 1] & nonzero[:, 3])
+    assert not np.any(nonzero[:, 1] & nonzero[:, 2] & nonzero[:, 4])
+    assert worst_kkt(x, y, weights, lambdas, coefs) <= 1e-9
 
 
-def spy_gaussian_paths(monkeypatch):
-    """Record (gram, c, B) of every Gaussian path lasso_cv solves; the
-    full-data fit comes last."""
-    calls, solve = [], selection._gaussian_path
-
-    def spy(gram, c, lambdas):
-        calls.append((gram, c, solve(gram, c, lambdas)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(selection, "_gaussian_path", spy)
-    return calls
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("value", [0.0, 2.5])
-def test_column_constant_in_a_training_fold_never_enters(kernel, value, monkeypatch):
+def test_column_constant_in_a_training_fold_never_enters(value, monkeypatch):
     # x2 varies only inside test fold 1, so fit 0 sees it constant
-    monkeypatch.setattr(selection, "PY_PATH_MAX_WIDTH", KERNELS[kernel])
     calls = spy_gaussian_paths(monkeypatch)
     for seed in range(4):
         rng = np.random.default_rng(72_000 + seed)
@@ -307,9 +340,9 @@ def test_column_constant_in_a_training_fold_never_enters(kernel, value, monkeypa
         weights = rng.uniform(0.5, 2.0, size=200) if seed % 2 else None
         calls.clear()
         lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=seed, weights=weights)
-        (gram, c, B), *others = calls
-        assert gram[2, 2] == 0.0 and c[2] == 0.0 and np.all(B[:, 2] == 0.0)
-        assert all(other_gram[2, 2] > 0.5 for other_gram, _, _ in others)
+        (grams, cs, _, B), = calls
+        assert grams[0, 2, 2] == 0.0 and cs[0, 2] == 0.0 and np.all(B[0, :, 2] == 0.0)
+        assert all(gram[2, 2] > 0.5 for gram in grams[1:])
 
 
 def reference_cv(x, y, weights, k_cv, seed, lambdas):
@@ -345,7 +378,7 @@ def test_full_data_path_is_zero_at_lambda_max(monkeypatch):
     for label, p, n, weighted, rule, k_cv, seed in selection_cases():
         x, y, weights = selection_problem(p, n, weighted, seed)
         lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=k_cv, seed=seed, weights=weights, lambda_rule=rule)
-        assert np.all(calls[-1][2][0] == 0.0), label
+        assert np.all(calls[-1][3][-1, 0] == 0.0), label
 
 
 def binomial_path_problems():
@@ -422,14 +455,14 @@ def test_each_stacked_fit_gets_the_iterates_it_gets_alone(label, x, y, weights, 
 def fallback_grid_points(monkeypatch, x, y, lambdas):
     """lasso_path's binomial path, with the grid index of every IRLS step
     whose exact solve on the warm active set is rejected: the binomial path
-    calls `_gaussian_path` only to solve such a step."""
-    calls, homotopy = [], selection._gaussian_path
+    calls `_gaussian_paths` only to solve such steps."""
+    calls, homotopy = [], selection._gaussian_paths
 
-    def spy(gram, c, lams):
+    def spy(grams, cs, lams):
         calls.append(int(np.flatnonzero(lambdas == lams[0])[0]))
-        return homotopy(gram, c, lams)
+        return homotopy(grams, cs, lams)
 
-    monkeypatch.setattr(selection, "_gaussian_path", spy)
+    monkeypatch.setattr(selection, "_gaussian_paths", spy)
     coefs, _ = lasso_path(x, y, GlmFamily.BINOMIAL, lambdas)
     monkeypatch.undo()
     assert max(kkt_violation(x, y, GlmFamily.BINOMIAL, lam, coef)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import kkt_violation, lasso_fit, score_residual
-from trialcraft.errors import ConfigError
+from trialcraft.errors import ConfigError, EstimationError
 from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     SelectionConfig,
@@ -162,6 +162,15 @@ class TestLassoCv:
                 moved[:, 3] *= a
                 res = lasso_cv(moved, y, GlmFamily.BINOMIAL, seed=seed)
                 assert res.selected_columns == base, (seed, a, b)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e160])
+    def test_gaussian_moments_that_overflow_are_an_estimation_error(self, scale):
+        # the squares of x1 overflow float64: the CV curve would be NaN
+        x = np.random.default_rng(4).standard_normal((200, 3))
+        y = x @ [1.0, 0.5, 0.0] + np.random.default_rng(5).standard_normal(200)
+        x[:, 1] *= scale
+        with pytest.raises(EstimationError, match="overflow"):
+            lasso_cv(x, y, GlmFamily.GAUSSIAN, seed=1)
 
     def test_min_rule_selects_at_least_as_much(self, rng):
         x, y = toy_problem(rng, n=80, p=6)
