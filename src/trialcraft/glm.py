@@ -8,6 +8,10 @@ estimators robust to model misspecification, so it is the contract this
 module is built around. Least-squares fitting of the logistic model is
 provided for the minimal-MSE (empirical efficiency maximization) route and
 deliberately does NOT satisfy the score equations.
+
+The deviance has one formula, `_deviance`, shared by `GlmFamily.deviance`
+and the IRLS of `fit_ml_design`; its terms in the outcome alone (log y,
+log1p(-y) and 1 - y for the binomial family) are computed once per fit.
 """
 from __future__ import annotations
 
@@ -65,15 +69,36 @@ class GlmFamily(enum.Enum):
         """Weighted deviance; a 2-D `mu` (a column per fit) gives one per column."""
         if np.ndim(mu) == 2:
             y, weights = y[:, None], weights[:, None]
-        if self is GlmFamily.GAUSSIAN:
-            dev = (weights * (y - mu) ** 2).sum(axis=0)
-        else:
-            mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t1 = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
-                t0 = np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
-            dev = 2.0 * (weights * (t1 + t0)).sum(axis=0)
+        dev = _deviance(_outcome_terms(self, y), _clipped(self, mu), weights)
         return dev if np.ndim(mu) == 2 else float(dev)
+
+
+def _clipped(family: GlmFamily, mu: np.ndarray) -> np.ndarray:
+    """mu as the deviance and the IRLS weights take it: a binomial mean
+    clipped into [MU_FLOOR, 1 - MU_FLOOR]."""
+    if family is GlmFamily.GAUSSIAN:
+        return mu
+    return np.minimum(np.maximum(mu, MU_FLOOR), 1.0 - MU_FLOOR)  # np.clip, cheaper
+
+
+def _outcome_terms(family: GlmFamily, y: np.ndarray) -> tuple:
+    """The deviance's terms in y alone, computed once per fit: (y,) for the
+    gaussian family; for the binomial, y, log y, log1p(-y) and 1 - y, the
+    logs zeroed at y = 0 and y = 1, where y or 1 - y multiplies them."""
+    if family is GlmFamily.GAUSSIAN:
+        return (y,)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return y, np.where(y > 0, np.log(y), 0.0), np.where(y < 1, np.log1p(-y), 0.0), 1.0 - y
+
+
+def _deviance(terms: tuple, mu: np.ndarray, w: np.ndarray):
+    """The weighted deviance, summed over axis 0, from `_outcome_terms` and
+    a `_clipped` mean: the module's one deviance formula."""
+    if len(terms) == 1:
+        return (w * (terms[0] - mu) ** 2).sum(axis=0)
+    y, log_y, log1m_y, one_minus_y = terms
+    t1, t0 = y * (log_y - np.log(mu)), one_minus_y * (log1m_y - np.log1p(-mu))
+    return 2.0 * (w * (t1 + t0)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -182,7 +207,7 @@ def fit_ml_design(
     intercept). Building block for `fit_ml` and for the TMLE update models.
     """
     design, y, w, off = _prepare(design, y, weights, offset)
-    n, q = design.shape
+    q = design.shape[1]
     if family is GlmFamily.BINOMIAL and (np.any(y < 0) or np.any(y > 1)):
         raise ValueError("binomial outcomes must lie in [0, 1]")
 
@@ -191,26 +216,26 @@ def fit_ml_design(
         ybar = _start_mean(y, family, w)
         coef[0] = float(family.link(np.array([ybar]))[0])
 
-    def fitted(c):  # the linear predictor, mean and deviance at coefficients c
+    terms = _outcome_terms(family, y)
+
+    def fitted(c):  # the linear predictor, `_clipped` mean and deviance at c
         eta = design @ c + off
-        mu = family.inv_link(eta)
-        return eta, mu, family.deviance(y, mu, w)
+        mu = _clipped(family, family.inv_link(eta))
+        return eta, mu, _deviance(terms, mu, w)
 
     if q == 0:
-        return GlmFit(family, coef, 0, fitted(coef)[2], has_intercept)
+        return GlmFit(family, coef, 0, float(fitted(coef)[2]), has_intercept)
 
     dev_prev = np.inf
     iterations = 0
     eta = design @ coef + off
-    mu = family.inv_link(eta)
+    mu = _clipped(family, family.inv_link(eta))
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
         if family is GlmFamily.BINOMIAL:
-            mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
             var = mu * (1.0 - mu)
+            w_work, working = w * var, eta - off + (y - mu) / var
         else:
-            var = np.ones(n)
-        w_work = w * var
-        working = eta - off + (y - mu) / var
+            w_work, working = w, eta - off + (y - mu)
         new_coef = _solve_wls(design, w_work, working)
 
         # step-halve if the deviance increased (keeps separation paths tame)

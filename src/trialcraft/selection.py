@@ -13,10 +13,13 @@ block, and every grid penalty on that segment is written at once.
 A Gaussian `lasso_cv` needs no pass over the rows per fold: each fit's Gram
 matrix and c, and its test loss at every penalty (a quadratic form), come
 from per-fold weighted moments of [x, y] taken once. Binomial paths run
-IRLS along the grid from secant guesses; a step's working Gram matrix and
-score come from one weighted moment product of [1, x, z], z the working
-response, and it is solved exactly on the warm active set (a proximal Newton
-step), or by the homotopy where the active set or a sign changes. `lasso_cv`
+IRLS along the grid, each penalty from a quadratic or secant extrapolation
+of the last solutions; a step's working Gram matrix and score come from one
+weighted moment product of [1, x, z], z the working response, and it is
+solved exactly on the warm active set (a proximal Newton step), or by the
+homotopy where the active set or a sign changes. A penalty ends when a step
+moves no coefficient by IRLS_MOVE_TOL, or when Newton's quadratic rate
+bounds the next move of an exact step well below it. `lasso_cv`
 walks the K fold fits and the full-data fit through the grid as one stack,
 for either family: one homotopy, or one moment product and one batched
 solve an IRLS step. The grid starts at lam_max, where every coefficient is
@@ -35,7 +38,10 @@ from .errors import AtLeast, ConfigError, EstimationError, NonConvergence, Separ
 from .errors import _check, _read, _set_fields
 from .glm import GlmFamily, _as_design, expit, fit_ml
 
+# a binomial fit ends a penalty once a step moves no coefficient by this, or
+# once Newton's rate bounds its next move below a tenth of it (`_binomial_paths`)
 IRLS_MOVE_TOL = 1e-9
+MAX_NEWTON_RATE = 1e6  # the largest rate that bound trusts, also before any is measured
 KNOTS_PER_COLUMN = 20
 MAX_IRLS_STEPS = 200
 PATH_POINTS = 100
@@ -231,33 +237,50 @@ def _binomial_paths(xs, y, W, lambdas):
     standardized columns xs[k] (n x p) and row weights W[k], zero on the rows
     it leaves out. Returns (b0s, B) of shapes (m, L) and (m, L, p).
 
-    At each penalty the fits run IRLS together from a secant guess: 2 b(lam_i-1)
-    - b(lam_i-2) for a coefficient or intercept of one sign at both, b(lam_i-1)
-    otherwise. A step writes the working response z beside each fit's rows
-    [1, xs] and takes one batched moment product M = [1, xs]'V [1, xs, z], V
-    the working weights over the fit's row count n_k. Row 0 of M, t, holds
-    sum(v) and the weighted sums of x and z; profiling out the intercept
-    b0 = zbar - xbar'b leaves the Gram matrix G and score c as S - t t'/sum(v),
-    S the rest of M. The step is solved exactly on each fit's warm active set
-    A with signs s_A, G_AA b_A = c_A - lam s_A, in one batched solve. A fit
-    keeps b if its signs are s_A and |c_j - G_jA b_A| <= lam off A, which makes
-    b the step's minimizer; the fits where it does not solve the step at lam
-    by `_gaussian_paths`, as one stack.
-    Once no coefficient of a fit moves by IRLS_MOVE_TOL, its later steps are
-    dropped, so each fit gets the iterates it would get alone. Grid point 0 may
-    keep about 1e-16 at lam_max; `lasso_cv` selects nothing there."""
+    At each penalty the fits run IRLS together from a guess on the grid,
+    which is evenly spaced in log lam: 3 b(lam_i-1) - 3 b(lam_i-2) + b(lam_i-3)
+    for a coefficient or intercept of one sign at all three when the guess
+    keeps that sign; 2 b(lam_i-1) - b(lam_i-2) for one of one sign at the last
+    two; b(lam_i-1) otherwise. A step writes the working response z beside
+    each fit's rows [1, xs] and takes one batched moment product
+    M = [1, xs]'V [1, xs, z], V the working weights over the fit's row count
+    n_k. Row 0 of M, t, holds sum(v) and the weighted sums of x and z;
+    profiling out the intercept b0 = zbar - xbar'b leaves the Gram matrix G
+    and score c as S - t t'/sum(v), S the rest of M. The step is solved
+    exactly on each fit's warm active set A with signs s_A, G_AA b_A =
+    c_A - lam s_A, in one batched solve. A fit keeps b if its signs are s_A
+    and |c_j - G_jA b_A| <= lam off A, which makes b the step's minimizer;
+    the fits where it does not solve the step at lam by `_gaussian_paths`,
+    as one stack.
+    A fit's move d_k is the largest change of its (b0, b) at step k, and its
+    Newton rate r = d_k / d_(k-1)^2 comes from its last two moves at one
+    penalty, carried to the next (+inf before the first). A fit ends the
+    penalty when d_k < IRLS_MOVE_TOL or, past grid point 0, when its step
+    was exact (kept, no homotopy) and min(r, MAX_NEWTON_RATE) d_k^2 <
+    IRLS_MOVE_TOL / 10: quadratic convergence puts its next move an order of
+    magnitude below the tolerance. Its later steps are dropped, so each fit
+    gets the iterates it would get alone. Grid point 0 may keep about 1e-16
+    at lam_max; `lasso_cv` selects nothing there."""
     m, n, p = xs.shape
     W = W / (W > 0).sum(axis=1, keepdims=True)  # each fit's weights over n_k
     rows = np.concatenate([np.ones((m, n, 1)), xs, np.zeros((m, n, 1))], axis=2)
     rows_t = np.ascontiguousarray(rows[:, :, :p + 1].transpose(0, 2, 1))
     path = np.empty((m, len(lambdas), p + 1))
     beta = np.zeros((m, p + 1))  # each fit's (b0, b)
+    rate = np.full(m, np.inf)  # each fit's Newton rate, d_k / d_(k-1)^2 of its moves d
     eye = np.eye(p)
     for i, lam in enumerate(np.asarray(lambdas, dtype=float).tolist()):
         if i >= 2:
-            np.copyto(beta, 2.0 * beta - path[:, i - 2], where=beta * path[:, i - 2] > 0.0)
+            older = path[:, i - 2]
+            kept = beta * older > 0.0
+            guess = 2.0 * beta - older
+            if i >= 3:
+                oldest = path[:, i - 3]
+                quad = 3.0 * (beta - older) + oldest
+                np.copyto(guess, quad, where=kept & (older * oldest > 0.0) & (quad * beta > 0.0))
+            np.copyto(beta, guess, where=kept)
         live = np.ones(m, dtype=bool)
-        for _ in range(MAX_IRLS_STEPS):
+        for step in range(MAX_IRLS_STEPS):
             eta = (beta[:, None, :] @ rows_t)[:, 0]
             mu = np.minimum(np.maximum(expit(eta), 1e-5), 1.0 - 1e-5)  # .clip, one call cheaper
             var = mu * (1.0 - mu)
@@ -277,9 +300,15 @@ def _binomial_paths(xs, y, W, lambdas):
                 new_b[bad] = _gaussian_paths(gram[bad], c[bad], [lam])[:, 0]
             b0 = (M[:, 0, -1] - (M[:, 0, 1:-1] * new_b).sum(axis=1)) / M[:, 0, 0]
             new = np.concatenate([b0[:, None], new_b], axis=1)
-            moved = np.abs(new - beta).max(axis=1) >= IRLS_MOVE_TOL
+            move = np.abs(new - beta).max(axis=1)
             np.copyto(beta, new, where=live[:, None])
-            live &= moved
+            if step:  # a live fit's last move was at least IRLS_MOVE_TOL
+                np.divide(move, last * last, out=rate, where=live)
+            last = move
+            done = move < IRLS_MOVE_TOL
+            if i:  # the next move is about rate * move^2
+                done |= exact & (np.minimum(rate, MAX_NEWTON_RATE) * move**2 < 0.1 * IRLS_MOVE_TOL)
+            live &= ~done
             if not np.count_nonzero(live):
                 break
         else:
@@ -423,8 +452,10 @@ def lasso_cv(
     names = _column_names(column_names, p)
     w_full = _normalized_weights(weights, n)
 
-    with np.errstate(over="ignore"):  # a Gaussian fit reports an overflow below
+    with np.errstate(over="ignore", invalid="ignore"):  # a Gaussian fit reports an overflow below
         _, _, _, degenerate = _standardize(x, w_full)
+        ybar = float(w_full @ y) / n
+        y_sd = math.sqrt(float(w_full @ (y - ybar) ** 2) / n)
     dropped = tuple(name for name, flat in zip(names, degenerate) if flat)
     keep = ~degenerate
     first = {}
@@ -440,8 +471,7 @@ def lasso_cv(
 
     if x_eff.shape[1] == 0:
         return skipped("no usable candidates")
-    ybar = float(w_full @ y) / n
-    if _zero_variance(ybar, math.sqrt(float(w_full @ (y - ybar) ** 2) / n)):
+    if math.isfinite(y_sd) and _zero_variance(ybar, y_sd):  # an overflow is not a constant
         return skipped("outcome has no variance")
 
     folds = make_folds(n, k_cv, z=None, seed=seed, stratified=False)

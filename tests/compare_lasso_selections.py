@@ -15,8 +15,11 @@ the exception raised:
     PYTHONPATH=<old checkout>/src python tests/compare_lasso_selections.py --record old.json
     PYTHONPATH=src python tests/compare_lasso_selections.py --compare old.json
 
-`--compare` prints every problem whose result differs and exits 1 if any
-does.
+`--compare` prints every problem whose result differs. For each problem
+that raised when recorded and returns now, it also prints the worst clipped
+KKT residual (means clipped into [1e-5, 1 - 1e-5], as the binomial IRLS
+takes them) of its full-data path at `lasso_cv`'s grid. It exits 1 if any
+other problem differs, or if such a residual exceeds 1e-6.
 """
 from __future__ import annotations
 
@@ -28,11 +31,13 @@ from pathlib import Path
 
 import numpy as np
 
+from conftest import kkt_violation
 from trialcraft.errors import TrialcraftError
 from trialcraft.glm import GlmFamily, expit
-from trialcraft.selection import lasso_cv
+from trialcraft.selection import lasso_cv, lasso_path
 
 N_PROBLEMS = 160
+KKT_BOUND = 1e-6
 
 
 def problem(seed):
@@ -83,7 +88,9 @@ def gaussian_problem(seed):
 
 
 def record():
-    out = {}
+    """Each problem's result by label, and the inputs and `lasso_cv` result
+    of each problem that returned: label -> (family, x, y, weights, result)."""
+    out, returned = {}, {}
     sample = [(seed, problem, GlmFamily.BINOMIAL) for seed in range(90_000, 90_000 + N_PROBLEMS)]
     sample += [(seed, gaussian_problem, GlmFamily.GAUSSIAN)
                for seed in range(91_000, 91_000 + N_PROBLEMS)]
@@ -95,10 +102,20 @@ def record():
                            lambda_rule=rule)
             out[label] = {"selected_columns": list(res.selected_columns),
                           "chosen_index": res.path_diagnostics.get("chosen_index")}
+            returned[label] = (family, x, y, weights, res)
         except TrialcraftError as exc:
             out[label] = {"error": type(exc).__name__}
         print(f"{time.perf_counter() - start:7.2f} s  {label}  {out[label]}", file=sys.stderr)
-    return out
+    return out, returned
+
+
+def worst_kkt(family, x, y, weights, res):
+    """The largest clipped KKT residual of the full-data path at the grid of
+    `lasso_cv`'s result `res`."""
+    lambdas = np.array(res.path_diagnostics["lambdas"])
+    coefs, _ = lasso_path(x, y, family, lambdas, weights)
+    return max(kkt_violation(x, y, family, lam, coef, weights, clip=1e-5)
+               for lam, coef in zip(lambdas, coefs))
 
 
 def main(argv=None):
@@ -108,7 +125,7 @@ def main(argv=None):
     mode.add_argument("--compare", type=Path, help="compare this version's results with these")
     args = parser.parse_args(argv)
     start = time.perf_counter()
-    results = record()
+    results, returned = record()
     elapsed = time.perf_counter() - start
     if args.record:
         args.record.write_text(json.dumps(results, indent=1) + "\n")
@@ -116,10 +133,17 @@ def main(argv=None):
         return 0
     old = json.loads(args.compare.read_text())
     differ = [label for label in results if results[label] != old.get(label)]
+    failed = 0
     for label in differ:
         print(f"{label}\n  old {old.get(label)}\n  new {results[label]}")
+        if "error" in old.get(label, {}) and label in returned:
+            worst = worst_kkt(*returned[label])
+            failed += worst > KKT_BOUND
+            print(f"  returns now: worst clipped KKT residual {worst:.2e} (bound {KKT_BOUND:g})")
+        else:
+            failed += 1
     print(f"{len(results) - len(differ)} of {len(results)} match ({elapsed:.1f} s)")
-    return 1 if differ else 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -3,7 +3,20 @@ import pytest
 from hypothesis import settings
 
 from trialcraft.data import TrialDataset, _zero_variance
-from trialcraft.glm import GlmFamily, GlmFit, _as_design, expit, predict
+from trialcraft.glm import (
+    DEVIANCE_RTOL,
+    MAX_IRLS_ITERATIONS,
+    MU_FLOOR,
+    GlmFamily,
+    GlmFit,
+    _as_design,
+    _check_diverged,
+    _prepare,
+    _solve_wls,
+    _start_mean,
+    expit,
+    predict,
+)
 from trialcraft.learners import RidgePredictor
 from trialcraft.selection import lasso_path
 
@@ -63,6 +76,64 @@ def knn_reference(predictor, x):
     d2 = ((xq**2).sum(axis=1)[:, None] - 2.0 * xq @ xt.T + (xt**2).sum(axis=1)[None, :])
     order = np.argsort(d2, axis=1, kind="stable")[:, : predictor.k]
     return predictor.y_train[order].mean(axis=1)
+
+
+def deviance_reference(family, y, mu, w):
+    """A weighted deviance with every outcome term computed at each call:
+    y log(y / mu) where y > 0 and (1 - y) log((1 - y) / (1 - mu)) where
+    y < 1, mu clipped into [MU_FLOOR, 1 - MU_FLOOR]."""
+    if family is GlmFamily.GAUSSIAN:
+        return float((w * (y - mu) ** 2).sum())
+    mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(y > 0, y * (np.log(y) - np.log(mu)), 0.0)
+        t0 = np.where(y < 1, (1 - y) * (np.log1p(-y) - np.log1p(-mu)), 0.0)
+    return float(2.0 * (w * (t1 + t0)).sum())
+
+
+def irls_reference(design, y, family, weights=None, offset=None, has_intercept=False):
+    """`fit_ml_design` by IRLS with `deviance_reference`, a unit variance
+    written out for the gaussian family, and the clipped mean recomputed at
+    each step: (coefficients, iterations, deviance)."""
+    design, y, w, off = _prepare(design, y, weights, offset)
+    n, q = design.shape
+    if family is GlmFamily.BINOMIAL and (np.any(y < 0) or np.any(y > 1)):
+        raise ValueError("binomial outcomes must lie in [0, 1]")
+    coef = np.zeros(q)
+    if has_intercept and q > 0:
+        coef[0] = float(family.link(np.array([_start_mean(y, family, w)]))[0])
+
+    def fitted(c):
+        eta = design @ c + off
+        mu = family.inv_link(eta)
+        return eta, mu, deviance_reference(family, y, mu, w)
+
+    if q == 0:
+        return coef, 0, fitted(coef)[2]
+    dev_prev = np.inf
+    eta = design @ coef + off
+    mu = family.inv_link(eta)
+    for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
+        if family is GlmFamily.BINOMIAL:
+            mu = np.clip(mu, MU_FLOOR, 1.0 - MU_FLOOR)
+            var = mu * (1.0 - mu)
+        else:
+            var = np.ones(n)
+        new_coef = _solve_wls(design, w * var, eta - off + (y - mu) / var)
+        direction = new_coef - coef
+        step = 1.0
+        eta, mu, dev = fitted(new_coef)
+        while dev > dev_prev + 1e-12 and step > 1e-8:
+            step /= 2.0
+            new_coef = coef + step * direction
+            eta, mu, dev = fitted(new_coef)
+        coef = new_coef
+        converged = abs(dev - dev_prev) <= DEVIANCE_RTOL * (abs(dev) + 0.1)
+        dev_prev = dev
+        if converged:
+            break
+    _check_diverged(family, design, y, off, w, coef, converged)
+    return coef, iterations, dev_prev
 
 
 def ridge_reference(learner, x, y, seed=0):

@@ -5,6 +5,7 @@ import math
 import os
 import types
 import typing
+import warnings
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -238,18 +239,25 @@ class TestAnalyze:
         {"estimator": "crossfit_aipw", "learner": "post_lasso"},
     ], ids=["data_adaptive", "tmle", "crossfit_aipw-post_lasso"])
     def test_lasso_moments_that_overflow_exit_4(self, tmp_path, capsys, fields):
-        # b's squares overflow float64 inside the Gaussian lasso's CV
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((200, 2)) * [1.0, 1e160]
-        rows = "".join(f"{a + rng.standard_normal():.6f},{i % 2},{a:.6f},{b:.6e}\n"
-                       for i, (a, b) in enumerate(x))
-        data = write(tmp_path, "trial.csv", "y,z,a,b\n" + rows)
+        # the squares of b, the squares of y, then y's sum (not a constant y)
+        # overflow float64 inside the Gaussian lasso's CV; the error is the one
+        # line on stderr, with no warning (which the CLI would print there)
         plan = write_plan(tmp_path, {**fields, "family": "gaussian",
                                      "data": UNADJUSTED_PLAN["data"]})
-        code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
-        err = capsys.readouterr().err
-        assert code == 4, err
-        assert err.startswith("estimation error:") and "overflow" in err and err.count("\n") == 1
+        for b_scale, y_shift, y_scale in ((1e160, 0.0, 1.0), (1.0, 0.0, 1e160), (1.0, 10.0, 1e306)):
+            rng = np.random.default_rng(2)
+            x = rng.standard_normal((200, 2)) * [1.0, b_scale]
+            rows = "".join(f"{(a + rng.standard_normal() + y_shift) * y_scale:.6e},{i % 2},"
+                           f"{a:.6f},{b:.6e}\n" for i, (a, b) in enumerate(x))
+            data = write(tmp_path, "trial.csv", "y,z,a,b\n" + rows)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(["analyze", "--data", data, "--plan", plan,
+                             "--out", str(tmp_path / "o.json")])
+            err = capsys.readouterr().err
+            assert code == 4, err
+            assert err.startswith("estimation error:") and "overflow" in err
+            assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
     def test_binary_covariate_squared_is_not_selected_twice(self, tmp_path):
         # sex^2 is an exact copy of sex; the lasso must not pick both for the refit

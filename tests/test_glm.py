@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import score_residual
+from conftest import irls_reference, score_residual
 from trialcraft.errors import DimensionMismatch, Separation, Singular
 from trialcraft.glm import (
     GlmFamily,
@@ -11,6 +13,7 @@ from trialcraft.glm import (
     expit,
     fit_least_squares,
     fit_ml,
+    fit_ml_design,
     logit,
     predict,
 )
@@ -125,6 +128,57 @@ class TestFitMl:
         rep = np.repeat(np.arange(30), w.astype(int))
         fit_r = fit_ml(x[rep], y[rep], GlmFamily.BINOMIAL)
         np.testing.assert_allclose(fit_w.coefficients, fit_r.coefficients, atol=1e-7)
+
+
+@st.composite
+def irls_problems(draw):
+    """(design, y, family, weights, offset, has_intercept): n from 2 to 400
+    rows, q from 0 to 5 columns, some rescaled by up to 1e+-3, a binomial
+    outcome 0/1 from a logistic model, fractional, all 0 or all 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(list(GlmFamily)))
+    n, q = draw(st.integers(2, 400)), draw(st.integers(0, 5))
+    has_intercept = draw(st.booleans())
+    z = rng.standard_normal((n, q))
+    if has_intercept and q:
+        z[:, 0] = 1.0
+    eta = z @ rng.uniform(-1.5, 1.5, size=q)
+    design = z * 10.0 ** rng.uniform(-3, 3, size=q) if draw(st.booleans()) else z
+    offset = rng.uniform(-1.0, 1.0, size=n) if draw(st.booleans()) else None
+    weights = draw(st.sampled_from([None, "positive", "some zero"]))
+    if weights is not None:
+        zero = rng.uniform(size=n) < (0.2 if weights == "some zero" else 0.0)
+        weights = np.where(zero, 0.0, rng.uniform(0.2, 3.0, size=n))
+    if family is GlmFamily.GAUSSIAN:
+        y = eta + rng.standard_normal(n)
+    else:
+        kind = draw(st.sampled_from(["binary", "fractional", "zeros", "ones"]))
+        y = {"binary": (rng.uniform(size=n) < expit(eta)).astype(float),
+             "fractional": rng.uniform(size=n) * (rng.uniform(size=n) > 0.1),
+             "zeros": np.zeros(n), "ones": np.ones(n)}[kind]
+    return design, y, family, weights, offset, has_intercept
+
+
+@settings(max_examples=300)
+@given(irls_problems())
+def test_fit_ml_design_gets_the_reference_bits(problem):
+    # the deviance's outcome terms, taken once per fit, and the unit gaussian
+    # variance left out change no coefficient, iteration count or deviance
+    def lean(*args):
+        fit = fit_ml_design(*args)
+        return fit.coefficients, fit.iterations, fit.deviance
+
+    def outcome(fit):  # (coefficients, iterations, deviance), or the class raised
+        try:
+            return fit(*problem)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            return type(exc)
+
+    got, want = outcome(lean), outcome(irls_reference)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got is want
+    else:
+        assert all(np.array_equal(a, b) for a, b in zip(got, want)), (got, want)
 
 
 class TestPredict:

@@ -504,11 +504,14 @@ def test_binomial_step_falls_back_when_a_sign_changes(monkeypatch):
     assert leave in calls
 
 
-@pytest.mark.parametrize("seed", [90_024, 90_052, 90_073, 90_075])
+@pytest.mark.parametrize("seed", [90_024, 90_031, 90_052, 90_062, 90_073, 90_075, 90_107])
 def test_binomial_cases_that_did_not_converge(seed):
-    # problems of the sample in compare_lasso_selections.py on which coordinate
-    # descent raised NonConvergence: at every IRLS step (90_073, 90_075), or
-    # where it solved the steps the exact solve rejects (90_024, 90_052)
+    # problems of the sample in compare_lasso_selections.py that raised
+    # NonConvergence: with coordinate descent at every IRLS step (90_073,
+    # 90_075), or where it solved the steps the exact solve rejects (90_024,
+    # 90_052); and with IRLS run at each penalty until no coefficient moved by
+    # IRLS_MOVE_TOL (90_031, 90_062, 90_107), before a step whose Newton rate
+    # bounds the next move well below it ended the penalty
     label, x, y, weights, k_cv, rule = broad_problem(seed)
     res = lasso_cv(x, y, GlmFamily.BINOMIAL, k_cv=k_cv, seed=seed, weights=weights,
                    lambda_rule=rule)
