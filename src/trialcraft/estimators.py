@@ -43,7 +43,7 @@ from .data import (
     expand_features,
 )
 from .errors import AtLeast, AtMost, ConfigError, DegenerateFold, DomainError, EstimationError
-from .errors import _check, _read, _set_fields
+from .errors import TrialcraftError, _check, _read, _set_fields
 from .glm import (
     GlmFamily,
     clamp_probabilities,
@@ -52,7 +52,7 @@ from .glm import (
     fit_ml_design,
     predict,
 )
-from .selection import METHOD_READS, SelectionConfig, SelectionResult, _refit_columns, lasso_cv
+from .selection import METHOD_READS, SelectionConfig, SelectionResult, _refit_columns, lasso_cvs
 from .selection import stepwise_aic
 
 Z_CRIT = 1.959964
@@ -236,15 +236,22 @@ def estimate_standardization(
 
 # --- data-adaptive (selection + refit) ------------------------------------
 
-def _select_arm(x_arm, y_arm, family, selection: SelectionConfig, seed, names):
+def _select_arms(arms, family, selection: SelectionConfig, names):
+    """Each arm's SelectionResult from its (x, y, seed): both arms' lassos in
+    one `lasso_cvs`, or each arm by stepwise AIC or by dropping its constant
+    columns (`none`)."""
     args = {name: getattr(selection, name) for name in METHOD_READS[selection.method]}
     if selection.method == "lasso_cv":
-        return lasso_cv(x_arm, y_arm, family, seed=seed, column_names=names, **args)
+        return lasso_cvs([dict(x=x, y=y, family=family, seed=seed, column_names=names, **args)
+                          for x, y, seed in arms])
     if selection.method == "stepwise_aic":
-        return stepwise_aic(x_arm, y_arm, family, column_names=names, **args)
-    constant = _zero_variance(x_arm.mean(axis=0), x_arm.std(axis=0))
-    usable = tuple(name for name, c in zip(names, constant) if not c)
-    return SelectionResult(usable)
+        return [stepwise_aic(x, y, family, column_names=names, **args) for x, y, _ in arms]
+
+    def usable(x):
+        constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
+        return SelectionResult(tuple(name for name, c in zip(names, constant) if not c))
+
+    return [usable(x) for x, _, _ in arms]
 
 
 def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed, weighted,
@@ -268,16 +275,20 @@ def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed
     fitter = fit_least_squares if eem else fit_ml
     selected, refit, preds = {}, {}, {}
     warnings: list[str] = []
-    for arm in (1, 0):
-        rows = _arm_rows(d, arm)
-        sel = _select_arm(
-            work.x[rows], work.y[rows], family, selection,
-            derived_seed(np.random.SeedSequence((seed, 901, arm))), work.column_names,
-        )
+    arm_rows = {arm: _arm_rows(d, arm) for arm in (1, 0)}
+    arms = [(work.x[rows], work.y[rows], derived_seed(np.random.SeedSequence((seed, 901, arm))))
+            for arm, rows in arm_rows.items()]
+    try:
+        selections = _select_arms(arms, family, selection, work.column_names)
+    except TrialcraftError:  # select and refit each arm in turn: the first failure raises
+        selections = None
+    for i, ((arm, rows), (x_arm, y_arm, _)) in enumerate(zip(arm_rows.items(), arms)):
+        sel = selections[i] if selections else _select_arms(
+            [arms[i]], family, selection, work.column_names)[0]
         warnings.extend(sel.warnings)
         w_rows = inverse[arm][rows] if weighted and parametric else None
         chosen, idx = _refit_columns(work.column_names, sel, forced)
-        fit = fitter(work.x[rows][:, idx], work.y[rows], family, w_rows)
+        fit = fitter(x_arm[:, idx], y_arm, family, w_rows)
         selected[arm], refit[arm] = list(sel.selected_columns), chosen
         preds[arm] = predict(fit, work.x[:, idx])
     pi_hat = p_hat if parametric else _overall_pi(d, pi)
@@ -405,30 +416,42 @@ def estimate_tmle(
 
 def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, seed):
     """Out-of-fold predictions per arm: fold k's rows are predicted by
-    learners trained on the complement, separately per arm. Returns them
-    with the head of the cross-fit estimators' diagnostics."""
+    learners trained on the complement, separately per arm. The 2K training
+    sets are collected first, fold by fold and arm 1 first. A learner with
+    `train_all` trains them all at once (`post_lasso`: every Gaussian lasso
+    of the cross-fit walks one homotopy stack); any other trains each set
+    when its fold is predicted. Returns the predictions with the head of the
+    cross-fit estimators' diagnostics."""
     check_complete(d)
     if folds.n != d.n:
         raise ConfigError("fold plan length does not match the dataset")
     _read(CrossFitFolds, folds.k, "fold count")
-    n = d.n
-    pred1 = np.empty(n)
-    pred0 = np.empty(n)
+    sets, targets, degenerate = [], [], None
     for k in range(1, folds.k + 1):
-        test = folds.fold_indices(k)
         train = folds.complement_indices(k)
         z_train = d.z[train]
         if z_train.sum() < 1 or (1 - z_train).sum() < 1:
-            raise DegenerateFold(
-                f"training complement of fold {k} lacks an arm; use stratified folds"
-            )
-        for arm, out in ((1, pred1), (0, pred0)):
+            degenerate = k
+            break
+        for arm in (1, 0):
             rows = train[z_train == arm]
-            arm_seed = derived_seed(np.random.SeedSequence((seed, k, arm)))
-            predictor = learner.train(d.x[rows], d.y[rows], family, seed=arm_seed)
-            out[test] = predictor.predict(d.x[test])
+            sets.append((rows, derived_seed(np.random.SeedSequence((seed, k, arm)))))
+            targets.append((arm, folds.fold_indices(k)))
+    if hasattr(learner, "train_all"):
+        training = [(d.x[rows], d.y[rows], arm_seed) for rows, arm_seed in sets]
+        predictors = learner.train_all(training, family)
+    else:
+        predictors = (learner.train(d.x[rows], d.y[rows], family, seed=arm_seed)
+                      for rows, arm_seed in sets)
+    preds = {1: np.empty(d.n), 0: np.empty(d.n)}
+    for (arm, test), predictor in zip(targets, predictors):
+        preds[arm][test] = predictor.predict(d.x[test])
+    if degenerate is not None:  # once the earlier folds, which may fail first, are done
+        raise DegenerateFold(
+            f"training complement of fold {degenerate} lacks an arm; use stratified folds"
+        )
     learner_name = getattr(learner, "name", type(learner).__name__)
-    return pred1, pred0, {"learner": learner_name, "fold_seed": folds.seed, "k": folds.k}
+    return preds[1], preds[0], {"learner": learner_name, "fold_seed": folds.seed, "k": folds.k}
 
 
 def estimate_crossfit_aipw(

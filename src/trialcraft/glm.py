@@ -151,12 +151,24 @@ def _prepare(x, y, weights, offset):
     return x, y, w, off
 
 
-def _solve_wls(design: np.ndarray, w: np.ndarray, target: np.ndarray) -> np.ndarray:
+def _wls_gram(design: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X'WX, refused as Singular unless a Cholesky factorization finds it
+    positive definite."""
     xtwx = design.T @ (design * w[:, None])
     try:
         np.linalg.cholesky(xtwx)
-        return np.linalg.solve(xtwx, design.T @ (w * target))
     except np.linalg.LinAlgError:
+        raise Singular("rank-deficient weighted design matrix") from None
+    return xtwx
+
+
+def _solve_wls(design: np.ndarray, w: np.ndarray, target: np.ndarray, xtwx=None) -> np.ndarray:
+    """Weighted least squares of target on the design; `xtwx`, when the
+    caller has it, is `_wls_gram(design, w)`."""
+    xtwx = _wls_gram(design, w) if xtwx is None else xtwx
+    try:
+        return np.linalg.solve(xtwx, design.T @ (w * target))
+    except np.linalg.LinAlgError:  # rounding can pass a singular X'WX through the Cholesky check
         raise Singular("rank-deficient weighted design matrix") from None
 
 
@@ -230,13 +242,14 @@ def fit_ml_design(
     iterations = 0
     eta = design @ coef + off
     mu = _clipped(family, family.inv_link(eta))
+    fixed = _wls_gram(design, w) if family is GlmFamily.GAUSSIAN else None  # its weights stay w
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
         if family is GlmFamily.BINOMIAL:
             var = mu * (1.0 - mu)
             w_work, working = w * var, eta - off + (y - mu) / var
         else:
             w_work, working = w, eta - off + (y - mu)
-        new_coef = _solve_wls(design, w_work, working)
+        new_coef = _solve_wls(design, w_work, working, fixed)
 
         # step-halve if the deviance increased (keeps separation paths tame)
         direction = new_coef - coef

@@ -17,9 +17,9 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .data import FoldCount, _zero_variance
-from .errors import AtLeast, ConfigError, _check, _read, _section
+from .errors import AtLeast, ConfigError, TrialcraftError, _check, _read, _section
 from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
-from .selection import LambdaRule, SelectionResult, _column_names, _refit_columns, lasso_cv
+from .selection import LambdaRule, SelectionResult, _column_names, _refit_columns, lasso_cvs
 
 
 @dataclass
@@ -56,16 +56,30 @@ class PostLassoLearner:
     __post_init__ = _check
 
     def train(self, x, y, family: GlmFamily, seed: int = 0):
-        x = _as_design(x)
-        if x.shape[0] >= 2:
-            selection = lasso_cv(
-                x, y, family, k_cv=min(self.k_cv, x.shape[0]), seed=seed,
-                lambda_rule=self.lambda_rule,
-            )
-        else:
-            selection = SelectionResult(())
-        _, cols = _refit_columns(_column_names(None, x.shape[1]), selection)
-        return GlmPredictor(fit_ml(x[:, cols], y, family), tuple(cols))
+        return self.train_all([(x, y, seed)], family)[0]
+
+    def train_all(self, sets, family: GlmFamily):
+        """`train` on each (x, y, seed) of `sets`: the lassos of every set of
+        two rows or more run as one `lasso_cvs`, then each set is refit. If a
+        lasso fails, each set is selected and refit in turn, so the first to
+        fail raises the error a loop of `train` would raise."""
+        sets = [(_as_design(x), y, seed) for x, y, seed in sets]
+        problems = [dict(x=x, y=y, family=family, k_cv=min(self.k_cv, x.shape[0]), seed=seed,
+                         lambda_rule=self.lambda_rule) if x.shape[0] >= 2 else None
+                    for x, y, seed in sets]
+        try:
+            batch = iter(lasso_cvs([problem for problem in problems if problem]))
+        except TrialcraftError:
+            batch = None
+        predictors = []
+        for (x, y, _), problem in zip(sets, problems):
+            if problem is None:
+                selection = SelectionResult(())
+            else:
+                selection = next(batch) if batch else lasso_cvs([problem])[0]
+            _, cols = _refit_columns(_column_names(None, x.shape[1]), selection)
+            predictors.append(GlmPredictor(fit_ml(x[:, cols], y, family), tuple(cols)))
+        return predictors
 
 
 @dataclass

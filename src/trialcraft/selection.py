@@ -22,8 +22,13 @@ moves no coefficient by IRLS_MOVE_TOL, or when Newton's quadratic rate
 bounds the next move of an exact step well below it. `lasso_cv`
 walks the K fold fits and the full-data fit through the grid as one stack,
 for either family: one homotopy, or one moment product and one batched
-solve an IRLS step. The grid starts at lam_max, where every coefficient is
-zero, so `lasso_cv` selects nothing at index 0.
+solve an IRLS step. `lasso_cvs` runs many problems at once, and the
+Gaussian ones share one homotopy stack, each fit on its own problem's grid:
+an estimate's Gaussian lassos (both arms of data_adaptive and tmle, every
+post_lasso training of a cross-fit) are one stack. Binomial paths do not
+stack across problems, as each arm's moment product sums over that arm's
+own rows. The grid starts at lam_max, where every coefficient is zero, so
+`lasso_cv` selects nothing at index 0.
 """
 from __future__ import annotations
 
@@ -125,9 +130,10 @@ def lasso_lambda_max(x, y, family: GlmFamily, weights=None) -> float:
 
 
 def _gaussian_paths(grams, cs, lambdas):
-    """Exact Gaussian lasso paths of a stack of m fits at the descending
-    penalties `lambdas`, from each fit's Gram matrix G = xs'W xs / n and
-    c = xs'W(y - ybar) / n: (m, p, p) and (m, p) in, (m, L, p) out.
+    """Exact Gaussian lasso paths of a stack of m fits, each at its own
+    descending penalties, from each fit's Gram matrix G = xs'W xs / n and
+    c = xs'W(y - ybar) / n: (m, p, p), (m, p) and a grid per fit (m, L), or
+    one grid (L,) for all, in; (m, L, p) out.
 
     LARS with the lasso modification (Efron et al. 2004): between knots a
     fit's active coefficients are b_A(lam) = u - lam v, (u, v) = G_AA^-1
@@ -142,21 +148,27 @@ def _gaussian_paths(grams, cs, lambdas):
     or x = G_AA^-1 e_j / sqrt((G_AA^-1)_jj), and nothing is rebuilt.
     A column with a zero Gram diagonal, or a Schur complement of at most
     1e-10 G_jj (in the active span), never enters, so an exact copy of an
-    active column stays at zero. A fit leaves the stack at the end of the
-    grid; every operation acts on each fit alone, so it gets the same bits
-    in any stack.
+    active column stays at zero. A fit leaves the stack at the end of its
+    grid; every operation, the count of its grid points at or above a knot
+    among them, acts on each fit alone, so it gets the same bits in any
+    stack: `lasso_cvs` stacks every fit of an estimate's Gaussian lassos.
     """
-    lambdas = np.asarray(lambdas, dtype=float)
-    neg = -lambdas  # ascending, for searchsorted
     m, p = cs.shape
-    n_lam = lambdas.shape[0]
+    lambdas = np.asarray(lambdas, dtype=float)
+    lambdas = np.broadcast_to(lambdas, (m, lambdas.shape[-1]))
+    n_lam = lambdas.shape[1]
     diag = grams.diagonal(axis1=1, axis2=2)
     k = np.arange(m)
     top = np.where(diag > 0, np.abs(cs), -1.0)
     col = top.argmax(axis=1)  # the first column to enter, with the sign of its c
     kind = 2 - (cs[k, col] > 0)  # col leaves (0) or enters with sign + (1) or - (2)
     lam = top[k, col]
-    start = neg.searchsorted(-lam, side="right")  # points at lam_max and above stay zero
+
+    def reached(grids, lam):  # each fit's grid points at lam and above; all of them at NaN
+        return n_lam - (grids < lam[:, None]).sum(axis=1)
+
+    start = reached(lambdas, lam)  # points at lam_max and above stay zero
+    grids = lambdas
     ids, G, schur, tiny = k, grams, diag.copy(), np.where(diag > 0, 1e-10 * diag, np.inf)
     H = np.zeros((m, 2 * p, p))  # [G_AA^-1; G G_AA^-1], zero off the active columns
     rhs = np.concatenate([cs[:, :, None], np.zeros((m, p, 1))], axis=2)  # (c, s), s = 0 off A
@@ -166,8 +178,8 @@ def _gaussian_paths(grams, cs, lambdas):
     n_live = np.count_nonzero(live)
     while n_live:
         if n_live < ids.size:
-            ids, G, H, rhs, schur, tiny, lam, kind, col = (
-                a[live] for a in (ids, G, H, rhs, schur, tiny, lam, kind, col))
+            ids, G, H, rhs, schur, tiny, lam, kind, col, grids = (
+                a[live] for a in (ids, G, H, rhs, schur, tiny, lam, kind, col, grids))
             k = np.arange(n_live)
         if not knots_left:
             raise NonConvergence("gaussian lasso path did not reach the end of the grid")
@@ -206,7 +218,7 @@ def _gaussian_paths(grams, cs, lambdas):
         pick = hits.argmax(axis=1)  # ties: a leaving column, then the lower column
         lam = hits[k, pick]
         kind, col = np.divmod(pick, p)
-        i1 = neg.searchsorted(-lam, side="right")
+        i1 = reached(grids, lam)
         live = i1 < n_lam
         if n_live < m:
             i1_all, uv_all = np.full(m, n_lam), np.zeros((m, p, 2))
@@ -218,8 +230,11 @@ def _gaussian_paths(grams, cs, lambdas):
     # grid point l of a fit lies on the fit's segment t with ends[t - 1] <= l < ends[t]
     grid = np.arange(n_lam)
     t = (np.array(ends)[:, :, None] <= grid).sum(axis=0)
-    uv = np.array(segments)[t, np.arange(m)[:, None]]
-    return uv[..., 0] - lambdas[:, None] * uv[..., 1]
+    segments = np.array(segments)
+    u, v = (segments[..., j][t, np.arange(m)[:, None]] for j in (0, 1))
+    v *= lambdas[:, :, None]
+    u -= v  # u - lam v, in place
+    return u
 
 
 def _solve_stack(lhs, rhs):
@@ -381,18 +396,6 @@ def _fold_moments(x, y, w, folds):
     return grams, cov[:, :p, p] * scale, scale, m, np.concatenate([tests, trains[-1:]])
 
 
-def _gaussian_cv(grams, cs, scale, means, tests, lambdas):
-    """Fold test losses (K, L), full-data training deviance (L,) and the
-    full-data standardized path (L, p) from `_fold_moments`: at standardized
-    coefficients b a fit's residual is h'(1, z) with h = (-g'm, g) and
-    g = (-b/sd, 1), so its weighted squared error on the test rows is h'M h."""
-    B = _gaussian_paths(grams, cs, lambdas)
-    g = np.concatenate([-B * scale[:, None, :], np.ones(B.shape[:2] + (1,))], axis=2)
-    h = np.concatenate([-(g @ means[:, :, None]), g], axis=2)
-    sse = ((h @ tests) * h).sum(axis=2)
-    return sse[:-1] / tests[:-1, :1, 0], sse[-1], B[-1]
-
-
 def _binomial_cv(x, y, weights, w_full, folds, lambdas):
     """Fold test deviances per unit weight (K, L), full-data training
     deviance (L,) and the full-data standardized path (L, p): the K fold
@@ -427,23 +430,13 @@ def _support_warning(n_selected, n, p):
     return ()
 
 
-def lasso_cv(
-    x,
-    y,
-    family: GlmFamily,
-    k_cv: FoldCount = 5,
-    seed: int = 0,
-    weights=None,
-    lambda_rule: LambdaRule = "1se",
-    column_names=None,
-) -> SelectionResult:
-    """Lasso over a 100-point log-spaced penalty path with K-fold CV.
-
-    The penalty is chosen by the one-standard-error rule by default
-    (`lambda_rule="min"` picks the CV minimizer). Zero-variance columns are
-    excluded from the candidates and reported in `dropped_zero_variance`; a
-    column identical to an earlier one is excluded without being reported.
-    """
+def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, weights=None,
+                   lambda_rule: LambdaRule = "1se", column_names=None):
+    """`lasso_cv`'s checks and preparation of one problem: its SelectionResult
+    when it skips the path or is binomial (its own stack of fits, run here),
+    else the Gaussian problem's `_fold_moments`, grid and `finish`, which
+    makes the result from the fold test losses (K, L), the full-data
+    training deviance (L,) and the full-data standardized path (L, p)."""
     _read(FoldCount, k_cv, "k_cv")
     _read(LambdaRule, lambda_rule, "lambda_rule")
     x = _as_design(x)
@@ -452,10 +445,12 @@ def lasso_cv(
     names = _column_names(column_names, p)
     w_full = _normalized_weights(weights, n)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # a Gaussian fit reports an overflow below
-        _, _, _, degenerate = _standardize(x, w_full)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        _, means, sds, degenerate = _standardize(x, w_full)
         ybar = float(w_full @ y) / n
         y_sd = math.sqrt(float(w_full @ (y - ybar) ** 2) / n)
+    if not (np.isfinite(means).all() and np.isfinite(sds).all()):  # not a constant column
+        raise EstimationError("lasso_cv: weighted moments overflow float64; rescale the data")
     dropped = tuple(name for name, flat in zip(names, degenerate) if flat)
     keep = ~degenerate
     first = {}
@@ -486,33 +481,95 @@ def lasso_cv(
     if lam_max == 0.0:
         return skipped("no candidate correlates with the outcome")
     lambdas = np.geomspace(lam_max, lam_max * PATH_MIN_RATIO, PATH_POINTS)
+
+    def finish(fold_losses, train_dev, beta):
+        cv_mean = fold_losses.mean(axis=0)
+        cv_se = fold_losses.std(axis=0, ddof=1) / math.sqrt(k_cv)
+        idx_min = int(np.argmin(cv_mean))
+        if lambda_rule == "min":
+            chosen = idx_min
+        else:
+            cutoff = cv_mean[idx_min] + cv_se[idx_min]
+            chosen = int(np.flatnonzero(cv_mean <= cutoff)[0])
+        # lam_max zeroes every coefficient, whatever rounding leaves on a binomial path
+        selected = (tuple(name for name, b in zip(names_eff, beta[chosen]) if b != 0.0)
+                    if chosen else ())
+        diagnostics = {
+            "lambdas": lambdas.tolist(),
+            "cv_mean": cv_mean.tolist(),
+            "cv_se": cv_se.tolist(),
+            "train_deviance": train_dev.tolist(),
+            "chosen_index": chosen,
+            "chosen_lambda": float(lambdas[chosen]),
+            "lambda_rule": lambda_rule,
+        }
+        warnings = _support_warning(len(selected), n, p)
+        return SelectionResult(selected, diagnostics, dropped, warnings)
+
     if family is GlmFamily.GAUSSIAN:
-        fold_losses, train_dev, beta = _gaussian_cv(*moments, lambdas)
-    else:
-        fold_losses, train_dev, beta = _binomial_cv(x_eff, y, weights, w_full, folds, lambdas)
+        return moments, lambdas, finish
+    return finish(*_binomial_cv(x_eff, y, weights, w_full, folds, lambdas))
 
-    cv_mean = fold_losses.mean(axis=0)
-    cv_se = fold_losses.std(axis=0, ddof=1) / math.sqrt(k_cv)
-    idx_min = int(np.argmin(cv_mean))
-    if lambda_rule == "min":
-        chosen = idx_min
-    else:
-        cutoff = cv_mean[idx_min] + cv_se[idx_min]
-        chosen = int(np.flatnonzero(cv_mean <= cutoff)[0])
 
-    # lam_max zeroes every coefficient, whatever rounding leaves on a binomial path
-    selected = tuple(name for name, b in zip(names_eff, beta[chosen]) if b != 0.0) if chosen else ()
-    warnings = _support_warning(len(selected), n, p)
-    diagnostics = {
-        "lambdas": lambdas.tolist(),
-        "cv_mean": cv_mean.tolist(),
-        "cv_se": cv_se.tolist(),
-        "train_deviance": train_dev.tolist(),
-        "chosen_index": chosen,
-        "chosen_lambda": float(lambdas[chosen]),
-        "lambda_rule": lambda_rule,
-    }
-    return SelectionResult(selected, diagnostics, dropped, warnings)
+def lasso_cvs(problems) -> list[SelectionResult]:
+    """`lasso_cv` on each problem of a list, each a dict of its keyword
+    arguments: one SelectionResult per problem, equal to the one `lasso_cv`
+    gives it alone. Each problem is checked and prepared in turn, and a
+    binomial one runs its own stack there. The fits of all Gaussian problems
+    with the same number of candidates walk one `_gaussian_paths` stack, each
+    fit on its problem's grid. At standardized coefficients b a fit's
+    residual is h'(1, z) with h = (-g'm, g) and g = (-b/sd, 1), so its
+    weighted squared error on its test rows (`_fold_moments`' M) is h'M h,
+    one stacked quadratic form for every fit."""
+    results = [_lasso_problem(**problem) for problem in problems]
+    stacks = {}
+    for i, result in enumerate(results):
+        if isinstance(result, tuple):
+            stacks.setdefault(result[0][0].shape[1], []).append(i)
+    for members in stacks.values():
+        grams, cs, scale, means, tests = (
+            np.concatenate(parts) for parts in zip(*(results[i][0] for i in members)))
+        sizes = [results[i][0][0].shape[0] for i in members]  # K + 1 fits each
+        grids = np.repeat([results[i][1] for i in members], sizes, axis=0)
+        ends = np.cumsum(sizes)
+        B = _gaussian_paths(grams, cs, grids)
+        full = B[ends - 1]  # each problem's full-data path
+        # the stack's (m, L, p + 2) temporaries set its memory peak: each is
+        # freed once used, and h'M h is formed in place
+        g = np.concatenate([-B * scale[:, None, :], np.ones(B.shape[:2] + (1,))], axis=2)
+        del B
+        h = np.concatenate([-(g @ means[:, :, None]), g], axis=2)
+        del g
+        sse = h @ tests
+        sse *= h
+        sse = sse.sum(axis=2)
+        loss = sse / tests[:, :1, 0]  # per unit test weight; the last fit of each is the full data
+        for i, size, end, beta in zip(members, sizes, ends, full):
+            results[i] = results[i][2](loss[end - size:end - 1], sse[end - 1], beta)
+    return results
+
+
+def lasso_cv(
+    x,
+    y,
+    family: GlmFamily,
+    k_cv: FoldCount = 5,
+    seed: int = 0,
+    weights=None,
+    lambda_rule: LambdaRule = "1se",
+    column_names=None,
+) -> SelectionResult:
+    """Lasso over a 100-point log-spaced penalty path with K-fold CV.
+
+    The penalty is chosen by the one-standard-error rule by default
+    (`lambda_rule="min"` picks the CV minimizer). Zero-variance columns are
+    excluded from the candidates and reported in `dropped_zero_variance`; a
+    column identical to an earlier one is excluded without being reported.
+    A column whose weighted mean or SD overflows float64 is an
+    EstimationError. `lasso_cvs` runs many problems at once.
+    """
+    return lasso_cvs([dict(x=x, y=y, family=family, k_cv=k_cv, seed=seed, weights=weights,
+                           lambda_rule=lambda_rule, column_names=column_names)])[0]
 
 
 def stepwise_aic(

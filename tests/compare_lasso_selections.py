@@ -18,8 +18,12 @@ the exception raised:
 `--compare` prints every problem whose result differs. For each problem
 that raised when recorded and returns now, it also prints the worst clipped
 KKT residual (means clipped into [1e-5, 1 - 1e-5], as the binomial IRLS
-takes them) of its full-data path at `lasso_cv`'s grid. It exits 1 if any
-other problem differs, or if such a residual exceeds 1e-6.
+takes them) of its full-data path at `lasso_cv`'s grid. It then runs the
+problems that return through `lasso_cvs` in groups of 10, taken in order of
+family and column count so that Gaussian problems of equal p share a
+homotopy stack, and prints every problem whose `lasso_cvs` result is not
+`==` to its lone `lasso_cv` result. It exits 1 if any other problem
+differs, if such a residual exceeds 1e-6, or if a grouped result differs.
 """
 from __future__ import annotations
 
@@ -34,9 +38,10 @@ import numpy as np
 from conftest import kkt_violation
 from trialcraft.errors import TrialcraftError
 from trialcraft.glm import GlmFamily, expit
-from trialcraft.selection import lasso_cv, lasso_path
+from trialcraft.selection import lasso_cv, lasso_cvs, lasso_path
 
 N_PROBLEMS = 160
+GROUP = 10
 KKT_BOUND = 1e-6
 
 
@@ -88,30 +93,45 @@ def gaussian_problem(seed):
 
 
 def record():
-    """Each problem's result by label, and the inputs and `lasso_cv` result
-    of each problem that returned: label -> (family, x, y, weights, result)."""
+    """Each problem's result by label, and the `lasso_cv` keyword arguments
+    and result of each problem that returned: label -> (kwargs, result)."""
     out, returned = {}, {}
     sample = [(seed, problem, GlmFamily.BINOMIAL) for seed in range(90_000, 90_000 + N_PROBLEMS)]
     sample += [(seed, gaussian_problem, GlmFamily.GAUSSIAN)
                for seed in range(91_000, 91_000 + N_PROBLEMS)]
     for seed, make, family in sample:
         label, x, y, weights, k_cv, rule = make(seed)
+        kwargs = dict(x=x, y=y, family=family, k_cv=k_cv, seed=seed, weights=weights,
+                      lambda_rule=rule)
         start = time.perf_counter()
         try:
-            res = lasso_cv(x, y, family, k_cv=k_cv, seed=seed, weights=weights,
-                           lambda_rule=rule)
+            res = lasso_cv(**kwargs)
             out[label] = {"selected_columns": list(res.selected_columns),
                           "chosen_index": res.path_diagnostics.get("chosen_index")}
-            returned[label] = (family, x, y, weights, res)
+            returned[label] = (kwargs, res)
         except TrialcraftError as exc:
             out[label] = {"error": type(exc).__name__}
         print(f"{time.perf_counter() - start:7.2f} s  {label}  {out[label]}", file=sys.stderr)
     return out, returned
 
 
-def worst_kkt(family, x, y, weights, res):
-    """The largest clipped KKT residual of the full-data path at the grid of
-    `lasso_cv`'s result `res`."""
+def grouped_differences(returned):
+    """Labels of the returned problems whose `lasso_cvs` result, in groups of
+    GROUP ordered by family and column count, differs from their lone one."""
+    labels = sorted(returned, key=lambda label: (returned[label][0]["family"].value,
+                                                 returned[label][0]["x"].shape[1]))
+    differ = []
+    for i in range(0, len(labels), GROUP):
+        group = labels[i:i + GROUP]
+        results = lasso_cvs([returned[label][0] for label in group])
+        differ += [label for label, res in zip(group, results) if res != returned[label][1]]
+    return differ
+
+
+def worst_kkt(kwargs, res):
+    """The largest clipped KKT residual of the full-data path of the problem
+    `kwargs` at the grid of its `lasso_cv` result `res`."""
+    x, y, family, weights = (kwargs[name] for name in ("x", "y", "family", "weights"))
     lambdas = np.array(res.path_diagnostics["lambdas"])
     coefs, _ = lasso_path(x, y, family, lambdas, weights)
     return max(kkt_violation(x, y, family, lam, coef, weights, clip=1e-5)
@@ -143,7 +163,12 @@ def main(argv=None):
         else:
             failed += 1
     print(f"{len(results) - len(differ)} of {len(results)} match ({elapsed:.1f} s)")
-    return 1 if failed else 0
+    grouped = grouped_differences(returned)
+    for label in grouped:
+        print(f"{label}\n  lasso_cvs in a group differs from lasso_cv alone")
+    print(f"{len(returned) - len(grouped)} of {len(returned)} returned problems get their lone "
+          f"result from lasso_cvs in groups of {GROUP}")
+    return 1 if failed or grouped else 0
 
 
 if __name__ == "__main__":

@@ -233,30 +233,43 @@ class TestAnalyze:
         assert code == 4
         assert "estimation error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fields", [
-        {"estimator": "data_adaptive"},
-        {"estimator": "tmle"},
-        {"estimator": "crossfit_aipw", "learner": "post_lasso"},
-    ], ids=["data_adaptive", "tmle", "crossfit_aipw-post_lasso"])
-    def test_lasso_moments_that_overflow_exit_4(self, tmp_path, capsys, fields):
-        # the squares of b, the squares of y, then y's sum (not a constant y)
-        # overflow float64 inside the Gaussian lasso's CV; the error is the one
-        # line on stderr, with no warning (which the CLI would print there)
-        plan = write_plan(tmp_path, {**fields, "family": "gaussian",
+    @pytest.mark.parametrize("family, fields", [
+        ("gaussian", {"estimator": "data_adaptive"}),
+        ("gaussian", {"estimator": "tmle"}),
+        ("gaussian", {"estimator": "crossfit_aipw", "learner": "post_lasso"}),
+        ("binomial", {"estimator": "data_adaptive"}),
+        ("binomial", {"estimator": "tmle"}),
+        ("binomial", {"estimator": "crossfit_aipw", "learner": "post_lasso"}),
+    ], ids=["data_adaptive", "tmle", "crossfit_aipw-post_lasso",
+            "binomial-data_adaptive", "binomial-tmle", "binomial-crossfit_aipw-post_lasso"])
+    def test_lasso_moments_that_overflow_exit_4(self, tmp_path, capsys, family, fields):
+        # inside the lasso's CV, float64 overflows on the squares of b, on
+        # b's sum (b all positive: its mean would be inf, b no constant), and
+        # for a Gaussian outcome on the squares of y, then on y's sum (not a
+        # constant y); the error is the one line on stderr, with no warning
+        # (which the CLI would print there)
+        plan = write_plan(tmp_path, {**fields, "family": family,
                                      "data": UNADJUSTED_PLAN["data"]})
-        for b_scale, y_shift, y_scale in ((1e160, 0.0, 1.0), (1.0, 0.0, 1e160), (1.0, 10.0, 1e306)):
+        cases = [(1e160, False, 0.0, 1.0), (1e307, True, 0.0, 1.0)]
+        if family == "gaussian":
+            cases += [(1.0, False, 0.0, 1e160), (1.0, False, 10.0, 1e306)]
+        for b_scale, b_positive, y_shift, y_scale in cases:
             rng = np.random.default_rng(2)
-            x = rng.standard_normal((200, 2)) * [1.0, b_scale]
-            rows = "".join(f"{(a + rng.standard_normal() + y_shift) * y_scale:.6e},{i % 2},"
-                           f"{a:.6f},{b:.6e}\n" for i, (a, b) in enumerate(x))
+            x = rng.standard_normal((200, 2))
+            x[:, 1] = (np.abs(x[:, 1]) + 1.0 if b_positive else x[:, 1]) * b_scale
+            eta = [a + rng.standard_normal() + y_shift for a in x[:, 0]]
+            ys = ([float(e > 0) for e in eta] if family == "binomial"
+                  else [e * y_scale for e in eta])
+            rows = "".join(f"{yi:.6e},{i % 2},{a:.6f},{b:.6e}\n"
+                           for i, (yi, (a, b)) in enumerate(zip(ys, x)))
             data = write(tmp_path, "trial.csv", "y,z,a,b\n" + rows)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 code = main(["analyze", "--data", data, "--plan", plan,
                              "--out", str(tmp_path / "o.json")])
             err = capsys.readouterr().err
-            assert code == 4, err
-            assert err.startswith("estimation error:") and "overflow" in err
+            assert code == 4, (b_scale, y_scale, err)
+            assert err.startswith("estimation error:") and "overflow" in err, err
             assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
     def test_binary_covariate_squared_is_not_selected_twice(self, tmp_path):

@@ -6,8 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import simulate_trial
-from trialcraft.data import FeatureExpansion, TrialDataset, make_folds
-from trialcraft.errors import ConfigError, DegenerateFold, DomainError, TrialcraftError
+from trialcraft.data import FeatureExpansion, FoldPlan, TrialDataset, make_folds
+from trialcraft.errors import (
+    ConfigError, DegenerateFold, DomainError, EstimationError, Separation, TrialcraftError,
+)
 from trialcraft.estimators import (
     PiSpec,
     estimate_crossfit_aipw,
@@ -127,6 +129,15 @@ class TestDataAdaptive:
             )
             assert abs(resid_sum) <= 1e-8 * d.n
 
+    @pytest.mark.parametrize("estimate", [estimate_data_adaptive, estimate_tmle])
+    def test_the_first_arm_to_fail_names_the_error(self, estimate):
+        # arm 1's refit separates and arm 0's lasso overflows float64: arm 1
+        # is selected and refit before arm 0 is, though both lassos run as one
+        d = separated_arm_1()
+        d.x[d.z == 0, 2] *= 1e160
+        with pytest.raises(Separation):
+            estimate(d, family=GlmFamily.BINOMIAL)
+
     def test_forced_column_always_in_refit(self, rng):
         d = simulate_trial(rng, n=80)
         r = estimate_data_adaptive(
@@ -189,6 +200,17 @@ class TestDataAdaptive:
         assert b.se == pytest.approx(a.se * math.sqrt(factor), abs=1e-12)
 
 
+def separated_arm_1():
+    """120 rows, arms alternating, a binary outcome that x0 separates in arm 1."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((120, 3))
+    z = np.tile([1.0, 0.0], 60)
+    y = (rng.uniform(size=120) < 1.0 / (1.0 + np.exp(-x[:, 0] - 0.5 * z))).astype(float)
+    y[z == 1] = (x[z == 1, 0] > 0).astype(float)
+    x[z == 1, 0] *= 100.0
+    return TrialDataset(y, z, x, ("a", "b", "c"))
+
+
 class TestCrossfitAipw:
     def test_constant_learner_balanced_folds_equals_diff_in_means(self):
         # pinned 8-row dataset engineered so each fold's arm share equals
@@ -239,6 +261,58 @@ class TestCrossfitAipw:
         d = TrialDataset(y, z, np.zeros((8, 1)), ("a",))
         with pytest.raises(DegenerateFold):
             estimate_crossfit_aipw(d, get_learner("constant"), folds)
+
+    def test_folds_before_one_that_lacks_an_arm_train_first(self):
+        # fold 2's complement (fold 1) holds only arm 1; fold 1's training
+        # sets are trained first, and this learner fails on them
+        class Failing:
+            def train(self, x, y, family, seed=0):
+                raise EstimationError("training failed")
+
+        z = np.r_[np.ones(4), np.zeros(4)]
+        d = TrialDataset(np.arange(8.0), z, np.arange(8.0)[:, None], ("a",))
+        folds = FoldPlan(np.array([1, 1, 2, 2, 2, 2, 2, 2]), 2, 0)
+        with pytest.raises(EstimationError, match="training failed"):
+            estimate_crossfit_aipw(d, Failing(), folds)
+        with pytest.raises(DegenerateFold):
+            estimate_crossfit_aipw(d, get_learner("constant"), folds)
+
+    @pytest.mark.parametrize("outcome_kind", ["continuous", "binary"])
+    def test_post_lasso_trains_all_sets_as_it_trains_each_alone(self, outcome_kind):
+        # post_lasso's train_all runs the 2K lassos of a cross-fit as one
+        # lasso_cvs; a learner that exposes only `train` is called per set
+        class TrainOnly:
+            def __init__(self, learner):
+                self.train = learner.train
+
+        family = GlmFamily.BINOMIAL if outcome_kind == "binary" else GlmFamily.GAUSSIAN
+        spec = DgpSpec("c", n=240, p=4, pi=0.5, outcome_kind=outcome_kind, effect_size=0.5)
+        for seed in range(3):
+            d = generate_dataset(spec, seed)
+            folds = make_folds(d.n, 3 + seed, d.z, seed=seed, stratified=True)
+            learner = get_learner("post_lasso", k_cv=3 + seed)
+            a = estimate_crossfit_aipw(d, learner, folds, family=family, seed=seed)
+            b = estimate_crossfit_aipw(d, TrainOnly(learner), folds, family=family, seed=seed)
+            assert (a.theta_hat, a.se) == (b.theta_hat, b.se), seed
+            assert np.array_equal(a.if_mu1, b.if_mu1) and np.array_equal(a.if_mu0, b.if_mu0)
+
+    def test_post_lasso_fails_as_it_fails_one_set_at_a_time(self):
+        # arm 1 is separated by x0: a training set's lasso may not converge
+        # and another's refit separates; the first set to fail, lasso then
+        # refit set by set, names the error (Separation, met before a lasso
+        # that does not converge)
+        class TrainOnly:
+            def __init__(self, learner):
+                self.train = learner.train
+
+        d = separated_arm_1()
+        folds = make_folds(d.n, 5, d.z, seed=1, stratified=True)
+        errors = []
+        for learner in (get_learner("post_lasso"), TrainOnly(get_learner("post_lasso"))):
+            with pytest.raises(TrialcraftError) as caught:
+                estimate_crossfit_aipw(d, learner, folds, family=GlmFamily.BINOMIAL, seed=2)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1] and errors[0][0] is Separation
 
     def test_antisymmetry_under_arm_swap(self, rng):
         d = simulate_trial(rng, n=80)

@@ -26,8 +26,11 @@ from compare_lasso_selections import problem as broad_problem
 from conftest import kkt_violation
 from trialcraft import selection
 from trialcraft.data import make_folds
+from trialcraft.errors import TrialcraftError
 from trialcraft.glm import GlmFamily, expit, fit_ml
-from trialcraft.selection import _column_names, _refit_columns, lasso_cv, lasso_lambda_max, lasso_path
+from trialcraft.selection import (
+    _column_names, _refit_columns, lasso_cv, lasso_cvs, lasso_lambda_max, lasso_path,
+)
 
 PINNED = Path(__file__).with_name("lasso_selections.json")
 
@@ -234,8 +237,11 @@ def spy_gaussian_paths(monkeypatch):
 
 
 def assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B):
+    """Each fit of the stack B, solved alone on its own grid (a row of a
+    (m, L) `lambdas`, or the one grid (L,) of all)."""
+    grids = np.broadcast_to(lambdas, B.shape[:2])
     for k in range(B.shape[0]):
-        alone = selection._gaussian_paths(grams[k:k + 1], cs[k:k + 1], lambdas)[0]
+        alone = selection._gaussian_paths(grams[k:k + 1], cs[k:k + 1], grids[k])[0]
         assert np.array_equal(alone, B[k]), k
 
 
@@ -260,10 +266,11 @@ def gram_kkt(gram, c, lambdas, B):
 
 
 @given(m=st.integers(1, 7), p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-       zero=st.booleans(), copy=st.booleans())
+       zero=st.booleans(), copy=st.booleans(), per_fit=st.booleans())
 @settings(max_examples=150)
-def test_each_fit_of_any_stack_is_its_path_alone_and_meets_kkt(m, p, seed, zero, copy):
-    # fits of unlike data, some with a zero column (G_jj = 0) or an exact copy
+def test_each_fit_of_any_stack_is_its_path_alone_and_meets_kkt(m, p, seed, zero, copy, per_fit):
+    # fits of unlike data, some with a zero column (G_jj = 0) or an exact copy,
+    # on one grid or each on its own, from its own lam_max (as in lasso_cvs)
     rng = np.random.default_rng(seed)
     n = int(rng.integers(p // 2 + 3, 4 * p + 20))
     grams, cs = np.empty((m, p, p)), np.empty((m, p))
@@ -277,13 +284,66 @@ def test_each_fit_of_any_stack_is_its_path_alone_and_meets_kkt(m, p, seed, zero,
         sds = x.std(axis=0)
         xs = (x - x.mean(axis=0)) / np.where(sds > 0, sds, 1.0)
         grams[k], cs[k] = xs.T @ xs / n, xs.T @ (y - y.mean()) / n
-    lambdas = np.geomspace(np.abs(cs[-1]).max() or 1.0, 1e-4, 100)
+    if per_fit:
+        tops = np.abs(cs).max(axis=1)
+        lambdas = np.array([np.geomspace(top or 1.0, (top or 1.0) * 1e-4, 100) for top in tops])
+    else:
+        lambdas = np.geomspace(np.abs(cs[-1]).max() or 1.0, 1e-4, 100)
     B = selection._gaussian_paths(grams, cs, lambdas)
     assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B)
+    grids = np.broadcast_to(lambdas, B.shape[:2])
     for k in range(m):
-        assert gram_kkt(grams[k], cs[k], lambdas, B[k]) <= 1e-9, k
+        assert gram_kkt(grams[k], cs[k], grids[k], B[k]) <= 1e-9, k
         if copy and p > 1:
             assert not np.any((B[k, :, 0] != 0.0) & (B[k, :, -1] != 0.0)), k
+
+
+def cv_problem(kind, family, p, seed):
+    """lasso_cv's keyword arguments for a problem of n 12-150 rows and p
+    columns on unlike scales, weighted or not, with 2-5 folds and either
+    rule; `kind` "constant outcome" and "no candidates" (every column
+    constant) are skipped before the path."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(12, 151))
+    x = rng.standard_normal((n, p)) + 0.4 * rng.standard_normal((n, 1))
+    eta = x @ rng.uniform(-1.0, 1.0, p)
+    if family is GlmFamily.BINOMIAL:
+        y = (rng.uniform(size=n) < expit(eta)).astype(float)
+    else:
+        y = eta + rng.standard_normal(n)
+    x = x * 10.0 ** rng.uniform(-2, 2, p) + rng.uniform(-50.0, 50.0, p)
+    if kind == "constant outcome":
+        y[:] = y[0]
+    elif kind == "no candidates":
+        x[:] = x[0]
+    return dict(x=x, y=y, family=family, k_cv=int(rng.integers(2, 6)), seed=int(rng.integers(100)),
+                weights=rng.uniform(0.5, 2.0, n) if rng.integers(2) else None,
+                lambda_rule=("1se", "min")[int(rng.integers(2))])
+
+
+def outcome(run):
+    """What `run()` returns, or the class and message of the TrialcraftError it raises."""
+    try:
+        return run()
+    except TrialcraftError as exc:
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.tuples(st.sampled_from(["path", "path", "constant outcome", "no candidates"]),
+                          st.sampled_from(list(GlmFamily)), st.integers(1, 4),
+                          st.integers(0, 2**32 - 1)), min_size=1, max_size=6))
+@settings(max_examples=60)
+def test_lasso_cvs_gives_each_problem_what_lasso_cv_gives_it_alone(draws):
+    # Gaussian problems of equal p share one homotopy stack, each fit on its
+    # own grid; the selection, path_diagnostics, dropped columns and warnings
+    # of each must be those of its lone lasso_cv
+    problems = [cv_problem(*draw) for draw in draws]
+    alone = [outcome(lambda: lasso_cv(**problem)) for problem in problems]
+    together = outcome(lambda: lasso_cvs(problems))
+    if all(isinstance(result, selection.SelectionResult) for result in alone):
+        assert together == alone
+    else:  # the error of one problem that raises alone
+        assert together in alone
 
 
 def test_kernel_problems_include_leaving_coefficients():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,25 @@ class TestLassoCv:
         x[:, 1] *= scale
         with pytest.raises(EstimationError, match="overflow"):
             lasso_cv(x, y, GlmFamily.GAUSSIAN, seed=1)
+
+    @pytest.mark.parametrize("family, scale, positive", [
+        (GlmFamily.BINOMIAL, 1e155, False), (GlmFamily.BINOMIAL, 1e160, False),
+        (GlmFamily.GAUSSIAN, 1e306, True), (GlmFamily.GAUSSIAN, 1e307, True),
+        (GlmFamily.BINOMIAL, 1e307, True),
+    ])
+    def test_covariate_moments_that_overflow_are_an_estimation_error(self, family, scale, positive):
+        # x1's squares overflow, or (positive) its weighted sum: the mean is
+        # then inf and the column would pass for a constant one
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((200, 3))
+        eta = x @ [1.0, 0.5, 0.0]
+        y = (rng.uniform(size=200) < expit(eta)).astype(float) if family is GlmFamily.BINOMIAL \
+            else eta + rng.standard_normal(200)
+        x[:, 1] = (np.abs(x[:, 1]) + 1.0) * scale if positive else x[:, 1] * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="weighted moments overflow float64"):
+                lasso_cv(x, y, family, seed=1)
 
     def test_min_rule_selects_at_least_as_much(self, rng):
         x, y = toy_problem(rng, n=80, p=6)
