@@ -418,10 +418,10 @@ def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, see
     """Out-of-fold predictions per arm: fold k's rows are predicted by
     learners trained on the complement, separately per arm. The 2K training
     sets are collected first, fold by fold and arm 1 first. A learner with
-    `train_all` trains them all at once (`post_lasso`: every Gaussian lasso
-    of the cross-fit walks one homotopy stack); any other trains each set
-    when its fold is predicted. Returns the predictions with the head of the
-    cross-fit estimators' diagnostics."""
+    `train_all` trains them all at once (`post_lasso`: every lasso of the
+    cross-fit walks one stack); any other trains each set when its fold is
+    predicted. Returns the predictions with the head of the cross-fit
+    estimators' diagnostics."""
     check_complete(d)
     if folds.n != d.n:
         raise ConfigError("fold plan length does not match the dataset")

@@ -22,13 +22,15 @@ moves no coefficient by IRLS_MOVE_TOL, or when Newton's quadratic rate
 bounds the next move of an exact step well below it. `lasso_cv`
 walks the K fold fits and the full-data fit through the grid as one stack,
 for either family: one homotopy, or one moment product and one batched
-solve an IRLS step. `lasso_cvs` runs many problems at once, and the
-Gaussian ones share one homotopy stack, each fit on its own problem's grid:
-an estimate's Gaussian lassos (both arms of data_adaptive and tmle, every
-post_lasso training of a cross-fit) are one stack. Binomial paths do not
-stack across problems, as each arm's moment product sums over that arm's
-own rows. The grid starts at lam_max, where every coefficient is zero, so
-`lasso_cv` selects nothing at index 0.
+solve an IRLS step. `lasso_cvs` runs many problems at once, and those of
+one family and column count share one stack, each fit on its own
+problem's grid: an estimate's lassos (both arms of data_adaptive and tmle,
+every post_lasso training of a cross-fit) are one stack. A binomial stack
+runs a step's elementwise work once, each problem's rows zero-padded to
+the longest problem's, and its two sums over rows (the linear predictor
+and the moment product) per problem on its own rows, so each fit gets the
+bits it gets alone. The grid starts at lam_max, where every coefficient is
+zero, so `lasso_cv` selects nothing at index 0.
 """
 from __future__ import annotations
 
@@ -247,10 +249,12 @@ def _solve_stack(lhs, rhs):
         return np.concatenate([_solve_stack(a[None], r[None]) for a, r in zip(lhs, rhs)])
 
 
-def _binomial_paths(xs, y, W, lambdas):
-    """Logistic lasso paths of m fits sharing the outcome y: fit k has
-    standardized columns xs[k] (n x p) and row weights W[k], zero on the rows
-    it leaves out. Returns (b0s, B) of shapes (m, L) and (m, L, p).
+def _binomial_paths(blocks, lambdas):
+    """Logistic lasso paths of a stack of m fits, each at its own descending
+    penalties (m, L), from the row blocks of the problems they fit: a block
+    (xs, y, W) holds m_j fits of one outcome y over its n_j rows, fit k
+    with standardized columns xs[k] (n_j x p) and row weights W[k], zero on
+    the rows it leaves out. Returns (b0s, B) of shapes (m, L) and (m, L, p).
 
     At each penalty the fits run IRLS together from a guess on the grid,
     which is evenly spaced in log lam: 3 b(lam_i-1) - 3 b(lam_i-2) + b(lam_i-3)
@@ -275,16 +279,30 @@ def _binomial_paths(xs, y, W, lambdas):
     IRLS_MOVE_TOL / 10: quadratic convergence puts its next move an order of
     magnitude below the tolerance. Its later steps are dropped, so each fit
     gets the iterates it would get alone. Grid point 0 may keep about 1e-16
-    at lam_max; `lasso_cv` selects nothing there."""
-    m, n, p = xs.shape
-    W = W / (W > 0).sum(axis=1, keepdims=True)  # each fit's weights over n_k
-    rows = np.concatenate([np.ones((m, n, 1)), xs, np.zeros((m, n, 1))], axis=2)
-    rows_t = np.ascontiguousarray(rows[:, :, :p + 1].transpose(0, 2, 1))
-    path = np.empty((m, len(lambdas), p + 1))
+    at lam_max; `lasso_cv` selects nothing there.
+    The elementwise work of a step runs once on the stack, each block's rows
+    zero-padded at the end to the longest block. The two sums over rows, the
+    linear predictor [1, xs] b and M, run per block on its own rows: a
+    padded product rounds differently. So each fit gets the bits it gets
+    alone, in any stack: `lasso_cvs` stacks every binomial problem of an
+    estimate with the same column count."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    sizes = [xs.shape[0] for xs, _, _ in blocks]
+    m, n, p = sum(sizes), max(xs.shape[1] for xs, _, _ in blocks), blocks[0][0].shape[2]
+    Y, W = np.zeros((m, n)), np.zeros((m, n))  # each fit's outcome and weights, padded
+    starts, parts = np.cumsum([0] + sizes[:-1]), []  # parts: each block's fits, n_j and rows
+    for (xs, y, w), start, size in zip(blocks, starts.tolist(), sizes):
+        fits, n_j = slice(start, start + size), xs.shape[1]
+        Y[fits, :n_j] = y
+        W[fits, :n_j] = w / (w > 0).sum(axis=1, keepdims=True)  # each fit's weights over n_k
+        rows = np.concatenate([np.ones((size, n_j, 1)), xs, np.zeros((size, n_j, 1))], axis=2)
+        parts.append((fits, n_j, rows, np.ascontiguousarray(rows[:, :, :p + 1].transpose(0, 2, 1))))
+    eta, M = np.zeros((m, n)), np.empty((m, p + 1, p + 2))
+    path = np.empty((m, lambdas.shape[1], p + 1))
     beta = np.zeros((m, p + 1))  # each fit's (b0, b)
     rate = np.full(m, np.inf)  # each fit's Newton rate, d_k / d_(k-1)^2 of its moves d
     eye = np.eye(p)
-    for i, lam in enumerate(np.asarray(lambdas, dtype=float).tolist()):
+    for i, lam in enumerate(lambdas.T[:, :, None]):  # each fit's penalty, (m, 1)
         if i >= 2:
             older = path[:, i - 2]
             kept = beta * older > 0.0
@@ -296,11 +314,18 @@ def _binomial_paths(xs, y, W, lambdas):
             np.copyto(beta, guess, where=kept)
         live = np.ones(m, dtype=bool)
         for step in range(MAX_IRLS_STEPS):
-            eta = (beta[:, None, :] @ rows_t)[:, 0]
+            # a block none of whose fits is live is done with the penalty
+            on = [part for part, any_live in
+                  zip(parts, np.logical_or.reduceat(live, starts).tolist()) if any_live]
+            for fits, n_j, _, rows_t in on:
+                eta[fits, :n_j] = (beta[fits, None, :] @ rows_t)[:, 0]
             mu = np.minimum(np.maximum(expit(eta), 1e-5), 1.0 - 1e-5)  # .clip, one call cheaper
             var = mu * (1.0 - mu)
-            rows[:, :, -1] = eta + (y - mu) / var
-            M = (rows_t * (W * var)[:, None, :]) @ rows
+            z = eta + (Y - mu) / var
+            wv = W * var
+            for fits, n_j, rows, rows_t in on:
+                rows[:, :, -1] = z[fits, :n_j]
+                np.matmul(rows_t * wv[fits, None, :n_j], rows, out=M[fits])
             gc = M[:, 1:, 1:] - M[:, 1:, :1] * M[:, :1, 1:] / M[:, :1, :1]
             gram, c = gc[:, :, :p], gc[:, :, p]
             signs = np.sign(beta[:, 1:])
@@ -312,7 +337,7 @@ def _binomial_paths(xs, y, W, lambdas):
             exact = ((np.sign(new_b) == signs) & (active | kkt)).all(axis=1)
             bad = live & ~exact
             if np.count_nonzero(bad):
-                new_b[bad] = _gaussian_paths(gram[bad], c[bad], [lam])[:, 0]
+                new_b[bad] = _gaussian_paths(gram[bad], c[bad], lam[bad])[:, 0]
             b0 = (M[:, 0, -1] - (M[:, 0, 1:-1] * new_b).sum(axis=1)) / M[:, 0, 0]
             new = np.concatenate([b0[:, None], new_b], axis=1)
             move = np.abs(new - beta).max(axis=1)
@@ -351,7 +376,7 @@ def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
         gram, c = xs.T @ (xs * w[:, None]) / n, xs.T @ (w * (y - ybar)) / n
         B = _gaussian_paths(gram[None], c[None], lambdas)[0]
     else:
-        b0s, B = (a[0] for a in _binomial_paths(xs[None], y, w[None], lambdas))
+        b0s, B = (a[0] for a in _binomial_paths([(xs[None], y, w[None])], lambdas[None]))
     coefs = np.column_stack(
         [b0s - B @ (means / sds), B / sds[None, :]]
     )
@@ -396,10 +421,11 @@ def _fold_moments(x, y, w, folds):
     return grams, cov[:, :p, p] * scale, scale, m, np.concatenate([tests, trains[-1:]])
 
 
-def _binomial_cv(x, y, weights, w_full, folds, lambdas):
-    """Fold test deviances per unit weight (K, L), full-data training
-    deviance (L,) and the full-data standardized path (L, p): the K fold
-    fits and the full-data fit walk the grid as one stack."""
+def _binomial_fits(x, y, weights, w_full, folds):
+    """A binomial `lasso_cv`'s row block for `_binomial_paths`: the K fold
+    fits and the full-data fit (last), their standardized columns
+    (K + 1, n, p), the outcome and their row weights (K + 1, n), zero on the
+    rows a fit leaves out."""
     n, k_cv = x.shape[0], folds.k
     # a slice, not an index array, keeps x's memory layout and so its sums' bits
     trains = [folds.complement_indices(k) for k in range(1, k_cv + 1)] + [slice(None)]
@@ -408,11 +434,18 @@ def _binomial_cv(x, y, weights, w_full, folds, lambdas):
     xs = np.stack([_standardize(x, w, rows)[0] for rows, w in zip(trains, ws)])
     W = np.zeros((k_cv + 1, n))
     for k, (rows, w) in enumerate(zip(trains, ws)):
-        W[k, rows] = w  # zero on the rows the fit leaves out
-    b0s, B = _binomial_paths(xs, y, W, lambdas)
+        W[k, rows] = w
+    return xs, y, W
+
+
+def _binomial_losses(xs, y, w_full, folds, b0s, B):
+    """Fold test deviances per unit weight (K, L), full-data training
+    deviance (L,) and the full-data standardized path (L, p) from the paths
+    (b0s, B) of `_binomial_fits`' stack."""
+    k_cv = folds.k
     fold_losses = np.empty((k_cv, PATH_POINTS))
     for k in range(k_cv + 1):
-        rows = folds.fold_indices(k + 1) if k < k_cv else trains[k]
+        rows = folds.fold_indices(k + 1) if k < k_cv else slice(None)
         mu = expit(b0s[k][None, :] + xs[k][rows] @ B[k].T)  # (rows, n_lambda)
         dev = GlmFamily.BINOMIAL.deviance(y[rows], mu, w_full[rows])
         if k < k_cv:
@@ -433,10 +466,11 @@ def _support_warning(n_selected, n, p):
 def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, weights=None,
                    lambda_rule: LambdaRule = "1se", column_names=None):
     """`lasso_cv`'s checks and preparation of one problem: its SelectionResult
-    when it skips the path or is binomial (its own stack of fits, run here),
-    else the Gaussian problem's `_fold_moments`, grid and `finish`, which
-    makes the result from the fold test losses (K, L), the full-data
-    training deviance (L,) and the full-data standardized path (L, p)."""
+    when it skips the path, else its family, its fits (a Gaussian problem's
+    `_fold_moments`, a binomial one's `_binomial_fits` row block), its grid
+    and `finish`. A Gaussian `finish` makes the result from the fold test
+    losses (K, L), the full-data training deviance (L,) and the full-data
+    standardized path (L, p); a binomial one from the fits' paths (b0s, B)."""
     _read(FoldCount, k_cv, "k_cv")
     _read(LambdaRule, lambda_rule, "lambda_rule")
     x = _as_design(x)
@@ -477,7 +511,9 @@ def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, 
             raise EstimationError("lasso_cv: weighted moments overflow float64; rescale the data")
         lam_max = float(np.abs(moments[1][-1]).max())  # the full-data path's own c
     else:
-        lam_max = lasso_lambda_max(x_eff, y, family, weights)
+        block = _binomial_fits(x_eff, y, weights, w_full, folds)
+        xs = block[0][-1]  # lasso_lambda_max on the full-data fit's standardized columns
+        lam_max = float(np.abs(xs.T @ (w_full * (y - (w_full * y).sum() / n)) / n).max())
     if lam_max == 0.0:
         return skipped("no candidate correlates with the outcome")
     lambdas = np.geomspace(lam_max, lam_max * PATH_MIN_RATIO, PATH_POINTS)
@@ -507,31 +543,40 @@ def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, 
         return SelectionResult(selected, diagnostics, dropped, warnings)
 
     if family is GlmFamily.GAUSSIAN:
-        return moments, lambdas, finish
-    return finish(*_binomial_cv(x_eff, y, weights, w_full, folds, lambdas))
+        return family, moments, lambdas, finish
+    return family, block, lambdas, lambda b0s, B: finish(
+        *_binomial_losses(block[0], y, w_full, folds, b0s, B))
 
 
 def lasso_cvs(problems) -> list[SelectionResult]:
     """`lasso_cv` on each problem of a list, each a dict of its keyword
     arguments: one SelectionResult per problem, equal to the one `lasso_cv`
-    gives it alone. Each problem is checked and prepared in turn, and a
-    binomial one runs its own stack there. The fits of all Gaussian problems
-    with the same number of candidates walk one `_gaussian_paths` stack, each
-    fit on its problem's grid. At standardized coefficients b a fit's
-    residual is h'(1, z) with h = (-g'm, g) and g = (-b/sd, 1), so its
-    weighted squared error on its test rows (`_fold_moments`' M) is h'M h,
-    one stacked quadratic form for every fit."""
+    gives it alone. Each problem is checked and prepared in turn. The fits
+    of all problems of one family with the same number of candidates walk
+    one stack, each fit on its problem's grid: `_gaussian_paths`, or
+    `_binomial_paths` on the problems' row blocks. An error of a stack is
+    one that a problem in it raises alone. At standardized coefficients b a
+    Gaussian fit's residual is h'(1, z) with h = (-g'm, g) and g =
+    (-b/sd, 1), so its weighted squared error on its test rows
+    (`_fold_moments`' M) is h'M h, one stacked quadratic form for every
+    fit."""
     results = [_lasso_problem(**problem) for problem in problems]
     stacks = {}
     for i, result in enumerate(results):
-        if isinstance(result, tuple):
-            stacks.setdefault(result[0][0].shape[1], []).append(i)
-    for members in stacks.values():
-        grams, cs, scale, means, tests = (
-            np.concatenate(parts) for parts in zip(*(results[i][0] for i in members)))
-        sizes = [results[i][0][0].shape[0] for i in members]  # K + 1 fits each
-        grids = np.repeat([results[i][1] for i in members], sizes, axis=0)
+        if isinstance(result, tuple):  # (family, fits, grid, finish)
+            family, fits = result[:2]
+            stacks.setdefault((family, fits[0].shape[-1]), []).append(i)
+    for (family, _), members in stacks.items():
+        sizes = [results[i][1][0].shape[0] for i in members]  # K + 1 fits each
+        grids = np.repeat([results[i][2] for i in members], sizes, axis=0)
         ends = np.cumsum(sizes)
+        if family is GlmFamily.BINOMIAL:
+            b0s, B = _binomial_paths([results[i][1] for i in members], grids)
+            for i, size, end in zip(members, sizes, ends):
+                results[i] = results[i][3](b0s[end - size:end], B[end - size:end])
+            continue
+        grams, cs, scale, means, tests = (
+            np.concatenate(parts) for parts in zip(*(results[i][1] for i in members)))
         B = _gaussian_paths(grams, cs, grids)
         full = B[ends - 1]  # each problem's full-data path
         # the stack's (m, L, p + 2) temporaries set its memory peak: each is
@@ -545,7 +590,7 @@ def lasso_cvs(problems) -> list[SelectionResult]:
         sse = sse.sum(axis=2)
         loss = sse / tests[:, :1, 0]  # per unit test weight; the last fit of each is the full data
         for i, size, end, beta in zip(members, sizes, ends, full):
-            results[i] = results[i][2](loss[end - size:end - 1], sse[end - 1], beta)
+            results[i] = results[i][3](loss[end - size:end - 1], sse[end - 1], beta)
     return results
 
 

@@ -20,8 +20,8 @@ that raised when recorded and returns now, it also prints the worst clipped
 KKT residual (means clipped into [1e-5, 1 - 1e-5], as the binomial IRLS
 takes them) of its full-data path at `lasso_cv`'s grid. It then runs the
 problems that return through `lasso_cvs` in groups of 10, taken in order of
-family and column count so that Gaussian problems of equal p share a
-homotopy stack, and prints every problem whose `lasso_cvs` result is not
+family and column count so that problems of one family and equal p share a
+stack, and prints every problem whose `lasso_cvs` result is not
 `==` to its lone `lasso_cv` result. It exits 1 if any other problem
 differs, if such a residual exceeds 1e-6, or if a grouped result differs.
 """

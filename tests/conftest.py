@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from trialcraft import selection
 from trialcraft.data import TrialDataset, _zero_variance
 from trialcraft.glm import (
     DEVIANCE_RTOL,
@@ -56,6 +57,18 @@ def kkt_violation(x, y, family, lam, coef, weights=None, clip=0.0):
     # the intercept is unpenalized: its score must vanish
     worst = max(worst, abs(float(np.sum(w * (mu - y)) / n)))
     return worst
+
+
+def spy_binomial_blocks(monkeypatch):
+    """The row counts of the blocks of every `_binomial_paths` stack, per call."""
+    calls, solve = [], selection._binomial_paths
+
+    def spy(blocks, lambdas):
+        calls.append([xs.shape[1] for xs, _, _ in blocks])
+        return solve(blocks, lambdas)
+
+    monkeypatch.setattr(selection, "_binomial_paths", spy)
+    return calls
 
 
 def lasso_fit(x, y, family, lam, weights=None):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import simulate_trial
-from trialcraft.data import FeatureExpansion, FoldPlan, TrialDataset, make_folds
+from compare_lasso_selections import problem as broad_problem
+from conftest import simulate_trial, spy_binomial_blocks
+from trialcraft.data import FeatureExpansion, FoldPlan, TrialDataset, derived_seed, make_folds
 from trialcraft.errors import (
-    ConfigError, DegenerateFold, DomainError, EstimationError, Separation, TrialcraftError,
+    ConfigError, DegenerateFold, DomainError, EstimationError, NonConvergence, Separation,
+    TrialcraftError,
 )
 from trialcraft.estimators import (
     PiSpec,
@@ -25,7 +27,7 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily, fit_ml, predict
 from trialcraft.learners import get_learner
-from trialcraft.selection import SelectionConfig
+from trialcraft.selection import SelectionConfig, lasso_cv
 from trialcraft.simulation import DgpSpec, generate_dataset
 
 NO_SELECTION = SelectionConfig(method="none")
@@ -138,6 +140,24 @@ class TestDataAdaptive:
         with pytest.raises(Separation):
             estimate(d, family=GlmFamily.BINOMIAL)
 
+    @pytest.mark.parametrize("estimate", [estimate_data_adaptive, estimate_tmle])
+    def test_an_arm_whose_lasso_does_not_converge_fails_after_the_arm_before_it(
+            self, estimate, monkeypatch):
+        # at seed 11 arm 0's lasso does not converge alone and arm 1's does; the
+        # stack of both raises, and arm 1 is selected and refit (which
+        # separates) before arm 0 is selected
+        (x1, y1), (x0, y0) = separated_and_nonconvergent()
+        d = TrialDataset(np.r_[y1, y0], np.r_[np.ones(64), np.zeros(64)], np.vstack([x1, x0]),
+                         tuple(f"c{j}" for j in range(16)))
+        seeds = [derived_seed(np.random.SeedSequence((11, 901, arm))) for arm in (1, 0)]
+        lasso_cv(x1, y1, GlmFamily.BINOMIAL, seed=seeds[0])
+        with pytest.raises(NonConvergence):
+            lasso_cv(x0, y0, GlmFamily.BINOMIAL, seed=seeds[1])
+        calls = spy_binomial_blocks(monkeypatch)
+        with pytest.raises(Separation):
+            estimate(d, family=GlmFamily.BINOMIAL, seed=11)
+        assert calls[0] == [64, 64]
+
     def test_forced_column_always_in_refit(self, rng):
         d = simulate_trial(rng, n=80)
         r = estimate_data_adaptive(
@@ -209,6 +229,18 @@ def separated_arm_1():
     y[z == 1] = (x[z == 1, 0] > 0).astype(float)
     x[z == 1, 0] *= 100.0
     return TrialDataset(y, z, x, ("a", "b", "c"))
+
+
+def separated_and_nonconvergent():
+    """Two binomial (x, y) sets of 16 columns: 64 rows that x0 separates, and
+    the 64 of problem 90056 of compare_lasso_selections.py, whose lasso does
+    not converge on some fold splits."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((64, 16))
+    y = (x[:, 0] > 0).astype(float)
+    x[:, 0] *= 100.0
+    _, x_bad, y_bad, _, _, _ = broad_problem(90_056)
+    return (x, y), (x_bad, y_bad)
 
 
 class TestCrossfitAipw:
@@ -313,6 +345,29 @@ class TestCrossfitAipw:
                 estimate_crossfit_aipw(d, learner, folds, family=GlmFamily.BINOMIAL, seed=2)
             errors.append((type(caught.value), str(caught.value)))
         assert errors[0] == errors[1] and errors[0][0] is Separation
+
+    def test_post_lasso_trains_a_stack_that_does_not_converge_set_by_set(self, monkeypatch):
+        # the failing set stacks with one whose refit separates: the first set
+        # to fail, lasso then refit, names the error in either order
+        class TrainOnly:
+            def __init__(self, learner):
+                self.train = learner.train
+
+        (x, y), (x_bad, y_bad) = separated_and_nonconvergent()
+        learner = get_learner("post_lasso")
+        with pytest.raises(NonConvergence):
+            learner.train(x_bad, y_bad, GlmFamily.BINOMIAL, seed=90_056)
+        calls = spy_binomial_blocks(monkeypatch)
+        sets = [(x, y, 1), (x_bad, y_bad, 90_056)]
+        for order, expected in ((sets, Separation), (sets[::-1], NonConvergence)):
+            errors = []
+            for train_all in (learner.train_all, lambda sets, family: [
+                    TrainOnly(learner).train(*xy, family, seed=seed) for *xy, seed in sets]):
+                with pytest.raises(TrialcraftError) as caught:
+                    train_all(order, GlmFamily.BINOMIAL)
+                errors.append((type(caught.value), str(caught.value)))
+            assert errors[0] == errors[1] and errors[0][0] is expected
+        assert calls[0] == calls[3] == [64, 64]  # each train_all's first stack holds both sets
 
     def test_antisymmetry_under_arm_swap(self, rng):
         d = simulate_trial(rng, n=80)

@@ -23,10 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from compare_lasso_selections import problem as broad_problem
-from conftest import kkt_violation
+from conftest import kkt_violation, spy_binomial_blocks
 from trialcraft import selection
 from trialcraft.data import make_folds
-from trialcraft.errors import TrialcraftError
+from trialcraft.errors import NonConvergence, TrialcraftError
 from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     _column_names, _refit_columns, lasso_cv, lasso_cvs, lasso_lambda_max, lasso_path,
@@ -475,8 +475,8 @@ def test_stacked_full_data_fit_matches_lasso_path(label, x, y, weights, monkeypa
     # lasso_cv's last stacked fit is the full-data path that lasso_path computes alone
     stacks, solve = [], selection._binomial_paths
 
-    def spy(xs, y, W, lambdas):
-        stacks.append(solve(xs, y, W, lambdas))
+    def spy(blocks, lambdas):
+        stacks.append(solve(blocks, lambdas))
         return stacks[-1]
 
     monkeypatch.setattr(selection, "_binomial_paths", spy)
@@ -499,16 +499,16 @@ def test_stacked_full_data_fit_matches_lasso_path(label, x, y, weights, monkeypa
 def test_each_stacked_fit_gets_the_iterates_it_gets_alone(label, x, y, weights, monkeypatch):
     stacks, solve = [], selection._binomial_paths
 
-    def spy(xs, y, W, lambdas):
-        stacks.append((xs, W, lambdas, solve(xs, y, W, lambdas)))
-        return stacks[-1][3]
+    def spy(blocks, lambdas):
+        stacks.append((blocks, lambdas, solve(blocks, lambdas)))
+        return stacks[-1][2]
 
     monkeypatch.setattr(selection, "_binomial_paths", spy)
     lasso_cv(x, y, GlmFamily.BINOMIAL, k_cv=4, seed=5, weights=weights)
     monkeypatch.undo()
-    (xs, W, lambdas, (b0s, B)), = stacks
+    ([(xs, y, W)], lambdas, (b0s, B)), = stacks
     for k in range(xs.shape[0]):
-        b0, b = solve(xs[k:k + 1], y, W[k:k + 1], lambdas)
+        b0, b = solve([(xs[k:k + 1], y, W[k:k + 1])], lambdas[k:k + 1])
         assert np.array_equal(b0[0], b0s[k]) and np.array_equal(b[0], B[k]), k
 
 
@@ -585,6 +585,35 @@ def test_binomial_cases_that_did_not_converge(seed):
         mu = expit(coef[0] + x @ coef[1:])
         if np.all((mu > 1e-5) & (mu < 1.0 - 1e-5)):
             assert kkt_violation(x, y, GlmFamily.BINOMIAL, lam, coef, weights) <= 1e-6
+
+
+@pytest.mark.parametrize("p, sizes", [(3, (60, 400, 1000)), (20, (120, 500, 1000)),
+                                      (44, (150, 400, 900))])
+def test_binomial_problems_of_unequal_n_stack_as_they_run_alone(p, sizes, monkeypatch):
+    # one stack pads its rows to the longest problem's; at p = 44 a moment
+    # product or linear predictor over padded rows rounds differently
+    problems = [dict(zip(("x", "y", "weights"), binomial_problem(p, n, i % 2 == 1, 300 + i)),
+                     family=GlmFamily.BINOMIAL, k_cv=3, seed=i) for i, n in enumerate(sizes)]
+    alone = [lasso_cv(**problem) for problem in problems]
+    calls = spy_binomial_blocks(monkeypatch)
+    assert lasso_cvs(problems) == alone
+    assert calls == [list(sizes)]
+
+
+def test_a_stack_raises_what_one_of_its_problems_raises_alone(monkeypatch):
+    # broad sample seed 90056 does not converge; stacked with a problem of
+    # its column count that converges, in either order
+    _, x, y, weights, k_cv, rule = broad_problem(90_056)
+    failing = dict(x=x, y=y, family=GlmFamily.BINOMIAL, k_cv=k_cv, seed=90_056, weights=weights,
+                   lambda_rule=rule)
+    x2, y2, _ = binomial_problem(x.shape[1], 150, False, 301)
+    converging = dict(x=x2, y=y2, family=GlmFamily.BINOMIAL, seed=1)
+    alone = [outcome(lambda: lasso_cv(**problem)) for problem in (failing, converging)]
+    assert alone[0][0] is NonConvergence and isinstance(alone[1], selection.SelectionResult)
+    calls = spy_binomial_blocks(monkeypatch)
+    for problems in ([failing, converging], [converging, failing]):
+        assert outcome(lambda: lasso_cvs(problems)) in alone
+    assert calls == [[x.shape[0], 150], [150, x.shape[0]]]
 
 
 def test_solve_stack_isolates_a_singular_system():
