@@ -43,7 +43,7 @@ from .data import (
     expand_features,
 )
 from .errors import AtLeast, AtMost, ConfigError, DegenerateFold, DomainError, EstimationError
-from .errors import TrialcraftError, _check, _read, _set_fields
+from .errors import _check, _read, _set_fields
 from .glm import (
     GlmFamily,
     clamp_probabilities,
@@ -237,21 +237,21 @@ def estimate_standardization(
 # --- data-adaptive (selection + refit) ------------------------------------
 
 def _select_arms(arms, family, selection: SelectionConfig, names):
-    """Each arm's SelectionResult from its (x, y, seed): both arms' lassos in
-    one `lasso_cvs`, or each arm by stepwise AIC or by dropping its constant
-    columns (`none`)."""
+    """An iterator of each arm's SelectionResult from its (x, y, seed): both
+    arms' lassos in one `lasso_cvs`, or each arm, when reached, by stepwise
+    AIC or by dropping its constant columns (`none`)."""
     args = {name: getattr(selection, name) for name in METHOD_READS[selection.method]}
     if selection.method == "lasso_cv":
-        return lasso_cvs([dict(x=x, y=y, family=family, seed=seed, column_names=names, **args)
-                          for x, y, seed in arms])
+        return lasso_cvs(dict(x=x, y=y, family=family, seed=seed, column_names=names, **args)
+                         for x, y, seed in arms)
     if selection.method == "stepwise_aic":
-        return [stepwise_aic(x, y, family, column_names=names, **args) for x, y, _ in arms]
+        return (stepwise_aic(x, y, family, column_names=names, **args) for x, y, _ in arms)
 
     def usable(x):
         constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
         return SelectionResult(tuple(name for name, c in zip(names, constant) if not c))
 
-    return [usable(x) for x, _, _ in arms]
+    return (usable(x) for x, _, _ in arms)
 
 
 def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed, weighted,
@@ -278,13 +278,8 @@ def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed
     arm_rows = {arm: _arm_rows(d, arm) for arm in (1, 0)}
     arms = [(work.x[rows], work.y[rows], derived_seed(np.random.SeedSequence((seed, 901, arm))))
             for arm, rows in arm_rows.items()]
-    try:
-        selections = _select_arms(arms, family, selection, work.column_names)
-    except TrialcraftError:  # select and refit each arm in turn: the first failure raises
-        selections = None
-    for i, ((arm, rows), (x_arm, y_arm, _)) in enumerate(zip(arm_rows.items(), arms)):
-        sel = selections[i] if selections else _select_arms(
-            [arms[i]], family, selection, work.column_names)[0]
+    selections = _select_arms(arms, family, selection, work.column_names)
+    for (arm, rows), (x_arm, y_arm, _), sel in zip(arm_rows.items(), arms, selections):
         warnings.extend(sel.warnings)
         w_rows = inverse[arm][rows] if weighted and parametric else None
         chosen, idx = _refit_columns(work.column_names, sel, forced)

@@ -17,9 +17,9 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .data import FoldCount, _zero_variance
-from .errors import AtLeast, ConfigError, TrialcraftError, _check, _read, _section
+from .errors import AtLeast, ConfigError, _check, _read, _section
 from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
-from .selection import LambdaRule, SelectionResult, _column_names, _refit_columns, lasso_cvs
+from .selection import LambdaRule, _column_names, _refit_columns, lasso_cvs
 
 
 @dataclass
@@ -44,10 +44,9 @@ class PostLassoLearner:
     """Step 1a + Step 1b composed: lasso with CV penalty, then an
     unpenalized canonical ML refit on the selected support.
 
-    The internal CV fold count is capped at the training size so the
-    learner keeps working inside cross-fitting when a training arm gets
-    small; below two rows selection is skipped and the refit is the
-    training mean."""
+    The internal CV fold count is capped at the training size, but is at
+    least 2. A one-row set has no usable candidate (every column's SD is 0),
+    so its lasso is skipped and the refit is the training mean."""
 
     k_cv: FoldCount = 5
     lambda_rule: LambdaRule = "1se"
@@ -59,24 +58,14 @@ class PostLassoLearner:
         return self.train_all([(x, y, seed)], family)[0]
 
     def train_all(self, sets, family: GlmFamily):
-        """`train` on each (x, y, seed) of `sets`: the lassos of every set of
-        two rows or more run as one `lasso_cvs`, then each set is refit. If a
-        lasso fails, each set is selected and refit in turn, so the first to
-        fail raises the error a loop of `train` would raise."""
+        """`train` on each (x, y, seed) of `sets`: their lassos run as one
+        `lasso_cvs`, then each set is refit in turn, so the first to fail
+        raises the error a loop of `train` would raise."""
         sets = [(_as_design(x), y, seed) for x, y, seed in sets]
-        problems = [dict(x=x, y=y, family=family, k_cv=min(self.k_cv, x.shape[0]), seed=seed,
-                         lambda_rule=self.lambda_rule) if x.shape[0] >= 2 else None
-                    for x, y, seed in sets]
-        try:
-            batch = iter(lasso_cvs([problem for problem in problems if problem]))
-        except TrialcraftError:
-            batch = None
+        selections = lasso_cvs(dict(x=x, y=y, family=family, seed=seed, lambda_rule=self.lambda_rule,
+                                    k_cv=max(2, min(self.k_cv, x.shape[0]))) for x, y, seed in sets)
         predictors = []
-        for (x, y, _), problem in zip(sets, problems):
-            if problem is None:
-                selection = SelectionResult(())
-            else:
-                selection = next(batch) if batch else lasso_cvs([problem])[0]
+        for (x, y, _), selection in zip(sets, selections):
             _, cols = _refit_columns(_column_names(None, x.shape[1]), selection)
             predictors.append(GlmPredictor(fit_ml(x[:, cols], y, family), tuple(cols)))
         return predictors

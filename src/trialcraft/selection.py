@@ -25,7 +25,8 @@ for either family: one homotopy, or one moment product and one batched
 solve an IRLS step. `lasso_cvs` runs many problems at once, and those of
 one family and column count share one stack, each fit on its own
 problem's grid: an estimate's lassos (both arms of data_adaptive and tmle,
-every post_lasso training of a cross-fit) are one stack. A binomial stack
+every post_lasso training of a cross-fit) are one stack; if it fails, each
+problem is replayed alone when its caller reaches it. A binomial stack
 runs a step's elementwise work once, each problem's rows zero-padded to
 the longest problem's, and its two sums over rows (the linear predictor
 and the moment product) per problem on its own rows, so each fit gets the
@@ -36,13 +37,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Annotated, Literal
+from typing import Annotated, Iterator, Literal
 
 import numpy as np
 
 from .data import FoldCount, _zero_variance, make_folds
-from .errors import AtLeast, ConfigError, EstimationError, NonConvergence, Separation, Singular
-from .errors import _check, _read, _set_fields
+from .errors import AtLeast, ConfigError, DataError, EstimationError, NonConvergence, Separation
+from .errors import Singular, TrialcraftError, _check, _read, _set_fields
 from .glm import GlmFamily, _as_design, expit, fit_ml
 
 # a binomial fit ends a penalty once a step moves no coefficient by this, or
@@ -134,8 +135,8 @@ def lasso_lambda_max(x, y, family: GlmFamily, weights=None) -> float:
 def _gaussian_paths(grams, cs, lambdas):
     """Exact Gaussian lasso paths of a stack of m fits, each at its own
     descending penalties, from each fit's Gram matrix G = xs'W xs / n and
-    c = xs'W(y - ybar) / n: (m, p, p), (m, p) and a grid per fit (m, L), or
-    one grid (L,) for all, in; (m, L, p) out.
+    c = xs'W(y - ybar) / n: (m, p, p), (m, p) and a grid per fit (m, L)
+    in; (m, L, p) out.
 
     LARS with the lasso modification (Efron et al. 2004): between knots a
     fit's active coefficients are b_A(lam) = u - lam v, (u, v) = G_AA^-1
@@ -156,8 +157,6 @@ def _gaussian_paths(grams, cs, lambdas):
     stack: `lasso_cvs` stacks every fit of an estimate's Gaussian lassos.
     """
     m, p = cs.shape
-    lambdas = np.asarray(lambdas, dtype=float)
-    lambdas = np.broadcast_to(lambdas, (m, lambdas.shape[-1]))
     n_lam = lambdas.shape[1]
     diag = grams.diagonal(axis1=1, axis2=2)
     k = np.arange(m)
@@ -374,7 +373,7 @@ def lasso_path(x, y, family: GlmFamily, lambdas, weights=None):
         ybar = float((w * y).sum() / n)
         b0s = np.full(len(lambdas), ybar)
         gram, c = xs.T @ (xs * w[:, None]) / n, xs.T @ (w * (y - ybar)) / n
-        B = _gaussian_paths(gram[None], c[None], lambdas)[0]
+        B = _gaussian_paths(gram[None], c[None], lambdas[None])[0]
     else:
         b0s, B = (a[0] for a in _binomial_paths([(xs[None], y, w[None])], lambdas[None]))
     coefs = np.column_stack(
@@ -476,6 +475,8 @@ def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, 
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
+    if n == 0:
+        raise DataError("lasso_cv: no rows")
     names = _column_names(column_names, p)
     w_full = _normalized_weights(weights, n)
 
@@ -548,18 +549,11 @@ def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, 
         *_binomial_losses(block[0], y, w_full, folds, b0s, B))
 
 
-def lasso_cvs(problems) -> list[SelectionResult]:
-    """`lasso_cv` on each problem of a list, each a dict of its keyword
-    arguments: one SelectionResult per problem, equal to the one `lasso_cv`
-    gives it alone. Each problem is checked and prepared in turn. The fits
-    of all problems of one family with the same number of candidates walk
-    one stack, each fit on its problem's grid: `_gaussian_paths`, or
-    `_binomial_paths` on the problems' row blocks. An error of a stack is
-    one that a problem in it raises alone. At standardized coefficients b a
-    Gaussian fit's residual is h'(1, z) with h = (-g'm, g) and g =
-    (-b/sd, 1), so its weighted squared error on its test rows
-    (`_fold_moments`' M) is h'M h, one stacked quadratic form for every
-    fit."""
+def _lasso_stacks(problems) -> list[SelectionResult]:
+    """`lasso_cvs`' stacks, run at once: a list of results. At standardized
+    coefficients b a Gaussian fit's residual is h'(1, z), h = (-g'm, g) and
+    g = (-b/sd, 1), so its weighted squared error on its test rows
+    (`_fold_moments`' M) is h'M h, one stacked quadratic form for every fit."""
     results = [_lasso_problem(**problem) for problem in problems]
     stacks = {}
     for i, result in enumerate(results):
@@ -594,6 +588,21 @@ def lasso_cvs(problems) -> list[SelectionResult]:
     return results
 
 
+def lasso_cvs(problems) -> Iterator[SelectionResult]:
+    """`lasso_cv` on each of an iterable of problems, each a dict of its
+    keyword arguments: an iterator of the SelectionResult `lasso_cv` gives
+    each alone. Each problem is checked and prepared in turn, and the fits of
+    all problems of one family and column count walk one stack, each on its
+    problem's grid. If that raises a TrialcraftError, each problem instead
+    runs alone when reached: a caller acting on each result in turn meets
+    the error a loop of `lasso_cv` meets first."""
+    problems = list(problems)
+    try:
+        return iter(_lasso_stacks(problems))
+    except TrialcraftError:
+        return (_lasso_stacks([problem])[0] for problem in problems)
+
+
 def lasso_cv(
     x,
     y,
@@ -613,8 +622,8 @@ def lasso_cv(
     A column whose weighted mean or SD overflows float64 is an
     EstimationError. `lasso_cvs` runs many problems at once.
     """
-    return lasso_cvs([dict(x=x, y=y, family=family, k_cv=k_cv, seed=seed, weights=weights,
-                           lambda_rule=lambda_rule, column_names=column_names)])[0]
+    return _lasso_stacks([dict(x=x, y=y, family=family, k_cv=k_cv, seed=seed, weights=weights,
+                               lambda_rule=lambda_rule, column_names=column_names)])[0]
 
 
 def stepwise_aic(

@@ -338,6 +338,20 @@ class TestAnalyze:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
 
+    def test_plan_without_data_exit_2(self, tmp_path, capsys):
+        data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)
+        plan = write_plan(tmp_path, {"estimator": "unadjusted", "family": "gaussian"})
+        code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "plan.data: required" in capsys.readouterr().err
+
+    def test_plan_that_is_not_json_exit_2(self, tmp_path, capsys):
+        data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)
+        plan = write(tmp_path, "plan.json", '{"estimator": "unadjusted",')
+        code = main(["analyze", "--data", data, "--plan", plan, "--out", str(tmp_path / "o.json")])
+        assert code == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+
 
 class TestValidate:
     def test_valid_plan_exit_0(self, tmp_path, capsys):
@@ -345,6 +359,16 @@ class TestValidate:
         assert main(["validate", "--plan", plan]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ok"] is True
+
+    @pytest.mark.parametrize("plan, warning", [
+        ({"estimator": "unadjusted", "family": "gaussian", "pi": {"mode": "known", "value": 0.02}},
+         "known pi=0.02 is close to the positivity boundary"),
+        ({"estimator": "strong_null", "family": "binomial", "contrast": "log_odds_ratio"},
+         "strong_null is a test; ratio contrasts are unusual"),
+    ])
+    def test_warnings(self, tmp_path, capsys, plan, warning):
+        assert main(["validate", "--plan", write_plan(tmp_path, plan)]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == [warning]
 
     def test_k_one_names_the_field(self, tmp_path, capsys):
         plan = write_plan(tmp_path, {

@@ -237,11 +237,10 @@ def spy_gaussian_paths(monkeypatch):
 
 
 def assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B):
-    """Each fit of the stack B, solved alone on its own grid (a row of a
-    (m, L) `lambdas`, or the one grid (L,) of all)."""
-    grids = np.broadcast_to(lambdas, B.shape[:2])
+    """Each fit of the stack B, solved alone on its own grid (a row of the
+    (m, L) `lambdas`)."""
     for k in range(B.shape[0]):
-        alone = selection._gaussian_paths(grams[k:k + 1], cs[k:k + 1], grids[k])[0]
+        alone = selection._gaussian_paths(grams[k:k + 1], cs[k:k + 1], lambdas[k:k + 1])[0]
         assert np.array_equal(alone, B[k]), k
 
 
@@ -288,12 +287,11 @@ def test_each_fit_of_any_stack_is_its_path_alone_and_meets_kkt(m, p, seed, zero,
         tops = np.abs(cs).max(axis=1)
         lambdas = np.array([np.geomspace(top or 1.0, (top or 1.0) * 1e-4, 100) for top in tops])
     else:
-        lambdas = np.geomspace(np.abs(cs[-1]).max() or 1.0, 1e-4, 100)
+        lambdas = np.broadcast_to(np.geomspace(np.abs(cs[-1]).max() or 1.0, 1e-4, 100), (m, 100))
     B = selection._gaussian_paths(grams, cs, lambdas)
     assert_each_fit_alone_is_bit_equal(grams, cs, lambdas, B)
-    grids = np.broadcast_to(lambdas, B.shape[:2])
     for k in range(m):
-        assert gram_kkt(grams[k], cs[k], grids[k], B[k]) <= 1e-9, k
+        assert gram_kkt(grams[k], cs[k], lambdas[k], B[k]) <= 1e-9, k
         if copy and p > 1:
             assert not np.any((B[k, :, 0] != 0.0) & (B[k, :, -1] != 0.0)), k
 
@@ -339,7 +337,7 @@ def test_lasso_cvs_gives_each_problem_what_lasso_cv_gives_it_alone(draws):
     # of each must be those of its lone lasso_cv
     problems = [cv_problem(*draw) for draw in draws]
     alone = [outcome(lambda: lasso_cv(**problem)) for problem in problems]
-    together = outcome(lambda: lasso_cvs(problems))
+    together = outcome(lambda: list(lasso_cvs(problems)))
     if all(isinstance(result, selection.SelectionResult) for result in alone):
         assert together == alone
     else:  # the error of one problem that raises alone
@@ -596,24 +594,44 @@ def test_binomial_problems_of_unequal_n_stack_as_they_run_alone(p, sizes, monkey
                      family=GlmFamily.BINOMIAL, k_cv=3, seed=i) for i, n in enumerate(sizes)]
     alone = [lasso_cv(**problem) for problem in problems]
     calls = spy_binomial_blocks(monkeypatch)
-    assert lasso_cvs(problems) == alone
+    assert list(lasso_cvs(problems)) == alone
     assert calls == [list(sizes)]
 
 
-def test_a_stack_raises_what_one_of_its_problems_raises_alone(monkeypatch):
-    # broad sample seed 90056 does not converge; stacked with a problem of
-    # its column count that converges, in either order
+def failing_and_converging():
+    """Broad sample seed 90056, whose lasso does not converge, and a problem
+    of its column count and 150 rows whose lasso does."""
     _, x, y, weights, k_cv, rule = broad_problem(90_056)
     failing = dict(x=x, y=y, family=GlmFamily.BINOMIAL, k_cv=k_cv, seed=90_056, weights=weights,
                    lambda_rule=rule)
     x2, y2, _ = binomial_problem(x.shape[1], 150, False, 301)
-    converging = dict(x=x2, y=y2, family=GlmFamily.BINOMIAL, seed=1)
+    return failing, dict(x=x2, y=y2, family=GlmFamily.BINOMIAL, seed=1)
+
+
+def test_a_stack_raises_what_one_of_its_problems_raises_alone(monkeypatch):
+    # the two stacked in either order; each problem is replayed alone when reached
+    failing, converging = failing_and_converging()
     alone = [outcome(lambda: lasso_cv(**problem)) for problem in (failing, converging)]
     assert alone[0][0] is NonConvergence and isinstance(alone[1], selection.SelectionResult)
     calls = spy_binomial_blocks(monkeypatch)
     for problems in ([failing, converging], [converging, failing]):
-        assert outcome(lambda: lasso_cvs(problems)) in alone
-    assert calls == [[x.shape[0], 150], [150, x.shape[0]]]
+        assert outcome(lambda: list(lasso_cvs(problems))) in alone
+    n = failing["x"].shape[0]
+    assert calls == [[n, 150], [n], [150, n], [150], [n]]
+
+
+def test_a_failed_stack_runs_each_problem_alone_when_it_is_reached(monkeypatch):
+    failing, converging = failing_and_converging()
+    alone = lasso_cv(**converging)
+    calls = spy_binomial_blocks(monkeypatch)
+    results = lasso_cvs([converging, failing])
+    n = failing["x"].shape[0]
+    assert calls == [[150, n]]  # the stack runs at once, and nothing runs alone yet
+    assert next(results) == alone
+    assert calls == [[150, n], [150]]
+    with pytest.raises(NonConvergence):
+        next(results)
+    assert calls == [[150, n], [150], [n]]
 
 
 def test_solve_stack_isolates_a_singular_system():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import knn_reference, ridge_reference
-from trialcraft.errors import ConfigError, EstimationError
+from trialcraft.errors import ConfigError, DataError, EstimationError
 from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.learners import _cv_losses, get_learner
 from trialcraft.selection import lasso_cv
@@ -68,6 +68,25 @@ class TestPostLasso:
             predictor = get_learner("post_lasso").train(x, y, GlmFamily.GAUSSIAN, seed=1)
             out = predictor.predict(rng.standard_normal((5, 2)))
             assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("family, y", [(GlmFamily.GAUSSIAN, 2.5), (GlmFamily.BINOMIAL, 0.25)])
+    @pytest.mark.parametrize("p", [0, 1, 3])
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e-200])
+    def test_one_row_set_predicts_the_training_mean(self, family, y, p, scale):
+        # a one-row set has no usable candidate, so its lasso is skipped, alone
+        # or in one train_all with a set whose lasso runs
+        rng = np.random.default_rng(p)
+        x = scale * rng.standard_normal((1, p))
+        other = (rng.standard_normal((40, p)), rng.uniform(size=40), 2)
+        learner = get_learner("post_lasso")
+        x_new = rng.standard_normal((5, p))
+        for predictor in (learner.train(x, np.array([y]), family, seed=1),
+                          learner.train_all([other, (x, np.array([y]), 1)], family)[1]):
+            assert np.array_equal(predictor.predict(x_new), np.full(5, y))
+
+    def test_set_without_rows_is_a_data_error(self):
+        with pytest.raises(DataError, match="no rows"):
+            get_learner("post_lasso").train(np.zeros((0, 2)), np.zeros(0), GlmFamily.GAUSSIAN)
 
 
 class TestRidge:

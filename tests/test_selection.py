@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import kkt_violation, lasso_fit, score_residual
-from trialcraft.errors import ConfigError, EstimationError
+from trialcraft.errors import ConfigError, DataError, EstimationError
 from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     SelectionConfig,
@@ -148,6 +148,21 @@ class TestLassoCv:
         res = lasso_cv(x, np.full(120, value), family, seed=1, weights=w)
         assert res.selected_columns == ()
         assert res.path_diagnostics == {"lambdas": [], "note": "outcome has no variance"}
+
+    @pytest.mark.parametrize("family, y", [(GlmFamily.GAUSSIAN, [1.0, 1.0, 2.0, 2.0]),
+                                           (GlmFamily.BINOMIAL, [0.0, 0.0, 1.0, 1.0])])
+    def test_candidates_orthogonal_to_the_outcome_noted(self, family, y):
+        # x'(y - ybar) = 0, so lam_max is 0 and no path is run
+        x = np.tile([1.0, -1.0, 1.0, -1.0], 5)[:, None]
+        res = lasso_cv(x, np.tile(y, 5), family, seed=0)
+        assert res.selected_columns == ()
+        assert res.path_diagnostics == {"lambdas": [],
+                                        "note": "no candidate correlates with the outcome"}
+
+    @pytest.mark.parametrize("family", list(GlmFamily))
+    def test_no_rows_is_a_data_error(self, family):
+        with pytest.raises(DataError, match="lasso_cv: no rows"):
+            lasso_cv(np.zeros((0, 2)), np.zeros(0), family)
 
     def test_binomial_selection_at_lambda_max_ignores_covariate_units(self):
         # lambda_max zeroes every coefficient, but the binomial path can leave
