@@ -59,9 +59,16 @@ def _jsonable(value):
     return value
 
 
+def _open_out(path: str, what: str, **kwargs):
+    try:
+        return open(path, "w", encoding="utf-8", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path}: {exc.strerror}") from None
+
+
 def _write_json(path: str, payload: dict) -> None:
     text = json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path, "report") as fh:
         fh.write(text)
 
 
@@ -71,7 +78,9 @@ def _load_json(path: str, what: str) -> dict:
             return json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"{what} file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} file {path}: {exc.strerror}") from None
+    except ValueError as exc:  # a JSONDecodeError, or a UnicodeDecodeError from bytes not UTF-8
         raise ConfigError(f"{what} file {path} is not valid JSON: {exc}") from None
 
 
@@ -111,7 +120,7 @@ def cmd_simulate(args) -> int:
     }
     _write_json(args.out, payload)
     if csv_path:
-        with open(csv_path, "w", newline="", encoding="utf-8") as fh:
+        with _open_out(csv_path, "per-replicate CSV", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["replicate", "seed", "estimate", "se"])
             for r in range(report.replicates):

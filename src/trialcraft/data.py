@@ -170,31 +170,33 @@ def _parse_fast(raw: bytes, width: int, usecols):
     return y.copy(), z.copy(), x.copy()  # contiguous, as the per-cell reader's arrays
 
 
-def _parse_rows(path, width: int, positions, outcome_col, arm_col, covariate_cols):
-    """(y, z, x) cell by cell: every row's width is checked first, then the
-    bound cells are parsed in row order, so an error names its row and column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        n = 0
-        for n, row in enumerate(islice(csv.reader(fh), 1, None), start=1):
-            if len(row) != width:
-                raise MalformedCsv(f"{path}: row {n} has {len(row)} cells, expected {width}")
-        if n == 0:
-            raise MalformedCsv(f"{path}: no data rows")
-        fh.seek(0)
-        y, z, x = np.empty(n), np.empty(n), np.empty((n, len(covariate_cols)))
-        for r, row in enumerate(islice(csv.reader(fh), 1, None), start=1):
-            yv = _parse_cell(row[positions[outcome_col]], r, outcome_col)
-            if math.isnan(yv):
-                raise MissingOutcome(f"{path}: missing outcome in data row {r}")
-            zv = _parse_cell(row[positions[arm_col]], r, arm_col)
-            if math.isnan(zv):
-                raise ArmNotBinary(f"{path}: missing arm value in data row {r}")
-            if zv not in (0.0, 1.0):
-                raise ArmNotBinary(f"{path}: arm value {zv!r} in data row {r} is not 0/1")
-            y[r - 1] = yv
-            z[r - 1] = zv
-            for j, col in enumerate(covariate_cols):
-                x[r - 1, j] = _parse_cell(row[positions[col]], r, col)
+def _csv_rows(raw: bytes):  # decoded lazily; drops a byte-order mark
+    return csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline=""))
+
+
+def _parse_rows(raw: bytes, name, width: int, positions, bound):
+    """(y, z, x) cell by cell from the file's bytes, `name` in messages: a streaming pass
+    checks every row's width, a second parses the bound cells, so errors name row and column."""
+    outcome_col, arm_col, *covariate_cols = bound
+    n = 0
+    for n, row in enumerate(islice(_csv_rows(raw), 1, None), start=1):
+        if len(row) != width:
+            raise MalformedCsv(f"{name}: row {n} has {len(row)} cells, expected {width}")
+    if n == 0:
+        raise MalformedCsv(f"{name}: no data rows")
+    y, z, x = np.empty(n), np.empty(n), np.empty((n, len(covariate_cols)))
+    for r, row in enumerate(islice(_csv_rows(raw), 1, None), start=1):
+        yv = _parse_cell(row[positions[outcome_col]], r, outcome_col)
+        if math.isnan(yv):
+            raise MissingOutcome(f"{name}: missing outcome in data row {r}")
+        zv = _parse_cell(row[positions[arm_col]], r, arm_col)
+        if math.isnan(zv):
+            raise ArmNotBinary(f"{name}: missing arm value in data row {r}")
+        if zv not in (0.0, 1.0):
+            raise ArmNotBinary(f"{name}: arm value {zv!r} in data row {r} is not 0/1")
+        y[r - 1], z[r - 1] = yv, zv
+        for j, col in enumerate(covariate_cols):
+            x[r - 1, j] = _parse_cell(row[positions[col]], r, col)
     return y, z, x
 
 
@@ -203,15 +205,19 @@ def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDat
 
     Cells may be quoted and padded with whitespace. Missing covariate cells
     (empty or "NA") are kept as NaN for `impute_missing`; a missing outcome
-    or arm cell is fatal.
-    """
+    or arm cell is fatal. The file is read once, so `path` may be a pipe; an
+    unreadable path is a DataError, and bytes that are not UTF-8 MalformedCsv."""
     covariate_cols = list(covariate_cols)
     bound = [outcome_col, arm_col, *covariate_cols]
     if len(set(bound)) != len(bound):
         raise ColumnConflict(f"outcome, arm and covariates must be distinct columns: {bound}")
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:  # drops a byte-order mark
-            header = next(csv.reader(fh), None)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read the file ({exc.strerror})") from None
+    try:
+        header = next(_csv_rows(raw), None)
         if header is None:
             raise MalformedCsv(f"{path}: file is empty")
         header = [h.strip() for h in header]
@@ -220,15 +226,11 @@ def ingest_csv(path, outcome_col: str, arm_col: str, covariate_cols) -> TrialDat
             if name not in header:
                 raise UnknownColumn(f"{path}: column {name!r} not in header")
             if header.count(name) > 1:
-                raise ColumnConflict(
-                    f"{path}: column {name!r} appears more than once in the header")
+                raise ColumnConflict(f"{path}: column {name!r} appears more than once in the header")
             positions[name] = header.index(name)
-
-        with open(path, "rb") as fh:
-            raw = fh.read()
         parsed = _parse_fast(raw, len(header), [positions[name] for name in bound])
         if parsed is None:
-            parsed = _parse_rows(path, len(header), positions, outcome_col, arm_col, covariate_cols)
+            parsed = _parse_rows(raw, path, len(header), positions, bound)
     except UnicodeDecodeError as exc:  # from the header or the per-cell reader
         raise MalformedCsv(f"{path}: the file is not UTF-8 text ({exc.reason})") from None
     return TrialDataset(*parsed, tuple(covariate_cols))

@@ -564,7 +564,8 @@ def estimate_strong_null(
         "strong_null", mu1.mean(), mu0.mean(), v1, v0,
         {"model": model_name, "pi_hat": pi_hat, "pred": pred},
     )
-    z_stat = result.theta_hat / result.se if result.se > 0 else math.inf * np.sign(result.theta_hat)
+    theta, se = result.theta_hat, result.se
+    z_stat = theta / se if se > 0 else (math.copysign(math.inf, theta) if theta else 0.0)
     result.diagnostics["z_statistic"] = float(z_stat)
     return result
 

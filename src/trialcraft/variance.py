@@ -18,15 +18,20 @@ import math
 import numpy as np
 
 from .data import FoldPlan
-from .errors import DegenerateFold, DegeneratePi, DimensionMismatch, Singular
+from .errors import DegenerateFold, DegeneratePi, DimensionMismatch, EstimationError, Singular
 
 
 def se_from_values(values: np.ndarray) -> float:
-    """sqrt( sample-variance(values) / n ); zero for constant values."""
+    """sqrt( sample-variance(values) / n ); zero for constant values. One
+    that overflows float64 is an EstimationError, not an inf or NaN SE."""
     n = values.shape[0]
     if n < 2:
         raise DimensionMismatch("need at least 2 values for a standard error")
-    return math.sqrt(float(np.var(values, ddof=1)) / n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        se = math.sqrt(float(np.var(values, ddof=1)) / n)
+    if not math.isfinite(se):
+        raise EstimationError("standard error overflows float64; rescale the outcome")
+    return se
 
 
 def _score_corrections(z, res1, res0, pg, xg):

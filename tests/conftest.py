@@ -1,3 +1,7 @@
+import contextlib
+import os
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -213,6 +217,44 @@ def simulate_trial(rng, n=80, p=3, family=GlmFamily.GAUSSIAN, effect=0.5,
         y = m + noise_sd * rng.standard_normal(n)
     names = tuple(f"x{j + 1}" for j in range(p))
     return TrialDataset(y, z, x, names)
+
+
+def trial_csv_bytes(quoted, n=5000):
+    """A CSV of outcome y, arm z and covariates a, b, larger than the 64 KB a
+    pipe holds, with an "NA" cell every 97th row. `quoted` quotes the header
+    and the first outcome cell, as R's write.csv quotes names, so that only
+    the per-cell reader reads it."""
+    rng = np.random.default_rng(2)
+    rows = [f"{rng.normal():.6f},{i % 2},{rng.normal():.6f},{'NA' if i % 97 == 0 else i}"
+            for i in range(n)]
+    if quoted:
+        rows[0] = '"' + rows[0].replace(",", '",', 1)
+    header = '"y","z","a","b"' if quoted else "y,z,a,b"
+    return "\n".join([header, *rows, ""]).encode("utf-8")
+
+
+@contextlib.contextmanager
+def piped(raw):
+    """A path naming the read end of a pipe that a thread fills with `raw`,
+    as a shell's `<(cat trial.csv)` does. A pipe can be read only once."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd to name a pipe by")
+    r, w = os.pipe()
+
+    def feed():
+        try:
+            with os.fdopen(w, "wb") as fh:
+                fh.write(raw)
+        except BrokenPipeError:  # the reader stopped before the end
+            pass
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        yield f"/dev/fd/{r}"
+    finally:
+        os.close(r)
+        thread.join()
 
 
 @pytest.fixture

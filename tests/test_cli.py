@@ -11,6 +11,7 @@ from dataclasses import fields, is_dataclass
 import numpy as np
 import pytest
 
+from conftest import piped, trial_csv_bytes
 from trialcraft.cli import _write_json, main
 from trialcraft.data import FoldPlan, TrialDataset, make_folds
 from trialcraft.errors import AtLeast, AtMost, ConfigError
@@ -185,6 +186,50 @@ class TestAnalyze:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+    def test_piped_data_gives_the_files_report(self, tmp_path, quoted):
+        raw = trial_csv_bytes(quoted)
+        data = tmp_path / "trial.csv"
+        data.write_bytes(raw)
+        plan = write_plan(tmp_path, UNADJUSTED_PLAN)
+        from_file, from_pipe = tmp_path / "file.json", tmp_path / "pipe.json"
+        assert main(["analyze", "--data", str(data), "--plan", plan, "--out", str(from_file)]) == 0
+        with piped(raw) as pipe:
+            assert main(["analyze", "--data", pipe, "--plan", plan, "--out", str(from_pipe)]) == 0
+        assert json.loads(from_file.read_bytes())["n"] == 5000
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])  # no file, and a directory
+    def test_unreadable_data_path_exit_3(self, tmp_path, capsys, name):
+        data, out = tmp_path / name, tmp_path / "o.json"
+        plan = write_plan(tmp_path, UNADJUSTED_PLAN)
+        assert main(["analyze", "--data", str(data), "--plan", plan, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {data}: cannot read the file (") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_standard_error_that_overflows_exit_4(self, tmp_path, capsys):
+        ys = ["1e200", "-2e200", "3e200", "1e200", "-1e200", "2e200"]
+        data = write(tmp_path, "trial.csv", "y,z\n" + "".join(f"{y},{i % 2}\n" for i, y in enumerate(ys)))
+        plan = write_plan(tmp_path, {"estimator": "unadjusted",
+                                     "data": {"outcome": "y", "arm": "z", "covariates": []}})
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["analyze", "--data", data, "--plan", plan, "--out", str(out)]) == 4
+        assert (capsys.readouterr().err
+                == "estimation error: standard error overflows float64; rescale the outcome\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("out", [".", "missing/o.json"])  # a directory, and no directory
+    def test_unwritable_report_path_exit_2(self, tmp_path, capsys, out):
+        data = write(tmp_path, "trial.csv", FOUR_ROW_CSV)
+        plan = write_plan(tmp_path, UNADJUSTED_PLAN)
+        out = tmp_path / out
+        assert main(["analyze", "--data", data, "--plan", plan, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write report {out}: ") and err.count("\n") == 1
+
     def test_outcome_as_covariate_exit_3(self, tmp_path, capsys):
         data = write(tmp_path, "trial.csv", "y,z,a,a\n1,1,0,0\n2,0,1,1\n3,1,2,2\n4,0,3,3\n")
         plan = write_plan(tmp_path, {
@@ -354,6 +399,17 @@ class TestAnalyze:
 
 
 class TestValidate:
+    def test_plan_path_that_is_a_directory_exit_2(self, tmp_path, capsys):
+        assert main(["validate", "--plan", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"config error: cannot read plan file {tmp_path}: Is a directory\n"
+
+    def test_plan_that_is_not_utf8_exit_2(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_bytes(b"\xff{}")
+        assert main(["validate", "--plan", str(plan)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: plan file {plan} is not valid JSON: ") and err.count("\n") == 1
+
     def test_valid_plan_exit_0(self, tmp_path, capsys):
         plan = write_plan(tmp_path, UNADJUSTED_PLAN)
         assert main(["validate", "--plan", plan]) == 0
@@ -654,6 +710,12 @@ class TestSimulate:
         lines = open(tmp_path / "reps.csv").read().strip().splitlines()
         assert lines[0] == "replicate,seed,estimate,se"
         assert len(lines) == 151
+
+    def test_per_replicate_csv_into_a_directory_exit_2(self, tmp_path, capsys):
+        spec = write_plan(tmp_path, dict(SIM_SPEC, per_replicate_csv=str(tmp_path)), name="spec.json")
+        assert main(["simulate", "--spec", spec, "--out", str(tmp_path / "s.json")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot write per-replicate CSV {tmp_path}: Is a directory\n"
 
     def test_null_dgp_rejection_near_nominal(self, tmp_path):
         spec = {

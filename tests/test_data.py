@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import piped, trial_csv_bytes
 from trialcraft import data
 from trialcraft.data import (
     FeatureExpansion,
@@ -20,6 +21,7 @@ from trialcraft.errors import (
     ArmNotBinary,
     ColumnConflict,
     ConfigError,
+    DataError,
     EmptyArm,
     MalformedCsv,
     MissingOutcome,
@@ -74,6 +76,12 @@ class TestIngestCsv:
         with pytest.raises(MalformedCsv) as excinfo:
             ingest_csv(path, "y", "z", ["a"])
         assert str(excinfo.value) == f"{path}: the file is not UTF-8 text (invalid start byte)"
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])  # no file, and a directory
+    def test_unreadable_path_is_a_data_error(self, tmp_path, name):
+        with pytest.raises(DataError) as caught:
+            ingest_csv(tmp_path / name, "y", "z", [])
+        assert str(caught.value).startswith(f"{tmp_path / name}: cannot read the file (")
 
     def test_missing_column_in_header(self, tmp_path):
         path = write_csv(tmp_path, "y,z\n1,1\n2,0\n")
@@ -226,6 +234,18 @@ def test_plain_file_takes_the_fast_parse(tmp_path, monkeypatch):
     monkeypatch.setattr(data, "_parse_rows", None)
     d = ingest_csv(path, "y", "z", ["a", "b"])
     np.testing.assert_array_equal(d.x, [[0.25, np.nan], [np.nan, -300.0]])
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_piped_file_reads_as_the_file(tmp_path, quoted):
+    # the fast and the per-cell reader both parse the one read of the pipe
+    raw = trial_csv_bytes(quoted)
+    path = tmp_path / "trial.csv"
+    path.write_bytes(raw)
+    from_file = read_outcome(path, ["a", "b"])
+    assert from_file[3] == (5000, 2)
+    with piped(raw) as pipe:
+        assert read_outcome(pipe, ["a", "b"]) == from_file
 
 
 class TestImputeMissing:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -510,6 +511,18 @@ class TestStrongNull:
         r = estimate_strong_null(d, ZeroLearner(), GlmFamily.GAUSSIAN)
         diff_means = y[z == 1].mean() - y[z == 0].mean()
         assert r.theta_hat == pytest.approx(diff_means, abs=1e-12)
+
+    @pytest.mark.parametrize("outcome, z_statistic", [
+        (lambda z: np.ones(6), 0.0), (lambda z: z, math.inf), (lambda z: 1 - z, -math.inf)])
+    def test_zero_standard_error(self, outcome, z_statistic):
+        # a constant model on y = 1, y = z or y = 1 - z leaves constant influence values
+        z = np.arange(6) % 2.0
+        d = TrialDataset(outcome(z), z, np.zeros((6, 1)), ("a",))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = estimate_strong_null(d, get_learner("constant"), GlmFamily.GAUSSIAN)
+        assert r.se == 0.0
+        assert r.diagnostics["z_statistic"] == z_statistic
 
     def test_learner_refuses_an_expansion(self, rng):
         d = simulate_trial(rng, n=60)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import simulate_trial
 from trialcraft.data import FoldPlan, make_folds
-from trialcraft.errors import DegenerateFold, DegeneratePi
+from trialcraft.errors import DegenerateFold, DegeneratePi, EstimationError
 from trialcraft.variance import aipw, se_from_values
 
 
@@ -143,6 +144,12 @@ class TestScaleEquivariance:
         se_a, _ = aipw_se(d.y, d.z, pred1, pred1)
         se_b, _ = aipw_se(c * d.y, d.z, c * pred1, c * pred1)
         assert abs(se_b - abs(c) * se_a) < 1e-10
+
+    def test_se_that_overflows_is_an_estimation_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="overflows float64"):
+                se_from_values(np.array([1e200, -2e200, 3e200, 1e200, -1e200, 2e200]))
 
     def test_positive_se_for_nonconstant_values(self, rng):
         values = rng.standard_normal(30)
