@@ -13,10 +13,10 @@ The family:
   strong_null         one pooled covariate-only model, no splitting
 
 A PiSpec says how the randomization probability enters. A parametric pi is
-a logistic propensity model on pre-specified columns, fitted by the one
-`propensity_scores`: over everyone for data_adaptive and tmle, within each
-fold for crossfit_aipw, whose method label then reads
-crossfit_aipw_parametric_ps.
+a logistic propensity model on pre-specified columns, fitted by
+`_propensities`: over everyone for data_adaptive and tmle
+(`propensity_scores`), within each fold for crossfit_aipw, whose method
+label then reads crossfit_aipw_parametric_ps.
 
 Standardization-type estimators coincide with their AIPW form because the
 canonical ML fit zeroes the within-arm residual sums; cross-fit estimators
@@ -46,10 +46,12 @@ from .errors import AtLeast, AtMost, ConfigError, DegenerateFold, DomainError, E
 from .errors import _check, _read, _set_fields
 from .glm import (
     GlmFamily,
+    _fitted,
     clamp_probabilities,
     fit_least_squares,
     fit_ml,
     fit_ml_design,
+    fit_mls,
     predict,
 )
 from .selection import METHOD_READS, SelectionConfig, SelectionResult, _refit_columns, lasso_cvs
@@ -170,9 +172,16 @@ def propensity_scores(d: TrialDataset, ps_columns, rows=slice(None)):
     intercept) over `rows`, and its fitted treatment probabilities there,
     clamped into [0.01, 0.99]. No selection is allowed for the propensity
     model. Returns (p_hat, clamp_count)."""
-    cols = d.columns(ps_columns)[rows]
-    fit = fit_ml(cols, d.z[rows], GlmFamily.BINOMIAL)
-    return clamp_probabilities(predict(fit, cols))
+    return next(_propensities(d, ps_columns, [rows]))
+
+
+def _propensities(d: TrialDataset, ps_columns, row_sets):
+    """`propensity_scores` over each of `row_sets`, their logistic fits
+    walking one `fit_mls` stack: an iterator that raises a set's fit error
+    when it reaches that set."""
+    xs = [d.columns(ps_columns)[rows] for rows in row_sets]
+    fits = fit_mls([(x, d.z[rows]) for x, rows in zip(xs, row_sets)], GlmFamily.BINOMIAL)
+    return (clamp_probabilities(predict(_fitted(fit), x)) for x, fit in zip(xs, fits))
 
 
 # --- unadjusted / standardization ----------------------------------------
@@ -412,10 +421,13 @@ def estimate_tmle(
 def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, seed):
     """Out-of-fold predictions per arm: fold k's rows are predicted by
     learners trained on the complement, separately per arm. The 2K training
-    sets are collected first, fold by fold and arm 1 first. A learner with
-    `train_all` trains them all at once (`post_lasso`: every lasso of the
-    cross-fit walks one stack); any other trains each set when its fold is
-    predicted. Returns the predictions with the head of the cross-fit
+    sets are collected first, fold by fold and arm 1 first, up to the first
+    fold whose complement lacks an arm. A learner with `train_all` trains
+    them all at once (`post_lasso`: every lasso of the cross-fit walks one
+    stack, and each refit runs alone; `wrong_model`: every fit walks one
+    IRLS stack), and the first set to fail raises; any other trains each set
+    when its fold is predicted. That fold's DegenerateFold comes after the
+    sets before it. Returns the predictions with the head of the cross-fit
     estimators' diagnostics."""
     check_complete(d)
     if folds.n != d.n:
@@ -463,7 +475,9 @@ def estimate_crossfit_aipw(
     then average the K fold estimates. A parametric `pi` adds the
     propensity-score correction c'A^{-1}s built within each fold to the
     influence values; with no propensity columns it reduces exactly to the
-    per-fold empirical probability."""
+    per-fold empirical probability. The folds' propensity models, up to the
+    first single-arm fold, walk one IRLS stack; the first to fail raises,
+    and that fold's DegenerateFold comes after the folds before it."""
     if pi is None:
         pi = PiSpec.per_fold()
     if pi.mode == "estimated_overall":
@@ -476,13 +490,19 @@ def estimate_crossfit_aipw(
         ps_design = np.column_stack([np.ones(d.n), d.columns(pi.ps_columns)])
         p_hat = np.empty(d.n)
         clamp_count = 0
+        fold_rows = []  # the folds up to the first single-arm one
         for k in range(1, folds.k + 1):
             rows = folds.fold_indices(k)
             z_rows = d.z[rows]
             if z_rows.sum() < 1 or (1 - z_rows).sum() < 1:
-                raise DegenerateFold(f"fold {k} contains a single arm; use stratified folds")
-            p_hat[rows], clamped = propensity_scores(d, pi.ps_columns, rows)
+                break
+            fold_rows.append(rows)
+        for rows, (p_rows, clamped) in zip(fold_rows, _propensities(d, pi.ps_columns, fold_rows)):
+            p_hat[rows] = p_rows
             clamp_count += clamped
+        if len(fold_rows) < folds.k:  # once the earlier folds, which may fail first, are done
+            k = len(fold_rows) + 1
+            raise DegenerateFold(f"fold {k} contains a single arm; use stratified folds")
     mu1_folds, mu0_folds, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, p_hat, folds, ps_design)
 
     if ps_design is None:

@@ -9,19 +9,32 @@ module is built around. Least-squares fitting of the logistic model is
 provided for the minimal-MSE (empirical efficiency maximization) route and
 deliberately does NOT satisfy the score equations.
 
-The deviance has one formula, `_deviance`, shared by `GlmFamily.deviance`
-and the IRLS of `fit_ml_design`; its terms in the outcome alone (log y,
+The deviance has one formula, `_deviance_rows`, shared by
+`GlmFamily.deviance` and the IRLS; its terms in the outcome alone (log y,
 log1p(-y) and 1 - y for the binomial family) are computed once per fit.
+
+There is one IRLS, `_irls`, and it fits a stack of problems at once, each
+with its own start, step-halving, convergence test and outcome; each gets
+the bits it gets alone. `fit_ml_design` (and so `fit_ml`) is a stack of
+one. `fit_mls` stacks many `fit_ml` problems whose fits no lazily raised
+step separates: the candidates of a `stepwise_aic` step, the 2K trainings
+of a `wrong_model` cross-fit and the per-fold propensity models of a
+parametric-pi cross-fit. An arm refit, a `post_lasso` refit and a TMLE
+update stay lone fits, as their callers interleave them with lassos whose
+errors a failed stack replays. A fit whose X'WX, working response or
+deviance is not finite ends at once, without a warning.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
-from .errors import DimensionMismatch, NonConvergence, Separation, Singular
+from .errors import DimensionMismatch, EstimationError, NonConvergence, Separation, Singular
 
 DEVIANCE_RTOL = 1e-10
 MAX_IRLS_ITERATIONS = 100
@@ -91,14 +104,22 @@ def _outcome_terms(family: GlmFamily, y: np.ndarray) -> tuple:
         return y, np.where(y > 0, np.log(y), 0.0), np.where(y < 1, np.log1p(-y), 0.0), 1.0 - y
 
 
-def _deviance(terms: tuple, mu: np.ndarray, w: np.ndarray):
-    """The weighted deviance, summed over axis 0, from `_outcome_terms` and
-    a `_clipped` mean: the module's one deviance formula."""
+def _deviance_rows(terms: tuple, mu: np.ndarray, w: np.ndarray | None):
+    """Each row's weighted deviance, from `_outcome_terms` and a `_clipped`
+    mean, halved for the binomial family: the module's one deviance formula.
+    `w` None is unit weights."""
     if len(terms) == 1:
-        return (w * (terms[0] - mu) ** 2).sum(axis=0)
-    y, log_y, log1m_y, one_minus_y = terms
-    t1, t0 = y * (log_y - np.log(mu)), one_minus_y * (log1m_y - np.log1p(-mu))
-    return 2.0 * (w * (t1 + t0)).sum(axis=0)
+        rows = (terms[0] - mu) ** 2
+    else:
+        y, log_y, log1m_y, one_minus_y = terms
+        rows = y * (log_y - np.log(mu)) + one_minus_y * (log1m_y - np.log1p(-mu))
+    return rows if w is None else w * rows
+
+
+def _deviance(terms: tuple, mu: np.ndarray, w: np.ndarray):
+    """The weighted deviance, `_deviance_rows` summed over axis 0."""
+    dev = _deviance_rows(terms, mu, w).sum(axis=0)
+    return dev if len(terms) == 1 else 2.0 * dev
 
 
 @dataclass(frozen=True)
@@ -140,7 +161,7 @@ def _prepare(x, y, weights, offset):
         w = np.asarray(weights, dtype=float)
         if w.shape[0] != n:
             raise DimensionMismatch("weights length must match y")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("weights must be non-negative")
     if offset is None:
         off = np.zeros(n)
@@ -173,7 +194,8 @@ def _solve_wls(design: np.ndarray, w: np.ndarray, target: np.ndarray, xtwx=None)
 
 
 def _start_mean(y, family, w):
-    ybar = float(np.sum(w * y) / np.sum(w)) if np.sum(w) > 0 else float(np.mean(y))
+    total = np.add.reduce(w)
+    ybar = float(np.add.reduce(w * y) / total) if total > 0 else float(np.mean(y))
     if family is GlmFamily.BINOMIAL:
         ybar = min(max(ybar, 1e-6), 1.0 - 1e-6)
     return ybar
@@ -194,17 +216,250 @@ def _check_diverged(family, design, y, offset, w, coef, converged):
     probability at the clip with a finite intercept (about -24.8) and is a
     valid fit, so it is not flagged."""
     if family is GlmFamily.BINOMIAL:
-        eta = design @ coef
-        center = float(w @ eta) / w.sum()
-        spread = math.sqrt(float(w @ (eta - center) ** 2) / w.sum())
-        ybar = float(w @ y) / w.sum()
-        pinned = 0.0 < ybar < 1.0 and bool(
-            np.all(np.abs(eta + offset)[w > 0] >= SEPARATION_ETA)
-        )
+        eta, total = design @ coef, w.sum()
+        center = float(w @ eta) / total
+        spread = math.sqrt(float(w @ (eta - center) ** 2) / total)
+        ybar = float(w @ y) / total
+        pinned = 0.0 < ybar < 1.0 and bool((np.abs(eta + offset)[w > 0] >= SEPARATION_ETA).all())
         if max(abs(center), spread) > SEPARATION_BOUND or pinned:
             raise Separation("logistic linear predictor diverged; the data are likely separated")
     if not converged:
         raise NonConvergence("IRLS did not converge within the iteration budget")
+
+
+def _fit_stack(problems, family: GlmFamily) -> list:
+    """`fit_ml_design` on each problem, a dict of its keyword arguments, as
+    one stack: a list of each problem's outcome, the GlmFit or the error
+    `fit_ml_design` raises on it alone. Problems of one column count walk
+    one `_irls` stack."""
+    outcomes, stacks = [None] * len(problems), {}
+    with np.errstate(all="ignore"):  # a non-finite fit ends in `_irls`, without a warning
+        for i, problem in enumerate(problems):
+            weights, offset = problem.get("weights"), problem.get("offset")
+            try:
+                design, y, w, off = _prepare(problem["design"], problem["y"], weights, offset)
+                if family is GlmFamily.BINOMIAL and ((y < 0).any() or (y > 1).any()):
+                    raise ValueError("binomial outcomes must lie in [0, 1]")
+            except (EstimationError, ValueError) as exc:
+                outcomes[i] = exc
+                continue
+            has_intercept, q = problem.get("has_intercept", False), design.shape[1]
+            coef = np.zeros(q)
+            if has_intercept and q > 0:
+                coef[0] = float(family.link(np.array([_start_mean(y, family, w)]))[0])
+            if q == 0:
+                mu = _clipped(family, family.inv_link(design @ coef + off))
+                dev = _deviance(_outcome_terms(family, y), mu, w)
+                outcomes[i] = GlmFit(family, coef, 0, float(dev), has_intercept)
+            else:
+                stacks.setdefault(q, []).append(
+                    _Fit(i, design, y, w, off, weights is not None, offset is not None, coef,
+                         has_intercept))
+        for fits in stacks.values():
+            for i, outcome in _irls(fits, family):
+                outcomes[i] = outcome
+    return outcomes
+
+
+class _Fit(NamedTuple):
+    """One problem of an `_irls` stack: its index among the stack's problems,
+    its prepared arrays, whether it has weights and an offset, its start."""
+
+    index: int
+    design: np.ndarray
+    y: np.ndarray
+    w: np.ndarray
+    off: np.ndarray
+    weighted: bool
+    offset: bool
+    start: np.ndarray
+    has_intercept: bool
+
+
+def _irls(fits: list[_Fit], family: GlmFamily) -> list:
+    """IRLS for a stack of fits of one column count q >= 1: each fit's
+    (index, outcome), in the order they end.
+
+    The fits are grouped into blocks of equal row count and memory layout
+    (a Fortran-ordered design's products round differently). A step's
+    elementwise work (the mean, the working response and weights) runs once
+    on the stack, each fit's rows padded at the end to the longest block's,
+    and so do the Cholesky check and the solve. The sums over rows, X'WX,
+    X'Wz, the linear predictor Xb and the deviance, run per block on its own
+    rows: a padded product or sum rounds differently. Each fit keeps its own
+    step-halving and convergence test, leaves the stack when it ends, and
+    gets the bits it gets alone. Unit weights and a zero offset are left out
+    of the arithmetic, which they would not change. A fit whose X'WX is
+    refused by its Cholesky factorization or its solve is Singular; one
+    whose X'WX, X'Wz or deviance is not finite ends at once as
+    NonConvergence, the end IRLS would reach after its iteration budget."""
+    binomial = family is GlmFamily.BINOMIAL
+    groups = {}
+    for fit in fits:
+        fortran = fit.design.flags.f_contiguous and not fit.design.flags.c_contiguous
+        groups.setdefault((fit.design.shape[0], fortran), []).append(fit)
+    fits = [fit for group in groups.values() for fit in group]
+    n, q = max(n_j for n_j, _ in groups), fits[0].design.shape[1]
+    y = _padded([fit.y for fit in fits], n)
+    w = _padded([fit.w for fit in fits], n) if any(fit.weighted for fit in fits) else None
+    off = _padded([fit.off for fit in fits], n) if any(fit.offset for fit in fits) else None
+    blocks, start = [], 0  # each block's (start, stop, row count, designs)
+    for (n_j, fortran), group in groups.items():
+        designs = [fit.design.T if fortran else fit.design for fit in group]
+        x = _padded(designs, designs[0].shape[0])
+        blocks.append((start, start + len(group), n_j, x.transpose(0, 2, 1) if fortran else x))
+        start += len(group)
+    coef = _padded([fit.start for fit in fits], q)
+    terms = _outcome_terms(family, y)
+
+    def per_block(op, a):  # op(designs, a's rows) of each block, stacked
+        if len(blocks) == 1:
+            return op(blocks[0][3], a)
+        return np.concatenate([op(x, None if a is None else a[s:e, :n_j])
+                               for s, e, n_j, x in blocks])
+
+    def mean(c):  # each fit's linear predictor and `_clipped` mean at coefficients c
+        if len(blocks) == 1:
+            eta = (blocks[0][3] @ c[:, :, None])[:, :, 0]
+        else:
+            eta = np.zeros(y.shape)
+            for s, e, n_j, x in blocks:
+                eta[s:e, :n_j] = (x @ c[s:e, :, None])[:, :, 0]
+        if off is not None:
+            eta += off
+        return eta, _clipped(family, expit(eta)) if binomial else eta
+
+    def deviance(mu):  # each fit's deviance, a list
+        rows = _deviance_rows(terms, mu, w)
+        dev = np.add.reduce(rows, axis=1) if len(blocks) == 1 else per_block(_row_sums, rows)
+        return [2.0 * d for d in dev.tolist()] if binomial else dev.tolist()
+
+    def gram(weights):  # each fit's X'WX; a fit it is refused or not finite for fails
+        g = per_block(_weighted_gram, weights)
+        for k in _not_finite(_umath_linalg.cholesky_lo(g, signature="d->d")):
+            if _refused(np.linalg.cholesky, g[k]):  # else g[k] is not finite
+                failed[k] = Singular("rank-deficient weighted design matrix")
+        for k in _not_finite(g):
+            failed.setdefault(k, NonConvergence("IRLS weighted design matrix is not finite; "
+                                                "rescale the data"))
+        return g
+
+    failed = {}  # position in the stack: the error its fit ends with at this step
+    outcomes = []
+    eta, mu = mean(coef)
+    fixed = None if binomial else gram(w)  # a gaussian fit's weights stay w
+    prev = [math.inf] * len(fits)  # each fit's deviance at its last step
+    for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
+        if binomial:
+            var = mu * (1.0 - mu)
+            w_work, residual = var if w is None else w * var, (y - mu) / var
+            xtwx = gram(w_work)
+        else:
+            w_work, residual, xtwx = w, y - mu, fixed
+        working = eta + residual if off is None else eta - off + residual
+        xtwz = per_block(_weighted_score, working if w_work is None else w_work * working)
+        # a gaussian fit's deviance at this step is not finite when its X'Wz is not;
+        # a binomial one's need not be, as the clip keeps an infinite eta's mean finite
+        for k in _not_finite(xtwz) if binomial else ():
+            failed.setdefault(k, NonConvergence("IRLS working response is not finite; "
+                                                "rescale the data"))
+        new = _umath_linalg.solve(xtwx, xtwz, signature="dd->d")[:, :, 0]  # NaNs if refused
+
+        # step-halve a fit whose deviance increased (keeps separation paths tame)
+        eta, mu = mean(new)
+        dev = deviance(mu)
+        halving = [k for k, d in enumerate(dev) if d > prev[k] + 1e-12 and k not in failed]
+        if halving:
+            direction, step = new - coef, [1.0] * len(fits)
+        while halving:
+            for k in halving:
+                step[k] /= 2.0
+            steps = np.array([step[k] for k in halving])[:, None]
+            new[halving] = coef[halving] + steps * direction[halving]
+            eta, mu = mean(new)
+            dev = deviance(mu)
+            halving = [k for k in halving if dev[k] > prev[k] + 1e-12 and step[k] > 1e-8]
+        coef = new
+
+        ended = []
+        for k, d in enumerate(dev):
+            if not math.isfinite(d) and k not in failed:
+                # rounding can pass a singular X'WX through the Cholesky check
+                singular = _refused(lambda a: np.linalg.solve(a, xtwz[k]), xtwx[k])
+                failed[k] = (Singular("rank-deficient weighted design matrix") if singular else
+                             NonConvergence("IRLS deviance is not finite; rescale the data"))
+            converged = abs(d - prev[k]) <= DEVIANCE_RTOL * (abs(d) + 0.1)
+            prev[k] = d
+            if k in failed:
+                ended.append(k)
+                outcomes.append((fits[k].index, failed.pop(k)))
+            elif converged or iterations == MAX_IRLS_ITERATIONS:
+                ended.append(k)
+                fit = fits[k]
+                try:
+                    _check_diverged(family, fit.design, fit.y, fit.off, fit.w, coef[k], converged)
+                    outcome = GlmFit(family, coef[k].copy(), iterations, d, fit.has_intercept)
+                except (Separation, NonConvergence) as exc:
+                    outcome = exc
+                outcomes.append((fit.index, outcome))
+        if len(ended) == len(fits):
+            return outcomes
+        if ended:  # the fits left, and their blocks
+            keep = [k for k in range(len(fits)) if k not in set(ended)]
+            fits, prev = [fits[k] for k in keep], [prev[k] for k in keep]
+            kept, start = [], 0
+            for s, e, n_j, x in blocks:
+                inside = [k - s for k in keep if s <= k < e]
+                if inside:
+                    kept.append((start, start + len(inside), n_j, x[inside]))
+                    start += len(inside)
+            blocks, n = kept, max(block[2] for block in kept)
+            coef, fixed = coef[keep], None if binomial else fixed[keep]
+            eta, mu, y, w, off = (None if a is None else np.ascontiguousarray(a[keep, :n])
+                                  for a in (eta, mu, y, w, off))
+            terms = tuple(np.ascontiguousarray(t[keep, :n]) for t in terms)
+
+
+def _weighted_gram(x, v):
+    """X'VX of each of a stack of designs x, unit weights when v is None; the
+    copy keeps x's layout, as a product with v would."""
+    return x.transpose(0, 2, 1) @ (x.copy(order="K") if v is None else x * v[:, :, None])
+
+
+def _weighted_score(x, v):
+    """X'v of each of a stack of designs x and vectors v, as (m, q, 1)."""
+    return x.transpose(0, 2, 1) @ v[:, :, None]
+
+
+def _row_sums(x, rows):
+    return np.add.reduce(rows, axis=1)
+
+
+def _not_finite(a) -> list[int]:
+    """The members of a stack `a` (its first axis) holding an inf or a NaN."""
+    if math.isfinite(np.add.reduce(a, axis=None)):  # then so is every term
+        return []
+    return np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1)).tolist()
+
+
+def _padded(arrays, n: int) -> np.ndarray:
+    """A C-contiguous stack of equally shaped arrays, each zero-padded at the
+    end of its first axis to length n."""
+    if len(arrays) == 1 and arrays[0].shape[0] == n:
+        return np.ascontiguousarray(arrays[0])[None]
+    out = np.zeros((len(arrays), n) + arrays[0].shape[1:])
+    for k, a in enumerate(arrays):
+        out[k, :a.shape[0]] = a
+    return out
+
+
+def _refused(factor, matrix) -> bool:
+    """Whether `factor` (a numpy.linalg factorization) refuses `matrix`."""
+    try:
+        factor(matrix)
+        return False
+    except np.linalg.LinAlgError:
+        return True
 
 
 def fit_ml_design(
@@ -216,58 +471,25 @@ def fit_ml_design(
     has_intercept: bool = False,
 ) -> GlmFit:
     """Maximum-likelihood fit on an explicit design matrix (no implicit
-    intercept). Building block for `fit_ml` and for the TMLE update models.
+    intercept): a stack of one of `_irls`. Building block for `fit_ml` and
+    for the TMLE update models.
     """
-    design, y, w, off = _prepare(design, y, weights, offset)
-    q = design.shape[1]
-    if family is GlmFamily.BINOMIAL and (np.any(y < 0) or np.any(y > 1)):
-        raise ValueError("binomial outcomes must lie in [0, 1]")
+    problem = dict(design=design, y=y, weights=weights, offset=offset, has_intercept=has_intercept)
+    return _fitted(_fit_stack([problem], family)[0])
 
-    coef = np.zeros(q)
-    if has_intercept and q > 0:
-        ybar = _start_mean(y, family, w)
-        coef[0] = float(family.link(np.array([ybar]))[0])
 
-    terms = _outcome_terms(family, y)
+def _fitted(outcome):
+    """A stacked fit's outcome: its GlmFit, or the error it ended with, raised."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
-    def fitted(c):  # the linear predictor, `_clipped` mean and deviance at c
-        eta = design @ c + off
-        mu = _clipped(family, family.inv_link(eta))
-        return eta, mu, _deviance(terms, mu, w)
 
-    if q == 0:
-        return GlmFit(family, coef, 0, float(fitted(coef)[2]), has_intercept)
-
-    dev_prev = np.inf
-    iterations = 0
-    eta = design @ coef + off
-    mu = _clipped(family, family.inv_link(eta))
-    fixed = _wls_gram(design, w) if family is GlmFamily.GAUSSIAN else None  # its weights stay w
-    for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
-        if family is GlmFamily.BINOMIAL:
-            var = mu * (1.0 - mu)
-            w_work, working = w * var, eta - off + (y - mu) / var
-        else:
-            w_work, working = w, eta - off + (y - mu)
-        new_coef = _solve_wls(design, w_work, working, fixed)
-
-        # step-halve if the deviance increased (keeps separation paths tame)
-        direction = new_coef - coef
-        step = 1.0
-        eta, mu, dev = fitted(new_coef)
-        while dev > dev_prev + 1e-12 and step > 1e-8:
-            step /= 2.0
-            new_coef = coef + step * direction
-            eta, mu, dev = fitted(new_coef)
-        coef = new_coef
-
-        converged = abs(dev - dev_prev) <= DEVIANCE_RTOL * (abs(dev) + 0.1)
-        dev_prev = dev
-        if converged:
-            break
-
-    _check_diverged(family, design, y, off, w, coef, converged)
-    return GlmFit(family, coef, iterations, float(dev_prev), has_intercept)
+def _with_intercept(x, y) -> dict:
+    """`fit_ml`'s problem for `fit_ml_design`: the design [1, x] and y."""
+    y = np.asarray(y, dtype=float)
+    x = _as_design(x, y.shape[0])
+    return dict(design=np.column_stack([np.ones(y.shape[0]), x]), y=y, has_intercept=True)
 
 
 def fit_ml(
@@ -282,12 +504,19 @@ def fit_ml(
     (y_i - mu_i) = 0 to numerical tolerance. Raises Separation, Singular or
     NonConvergence instead of returning a silently bad fit.
     """
-    y = np.asarray(y, dtype=float)
-    x = _as_design(x, y.shape[0])
-    design = np.column_stack([np.ones(y.shape[0]), x])
-    return fit_ml_design(design, y, family, weights, has_intercept=True)
+    problem = _with_intercept(x, y)
+    return fit_ml_design(problem["design"], problem["y"], family, weights, has_intercept=True)
 
 
+def fit_mls(sets, family: GlmFamily) -> list:
+    """`fit_ml` on each (x, y) of `sets`, as one `_irls` stack per column
+    count: a list of each set's outcome, the GlmFit or the error `fit_ml`
+    raises on it alone (not raised). A caller that raises on an error as it
+    reaches each outcome meets the error a loop of `fit_ml` meets first."""
+    return _fit_stack([_with_intercept(x, y) for x, y in sets], family)
+
+
+@np.errstate(all="ignore")  # a non-finite J'WJ ends the fit below, without a warning
 def fit_least_squares(
     x: np.ndarray | None,
     y: np.ndarray,
@@ -298,7 +527,9 @@ def fit_least_squares(
 
     Identical to `fit_ml` for the gaussian family. For the logistic model
     this is a damped Gauss-Newton solve of the nonlinear least-squares
-    problem; the prediction unbiasedness identity is NOT guaranteed.
+    problem; the prediction unbiasedness identity is NOT guaranteed. A step
+    whose J'WJ is not finite ends it as NonConvergence, the end it would
+    reach after its iteration budget.
     """
     if family is GlmFamily.GAUSSIAN:
         return fit_ml(x, y, family, weights)
@@ -317,7 +548,11 @@ def fit_least_squares(
     for iterations in range(1, MAX_GAUSS_NEWTON_ITERATIONS + 1):
         dmu = np.clip(mu * (1.0 - mu), MU_FLOOR, None)
         jac = design * dmu[:, None]
-        delta = _solve_wls(jac, w, y - mu)
+        jtwj = _wls_gram(jac, w)
+        if not np.isfinite(jtwj).all():
+            raise NonConvergence("least-squares weighted design matrix is not finite; "
+                                 "rescale the data")
+        delta = _solve_wls(jac, w, y - mu, jtwj)
         step = 1.0
         trial = coef + delta
         value, trial_mu = sse(trial)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import FoldCount, _zero_variance
 from .errors import AtLeast, ConfigError, _check, _read, _section
-from .glm import GlmFamily, GlmFit, _as_design, fit_ml, predict
+from .glm import GlmFamily, GlmFit, _as_design, _fitted, fit_ml, fit_mls, predict
 from .selection import LambdaRule, _column_names, _refit_columns, lasso_cvs
 
 
@@ -223,14 +223,20 @@ class ConstantLearner:
 class WrongModelLearner:
     """Plain main-effects canonical GLM, no selection, no transformations.
     Deliberately misspecified whenever the data-generating process is not
-    linear in the raw covariates."""
+    linear in the raw covariates. `train_all` fits many sets as one IRLS
+    stack."""
 
     name: str = field(default="wrong_model", init=False)
 
     def train(self, x, y, family: GlmFamily, seed: int = 0):
-        x = _as_design(x)
-        fit = fit_ml(x, y, family)
-        return GlmPredictor(fit)
+        return self.train_all([(x, y, seed)], family)[0]
+
+    def train_all(self, sets, family: GlmFamily):
+        """`train` on each (x, y, seed) of `sets`: their fits walk one
+        `fit_mls` stack, and the first set to fail, in order, raises the
+        error a loop of `train` would raise."""
+        fits = fit_mls([(_as_design(x), y) for x, y, _ in sets], family)
+        return [GlmPredictor(_fitted(fit)) for fit in fits]
 
 
 LEARNERS = {

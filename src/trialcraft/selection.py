@@ -44,7 +44,7 @@ import numpy as np
 from .data import FoldCount, _zero_variance, make_folds
 from .errors import AtLeast, ConfigError, DataError, EstimationError, NonConvergence, Separation
 from .errors import Singular, TrialcraftError, _check, _read, _set_fields
-from .glm import GlmFamily, _as_design, expit, fit_ml
+from .glm import GlmFamily, _as_design, _fitted, expit, fit_ml, fit_mls
 
 # a binomial fit ends a penalty once a step moves no coefficient by this, or
 # once Newton's rate bounds its next move below a tenth of it (`_binomial_paths`)
@@ -520,8 +520,12 @@ def _lasso_problem(x, y, family: GlmFamily, k_cv: FoldCount = 5, seed: int = 0, 
     lambdas = np.geomspace(lam_max, lam_max * PATH_MIN_RATIO, PATH_POINTS)
 
     def finish(fold_losses, train_dev, beta):
-        cv_mean = fold_losses.mean(axis=0)
-        cv_se = fold_losses.std(axis=0, ddof=1) / math.sqrt(k_cv)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+            cv_mean = fold_losses.mean(axis=0)
+            cv_se = fold_losses.std(axis=0, ddof=1) / math.sqrt(k_cv)
+        if not (np.isfinite(fold_losses).all() and np.isfinite(cv_se).all()):
+            raise EstimationError("lasso_cv: cross-validation losses overflow float64; "
+                                  "rescale the data")
         idx_min = int(np.argmin(cv_mean))
         if lambda_rule == "min":
             chosen = idx_min
@@ -620,7 +624,8 @@ def lasso_cv(
     excluded from the candidates and reported in `dropped_zero_variance`; a
     column identical to an earlier one is excluded without being reported.
     A column whose weighted mean or SD overflows float64 is an
-    EstimationError. `lasso_cvs` runs many problems at once.
+    EstimationError, and so is a CV loss or its standard error that
+    overflows. `lasso_cvs` runs many problems at once.
     """
     return _lasso_stacks([dict(x=x, y=y, family=family, k_cv=k_cv, seed=seed, weights=weights,
                                lambda_rule=lambda_rule, column_names=column_names)])[0]
@@ -634,8 +639,11 @@ def stepwise_aic(
     column_names=None,
 ) -> SelectionResult:
     """Forward selection minimizing AIC = deviance + 2 * (number of
-    coefficients). Ties break toward the lower column index; candidates
-    whose fit separates or is singular are skipped at that step."""
+    coefficients). At each step the remaining candidates' fits walk one
+    `fit_mls` stack; ties break toward the lower column index, and a
+    candidate whose own fit separates, is singular or does not converge is
+    skipped at that step. A column whose mean or SD overflows float64 is an
+    EstimationError."""
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
@@ -645,24 +653,26 @@ def stepwise_aic(
     if max_terms > p:
         raise ConfigError("max_terms cannot exceed the number of candidates")
 
-    constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        means, sds = x.mean(axis=0), x.std(axis=0)
+    for name, mean, sd in zip(names, means, sds):
+        if not (math.isfinite(mean) and math.isfinite(sd)):
+            raise EstimationError(f"stepwise_aic: the mean or SD of column {name!r} overflows "
+                                  "float64; rescale the data")
+    constant = _zero_variance(means, sds)
     usable = [j for j in range(p) if not constant[j]]
     dropped = tuple(names[j] for j in range(p) if constant[j])
 
     current: list[int] = []
-    base = fit_ml(None, y, family)
-    best_aic = base.deviance + 2.0
+    best_aic = fit_ml(None, y, family).deviance + 2.0
     while len(current) < max_terms:
+        candidates = [j for j in usable if j not in current]
+        fits = fit_mls([(x[:, current + [j]], y) for j in candidates], family)
         best_j, best_candidate_aic = None, best_aic
-        for j in usable:
-            if j in current:
+        for j, fit in zip(candidates, fits):
+            if isinstance(fit, (Separation, Singular, NonConvergence)):
                 continue
-            cols = current + [j]
-            try:
-                fit = fit_ml(x[:, cols], y, family)
-            except (Separation, Singular, NonConvergence):
-                continue
-            aic = fit.deviance + 2.0 * (len(cols) + 1)
+            aic = _fitted(fit).deviance + 2.0 * (len(current) + 2)
             if aic < best_candidate_aic - 1e-12:
                 best_j, best_candidate_aic = j, aic
         if best_j is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from trialcraft import selection
+from trialcraft import glm, selection
 from trialcraft.data import TrialDataset, _zero_variance
 from trialcraft.glm import (
     DEVIANCE_RTOL,
@@ -73,6 +73,18 @@ def spy_binomial_blocks(monkeypatch):
 
     monkeypatch.setattr(selection, "_binomial_paths", spy)
     return calls
+
+
+def spy_irls_stacks(monkeypatch):
+    """The number of fits of every `glm._irls` stack, in call order."""
+    sizes, irls = [], glm._irls
+
+    def spy(fits, family):
+        sizes.append(len(fits))
+        return irls(fits, family)
+
+    monkeypatch.setattr(glm, "_irls", spy)
+    return sizes
 
 
 def lasso_fit(x, y, family, lam, weights=None):

@@ -1,7 +1,8 @@
 """Sweep `trialcraft analyze` over random small trials and plans, and count
 the runs that do not end in a report or one named error line.
 
-A check to run by hand; pytest does not collect it. Each run writes a random
+A check to run by hand; pytest does not collect it, and
+`tests/test_fuzz_smoke.py` runs a short `sweep` of it. Each run writes a random
 CSV (n from 4 to 60, p from 1 to 4, a Gaussian or a 0/1 outcome) whose
 covariates may be constant, a copy of another covariate or of the arm,
 scaled by 1e150 or 1e-150, or missing in a few cells, and whose Gaussian
@@ -139,15 +140,15 @@ def run_once(tmp: str, text: str, plan: dict) -> dict:
     return found
 
 
-def main_sweep(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=2)
-    parser.add_argument("--runs", type=int, default=1500)
-    args = parser.parse_args(argv)
-    rng = np.random.default_rng(args.seed)
+def sweep(seed: int, runs: int) -> dict:
+    """Run `runs` random trials and plans drawn from `seed`. Returns the
+    number of runs of each finding ("counts"), of warnings at each site
+    ("sites") and of each exit code ("exits"), and the first run of each
+    finding with its plan and detail ("examples")."""
+    rng = np.random.default_rng(seed)
     counts, sites, exits, examples = Counter(), Counter(), Counter(), {}
     with tempfile.TemporaryDirectory() as tmp:
-        for run in range(args.runs):
+        for run in range(runs):
             binomial = bool(rng.integers(2))
             text, names = trial_csv(rng, binomial)
             plan = random_plan(rng, binomial, names)
@@ -157,13 +158,24 @@ def main_sweep(argv=None) -> int:
             for what, detail in found.items():
                 counts[what] += 1
                 examples.setdefault(what, (run, plan, detail))
-    print(f"seed {args.seed}, {args.runs} runs; exit codes {dict(sorted(exits.items(), key=str))}")
+    return {"counts": counts, "sites": sites, "exits": exits, "examples": examples}
+
+
+def main_sweep(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=2)
+    parser.add_argument("--runs", type=int, default=1500)
+    args = parser.parse_args(argv)
+    found = sweep(args.seed, args.runs)
+    counts, examples = found["counts"], found["examples"]
+    exits = dict(sorted(found["exits"].items(), key=str))
+    print(f"seed {args.seed}, {args.runs} runs; exit codes {exits}")
     for what in ("traceback", "warning", "multi-line stderr", "null estimate at exit 0"):
         print(f"{what}: {counts[what]} runs")
         if what in examples:
             run, plan, detail = examples[what]
             print(f"  e.g. run {run}, plan {json.dumps(plan)}\n  {detail.strip()}")
-    for site, count in sites.most_common():
+    for site, count in found["sites"].most_common():
         print(f"  warnings at {site}: {count} runs")
     return 1 if counts else 0
 

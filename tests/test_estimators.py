@@ -7,11 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from compare_lasso_selections import problem as broad_problem
-from conftest import simulate_trial, spy_binomial_blocks
+from conftest import simulate_trial, spy_binomial_blocks, spy_irls_stacks
 from trialcraft.data import FeatureExpansion, FoldPlan, TrialDataset, derived_seed, make_folds
 from trialcraft.errors import (
     ConfigError, DegenerateFold, DomainError, EstimationError, NonConvergence, Separation,
-    TrialcraftError,
+    Singular, TrialcraftError,
 )
 from trialcraft.estimators import (
     PiSpec,
@@ -370,6 +370,32 @@ class TestCrossfitAipw:
             assert errors[0] == errors[1] and errors[0][0] is expected
         assert calls[0] == calls[3] == [64, 64]  # each train_all's first stack holds both sets
 
+    def test_wrong_model_fails_as_it_fails_one_set_at_a_time(self, monkeypatch):
+        # the sets, in order: fold 1's arm 1 (rows 4-7, a constant: Singular),
+        # fold 1's arm 0, fold 2's arm 1 (rows 0-3, y near 1e160:
+        # NonConvergence) and fold 2's arm 0; fold 3's complement lacks arm 0.
+        # The four fits walk one stack, and the first failing set, in order,
+        # names the error, before the DegenerateFold
+        class TrainOnly:
+            def __init__(self, learner):
+                self.train = learner.train
+
+        learner, folds = get_learner("wrong_model"), FoldPlan(np.repeat([1, 2, 3], 4), 3, 0)
+        stacks = spy_irls_stacks(monkeypatch)
+        for singular, huge, expected in ((True, True, Singular), (False, True, NonConvergence),
+                                         (False, False, DegenerateFold)):
+            a = np.r_[np.arange(4.0), np.ones(4) if singular else np.arange(4.0), np.arange(4.0)]
+            y = np.r_[np.array([0.0, 3.0, 1.0, 2.0]) * (1e160 if huge else 1.0), np.arange(8.0) % 3]
+            d = TrialDataset(y, np.r_[np.ones(8), np.zeros(4)], a[:, None], ("a",))
+            errors = []
+            for each in (learner, TrainOnly(learner)):
+                with pytest.raises(TrialcraftError) as caught:
+                    estimate_crossfit_aipw(d, each, folds, PiSpec.known(0.5))
+                errors.append((type(caught.value), str(caught.value)))
+            assert errors[0] == errors[1] and errors[0][0] is expected
+            assert stacks[0] == 4  # train_all's stack holds every set
+            stacks.clear()
+
     def test_antisymmetry_under_arm_swap(self, rng):
         d = simulate_trial(rng, n=80)
         folds = make_folds(d.n, 4, d.z, seed=7, stratified=False)
@@ -603,12 +629,34 @@ class TestCrossfitParametricPs:
         folds = FoldPlan(np.repeat([1, 2, 3], 4), 3, 0)
         d = TrialDataset(np.arange(12.0), z, np.arange(12.0).reshape(-1, 1), ("a",))
 
-        def no_fit(*args, **kwargs):
-            raise AssertionError("propensity model fitted")
+        def no_fit(sets, family):
+            assert not list(sets), "propensity model fitted"
+            return []
 
-        monkeypatch.setattr(estimators, "propensity_scores", no_fit)
+        monkeypatch.setattr(estimators, "fit_mls", no_fit)
         with pytest.raises(DegenerateFold, match="fold 1 contains a single arm"):
             estimate_crossfit_aipw(d, get_learner("constant"), folds, PiSpec.parametric(("a",)))
+
+    def test_a_separated_fold_fails_before_a_later_single_arm_fold(self):
+        # column a separates the arms in fold 1, and fold 3 holds only treated
+        # rows: the folds' propensity models walk one stack up to fold 3, and
+        # fold 1's Separation comes first, as a loop over the folds meets it
+        rng = np.random.default_rng(11)
+        z = np.r_[np.zeros(5), np.ones(5), np.tile([0.0, 1.0], 5), np.ones(10)]
+        a = rng.standard_normal(30)
+        folds = FoldPlan(np.repeat([1, 2, 3], 10), 3, 0)
+        for separated, expected in ((False, DegenerateFold), (True, Separation)):
+            if separated:
+                a[:10] = np.r_[np.arange(5.0) - 10.0, np.arange(5.0) + 10.0]
+            d = TrialDataset(rng.standard_normal(30), z, a[:, None].copy(), ("a",))
+            with pytest.raises(TrialcraftError) as caught:
+                estimate_crossfit_aipw(d, get_learner("constant"), folds, PiSpec.parametric(("a",)))
+            assert type(caught.value) is expected
+            if separated:
+                with pytest.raises(Separation):
+                    propensity_scores(d, ("a",), folds.fold_indices(1))
+            else:
+                assert "fold 3 contains a single arm" in str(caught.value)
 
 
 class TestTransformContrast:

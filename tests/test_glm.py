@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,14 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import irls_reference, score_residual
-from trialcraft.errors import DimensionMismatch, Separation, Singular
+from trialcraft import glm
+from trialcraft.errors import DimensionMismatch, NonConvergence, Separation, Singular
 from trialcraft.glm import (
     GlmFamily,
+    _fit_stack,
     clamp_probabilities,
     expit,
     fit_least_squares,
     fit_ml,
     fit_ml_design,
+    fit_mls,
     logit,
     predict,
 )
@@ -179,6 +183,116 @@ def test_fit_ml_design_gets_the_reference_bits(problem):
         assert got is want
     else:
         assert all(np.array_equal(a, b) for a, b in zip(got, want)), (got, want)
+
+
+def outcome_alone(family, problem):
+    """`fit_ml_design` on one problem: (coefficients, iterations, deviance,
+    has_intercept), or the class it raises."""
+    try:
+        fit = fit_ml_design(family=family, **problem)
+    except Exception as exc:  # noqa: BLE001 - compared by class
+        return type(exc)
+    return fit.coefficients, fit.iterations, fit.deviance, fit.has_intercept
+
+
+def same_outcome(stacked, alone) -> bool:
+    if isinstance(stacked, Exception) or isinstance(alone, type):
+        return type(stacked) is alone
+    got = stacked.coefficients, stacked.iterations, stacked.deviance, stacked.has_intercept
+    return all(np.array_equal(a, b) for a, b in zip(got, alone))
+
+
+@st.composite
+def irls_stacks(draw):
+    """(problems, family): 1 to 6 `fit_ml_design` problems of one family, of
+    one or two column counts and row counts that repeat (so a block holds
+    several fits), some Fortran-ordered, weighted or offset, and some built
+    to separate (binomial), to be singular or to overflow float64."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(list(GlmFamily)))
+    qs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2))
+    problems = []
+    for _ in range(draw(st.integers(1, 6))):
+        q, n = qs[rng.integers(len(qs))], int(rng.choice([3, 17, 17, 60, 60, 150]))
+        kind = draw(st.sampled_from(["plain", "plain", "separated", "singular", "overflow"]))
+        has_intercept = draw(st.booleans())
+        z = rng.standard_normal((n, q))
+        if has_intercept:
+            z[:, 0] = 1.0
+        eta = z @ rng.uniform(-1.5, 1.5, size=q)
+        design = z * 10.0 ** rng.uniform(-2, 2, size=q)
+        if kind == "singular" and q > 1:
+            design[:, -1] = 2.0 * design[:, 0]
+        elif kind == "overflow":
+            design[:, -1] *= 1e160
+        if draw(st.booleans()):
+            design = np.asfortranarray(design)
+        if family is GlmFamily.GAUSSIAN:
+            y = eta + rng.standard_normal(n)
+        elif kind == "separated":
+            y = (z[:, -1] > np.median(z[:, -1])).astype(float)
+        else:
+            y = (rng.uniform(size=n) < expit(eta)).astype(float)
+        problem = dict(design=design, y=y, has_intercept=has_intercept)
+        if draw(st.booleans()):
+            problem["weights"] = rng.uniform(0.2, 3.0, size=n)
+        if draw(st.booleans()):
+            problem["offset"] = rng.uniform(-1.0, 1.0, size=n)
+        problems.append((problem, kind))
+    return problems, family
+
+
+@settings(max_examples=150)
+@given(irls_stacks())
+def test_a_stacked_fit_gets_the_bits_it_gets_alone(stack):
+    # blocks of equal row count and layout, padded elementwise work, fits
+    # that end at different steps or with an error: each fit keeps its bits,
+    # and those of the reference IRLS unless it overflows (where the
+    # reference walks its whole budget)
+    problems, family = stack
+    stacked = _fit_stack([problem for problem, _ in problems], family)
+    for (problem, kind), fit in zip(problems, stacked):
+        alone = outcome_alone(family, problem)
+        assert same_outcome(fit, alone)
+        if kind != "overflow":
+            try:
+                want = irls_reference(family=family, **problem)
+            except Exception as exc:  # noqa: BLE001 - compared by class
+                want = type(exc)
+            if not isinstance(want, type):
+                want = (*want, problem["has_intercept"])
+            assert same_outcome(fit, want)
+
+
+def test_a_stack_reports_each_fit_its_own_error():
+    # a plain, a separated, a singular and an overflowing fit in one stack of
+    # 40-row designs: each ends as it ends alone, the others unharmed
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((40, 2))
+    y = (rng.uniform(size=40) < expit(x[:, 0])).astype(float)
+    sets = [(x, y), (x, (x[:, 1] > 0).astype(float)), (np.column_stack([x, x[:, 0]]), y),
+            (np.column_stack([x[:, 0] * 1e150, (x[:, 0] * 1e150) ** 2]), y)]
+    outcomes = fit_mls(sets, GlmFamily.BINOMIAL)
+    assert [type(o) for o in outcomes] == [glm.GlmFit, Separation, Singular, NonConvergence]
+    for (xs, ys), stacked in zip(sets, outcomes):
+        problem = dict(design=np.column_stack([np.ones(40), xs]), y=ys, has_intercept=True)
+        assert same_outcome(stacked, outcome_alone(GlmFamily.BINOMIAL, problem))
+
+
+@pytest.mark.parametrize("family", list(GlmFamily))
+def test_a_fit_that_overflows_stops_at_its_first_step_without_a_warning(family, monkeypatch):
+    # a 1e150 column and its square: X'WX overflows float64, and the fit ends
+    # as NonConvergence at once, where it used to walk its whole budget
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal(40) * 1e150
+    y = (rng.uniform(size=40) < 0.5).astype(float)
+    steps, score = [], glm._weighted_score
+    monkeypatch.setattr(glm, "_weighted_score", lambda *args: steps.append(1) or score(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergence):
+            fit_ml(np.column_stack([x, x**2]), y, family)
+    assert len(steps) == 1
 
 
 class TestPredict:

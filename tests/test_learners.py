@@ -264,6 +264,21 @@ class TestWrongModel:
         gap = float(np.max(np.abs(wrong.predict(x) - pl.predict(x))))
         assert gap < 0.15
 
+    @pytest.mark.parametrize("family", list(GlmFamily))
+    def test_trains_all_sets_as_it_trains_each_with_fit_ml(self, family, rng):
+        # train_all's sets (two row counts, a Fortran-ordered x) walk one IRLS
+        # stack; each predictor holds the bits of fit_ml on its set alone
+        sets = []
+        for n in (40, 40, 55):
+            x = rng.standard_normal((n, 3))
+            y = (rng.uniform(size=n) < expit(x[:, 0])).astype(float)
+            sets.append((x if n == 40 else np.asfortranarray(x), y, 0))
+        for (x, y, _), predictor in zip(sets, get_learner("wrong_model").train_all(sets, family)):
+            alone = fit_ml(x, y, family)
+            assert np.array_equal(predictor.fit.coefficients, alone.coefficients)
+            assert predictor.fit.iterations == alone.iterations
+            assert predictor.fit.deviance == alone.deviance
+
 
 class TestContract:
     @pytest.mark.parametrize("name", ALL_LEARNERS)

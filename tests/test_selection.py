@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import kkt_violation, lasso_fit, score_residual
-from trialcraft.errors import ConfigError, DataError, EstimationError
+from conftest import kkt_violation, lasso_fit, score_residual, spy_irls_stacks
+from trialcraft.errors import ConfigError, DataError, EstimationError, NonConvergence, Separation
+from trialcraft.errors import Singular
 from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     SelectionConfig,
@@ -208,6 +209,19 @@ class TestLassoCv:
             with pytest.raises(EstimationError, match="weighted moments overflow float64"):
                 lasso_cv(x, y, family, seed=1)
 
+    @pytest.mark.parametrize("lambda_rule", ["1se", "min"])
+    def test_cv_losses_that_overflow_are_an_estimation_error(self, lambda_rule):
+        # an outcome near 1e100 has finite moments and fold losses near 1e200,
+        # but the squares in their standard error overflow: the 1se rule read
+        # an infinite cutoff and chose the empty model
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((60, 3))
+        y = (x @ [1.0, 0.5, 0.0] + rng.standard_normal(60)) * 1e100
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="cross-validation losses overflow"):
+                lasso_cv(x, y, GlmFamily.GAUSSIAN, seed=1, lambda_rule=lambda_rule)
+
     def test_min_rule_selects_at_least_as_much(self, rng):
         x, y = toy_problem(rng, n=80, p=6)
         r1 = lasso_cv(x, y, GlmFamily.GAUSSIAN, k_cv=5, seed=2, lambda_rule="1se")
@@ -261,6 +275,60 @@ class TestStepwiseAic:
         y = x.sum(axis=1) + 0.1 * rng.standard_normal(100)
         res = stepwise_aic(x, y, GlmFamily.GAUSSIAN, max_terms=2)
         assert len(res.selected_columns) == 2
+
+    def test_a_separated_or_singular_candidate_in_a_stack_is_skipped(self, monkeypatch):
+        # x2 separates the outcome and x3 copies x0: inside their step's stack
+        # their fits raise Separation and (once x0 is in) Singular, and the
+        # selection is the one a fit per candidate makes
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((80, 4))
+        y = (rng.uniform(size=80) < expit(1.5 * x[:, 0] - x[:, 1])).astype(float)
+        x[:, 2] = np.where(y == 1, 1.0, -1.0) + 0.5 * rng.uniform(size=80)
+        x[:, 3] = x[:, 0]
+        with pytest.raises(Separation):
+            fit_ml(x[:, [2]], y, GlmFamily.BINOMIAL)
+        with pytest.raises(Singular):
+            fit_ml(x[:, [0, 3]], y, GlmFamily.BINOMIAL)
+        stacks = spy_irls_stacks(monkeypatch)
+        got = stepwise_aic(x, y, GlmFamily.BINOMIAL).selected_columns
+        assert got == stepwise_one_fit_at_a_time(x, y, GlmFamily.BINOMIAL)
+        assert got[0] == "x0" and "x2" not in got and "x3" not in got
+        assert stacks[:3] == [1, 4, 3]  # the intercept-only fit, then each step's candidates
+
+    @pytest.mark.parametrize("scale, positive", [(1e155, False), (1e307, True)])
+    def test_a_column_whose_moments_overflow_is_an_estimation_error(self, scale, positive):
+        # x1's squares overflow, or (positive) its sum: it used to be fitted
+        # through an infinite X'WX, and could be selected
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((50, 3))
+        y = x[:, 0] + rng.standard_normal(50)
+        x[:, 1] = (np.abs(x[:, 1]) + 1.0) * scale if positive else x[:, 1] * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError, match="column 'x1' overflows"):
+                stepwise_aic(x, y, GlmFamily.GAUSSIAN)
+
+
+def stepwise_one_fit_at_a_time(x, y, family):
+    """Forward AIC selection by one `fit_ml` per candidate, skipping a
+    candidate whose fit separates, is singular or does not converge."""
+    current, best_aic = [], fit_ml(None, y, family).deviance + 2.0
+    while True:
+        best_j, best_candidate_aic = None, best_aic
+        for j in range(x.shape[1]):
+            if j in current:
+                continue
+            try:
+                fit = fit_ml(x[:, current + [j]], y, family)
+            except (Separation, Singular, NonConvergence):
+                continue
+            aic = fit.deviance + 2.0 * (len(current) + 2)
+            if aic < best_candidate_aic - 1e-12:
+                best_j, best_candidate_aic = j, aic
+        if best_j is None:
+            return tuple(f"x{j}" for j in current)
+        current.append(best_j)
+        best_aic = best_candidate_aic
 
 
 class TestPostSelectionRefit:
