@@ -257,7 +257,8 @@ def _select_arms(arms, family, selection: SelectionConfig, names):
         return (stepwise_aic(x, y, family, column_names=names, **args) for x, y, _ in arms)
 
     def usable(x):
-        constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):  # a 1e150 column overflows its SD
+            constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
         return SelectionResult(tuple(name for name, c in zip(names, constant) if not c))
 
     return (usable(x) for x, _, _ in arms)

@@ -23,6 +23,9 @@ parametric-pi cross-fit. An arm refit, a `post_lasso` refit and a TMLE
 update stay lone fits, as their callers interleave them with lassos whose
 errors a failed stack replays. A fit whose X'WX, working response or
 deviance is not finite ends at once, without a warning.
+
+Every factorization and solve in the package goes through `_cholesky_refused`
+and `_solve`, and their callers make a system they refuse Singular.
 """
 from __future__ import annotations
 
@@ -172,27 +175,6 @@ def _prepare(x, y, weights, offset):
     return x, y, w, off
 
 
-def _wls_gram(design: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X'WX, refused as Singular unless a Cholesky factorization finds it
-    positive definite."""
-    xtwx = design.T @ (design * w[:, None])
-    try:
-        np.linalg.cholesky(xtwx)
-    except np.linalg.LinAlgError:
-        raise Singular("rank-deficient weighted design matrix") from None
-    return xtwx
-
-
-def _solve_wls(design: np.ndarray, w: np.ndarray, target: np.ndarray, xtwx=None) -> np.ndarray:
-    """Weighted least squares of target on the design; `xtwx`, when the
-    caller has it, is `_wls_gram(design, w)`."""
-    xtwx = _wls_gram(design, w) if xtwx is None else xtwx
-    try:
-        return np.linalg.solve(xtwx, design.T @ (w * target))
-    except np.linalg.LinAlgError:  # rounding can pass a singular X'WX through the Cholesky check
-        raise Singular("rank-deficient weighted design matrix") from None
-
-
 def _start_mean(y, family, w):
     total = np.add.reduce(w)
     ybar = float(np.add.reduce(w * y) / total) if total > 0 else float(np.mean(y))
@@ -336,9 +318,8 @@ def _irls(fits: list[_Fit], family: GlmFamily) -> list:
 
     def gram(weights):  # each fit's X'WX; a fit it is refused or not finite for fails
         g = per_block(_weighted_gram, weights)
-        for k in _not_finite(_umath_linalg.cholesky_lo(g, signature="d->d")):
-            if _refused(np.linalg.cholesky, g[k]):  # else g[k] is not finite
-                failed[k] = Singular("rank-deficient weighted design matrix")
+        for k in _cholesky_refused(g):
+            failed[k] = Singular("rank-deficient weighted design matrix")
         for k in _not_finite(g):
             failed.setdefault(k, NonConvergence("IRLS weighted design matrix is not finite; "
                                                 "rescale the data"))
@@ -363,7 +344,8 @@ def _irls(fits: list[_Fit], family: GlmFamily) -> list:
         for k in _not_finite(xtwz) if binomial else ():
             failed.setdefault(k, NonConvergence("IRLS working response is not finite; "
                                                 "rescale the data"))
-        new = _umath_linalg.solve(xtwx, xtwz, signature="dd->d")[:, :, 0]  # NaNs if refused
+        new, refused = _solve(xtwx, xtwz)  # a refused fit's coefficients and deviance are NaN
+        new = new[:, :, 0]
 
         # step-halve a fit whose deviance increased (keeps separation paths tame)
         eta, mu = mean(new)
@@ -385,9 +367,8 @@ def _irls(fits: list[_Fit], family: GlmFamily) -> list:
         for k, d in enumerate(dev):
             if not math.isfinite(d) and k not in failed:
                 # rounding can pass a singular X'WX through the Cholesky check
-                singular = _refused(lambda a: np.linalg.solve(a, xtwz[k]), xtwx[k])
-                failed[k] = (Singular("rank-deficient weighted design matrix") if singular else
-                             NonConvergence("IRLS deviance is not finite; rescale the data"))
+                failed[k] = (Singular("rank-deficient weighted design matrix") if k in refused
+                             else NonConvergence("IRLS deviance is not finite; rescale the data"))
             converged = abs(d - prev[k]) <= DEVIANCE_RTOL * (abs(d) + 0.1)
             prev[k] = d
             if k in failed:
@@ -453,10 +434,30 @@ def _padded(arrays, n: int) -> np.ndarray:
     return out
 
 
-def _refused(factor, matrix) -> bool:
-    """Whether `factor` (a numpy.linalg factorization) refuses `matrix`."""
+@np.errstate(all="ignore")  # a refused member is NaN, without a warning
+def _cholesky_refused(a) -> list[int]:
+    """The members of a stack of symmetric matrices that np.linalg.cholesky
+    refuses, by one batched factorization: only a member whose factor is not
+    finite is factored again alone."""
+    return [k for k in _not_finite(_umath_linalg.cholesky_lo(a, signature="d->d"))
+            if _refused(np.linalg.cholesky, a[k])]
+
+
+@np.errstate(all="ignore")  # a refused member is NaN, without a warning
+def _solve(a, b):
+    """np.linalg.solve(a[k], b[k]) of each member k of a stack of systems, b
+    broadcast against a, by one batched solve: the solutions, NaN where
+    np.linalg.solve refuses a member, and those members. Only a member whose
+    solution is not finite is solved again alone."""
+    x = _umath_linalg.solve(a, b, signature="dd->d")
+    return x, [k for k in _not_finite(x)
+               if _refused(np.linalg.solve, a[k], np.broadcast_to(b, x.shape)[k])]
+
+
+def _refused(call, *matrices) -> bool:
+    """Whether `call` (a numpy.linalg function) refuses `matrices`."""
     try:
-        factor(matrix)
+        call(*matrices)
         return False
     except np.linalg.LinAlgError:
         return True
@@ -547,12 +548,17 @@ def fit_least_squares(
     iterations = 0
     for iterations in range(1, MAX_GAUSS_NEWTON_ITERATIONS + 1):
         dmu = np.clip(mu * (1.0 - mu), MU_FLOOR, None)
-        jac = design * dmu[:, None]
-        jtwj = _wls_gram(jac, w)
+        jac = (design * dmu[:, None])[None]  # a stack of one
+        jtwj = _weighted_gram(jac, w[None])
+        if _cholesky_refused(jtwj):
+            raise Singular("rank-deficient weighted design matrix")
         if not np.isfinite(jtwj).all():
             raise NonConvergence("least-squares weighted design matrix is not finite; "
                                  "rescale the data")
-        delta = _solve_wls(jac, w, y - mu, jtwj)
+        delta, refused = _solve(jtwj, _weighted_score(jac, (w * (y - mu))[None]))
+        if refused:  # rounding can pass a singular J'WJ through the Cholesky check
+            raise Singular("rank-deficient weighted design matrix")
+        delta = delta[0, :, 0]
         step = 1.0
         trial = coef + delta
         value, trial_mu = sse(trial)

@@ -17,8 +17,8 @@ from typing import Annotated, Literal
 import numpy as np
 
 from .data import FoldCount, _zero_variance
-from .errors import AtLeast, ConfigError, _check, _read, _section
-from .glm import GlmFamily, GlmFit, _as_design, _fitted, fit_ml, fit_mls, predict
+from .errors import AtLeast, ConfigError, Singular, _check, _read, _section
+from .glm import GlmFamily, GlmFit, _as_design, _fitted, _solve, fit_ml, fit_mls, predict
 from .selection import LambdaRule, _column_names, _refit_columns, lasso_cvs
 
 
@@ -101,9 +101,12 @@ def _cv_losses(xs, yc, lams, k_cv, seed):
         x_train, x_test = xs[train] - xbar, xs[test] - xbar
         y_mean = yc[train].mean()
         gram, rhs = x_train.T @ x_train, x_train.T @ (yc[train] - y_mean)
-        betas = np.linalg.solve(gram + lams[:, None, None] * eye, rhs[:, None])
-        pred = y_mean + (x_test @ betas)[:, :, 0]
-        losses += ((yc[test] - pred) ** 2).sum(axis=1)
+        betas, refused = _solve(gram + lams[:, None, None] * eye, rhs[:, None])
+        if refused:
+            raise Singular(f"ridge: singular system at penalty {float(lams[refused[0]])!r}")
+        with np.errstate(over="ignore", invalid="ignore"):  # np.argmin takes an overflowed loss
+            pred = y_mean + (x_test @ betas)[:, :, 0]
+            losses += ((yc[test] - pred) ** 2).sum(axis=1)
     return losses
 
 
@@ -140,8 +143,10 @@ class RidgeLearner:
             lam = lams[0]
         else:
             lam = lams[int(np.argmin(_cv_losses(xs, yc, lams, self.k_cv, seed)))]
-        beta = np.linalg.solve(xs.T @ xs + lam * np.eye(p), xs.T @ yc)
-        return RidgePredictor(ybar, beta, means, sds, family)
+        beta, refused = _solve((xs.T @ xs + lam * np.eye(p))[None], (xs.T @ yc)[None, :, None])
+        if refused:
+            raise Singular(f"ridge: singular system at penalty {float(lam)!r}")
+        return RidgePredictor(ybar, beta[0, :, 0], means, sds, family)
 
 
 @dataclass

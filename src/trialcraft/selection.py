@@ -44,7 +44,7 @@ import numpy as np
 from .data import FoldCount, _zero_variance, make_folds
 from .errors import AtLeast, ConfigError, DataError, EstimationError, NonConvergence, Separation
 from .errors import Singular, TrialcraftError, _check, _read, _set_fields
-from .glm import GlmFamily, _as_design, _fitted, expit, fit_ml, fit_mls
+from .glm import GlmFamily, _as_design, _fitted, _solve, expit, fit_ml, fit_mls
 
 # a binomial fit ends a penalty once a step moves no coefficient by this, or
 # once Newton's rate bounds its next move below a tenth of it (`_binomial_paths`)
@@ -238,16 +238,6 @@ def _gaussian_paths(grams, cs, lambdas):
     return u
 
 
-def _solve_stack(lhs, rhs):
-    """np.linalg.solve on a stack of systems, with NaNs for a singular one."""
-    try:
-        return np.linalg.solve(lhs, rhs)
-    except np.linalg.LinAlgError:
-        if lhs.shape[0] == 1:
-            return np.full_like(rhs, np.nan)
-        return np.concatenate([_solve_stack(a[None], r[None]) for a, r in zip(lhs, rhs)])
-
-
 def _binomial_paths(blocks, lambdas):
     """Logistic lasso paths of a stack of m fits, each at its own descending
     penalties (m, L), from the row blocks of the problems they fit: a block
@@ -266,10 +256,10 @@ def _binomial_paths(blocks, lambdas):
     profiling out the intercept b0 = zbar - xbar'b leaves the Gram matrix G
     and score c as S - t t'/sum(v), S the rest of M. The step is solved
     exactly on each fit's warm active set A with signs s_A, G_AA b_A =
-    c_A - lam s_A, in one batched solve. A fit keeps b if its signs are s_A
-    and |c_j - G_jA b_A| <= lam off A, which makes b the step's minimizer;
-    the fits where it does not solve the step at lam by `_gaussian_paths`,
-    as one stack.
+    c_A - lam s_A, in one `glm._solve` (NaN for a singular G_AA). A fit
+    keeps b if its signs are s_A and |c_j - G_jA b_A| <= lam off A, which
+    makes b the step's minimizer; the fits where it does not solve the step
+    at lam by `_gaussian_paths`, as one stack.
     A fit's move d_k is the largest change of its (b0, b) at step k, and its
     Newton rate r = d_k / d_(k-1)^2 comes from its last two moves at one
     penalty, carried to the next (+inf before the first). A fit ends the
@@ -330,7 +320,7 @@ def _binomial_paths(blocks, lambdas):
             signs = np.sign(beta[:, 1:])
             active = signs != 0.0
             lhs = np.where(active[:, :, None] & active[:, None, :], gram, eye)
-            new_b = _solve_stack(lhs, np.where(active, c - lam * signs, 0.0)[:, :, None])[:, :, 0]
+            new_b = _solve(lhs, np.where(active, c - lam * signs, 0.0)[:, :, None])[0][:, :, 0]
             # a column with G_jj = 0 has c_j = 0, so it meets the bound
             kkt = np.abs(c - (gram @ new_b[:, :, None])[:, :, 0]) <= lam
             exact = ((np.sign(new_b) == signs) & (active | kkt)).all(axis=1)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import FoldPlan
 from .errors import DegenerateFold, DegeneratePi, DimensionMismatch, EstimationError, Singular
+from .glm import _cholesky_refused, _solve
 
 
 def se_from_values(values: np.ndarray) -> float:
@@ -47,16 +48,15 @@ def _score_corrections(z, res1, res0, pg, xg):
     -c0' A^{-1} s_i. Returns (corr1, corr0).
     """
     info = pg * (1 - pg)
-    a = -(xg * info[:, None]).T @ xg / xg.shape[0]
-    try:
-        np.linalg.cholesky(-a)
-    except np.linalg.LinAlgError:
-        raise Singular("singular propensity information matrix") from None
-    c1 = (xg * (z * res1 * (1 - pg) / pg)[:, None]).mean(axis=0)
-    c0 = (xg * ((1 - z) * res0 * pg / (1 - pg))[:, None]).mean(axis=0)
+    a = (-(xg * info[:, None]).T @ xg / xg.shape[0])[None]  # a stack of one
     scores = xg * (z - pg)[:, None]
-    a_inv_s = np.linalg.solve(a, scores.T).T
-    return a_inv_s @ c1, -(a_inv_s @ c0)
+    a_inv_s, refused = _solve(a, scores.T[None])
+    if refused or _cholesky_refused(-a):
+        raise Singular("singular propensity information matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SE
+        c1 = (xg * (z * res1 * (1 - pg) / pg)[:, None]).mean(axis=0)
+        c0 = (xg * ((1 - z) * res0 * pg / (1 - pg))[:, None]).mean(axis=0)
+        return a_inv_s[0].T @ c1, -(a_inv_s[0].T @ c0)
 
 
 def aipw(y, z, pred1, pred0, pi=None, folds: FoldPlan | None = None, ps_design=None):

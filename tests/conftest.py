@@ -8,6 +8,7 @@ from hypothesis import settings
 
 from trialcraft import glm, selection
 from trialcraft.data import TrialDataset, _zero_variance
+from trialcraft.errors import Singular
 from trialcraft.glm import (
     DEVIANCE_RTOL,
     MAX_IRLS_ITERATIONS,
@@ -17,7 +18,6 @@ from trialcraft.glm import (
     _as_design,
     _check_diverged,
     _prepare,
-    _solve_wls,
     _start_mean,
     expit,
     predict,
@@ -120,6 +120,18 @@ def deviance_reference(family, y, mu, w):
     return float(2.0 * (w * (t1 + t0)).sum())
 
 
+def wls_reference(design, w, target):
+    """Weighted least squares of target on the design, by a 2-D Cholesky
+    check and np.linalg.solve: a refused X'WX is Singular. `glm` makes this
+    solve on stacks, through its own primitives."""
+    xtwx = design.T @ (design * w[:, None])
+    try:
+        np.linalg.cholesky(xtwx)
+        return np.linalg.solve(xtwx, design.T @ (w * target))
+    except np.linalg.LinAlgError:
+        raise Singular("rank-deficient weighted design matrix") from None
+
+
 def irls_reference(design, y, family, weights=None, offset=None, has_intercept=False):
     """`fit_ml_design` by IRLS with `deviance_reference`, a unit variance
     written out for the gaussian family, and the clipped mean recomputed at
@@ -148,7 +160,7 @@ def irls_reference(design, y, family, weights=None, offset=None, has_intercept=F
             var = mu * (1.0 - mu)
         else:
             var = np.ones(n)
-        new_coef = _solve_wls(design, w * var, eta - off + (y - mu) / var)
+        new_coef = wls_reference(design, w * var, eta - off + (y - mu) / var)
         direction = new_coef - coef
         step = 1.0
         eta, mu, dev = fitted(new_coef)

@@ -7,7 +7,8 @@ CSV (n from 4 to 60, p from 1 to 4, a Gaussian or a 0/1 outcome) whose
 covariates may be constant, a copy of another covariate or of the arm,
 scaled by 1e150 or 1e-150, or missing in a few cells, and whose Gaussian
 outcome may be scaled up to 1e200. Its plan takes a random estimator and
-sets random values of fields that estimator's `plans.ESTIMATORS` row reads.
+sets random values of fields that estimator's `plans.ESTIMATORS` row reads,
+its learner's fields among them.
 Then `cli.main(["analyze", ...])` runs, and the sweep counts
 
 - tracebacks: an exception that escapes `main`;
@@ -40,8 +41,8 @@ from trialcraft.plans import ESTIMATORS
 KINDS = ("normal", "normal", "normal", "constant", "copy", "arm", "huge", "tiny")
 
 
-def trial_csv(rng, binomial: bool) -> tuple[str, list[str]]:
-    """A random trial as CSV text, and its covariate names."""
+def trial_csv(rng, binomial: bool) -> tuple[str, list[str], int]:
+    """A random trial as CSV text, its covariate names and its row count."""
     n, p = int(rng.integers(4, 61)), int(rng.integers(1, 5))
     z = rng.permutation(np.arange(n) % 2)
     x = rng.standard_normal((n, p))
@@ -66,11 +67,27 @@ def trial_csv(rng, binomial: bool) -> tuple[str, list[str]]:
         cells[i][j] = "NA"
     lines = [",".join(["y", "z", *names])]
     lines += [",".join([repr(y[i].item()), str(z[i]), *cells[i]]) for i in range(n)]
-    return "\n".join(lines) + "\n", names
+    return "\n".join(lines) + "\n", names, n
 
 
-def random_plan(rng, binomial: bool, names: list[str]) -> dict:
-    """A plan for a random estimator, setting random values of fields it reads."""
+def random_learner(rng, n: int) -> dict:
+    """A random learner with random values of its fields, within their bounds:
+    ridge's grid ([0.0], [0.0, 1.0] or the default), knn's k (the default, or
+    from 1 to beyond the n rows) and post_lasso's k_cv (2 to 5) and rule."""
+    name = list(LEARNERS)[rng.integers(len(LEARNERS))]
+    params = {}
+    if name == "ridge":
+        params = [{"lambda_grid": [0.0]}, {"lambda_grid": [0.0, 1.0]}, {}][rng.integers(3)]
+    elif name == "knn" and rng.uniform() < 0.5:
+        params = {"k": int(rng.integers(1, n + 3))}
+    elif name == "post_lasso":
+        params = {"k_cv": int(rng.integers(2, 6)), "lambda_rule": ["1se", "min"][rng.integers(2)]}
+    return {"name": name, "params": params}
+
+
+def random_plan(rng, binomial: bool, names: list[str], n: int) -> dict:
+    """A plan for a random estimator on n rows, setting random values of
+    fields it reads."""
     estimator = list(ESTIMATORS)[rng.integers(len(ESTIMATORS))]
     rules = ESTIMATORS[estimator]
     reads = rules.reads
@@ -80,7 +97,7 @@ def random_plan(rng, binomial: bool, names: list[str]) -> dict:
     if "seed" in reads:
         plan["seed"] = seed
     if "learner" in reads and ("folds" in reads or rng.uniform() < 0.5):
-        plan["learner"] = list(LEARNERS)[rng.integers(len(LEARNERS))]
+        plan["learner"] = random_learner(rng, n)
     if "expansion" in reads and "learner" not in plan and rng.uniform() < 0.3:
         plan["expansion"] = {"polynomial_degree": 2}
     if "selection" in reads:
@@ -150,8 +167,8 @@ def sweep(seed: int, runs: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         for run in range(runs):
             binomial = bool(rng.integers(2))
-            text, names = trial_csv(rng, binomial)
-            plan = random_plan(rng, binomial, names)
+            text, names, n = trial_csv(rng, binomial)
+            plan = random_plan(rng, binomial, names, n)
             found = run_once(tmp, text, plan)
             exits[found.pop("exit")] += 1
             sites.update(found.pop("sites", ()))

@@ -278,6 +278,25 @@ class TestAnalyze:
         assert code == 4
         assert "estimation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("estimator", ["crossfit_aipw", "strong_null"])
+    def test_ridge_on_a_singular_system_exit_4(self, tmp_path, capsys, estimator):
+        # covariate b is constant: at a zero penalty ridge's system is singular
+        a = np.random.default_rng(4).standard_normal(40)
+        data = write(tmp_path, "trial.csv", "y,z,a,b\n" + "".join(
+            f"{2.0 * v + i % 3:.6f},{i % 2},{v:.6f},3\n" for i, v in enumerate(a)))
+        plan = write_plan(tmp_path, {
+            "estimator": estimator,
+            "learner": {"name": "ridge", "params": {"lambda_grid": [0.0]}},
+            "data": UNADJUSTED_PLAN["data"],
+        })
+        out = tmp_path / "o.json"
+        assert main(["validate", "--plan", plan]) == 0
+        capsys.readouterr()
+        assert main(["analyze", "--data", data, "--plan", plan, "--out", str(out)]) == 4
+        assert (capsys.readouterr().err
+                == "estimation error: ridge: singular system at penalty 0.0\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("family, fields", [
         ("gaussian", {"estimator": "data_adaptive"}),
         ("gaussian", {"estimator": "tmle"}),

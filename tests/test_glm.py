@@ -295,6 +295,66 @@ def test_a_fit_that_overflows_stops_at_its_first_step_without_a_warning(family, 
     assert len(steps) == 1
 
 
+@st.composite
+def linear_systems(draw):
+    """(a, b): a stack of 1 to 6 symmetric q x q matrices, q from 1 to 6,
+    each positive definite, rank-deficient (a zero or a copied row and
+    column, or a Gram matrix of fewer rows than columns), indefinite, or
+    positive definite with a NaN or an infinite pair of cells; and a stack
+    of right-hand sides of 1 or k columns."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m, q = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    a = np.empty((m, q, q))
+    for k in range(m):
+        kind = draw(st.sampled_from(["pd", "pd", "zero", "copy", "short", "indefinite",
+                                     "nan", "inf", "-inf"]))
+        rows = rng.standard_normal((rng.integers(1, q) if kind == "short" and q > 1 else q + 2, q))
+        a[k] = rows.T @ rows * 10.0 ** rng.uniform(-3, 3)
+        i, j = rng.integers(q), rng.integers(q)
+        if kind == "zero":
+            a[k, i], a[k, :, i] = 0.0, 0.0
+        elif kind == "copy" and q > 1:
+            j = (i + 1 + j % (q - 1)) % q
+            a[k, j], a[k, :, j] = a[k, i], a[k, :, i]
+        elif kind == "indefinite":
+            a[k] -= 2.0 * np.trace(a[k]) * np.eye(q)[i]
+            a[k] = (a[k] + a[k].T) / 2.0
+        elif kind in ("nan", "inf", "-inf"):
+            a[k, i, j] = a[k, j, i] = float(kind)
+    columns = draw(st.sampled_from([1, int(rng.integers(2, 5))]))
+    return a, rng.standard_normal((m, q, columns))
+
+
+def raises(call, *args) -> bool:
+    try:
+        call(*args)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+@settings(max_examples=300)
+@given(linear_systems())
+def test_the_stack_primitives_get_each_members_bits_and_refusals(system):
+    # each member solved as np.linalg.solve solves it alone, with one or k
+    # right-hand sides (one also as a vector), and exactly the members
+    # np.linalg.solve and np.linalg.cholesky refuse reported, with no warning
+    a, b = system
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, refused = glm._solve(a, b)
+        assert glm._cholesky_refused(a) == [k for k in range(len(a))
+                                            if raises(np.linalg.cholesky, a[k])]
+    assert refused == [k for k in range(len(a)) if raises(np.linalg.solve, a[k], b[k])]
+    for k in range(len(a)):
+        if k in refused:
+            assert np.isnan(x[k]).all()
+        else:
+            assert np.array_equal(x[k], np.linalg.solve(a[k], b[k]), equal_nan=True)
+            if b.shape[2] == 1:
+                assert np.array_equal(x[k, :, 0], np.linalg.solve(a[k], b[k, :, 0]), equal_nan=True)
+
+
 class TestPredict:
     def test_gaussian_line(self):
         fit = fit_ml(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 3.0, 5.0]), GlmFamily.GAUSSIAN)

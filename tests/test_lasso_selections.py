@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from compare_lasso_selections import problem as broad_problem
 from conftest import kkt_violation, spy_binomial_blocks
-from trialcraft import selection
+from trialcraft import glm, selection
 from trialcraft.data import make_folds
 from trialcraft.errors import NonConvergence, TrialcraftError
 from trialcraft.glm import GlmFamily, expit, fit_ml
@@ -640,7 +640,8 @@ def test_solve_stack_isolates_a_singular_system():
     a = a @ a.transpose(0, 2, 1) + np.eye(4)
     a[1, :, 3] = a[1, :, 2]
     rhs = rng.standard_normal((3, 4, 1))
-    out = selection._solve_stack(a, rhs)
+    out, refused = glm._solve(a, rhs)
+    assert refused == [1]
     assert np.isnan(out[1]).all()
     for k in (0, 2):
         assert np.array_equal(out[k], np.linalg.solve(a[k], rhs[k]))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import knn_reference, ridge_reference
-from trialcraft.errors import ConfigError, DataError, EstimationError
+from trialcraft.errors import ConfigError, DataError, EstimationError, Singular
 from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.learners import _cv_losses, get_learner
 from trialcraft.selection import lasso_cv
@@ -112,6 +112,15 @@ class TestRidge:
         beta = np.linalg.solve(xs.T @ xs + lam * np.eye(2), xs.T @ (y - y.mean()))
         expected = y.mean() + xs @ beta
         np.testing.assert_allclose(predictor.predict(x), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("column, grid", [("constant", [0.0]), ("copy", [0.0, 1.0])])
+    def test_a_zero_penalty_on_a_rank_deficient_design_is_singular(self, rng, column, grid):
+        # a constant column standardizes to zeros, and a copied one to its
+        # twin: at a zero penalty the fit's system, or a CV fold's, is singular
+        x, y = linear_data(rng, n=60)
+        x[:, 1] = 3.0 if column == "constant" else x[:, 0]
+        with pytest.raises(Singular, match=r"^ridge: singular system at penalty 0\.0$"):
+            get_learner("ridge", lambda_grid=grid).train(x, y, GlmFamily.GAUSSIAN)
 
     @pytest.mark.parametrize("branch, seed", [("cv", 0), ("one_penalty", 1), ("too_few_rows", 2)])
     def test_stacked_cv_matches_one_solve_per_penalty(self, branch, seed):
