@@ -22,6 +22,7 @@ from .errors import (
     ConfigError,
     DataError,
     EmptyArm,
+    EstimationError,
     MalformedCsv,
     MissingOutcome,
     TooManyFolds,
@@ -287,11 +288,12 @@ def expand_features(d: TrialDataset, spec: FeatureExpansion) -> TrialDataset:
     """Apply a FeatureExpansion; pure function of (x, spec), stable order."""
     base = spec.base_columns if spec.base_columns is not None else d.column_names
     terms = [(name, d.x[:, d.column_index(name)]) for name in base]
-    for name, col in terms[:]:
-        for degree in range(2, spec.polynomial_degree + 1):
-            terms.append((f"{name}^{degree}", col**degree))
-    for a, b in spec.interactions:
-        terms.append((f"{a}:{b}", d.x[:, d.column_index(a)] * d.x[:, d.column_index(b)]))
+    with np.errstate(over="ignore"):  # an overflowed term fails the fit or selection using it
+        for name, col in terms[:]:
+            for degree in range(2, spec.polynomial_degree + 1):
+                terms.append((f"{name}^{degree}", col**degree))
+        for a, b in spec.interactions:
+            terms.append((f"{a}:{b}", d.x[:, d.column_index(a)] * d.x[:, d.column_index(b)]))
     names = tuple(name for name, _ in terms)
     if len(set(names)) < len(names):  # a covariate named like a term (a and a^2 at degree 2)
         repeated = next(name for i, name in enumerate(names) if name in names[:i])
@@ -338,6 +340,24 @@ def _zero_variance(means: np.ndarray, sds: np.ndarray) -> np.ndarray:
     """Columns whose SD is negligible against their own mean. A constant
     column's SD is rounding noise, not 0, unless its value is exact in binary."""
     return sds <= ZERO_VARIANCE_RTOL * np.abs(means)
+
+
+def _column_moments(x: np.ndarray, who: str, names=None, allow_nonfinite: bool = False):
+    """Each column's mean and SD. A column whose mean or SD is not finite
+    overflows float64: an EstimationError naming it, by `names` or else by
+    position. With `allow_nonfinite`, a column that holds a NaN or an
+    infinity itself passes, with the moments numpy gives it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
+        means, sds = x.mean(axis=0), x.std(axis=0)
+    overflowed = ~(np.isfinite(means) & np.isfinite(sds))
+    if allow_nonfinite and overflowed.any():
+        overflowed &= np.isfinite(x).all(axis=0)
+    if overflowed.any():
+        j = int(np.argmax(overflowed))
+        column = j if names is None else repr(names[j])
+        raise EstimationError(f"{who}: the mean or SD of column {column} overflows float64; "
+                              "rescale the data")
+    return means, sds
 
 
 def derived_seed(ss: np.random.SeedSequence) -> int:

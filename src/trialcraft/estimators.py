@@ -130,7 +130,9 @@ def _package(method, mu1, mu0, v1, v0, diagnostics, variance_factor: float = 1.0
     mu1 = float(mu1)
     mu0 = float(mu0)
     theta = mu1 - mu0
-    se = variance.se_from_values(v1 - v0) * math.sqrt(variance_factor)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SE
+        values = v1 - v0
+    se = variance.se_from_values(values) * math.sqrt(variance_factor)
     half = Z_CRIT * se
     return EstimateResult(
         theta_hat=theta,
@@ -194,8 +196,9 @@ def estimate_unadjusted(
     the arm means as the (constant) outcome predictions."""
     check_complete(d)
     pi_hat = _overall_pi(d, pi)
-    ybar1 = float(d.y[d.z == 1].mean())
-    ybar0 = float(d.y[d.z == 0].mean())
+    with np.errstate(over="ignore"):  # an overflowed mean fails the SE
+        ybar1 = float(d.y[d.z == 1].mean())
+        ybar0 = float(d.y[d.z == 0].mean())
     pred1 = np.full(d.n, ybar1)
     pred0 = np.full(d.n, ybar0)
     _, _, v1, v0 = variance.aipw(d.y, d.z, pred1, pred0, pi_hat)

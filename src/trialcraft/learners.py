@@ -16,7 +16,7 @@ from typing import Annotated, Literal
 
 import numpy as np
 
-from .data import FoldCount, _zero_variance
+from .data import FoldCount, _column_moments, _zero_variance
 from .errors import AtLeast, ConfigError, Singular, _check, _read, _section
 from .glm import GlmFamily, GlmFit, _as_design, _fitted, _solve, fit_ml, fit_mls, predict
 from .selection import LambdaRule, _column_names, _refit_columns, lasso_cvs
@@ -117,7 +117,8 @@ class RidgeLearner:
     penalty's system per fold; the losses, and so the pick, have the bits of
     one solve per penalty. Used on binomial outcomes it simply clamps the
     linear predictions into [0, 1] (the theory permits arbitrary, even
-    misspecified, predictions)."""
+    misspecified, predictions). A column of finite values whose mean or SD
+    overflows float64 is an EstimationError, as it is for knn."""
 
     lambda_grid: tuple[float, ...] = tuple(np.geomspace(1e-4, 1e4, 25))
     k_cv: FoldCount = 5
@@ -132,8 +133,7 @@ class RidgeLearner:
         x = _as_design(x)
         y = np.asarray(y, dtype=float)
         n, p = x.shape
-        means = x.mean(axis=0)
-        sds = x.std(axis=0)
+        means, sds = _column_moments(x, "ridge", allow_nonfinite=True)
         sds = np.where(_zero_variance(means, sds), 1.0, sds)
         xs = (x - means) / sds
         ybar = float(y.mean())
@@ -197,8 +197,7 @@ class KnnLearner:
         k = self.k if self.k is not None else math.ceil(math.sqrt(n))
         if k > n or n == 0:
             raise ConfigError(f"knn needs a training row and k <= n_train, got k={k}, n={n}")
-        means = x.mean(axis=0)
-        sds = x.std(axis=0)
+        means, sds = _column_moments(x, "knn", allow_nonfinite=True)
         sds = np.where(_zero_variance(means, sds), 1.0, sds)
         return KnnPredictor(x.copy(), y.copy(), k, means, sds)
 

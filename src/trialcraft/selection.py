@@ -41,7 +41,7 @@ from typing import Annotated, Iterator, Literal
 
 import numpy as np
 
-from .data import FoldCount, _zero_variance, make_folds
+from .data import FoldCount, _column_moments, _zero_variance, make_folds
 from .errors import AtLeast, ConfigError, DataError, EstimationError, NonConvergence, Separation
 from .errors import Singular, TrialcraftError, _check, _read, _set_fields
 from .glm import GlmFamily, _as_design, _fitted, _solve, expit, fit_ml, fit_mls
@@ -643,12 +643,7 @@ def stepwise_aic(
     if max_terms > p:
         raise ConfigError("max_terms cannot exceed the number of candidates")
 
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below
-        means, sds = x.mean(axis=0), x.std(axis=0)
-    for name, mean, sd in zip(names, means, sds):
-        if not (math.isfinite(mean) and math.isfinite(sd)):
-            raise EstimationError(f"stepwise_aic: the mean or SD of column {name!r} overflows "
-                                  "float64; rescale the data")
+    means, sds = _column_moments(x, "stepwise_aic", names)
     constant = _zero_variance(means, sds)
     usable = [j for j in range(p) if not constant[j]]
     dropped = tuple(names[j] for j in range(p) if constant[j])

@@ -45,7 +45,8 @@ def _score_corrections(z, res1, res0, pg, xg):
         c0  =  mean_j (1-Z_j)(Y_j - h0_j) p_j/(1-p_j) x~_j
 
     The arm-1 values gain +c1' A^{-1} s_i and the arm-0 values gain
-    -c0' A^{-1} s_i. Returns (corr1, corr0).
+    -c0' A^{-1} s_i. Returns (corr1, corr0); `aipw` computes them under its
+    `np.errstate`, so an overflow fails the SE.
     """
     info = pg * (1 - pg)
     a = (-(xg * info[:, None]).T @ xg / xg.shape[0])[None]  # a stack of one
@@ -53,12 +54,12 @@ def _score_corrections(z, res1, res0, pg, xg):
     a_inv_s, refused = _solve(a, scores.T[None])
     if refused or _cholesky_refused(-a):
         raise Singular("singular propensity information matrix")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the SE
-        c1 = (xg * (z * res1 * (1 - pg) / pg)[:, None]).mean(axis=0)
-        c0 = (xg * ((1 - z) * res0 * pg / (1 - pg))[:, None]).mean(axis=0)
-        return a_inv_s[0].T @ c1, -(a_inv_s[0].T @ c0)
+    c1 = (xg * (z * res1 * (1 - pg) / pg)[:, None]).mean(axis=0)
+    c0 = (xg * ((1 - z) * res0 * pg / (1 - pg))[:, None]).mean(axis=0)
+    return a_inv_s[0].T @ c1, -(a_inv_s[0].T @ c0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed value fails the SE
 def aipw(y, z, pred1, pred0, pi=None, folds: FoldPlan | None = None, ps_design=None):
     """Per-group AIPW arm means and per-participant influence values.
 

@@ -5,7 +5,7 @@ A check to run by hand; pytest does not collect it, and
 `tests/test_fuzz_smoke.py` runs a short `sweep` of it. Each run writes a random
 CSV (n from 4 to 60, p from 1 to 4, a Gaussian or a 0/1 outcome) whose
 covariates may be constant, a copy of another covariate or of the arm,
-scaled by 1e150 or 1e-150, or missing in a few cells, and whose Gaussian
+scaled by 1e160 or 1e-160, or missing in a few cells, and whose Gaussian
 outcome may be scaled up to 1e200. Its plan takes a random estimator and
 sets random values of fields that estimator's `plans.ESTIMATORS` row reads,
 its learner's fields among them.
@@ -55,7 +55,7 @@ def trial_csv(rng, binomial: bool) -> tuple[str, list[str], int]:
         elif kind == "arm":
             x[:, j] = z
         elif kind in ("huge", "tiny"):
-            x[:, j] *= 1e150 if kind == "huge" else 1e-150
+            x[:, j] *= 1e160 if kind == "huge" else 1e-160
     signal = 0.5 * z + x[:, 0] / (np.abs(x[:, 0]).max() or 1.0)
     if binomial:
         y = (rng.uniform(size=n) < 1 / (1 + np.exp(-signal))).astype(int)

@@ -336,6 +336,44 @@ class TestAnalyze:
             assert err.startswith("estimation error:") and "overflow" in err, err
             assert err.count("\n") == 1 and not caught, (err, [str(w.message) for w in caught])
 
+    @pytest.mark.parametrize("huge, fields, err", [
+        ("b", {"estimator": "crossfit_aipw", "learner": "knn"},
+         "knn: the mean or SD of column 1 overflows float64; rescale the data"),
+        ("b", {"estimator": "crossfit_aipw", "learner": "ridge"},
+         "ridge: the mean or SD of column 1 overflows float64; rescale the data"),
+        ("b", {"estimator": "strong_null", "learner": "knn"},
+         "knn: the mean or SD of column 1 overflows float64; rescale the data"),
+        ("b", {"estimator": "standardization", "expansion": {"polynomial_degree": 2}}, None),
+        ("b", {"estimator": "data_adaptive", "expansion": {"polynomial_degree": 2}}, None),
+        ("y", {"estimator": "unadjusted"},
+         "standard error overflows float64; rescale the outcome"),
+        ("y", {"estimator": "crossfit_aipw", "learner": "knn"},
+         "standard error overflows float64; rescale the outcome"),
+    ], ids=["knn-b", "ridge-b", "strong_null-knn-b", "standardization-b^2", "data_adaptive-b^2",
+            "unadjusted-y", "knn-y"])
+    def test_an_overflow_is_one_named_error_line_exit_4(self, tmp_path, capsys, huge, fields, err):
+        # covariate b times 1e160, whose squares overflow float64 in a
+        # learner's SD or in the expansion's b^2, or outcomes near 1e307,
+        # whose arm sums overflow: the error is the one line on stderr, with
+        # no warning before it
+        a, b = np.random.default_rng(6).standard_normal((2, 40))
+        ys = [(1.0 + i % 3) * 1e307 if huge == "y" else 2.0 * u + i % 3 for i, u in enumerate(a)]
+        data = write(tmp_path, "trial.csv", "y,z,a,b\n" + "".join(
+            f"{yi:.6e},{i % 2},{u:.6f},{v * (1e160 if huge == 'b' else 1.0):.6e}\n"
+            for i, (yi, u, v) in enumerate(zip(ys, a, b))))
+        plan = write_plan(tmp_path, {**fields, "data": UNADJUSTED_PLAN["data"]})
+        out = tmp_path / "o.json"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["analyze", "--data", data, "--plan", plan, "--out", str(out)])
+        stderr = capsys.readouterr().err
+        assert code == 4 and stderr.count("\n") == 1 and not caught, (
+            code, stderr, [str(w.message) for w in caught])
+        assert stderr.startswith("estimation error:") and "rescale the" in stderr
+        if err is not None:
+            assert stderr == f"estimation error: {err}\n"
+        assert not out.exists()
+
     def test_binary_covariate_squared_is_not_selected_twice(self, tmp_path):
         # sex^2 is an exact copy of sex; the lasso must not pick both for the refit
         for seed in range(5):

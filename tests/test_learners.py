@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import knn_reference, ridge_reference
+from conftest import knn_reference, ridge_reference, spy_irls_stacks
 from trialcraft.errors import ConfigError, DataError, EstimationError, Singular
 from trialcraft.glm import GlmFamily, expit, fit_ml, predict
 from trialcraft.learners import _cv_losses, get_learner
@@ -274,15 +276,18 @@ class TestWrongModel:
         assert gap < 0.15
 
     @pytest.mark.parametrize("family", list(GlmFamily))
-    def test_trains_all_sets_as_it_trains_each_with_fit_ml(self, family, rng):
+    def test_trains_all_sets_as_it_trains_each_with_fit_ml(self, family, rng, monkeypatch):
         # train_all's sets (two row counts, a Fortran-ordered x) walk one IRLS
         # stack; each predictor holds the bits of fit_ml on its set alone
+        stacks = spy_irls_stacks(monkeypatch)
         sets = []
         for n in (40, 40, 55):
             x = rng.standard_normal((n, 3))
             y = (rng.uniform(size=n) < expit(x[:, 0])).astype(float)
             sets.append((x if n == 40 else np.asfortranarray(x), y, 0))
-        for (x, y, _), predictor in zip(sets, get_learner("wrong_model").train_all(sets, family)):
+        predictors = get_learner("wrong_model").train_all(sets, family)
+        assert stacks == [3]
+        for (x, y, _), predictor in zip(sets, predictors):
             alone = fit_ml(x, y, family)
             assert np.array_equal(predictor.fit.coefficients, alone.coefficients)
             assert predictor.fit.iterations == alone.iterations
@@ -290,6 +295,19 @@ class TestWrongModel:
 
 
 class TestContract:
+    @pytest.mark.parametrize("name", ["knn", "ridge"])
+    def test_a_column_whose_sd_overflows_is_named(self, name, rng):
+        # the squares of column 1 overflow float64: a named error, by the
+        # column's position, not a warning and a column scaled to zero
+        x, y = linear_data(rng, n=40)
+        x[:, 1] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EstimationError) as caught:
+                get_learner(name).train(x, y, GlmFamily.GAUSSIAN)
+        assert str(caught.value) == (f"{name}: the mean or SD of column 1 overflows float64; "
+                                     "rescale the data")
+
     @pytest.mark.parametrize("name", ALL_LEARNERS)
     def test_no_leakage_from_heldout_rows(self, name, rng):
         x, y = linear_data(rng, n=60)
