@@ -179,8 +179,8 @@ def propensity_scores(d: TrialDataset, ps_columns, rows=slice(None)):
 
 def _propensities(d: TrialDataset, ps_columns, row_sets):
     """`propensity_scores` over each of `row_sets`, their logistic fits
-    walking one `fit_mls` stack: an iterator that raises a set's fit error
-    when it reaches that set."""
+    walking `fit_mls`, one stack per row count: an iterator that raises a
+    set's fit error when it reaches that set."""
     xs = [d.columns(ps_columns)[rows] for rows in row_sets]
     fits = fit_mls([(x, d.z[rows]) for x, rows in zip(xs, row_sets)], GlmFamily.BINOMIAL)
     return (clamp_probabilities(predict(_fitted(fit), x)) for x, fit in zip(xs, fits))
@@ -428,9 +428,9 @@ def _crossfit_predictions(d: TrialDataset, learner, folds: FoldPlan, family, see
     sets are collected first, fold by fold and arm 1 first, up to the first
     fold whose complement lacks an arm. A learner with `train_all` trains
     them all at once (`post_lasso`: every lasso of the cross-fit walks one
-    stack, and each refit runs alone; `wrong_model`: every fit walks one
-    IRLS stack), and the first set to fail raises; any other trains each set
-    when its fold is predicted. That fold's DegenerateFold comes after the
+    stack, and each refit runs alone; `wrong_model`: the fits of one row
+    count walk one IRLS stack), and the first set to fail raises; any other
+    trains each set when its fold is predicted. That fold's DegenerateFold comes after the
     sets before it. Returns the predictions with the head of the cross-fit
     estimators' diagnostics."""
     check_complete(d)
@@ -480,8 +480,9 @@ def estimate_crossfit_aipw(
     propensity-score correction c'A^{-1}s built within each fold to the
     influence values; with no propensity columns it reduces exactly to the
     per-fold empirical probability. The folds' propensity models, up to the
-    first single-arm fold, walk one IRLS stack; the first to fail raises,
-    and that fold's DegenerateFold comes after the folds before it."""
+    first single-arm fold, walk one IRLS stack per row count; the first to
+    fail raises, and that fold's DegenerateFold comes after the folds before
+    it."""
     if pi is None:
         pi = PiSpec.per_fold()
     if pi.mode == "estimated_overall":

@@ -13,12 +13,13 @@ The deviance has one formula, `_deviance_rows`, shared by
 `GlmFamily.deviance` and the IRLS; its terms in the outcome alone (log y,
 log1p(-y) and 1 - y for the binomial family) are computed once per fit.
 
-There is one IRLS, `_irls`, and it fits a stack of problems at once, each
-with its own start, step-halving, convergence test and outcome; each gets
-the bits it gets alone. `fit_ml_design` (and so `fit_ml`) is a stack of
-one. `fit_mls` stacks many `fit_ml` problems whose fits no lazily raised
-step separates: the candidates of a `stepwise_aic` step, the 2K trainings
-of a `wrong_model` cross-fit and the per-fold propensity models of a
+There is one IRLS, `_irls`, and it fits a stack of problems of one shape
+and memory layout at once, each with its own start, step-halving,
+convergence test and outcome; each gets the bits it gets alone.
+`fit_ml_design` (and so `fit_ml`) is a stack of one. `fit_mls` stacks many
+`fit_ml` problems whose fits no lazily raised step separates, one stack per
+shape: the candidates of a `stepwise_aic` step, the 2K trainings of a
+`wrong_model` cross-fit and the per-fold propensity models of a
 parametric-pi cross-fit. An arm refit, a `post_lasso` refit and a TMLE
 update stay lone fits, as their callers interleave them with lassos whose
 errors a failed stack replays. A fit whose X'WX, working response or
@@ -212,8 +213,8 @@ def _check_diverged(family, design, y, offset, w, coef, converged):
 def _fit_stack(problems, family: GlmFamily) -> list:
     """`fit_ml_design` on each problem, a dict of its keyword arguments, as
     one stack: a list of each problem's outcome, the GlmFit or the error
-    `fit_ml_design` raises on it alone. Problems of one column count walk
-    one `_irls` stack."""
+    `fit_ml_design` raises on it alone. Problems of one shape and memory
+    layout walk one `_irls` stack."""
     outcomes, stacks = [None] * len(problems), {}
     with np.errstate(all="ignore"):  # a non-finite fit ends in `_irls`, without a warning
         for i, problem in enumerate(problems):
@@ -234,7 +235,7 @@ def _fit_stack(problems, family: GlmFamily) -> list:
                 dev = _deviance(_outcome_terms(family, y), mu, w)
                 outcomes[i] = GlmFit(family, coef, 0, float(dev), has_intercept)
             else:
-                stacks.setdefault(q, []).append(
+                stacks.setdefault((design.shape, _fortran(design)), []).append(
                     _Fit(i, design, y, w, off, weights is not None, offset is not None, coef,
                          has_intercept))
         for fits in stacks.values():
@@ -259,65 +260,38 @@ class _Fit(NamedTuple):
 
 
 def _irls(fits: list[_Fit], family: GlmFamily) -> list:
-    """IRLS for a stack of fits of one column count q >= 1: each fit's
-    (index, outcome), in the order they end.
-
-    The fits are grouped into blocks of equal row count and memory layout
-    (a Fortran-ordered design's products round differently). A step's
-    elementwise work (the mean, the working response and weights) runs once
-    on the stack, each fit's rows padded at the end to the longest block's,
-    and so do the Cholesky check and the solve. The sums over rows, X'WX,
-    X'Wz, the linear predictor Xb and the deviance, run per block on its own
-    rows: a padded product or sum rounds differently. Each fit keeps its own
-    step-halving and convergence test, leaves the stack when it ends, and
-    gets the bits it gets alone. Unit weights and a zero offset are left out
-    of the arithmetic, which they would not change. A fit whose X'WX is
-    refused by its Cholesky factorization or its solve is Singular; one
-    whose X'WX, X'Wz or deviance is not finite ends at once as
-    NonConvergence, the end IRLS would reach after its iteration budget."""
+    """IRLS for a stack of fits of one shape, (n, q) with q >= 1, and one
+    memory layout (a Fortran-ordered design's products round differently):
+    each fit's (index, outcome), in the order they end. A step's work runs
+    once on the stack; each fit keeps its own step-halving and convergence
+    test, leaves the stack when it ends, and gets the bits it gets alone.
+    Unit weights and a zero offset are left out of the arithmetic, which
+    they would not change. A fit whose X'WX is refused by its Cholesky
+    factorization or its solve is Singular; one whose X'WX, X'Wz or
+    deviance is not finite ends at once as NonConvergence, the end IRLS
+    would reach after its iteration budget."""
     binomial = family is GlmFamily.BINOMIAL
-    groups = {}
-    for fit in fits:
-        fortran = fit.design.flags.f_contiguous and not fit.design.flags.c_contiguous
-        groups.setdefault((fit.design.shape[0], fortran), []).append(fit)
-    fits = [fit for group in groups.values() for fit in group]
-    n, q = max(n_j for n_j, _ in groups), fits[0].design.shape[1]
-    y = _padded([fit.y for fit in fits], n)
-    w = _padded([fit.w for fit in fits], n) if any(fit.weighted for fit in fits) else None
-    off = _padded([fit.off for fit in fits], n) if any(fit.offset for fit in fits) else None
-    blocks, start = [], 0  # each block's (start, stop, row count, designs)
-    for (n_j, fortran), group in groups.items():
-        designs = [fit.design.T if fortran else fit.design for fit in group]
-        x = _padded(designs, designs[0].shape[0])
-        blocks.append((start, start + len(group), n_j, x.transpose(0, 2, 1) if fortran else x))
-        start += len(group)
-    coef = _padded([fit.start for fit in fits], q)
+    fortran = _fortran(fits[0].design)  # then stacked as its C-ordered transpose
+    x = _stacked([fit.design.T if fortran else fit.design for fit in fits])
+    x = x.transpose(0, 2, 1) if fortran else x
+    y = _stacked([fit.y for fit in fits])
+    w = _stacked([fit.w for fit in fits]) if any(fit.weighted for fit in fits) else None
+    off = _stacked([fit.off for fit in fits]) if any(fit.offset for fit in fits) else None
+    coef = _stacked([fit.start for fit in fits])
     terms = _outcome_terms(family, y)
 
-    def per_block(op, a):  # op(designs, a's rows) of each block, stacked
-        if len(blocks) == 1:
-            return op(blocks[0][3], a)
-        return np.concatenate([op(x, None if a is None else a[s:e, :n_j])
-                               for s, e, n_j, x in blocks])
-
     def mean(c):  # each fit's linear predictor and `_clipped` mean at coefficients c
-        if len(blocks) == 1:
-            eta = (blocks[0][3] @ c[:, :, None])[:, :, 0]
-        else:
-            eta = np.zeros(y.shape)
-            for s, e, n_j, x in blocks:
-                eta[s:e, :n_j] = (x @ c[s:e, :, None])[:, :, 0]
+        eta = (x @ c[:, :, None])[:, :, 0]
         if off is not None:
             eta += off
         return eta, _clipped(family, expit(eta)) if binomial else eta
 
     def deviance(mu):  # each fit's deviance, a list
-        rows = _deviance_rows(terms, mu, w)
-        dev = np.add.reduce(rows, axis=1) if len(blocks) == 1 else per_block(_row_sums, rows)
+        dev = np.add.reduce(_deviance_rows(terms, mu, w), axis=1)
         return [2.0 * d for d in dev.tolist()] if binomial else dev.tolist()
 
     def gram(weights):  # each fit's X'WX; a fit it is refused or not finite for fails
-        g = per_block(_weighted_gram, weights)
+        g = _weighted_gram(x, weights)
         for k in _cholesky_refused(g):
             failed[k] = Singular("rank-deficient weighted design matrix")
         for k in _not_finite(g):
@@ -338,7 +312,7 @@ def _irls(fits: list[_Fit], family: GlmFamily) -> list:
         else:
             w_work, residual, xtwx = w, y - mu, fixed
         working = eta + residual if off is None else eta - off + residual
-        xtwz = per_block(_weighted_score, working if w_work is None else w_work * working)
+        xtwz = _weighted_score(x, working if w_work is None else w_work * working)
         # a gaussian fit's deviance at this step is not finite when its X'Wz is not;
         # a binomial one's need not be, as the clip keeps an infinite eta's mean finite
         for k in _not_finite(xtwz) if binomial else ():
@@ -385,20 +359,12 @@ def _irls(fits: list[_Fit], family: GlmFamily) -> list:
                 outcomes.append((fit.index, outcome))
         if len(ended) == len(fits):
             return outcomes
-        if ended:  # the fits left, and their blocks
+        if ended:  # the fits left
             keep = [k for k in range(len(fits)) if k not in set(ended)]
             fits, prev = [fits[k] for k in keep], [prev[k] for k in keep]
-            kept, start = [], 0
-            for s, e, n_j, x in blocks:
-                inside = [k - s for k in keep if s <= k < e]
-                if inside:
-                    kept.append((start, start + len(inside), n_j, x[inside]))
-                    start += len(inside)
-            blocks, n = kept, max(block[2] for block in kept)
-            coef, fixed = coef[keep], None if binomial else fixed[keep]
-            eta, mu, y, w, off = (None if a is None else np.ascontiguousarray(a[keep, :n])
-                                  for a in (eta, mu, y, w, off))
-            terms = tuple(np.ascontiguousarray(t[keep, :n]) for t in terms)
+            x, coef, fixed = x[keep], coef[keep], None if binomial else fixed[keep]
+            eta, mu, y, w, off = (None if a is None else a[keep] for a in (eta, mu, y, w, off))
+            terms = tuple(t[keep] for t in terms)
 
 
 def _weighted_gram(x, v):
@@ -412,10 +378,6 @@ def _weighted_score(x, v):
     return x.transpose(0, 2, 1) @ v[:, :, None]
 
 
-def _row_sums(x, rows):
-    return np.add.reduce(rows, axis=1)
-
-
 def _not_finite(a) -> list[int]:
     """The members of a stack `a` (its first axis) holding an inf or a NaN."""
     if math.isfinite(np.add.reduce(a, axis=None)):  # then so is every term
@@ -423,15 +385,15 @@ def _not_finite(a) -> list[int]:
     return np.flatnonzero(~np.isfinite(a).reshape(len(a), -1).all(axis=1)).tolist()
 
 
-def _padded(arrays, n: int) -> np.ndarray:
-    """A C-contiguous stack of equally shaped arrays, each zero-padded at the
-    end of its first axis to length n."""
-    if len(arrays) == 1 and arrays[0].shape[0] == n:
-        return np.ascontiguousarray(arrays[0])[None]
-    out = np.zeros((len(arrays), n) + arrays[0].shape[1:])
-    for k, a in enumerate(arrays):
-        out[k, :a.shape[0]] = a
-    return out
+def _fortran(design) -> bool:
+    """Whether a design is laid out in Fortran order only."""
+    return design.flags.f_contiguous and not design.flags.c_contiguous
+
+
+def _stacked(arrays) -> np.ndarray:
+    """A C-contiguous stack of equally shaped arrays; a stack of one is a
+    view of a C-contiguous array."""
+    return np.ascontiguousarray(arrays[0])[None] if len(arrays) == 1 else np.stack(arrays)
 
 
 @np.errstate(all="ignore")  # a refused member is NaN, without a warning
@@ -510,8 +472,8 @@ def fit_ml(
 
 
 def fit_mls(sets, family: GlmFamily) -> list:
-    """`fit_ml` on each (x, y) of `sets`, as one `_irls` stack per column
-    count: a list of each set's outcome, the GlmFit or the error `fit_ml`
+    """`fit_ml` on each (x, y) of `sets`, as one `_irls` stack per shape and
+    layout: a list of each set's outcome, the GlmFit or the error `fit_ml`
     raises on it alone (not raised). A caller that raises on an error as it
     reaches each outcome meets the error a loop of `fit_ml` meets first."""
     return _fit_stack([_with_intercept(x, y) for x, y in sets], family)

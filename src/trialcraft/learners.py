@@ -110,6 +110,13 @@ def _cv_losses(xs, yc, lams, k_cv, seed):
     return losses
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowed mean ends in a named error
+def _mean(y, axis=None):
+    """The mean of outcomes y (along `axis`), inf or NaN when their sum
+    overflows float64."""
+    return y.mean(axis=axis)
+
+
 @dataclass
 class RidgeLearner:
     """Closed-form gaussian ridge on standardized columns. The penalty is
@@ -129,6 +136,7 @@ class RidgeLearner:
         if not self.lambda_grid or not all(0.0 <= lam < math.inf for lam in self.lambda_grid):
             raise ConfigError("ridge needs a non-empty lambda_grid of finite non-negative values")
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflowed mean ends in a named error
     def train(self, x, y, family: GlmFamily, seed: int = 0):
         x = _as_design(x)
         y = np.asarray(y, dtype=float)
@@ -177,7 +185,7 @@ class KnnPredictor:
         if not increasing.all():
             redo = ~increasing.all(axis=1)
             order[redo] = np.argsort(d2[redo], axis=1, kind="stable")[:, : self.k + 1]
-        return self.y_train[order[:, : self.k]].mean(axis=1)
+        return _mean(self.y_train[order[:, : self.k]], axis=1)
 
 
 @dataclass
@@ -220,7 +228,7 @@ class ConstantLearner:
     name: str = field(default="constant", init=False)
 
     def train(self, x, y, family: GlmFamily, seed: int = 0):
-        return ConstantPredictor(float(np.asarray(y, dtype=float).mean()))
+        return ConstantPredictor(float(_mean(np.asarray(y, dtype=float))))
 
 
 @dataclass
@@ -228,7 +236,7 @@ class WrongModelLearner:
     """Plain main-effects canonical GLM, no selection, no transformations.
     Deliberately misspecified whenever the data-generating process is not
     linear in the raw covariates. `train_all` fits many sets as one IRLS
-    stack."""
+    stack per shape."""
 
     name: str = field(default="wrong_model", init=False)
 
@@ -236,9 +244,9 @@ class WrongModelLearner:
         return self.train_all([(x, y, seed)], family)[0]
 
     def train_all(self, sets, family: GlmFamily):
-        """`train` on each (x, y, seed) of `sets`: their fits walk one
-        `fit_mls` stack, and the first set to fail, in order, raises the
-        error a loop of `train` would raise."""
+        """`train` on each (x, y, seed) of `sets`: their fits walk
+        `fit_mls`, one stack per shape, and the first set to fail, in
+        order, raises the error a loop of `train` would raise."""
         fits = fit_mls([(_as_design(x), y) for x, y, _ in sets], family)
         return [GlmPredictor(_fitted(fit)) for fit in fits]
 

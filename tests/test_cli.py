@@ -349,13 +349,19 @@ class TestAnalyze:
          "standard error overflows float64; rescale the outcome"),
         ("y", {"estimator": "crossfit_aipw", "learner": "knn"},
          "standard error overflows float64; rescale the outcome"),
+        ("y", {"estimator": "crossfit_aipw", "learner": {"name": "knn", "params": {"k": 12}}},
+         "standard error overflows float64; rescale the outcome"),
+        ("y", {"estimator": "crossfit_aipw", "learner": "ridge"},
+         "standard error overflows float64; rescale the outcome"),
+        ("y", {"estimator": "crossfit_aipw", "learner": "constant"},
+         "standard error overflows float64; rescale the outcome"),
     ], ids=["knn-b", "ridge-b", "strong_null-knn-b", "standardization-b^2", "data_adaptive-b^2",
-            "unadjusted-y", "knn-y"])
+            "unadjusted-y", "knn-y", "knn-k12-y", "ridge-y", "constant-y"])
     def test_an_overflow_is_one_named_error_line_exit_4(self, tmp_path, capsys, huge, fields, err):
         # covariate b times 1e160, whose squares overflow float64 in a
         # learner's SD or in the expansion's b^2, or outcomes near 1e307,
-        # whose arm sums overflow: the error is the one line on stderr, with
-        # no warning before it
+        # whose arm sums, training means or neighbour sums overflow: the
+        # error is the one line on stderr, with no warning before it
         a, b = np.random.default_rng(6).standard_normal((2, 40))
         ys = [(1.0 + i % 3) * 1e307 if huge == "y" else 2.0 * u + i % 3 for i, u in enumerate(a)]
         data = write(tmp_path, "trial.csv", "y,z,a,b\n" + "".join(

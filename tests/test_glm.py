@@ -205,7 +205,7 @@ def same_outcome(stacked, alone) -> bool:
 @st.composite
 def irls_stacks(draw):
     """(problems, family): 1 to 6 `fit_ml_design` problems of one family, of
-    one or two column counts and row counts that repeat (so a block holds
+    one or two column counts and row counts that repeat (so a stack holds
     several fits), some Fortran-ordered, weighted or offset, and some built
     to separate (binomial), to be singular or to overflow float64."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -245,10 +245,9 @@ def irls_stacks(draw):
 @settings(max_examples=150)
 @given(irls_stacks())
 def test_a_stacked_fit_gets_the_bits_it_gets_alone(stack):
-    # blocks of equal row count and layout, padded elementwise work, fits
-    # that end at different steps or with an error: each fit keeps its bits,
-    # and those of the reference IRLS unless it overflows (where the
-    # reference walks its whole budget)
+    # one stack per shape and layout, of fits that end at different steps
+    # or with an error: each fit keeps its bits, and those of the reference
+    # IRLS unless it overflows (where the reference walks its whole budget)
     problems, family = stack
     stacked = _fit_stack([problem for problem, _ in problems], family)
     for (problem, kind), fit in zip(problems, stacked):

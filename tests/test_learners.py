@@ -277,8 +277,9 @@ class TestWrongModel:
 
     @pytest.mark.parametrize("family", list(GlmFamily))
     def test_trains_all_sets_as_it_trains_each_with_fit_ml(self, family, rng, monkeypatch):
-        # train_all's sets (two row counts, a Fortran-ordered x) walk one IRLS
-        # stack; each predictor holds the bits of fit_ml on its set alone
+        # train_all's sets walk one IRLS stack per shape and layout, so its
+        # two row counts (the second Fortran-ordered) walk two stacks; each
+        # predictor holds the bits of fit_ml on its set alone
         stacks = spy_irls_stacks(monkeypatch)
         sets = []
         for n in (40, 40, 55):
@@ -286,7 +287,7 @@ class TestWrongModel:
             y = (rng.uniform(size=n) < expit(x[:, 0])).astype(float)
             sets.append((x if n == 40 else np.asfortranarray(x), y, 0))
         predictors = get_learner("wrong_model").train_all(sets, family)
-        assert stacks == [3]
+        assert stacks == [2, 1]
         for (x, y, _), predictor in zip(sets, predictors):
             alone = fit_ml(x, y, family)
             assert np.array_equal(predictor.fit.coefficients, alone.coefficients)
