@@ -285,10 +285,11 @@ class FeatureExpansion:
 
 
 def expand_features(d: TrialDataset, spec: FeatureExpansion) -> TrialDataset:
-    """Apply a FeatureExpansion; pure function of (x, spec), stable order."""
+    """Apply a FeatureExpansion; pure function of (x, spec), stable order. A power
+    or interaction term whose mean or SD overflows float64 is an EstimationError."""
     base = spec.base_columns if spec.base_columns is not None else d.column_names
     terms = [(name, d.x[:, d.column_index(name)]) for name in base]
-    with np.errstate(over="ignore"):  # an overflowed term fails the fit or selection using it
+    with np.errstate(over="ignore"):  # an overflowed term is named below
         for name, col in terms[:]:
             for degree in range(2, spec.polynomial_degree + 1):
                 terms.append((f"{name}^{degree}", col**degree))
@@ -301,7 +302,9 @@ def expand_features(d: TrialDataset, spec: FeatureExpansion) -> TrialDataset:
     for name in spec.forced_columns:
         if name not in names:
             raise UnknownColumn(f"forced column {name!r} is not among the expanded columns")
-    return d.with_covariates(np.column_stack([col for _, col in terms]), names)
+    x = np.column_stack([col for _, col in terms])
+    _column_moments(x[:, len(base):], "expansion", names[len(base):])
+    return d.with_covariates(x, names)
 
 
 @dataclass(frozen=True)

@@ -54,8 +54,8 @@ from .glm import (
     fit_mls,
     predict,
 )
-from .selection import METHOD_READS, SelectionConfig, SelectionResult, _refit_columns, lasso_cvs
-from .selection import stepwise_aic
+from .selection import METHOD_READS, SelectionConfig, SelectionResult, _refit_columns, _stepwise
+from .selection import lasso_cvs
 
 Z_CRIT = 1.959964
 TMLE_PRED_CLIP = 1e-6
@@ -249,22 +249,24 @@ def estimate_standardization(
 # --- data-adaptive (selection + refit) ------------------------------------
 
 def _select_arms(arms, family, selection: SelectionConfig, names):
-    """An iterator of each arm's SelectionResult from its (x, y, seed): both
-    arms' lassos in one `lasso_cvs`, or each arm, when reached, by stepwise
-    AIC or by dropping its constant columns (`none`)."""
+    """An iterator of each arm's (SelectionResult, its ML refit or None) from
+    its (x, y, seed): both arms' lassos in one `lasso_cvs`, or each arm, when
+    reached, by stepwise AIC (with its refit) or by dropping its constant
+    columns (`none`)."""
     args = {name: getattr(selection, name) for name in METHOD_READS[selection.method]}
     if selection.method == "lasso_cv":
-        return lasso_cvs(dict(x=x, y=y, family=family, seed=seed, column_names=names, **args)
-                         for x, y, seed in arms)
+        return ((result, None) for result in lasso_cvs(
+            dict(x=x, y=y, family=family, seed=seed, column_names=names, **args)
+            for x, y, seed in arms))
     if selection.method == "stepwise_aic":
-        return (stepwise_aic(x, y, family, column_names=names, **args) for x, y, _ in arms)
+        return (_stepwise(x, y, family, column_names=names, **args) for x, y, _ in arms)
 
     def usable(x):
         with np.errstate(over="ignore", invalid="ignore"):  # a 1e150 column overflows its SD
             constant = _zero_variance(x.mean(axis=0), x.std(axis=0))
         return SelectionResult(tuple(name for name, c in zip(names, constant) if not c))
 
-    return (usable(x) for x, _, _ in arms)
+    return ((usable(x), None) for x, _, _ in arms)
 
 
 def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed, weighted,
@@ -273,10 +275,11 @@ def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed
     (refused in EEM mode) is fitted first. Each arm's covariates are then
     selected, and refit on the selected plus the expansion's forced columns (ML,
     or least squares in EEM mode), weighted by the arm's inverse propensity
-    when `weighted`. Returns each arm's inverse propensity over all
-    participants (None unless `pi` is parametric), the pi the influence
-    values use, each arm's refit columns and predictions for every
-    participant, and the diagnostics the two estimators share."""
+    when `weighted`; stepwise AIC's last winning fit is that refit when it is
+    unweighted ML on the selection alone. Returns each arm's inverse
+    propensity over all participants (None unless `pi` is parametric), the
+    pi the influence values use, each arm's refit columns and predictions for
+    every participant, and the diagnostics the two estimators share."""
     parametric = pi is not None and pi.mode == "parametric"
     if parametric and eem:
         raise ConfigError("EEM mode with a parametric propensity is not supported")
@@ -292,11 +295,12 @@ def _first_stage(d, expansion, family, selection: SelectionConfig, pi, eem, seed
     arms = [(work.x[rows], work.y[rows], derived_seed(np.random.SeedSequence((seed, 901, arm))))
             for arm, rows in arm_rows.items()]
     selections = _select_arms(arms, family, selection, work.column_names)
-    for (arm, rows), (x_arm, y_arm, _), sel in zip(arm_rows.items(), arms, selections):
+    for (arm, rows), (x_arm, y_arm, _), (sel, fit) in zip(arm_rows.items(), arms, selections):
         warnings.extend(sel.warnings)
         w_rows = inverse[arm][rows] if weighted and parametric else None
         chosen, idx = _refit_columns(work.column_names, sel, forced)
-        fit = fitter(x_arm[:, idx], y_arm, family, w_rows)
+        if fit is None or eem or w_rows is not None or chosen != list(sel.selected_columns):
+            fit = fitter(x_arm[:, idx], y_arm, family, w_rows)
         selected[arm], refit[arm] = list(sel.selected_columns), chosen
         preds[arm] = predict(fit, work.x[:, idx])
     pi_hat = p_hat if parametric else _overall_pi(d, pi)

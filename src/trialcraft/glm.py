@@ -26,7 +26,9 @@ errors a failed stack replays. A fit whose X'WX, working response or
 deviance is not finite ends at once, without a warning.
 
 Every factorization and solve in the package goes through `_cholesky_refused`
-and `_solve`, and their callers make a system they refuse Singular.
+and `_solve`, and their callers make a system they refuse Singular. A
+refusal sets numpy's invalid flag, so each runs its batched gufunc with that
+flag raising and checks members one by one only when it is raised.
 """
 from __future__ import annotations
 
@@ -396,22 +398,30 @@ def _stacked(arrays) -> np.ndarray:
     return np.ascontiguousarray(arrays[0])[None] if len(arrays) == 1 else np.stack(arrays)
 
 
-@np.errstate(all="ignore")  # a refused member is NaN, without a warning
 def _cholesky_refused(a) -> list[int]:
     """The members of a stack of symmetric matrices that np.linalg.cholesky
-    refuses, by one batched factorization: only a member whose factor is not
-    finite is factored again alone."""
-    return [k for k in _not_finite(_umath_linalg.cholesky_lo(a, signature="d->d"))
-            if _refused(np.linalg.cholesky, a[k])]
+    refuses, by one batched factorization. A refusal sets the invalid flag,
+    which raises here, and only then is each member factored again alone."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            _umath_linalg.cholesky_lo(a, signature="d->d")
+        return []
+    except FloatingPointError:
+        return [k for k in range(len(a)) if _refused(np.linalg.cholesky, a[k])]
 
 
-@np.errstate(all="ignore")  # a refused member is NaN, without a warning
 def _solve(a, b):
     """np.linalg.solve(a[k], b[k]) of each member k of a stack of systems, b
     broadcast against a, by one batched solve: the solutions, NaN where
-    np.linalg.solve refuses a member, and those members. Only a member whose
-    solution is not finite is solved again alone."""
-    x = _umath_linalg.solve(a, b, signature="dd->d")
+    np.linalg.solve refuses a member, and those members. A refusal sets the
+    invalid flag, which raises here, and only then is the stack solved again
+    and each member whose solution is not finite solved alone."""
+    try:
+        with np.errstate(all="ignore", invalid="raise"):
+            return _umath_linalg.solve(a, b, signature="dd->d"), []
+    except FloatingPointError:
+        with np.errstate(all="ignore"):  # a refused member is NaN, without a warning
+            x = _umath_linalg.solve(a, b, signature="dd->d")
     return x, [k for k in _not_finite(x)
                if _refused(np.linalg.solve, a[k], np.broadcast_to(b, x.shape)[k])]
 

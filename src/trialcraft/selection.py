@@ -13,11 +13,11 @@ block, and every grid penalty on that segment is written at once.
 A Gaussian `lasso_cv` needs no pass over the rows per fold: each fit's Gram
 matrix and c, and its test loss at every penalty (a quadratic form), come
 from per-fold weighted moments of [x, y] taken once. Binomial paths run
-IRLS along the grid, each penalty from a quadratic or secant extrapolation
-of the last solutions; a step's working Gram matrix and score come from one
-weighted moment product of [1, x, z], z the working response, and it is
-solved exactly on the warm active set (a proximal Newton step), or by the
-homotopy where the active set or a sign changes. A penalty ends when a step
+IRLS along the grid, each penalty from a cubic, quadratic or secant
+extrapolation of the last solutions; a step's working Gram matrix and score
+come from one weighted moment product of [1, x, z], z the working response,
+and it is solved exactly on the warm active set (a proximal Newton step), or
+by the homotopy where the active set or a sign changes. A penalty ends when a step
 moves no coefficient by IRLS_MOVE_TOL, or when Newton's quadratic rate
 bounds the next move of an exact step well below it. `lasso_cv`
 walks the K fold fits and the full-data fit through the grid as one stack,
@@ -31,7 +31,8 @@ runs a step's elementwise work once, each problem's rows zero-padded to
 the longest problem's, and its two sums over rows (the linear predictor
 and the moment product) per problem on its own rows, so each fit gets the
 bits it gets alone. The grid starts at lam_max, where every coefficient is
-zero, so `lasso_cv` selects nothing at index 0.
+zero, so `lasso_cv` selects nothing at index 0. `_stepwise` also hands its
+caller the last winning fit, the unweighted Step 1b refit on its selection.
 """
 from __future__ import annotations
 
@@ -50,6 +51,9 @@ from .glm import GlmFamily, _as_design, _fitted, _solve, expit, fit_ml, fit_mls
 # once Newton's rate bounds its next move below a tenth of it (`_binomial_paths`)
 IRLS_MOVE_TOL = 1e-9
 MAX_NEWTON_RATE = 1e6  # the largest rate that bound trusts, also before any is measured
+# the most IRLS steps a fit's last penalty may take for its next to start from the
+# cubic (`_binomial_paths`); without it, comparison problem 90052 does not converge
+CUBIC_MAX_STEPS = 2
 KNOTS_PER_COLUMN = 20
 MAX_IRLS_STEPS = 200
 PATH_POINTS = 100
@@ -246,9 +250,12 @@ def _binomial_paths(blocks, lambdas):
     the rows it leaves out. Returns (b0s, B) of shapes (m, L) and (m, L, p).
 
     At each penalty the fits run IRLS together from a guess on the grid,
-    which is evenly spaced in log lam: 3 b(lam_i-1) - 3 b(lam_i-2) + b(lam_i-3)
-    for a coefficient or intercept of one sign at all three when the guess
-    keeps that sign; 2 b(lam_i-1) - b(lam_i-2) for one of one sign at the last
+    which is evenly spaced in log lam: the cubic 4 b(lam_i-1) - 6 b(lam_i-2)
+    + 4 b(lam_i-3) - b(lam_i-4) for a coefficient or intercept of one sign at
+    all four when the guess keeps that sign and the fit's last penalty took
+    at most CUBIC_MAX_STEPS steps; else 3 b(lam_i-1) - 3 b(lam_i-2) +
+    b(lam_i-3) for one of one sign at the last three when the guess keeps
+    that sign; 2 b(lam_i-1) - b(lam_i-2) for one of one sign at the last
     two; b(lam_i-1) otherwise. A step writes the working response z beside
     each fit's rows [1, xs] and takes one batched moment product
     M = [1, xs]'V [1, xs, z], V the working weights over the fit's row count
@@ -298,11 +305,17 @@ def _binomial_paths(blocks, lambdas):
             guess = 2.0 * beta - older
             if i >= 3:
                 oldest = path[:, i - 3]
+                kept3 = kept & (older * oldest > 0.0)  # of one sign at the last three
                 quad = 3.0 * (beta - older) + oldest
-                np.copyto(guess, quad, where=kept & (older * oldest > 0.0) & (quad * beta > 0.0))
+                np.copyto(guess, quad, where=kept3 & (quad * beta > 0.0))
+                if i >= 4:  # `taken` holds each fit's IRLS steps at penalty i - 1
+                    cubic = 4.0 * (beta + oldest) - 6.0 * older - path[:, i - 4]
+                    np.copyto(guess, cubic, where=kept3 & (oldest * path[:, i - 4] > 0.0)
+                              & (cubic * beta > 0.0) & (taken <= CUBIC_MAX_STEPS)[:, None])
             np.copyto(beta, guess, where=kept)
-        live = np.ones(m, dtype=bool)
+        live, taken = np.ones(m, dtype=bool), np.zeros(m, dtype=int)
         for step in range(MAX_IRLS_STEPS):
+            taken += live
             # a block none of whose fits is live is done with the penalty
             on = [part for part, any_live in
                   zip(parts, np.logical_or.reduceat(live, starts).tolist()) if any_live]
@@ -633,7 +646,13 @@ def stepwise_aic(
     `fit_mls` stack; ties break toward the lower column index, and a
     candidate whose own fit separates, is singular or does not converge is
     skipped at that step. A column whose mean or SD overflows float64 is an
-    EstimationError."""
+    EstimationError. `_stepwise` returns the last winning fit beside it."""
+    return _stepwise(x, y, family, max_terms, column_names)[0]
+
+
+def _stepwise(x, y, family: GlmFamily, max_terms=None, column_names=None):
+    """`stepwise_aic`'s result and its last winning fit (the intercept-only one
+    if no column enters), bit for bit `fit_ml` on the selected columns."""
     x = _as_design(x)
     y = np.asarray(y, dtype=float)
     n, p = x.shape
@@ -649,7 +668,8 @@ def stepwise_aic(
     dropped = tuple(names[j] for j in range(p) if constant[j])
 
     current: list[int] = []
-    best_aic = fit_ml(None, y, family).deviance + 2.0
+    best = fit_ml(None, y, family)
+    best_aic = best.deviance + 2.0
     while len(current) < max_terms:
         candidates = [j for j in usable if j not in current]
         fits = fit_mls([(x[:, current + [j]], y) for j in candidates], family)
@@ -659,15 +679,15 @@ def stepwise_aic(
                 continue
             aic = _fitted(fit).deviance + 2.0 * (len(current) + 2)
             if aic < best_candidate_aic - 1e-12:
-                best_j, best_candidate_aic = j, aic
+                best_j, best_candidate_aic, best_fit = j, aic, fit
         if best_j is None:
             break
         current.append(best_j)
-        best_aic = best_candidate_aic
+        best_aic, best = best_candidate_aic, best_fit
 
     selected = tuple(names[j] for j in current)
     warnings = _support_warning(len(selected), n, p)
-    return SelectionResult(selected, None, dropped, warnings)
+    return SelectionResult(selected, None, dropped, warnings), best
 
 
 def _refit_columns(names, selected: SelectionResult, forced=()):

@@ -3,7 +3,8 @@
 A check to run by hand whenever the lasso's paths or iterates change; pytest
 does not collect it. It fits two fixed broad samples of 160 problems each,
 and for each keeps the selected columns and `chosen_index`, or the class of
-the exception raised:
+the exception raised, and its IRLS step count (the `selection._solve` calls
+of its binomial path, 0 for a Gaussian problem):
 
 - logistic: p from 1 to 20, n from max(40, 3p) to 400, columns shifted and
   rescaled, half of the problems weighted, every 4th near-separated, 3 to 5
@@ -15,7 +16,9 @@ the exception raised:
     PYTHONPATH=<old checkout>/src python tests/compare_lasso_selections.py --record old.json
     PYTHONPATH=src python tests/compare_lasso_selections.py --compare old.json
 
-`--compare` prints every problem whose result differs. For each problem
+`--compare` prints every problem whose result differs, then both versions'
+total IRLS steps and every problem whose count rose; a recording made
+without counts prints none for the old version. For each problem
 that raised when recorded and returns now, it also prints the worst clipped
 KKT residual (means clipped into [1e-5, 1 - 1e-5], as the binomial IRLS
 takes them) of its full-data path at `lasso_cv`'s grid. It then runs the
@@ -36,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import kkt_violation
+from trialcraft import selection
 from trialcraft.errors import TrialcraftError
 from trialcraft.glm import GlmFamily, expit
 from trialcraft.selection import lasso_cv, lasso_cvs, lasso_path
@@ -92,10 +96,20 @@ def gaussian_problem(seed):
     return label, x, y, weights, k_cv, rule
 
 
+STEPS = "irls_steps"
+
+
 def record():
-    """Each problem's result by label, and the `lasso_cv` keyword arguments
-    and result of each problem that returned: label -> (kwargs, result)."""
-    out, returned = {}, {}
+    """Each problem's result and IRLS step count by label, and the `lasso_cv`
+    keyword arguments and result of each problem that returned: label ->
+    (kwargs, result)."""
+    out, returned, steps, solve = {}, {}, [0], selection._solve
+
+    def counted(*args):
+        steps[0] += 1
+        return solve(*args)
+
+    selection._solve = counted
     sample = [(seed, problem, GlmFamily.BINOMIAL) for seed in range(90_000, 90_000 + N_PROBLEMS)]
     sample += [(seed, gaussian_problem, GlmFamily.GAUSSIAN)
                for seed in range(91_000, 91_000 + N_PROBLEMS)]
@@ -103,7 +117,7 @@ def record():
         label, x, y, weights, k_cv, rule = make(seed)
         kwargs = dict(x=x, y=y, family=family, k_cv=k_cv, seed=seed, weights=weights,
                       lambda_rule=rule)
-        start = time.perf_counter()
+        start, steps[0] = time.perf_counter(), 0
         try:
             res = lasso_cv(**kwargs)
             out[label] = {"selected_columns": list(res.selected_columns),
@@ -111,8 +125,30 @@ def record():
             returned[label] = (kwargs, res)
         except TrialcraftError as exc:
             out[label] = {"error": type(exc).__name__}
+        out[label][STEPS] = steps[0]
         print(f"{time.perf_counter() - start:7.2f} s  {label}  {out[label]}", file=sys.stderr)
+    selection._solve = solve
     return out, returned
+
+
+def without_steps(result):
+    """A recorded result without its IRLS step count, or None."""
+    return None if result is None else {k: v for k, v in result.items() if k != STEPS}
+
+
+def step_counts(results, old):
+    """Print both versions' total IRLS steps and each problem whose count rose."""
+    counted = [label for label in results if STEPS in old.get(label, {})]
+    new_total = sum(result[STEPS] for result in results.values())
+    if not counted:
+        print(f"IRLS steps: old not recorded, new {new_total}")
+        return
+    fewer = sum(results[label][STEPS] < old[label][STEPS] for label in counted)
+    rose = [label for label in counted if results[label][STEPS] > old[label][STEPS]]
+    print(f"IRLS steps: old {sum(old[label][STEPS] for label in counted)}, new {new_total}; "
+          f"{fewer} problems took fewer, {len(rose)} more")
+    for label in rose:
+        print(f"{label}\n  IRLS steps rose: {old[label][STEPS]} -> {results[label][STEPS]}")
 
 
 def grouped_differences(returned):
@@ -152,7 +188,8 @@ def main(argv=None):
         print(f"recorded {len(results)} problems in {elapsed:.1f} s")
         return 0
     old = json.loads(args.compare.read_text())
-    differ = [label for label in results if results[label] != old.get(label)]
+    differ = [label for label in results
+              if without_steps(results[label]) != without_steps(old.get(label))]
     failed = 0
     for label in differ:
         print(f"{label}\n  old {old.get(label)}\n  new {results[label]}")
@@ -163,6 +200,7 @@ def main(argv=None):
         else:
             failed += 1
     print(f"{len(results) - len(differ)} of {len(results)} match ({elapsed:.1f} s)")
+    step_counts(results, old)
     grouped = grouped_differences(returned)
     for label in grouped:
         print(f"{label}\n  lasso_cvs in a group differs from lasso_cv alone")

@@ -343,8 +343,10 @@ class TestAnalyze:
          "ridge: the mean or SD of column 1 overflows float64; rescale the data"),
         ("b", {"estimator": "strong_null", "learner": "knn"},
          "knn: the mean or SD of column 1 overflows float64; rescale the data"),
-        ("b", {"estimator": "standardization", "expansion": {"polynomial_degree": 2}}, None),
-        ("b", {"estimator": "data_adaptive", "expansion": {"polynomial_degree": 2}}, None),
+        ("b", {"estimator": "standardization", "expansion": {"polynomial_degree": 2}},
+         "expansion: the mean or SD of column 'b^2' overflows float64; rescale the data"),
+        ("b", {"estimator": "data_adaptive", "expansion": {"polynomial_degree": 2}},
+         "expansion: the mean or SD of column 'b^2' overflows float64; rescale the data"),
         ("y", {"estimator": "unadjusted"},
          "standard error overflows float64; rescale the outcome"),
         ("y", {"estimator": "crossfit_aipw", "learner": "knn"},

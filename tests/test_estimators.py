@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from compare_lasso_selections import problem as broad_problem
 from conftest import simulate_trial, spy_binomial_blocks, spy_irls_stacks
+from trialcraft import estimators
 from trialcraft.data import FeatureExpansion, FoldPlan, TrialDataset, derived_seed, make_folds
 from trialcraft.errors import (
     ConfigError, DegenerateFold, DomainError, EstimationError, NonConvergence, Separation,
@@ -28,7 +29,7 @@ from trialcraft.estimators import (
 )
 from trialcraft.glm import GlmFamily, fit_ml, predict
 from trialcraft.learners import get_learner
-from trialcraft.selection import SelectionConfig, lasso_cv
+from trialcraft.selection import SelectionConfig, lasso_cv, stepwise_aic
 from trialcraft.simulation import DgpSpec, generate_dataset
 
 NO_SELECTION = SelectionConfig(method="none")
@@ -219,6 +220,57 @@ class TestDataAdaptive:
         n1, n0, p = d.n_treated, d.n_control, d.p
         factor = ((1 / (n0 - p - 1)) + (1 / (n1 - p - 1))) / ((1 / (n0 - 1)) + (1 / (n1 - 1)))
         assert b.se == pytest.approx(a.se * math.sqrt(factor), abs=1e-12)
+
+    @pytest.mark.parametrize("family", list(GlmFamily))
+    @pytest.mark.parametrize("estimate, pi, selection", [
+        (estimate_data_adaptive, None, STEPWISE), (estimate_tmle, None, STEPWISE),
+        (estimate_tmle, PiSpec.parametric(("x1",)), STEPWISE),
+        (estimate_data_adaptive, None, SelectionConfig(method="stepwise_aic", max_terms=0)),
+    ], ids=["data_adaptive", "tmle", "tmle-parametric", "intercept-only"])
+    def test_stepwise_winning_fit_is_the_arm_refit(self, family, estimate, pi, selection,
+                                                   monkeypatch):
+        # stepwise AIC's last winning fit (or its intercept-only start) is
+        # fit_ml on the selected columns, so an unweighted ML refit without
+        # forced columns is not made again; the estimate keeps its bits
+        d = simulate_trial(np.random.default_rng(8), n=120, family=family)
+        refits = spy_arm_refits(monkeypatch)
+        got = estimate(d, family=family, selection=selection, pi=pi)
+        assert refits == []
+        monkeypatch.setattr(estimators, "_stepwise",
+                            lambda *args, **kwargs: (stepwise_aic(*args, **kwargs), None))
+        refit = estimate(d, family=family, selection=selection, pi=pi)
+        assert refits == ["fit_ml", "fit_ml"]
+        assert (got.theta_hat, got.se) == (refit.theta_hat, refit.se)
+        for arm in (1, 0):
+            assert np.array_equal(got.diagnostics[f"pred{arm}"], refit.diagnostics[f"pred{arm}"])
+
+    @pytest.mark.parametrize("case", ["forced", "eem", "weighted"])
+    def test_stepwise_arms_are_refit_when_the_refit_is_another_fit(self, case, monkeypatch):
+        # a forced column the arm did not select, a least-squares (EEM)
+        # refit, or a refit weighted by the parametric propensity
+        rng = np.random.default_rng(8)
+        d = simulate_trial(rng, n=120, family=GlmFamily.BINOMIAL)
+        d = TrialDataset(d.y, d.z, np.column_stack([d.x, rng.standard_normal(d.n)]),
+                         d.column_names + ("noise",))
+        kwargs = {"forced": dict(expansion=FeatureExpansion(forced_columns=("noise",))),
+                  "eem": dict(eem=True), "weighted": dict(pi=PiSpec.parametric(("x1",)))}[case]
+        refits = spy_arm_refits(monkeypatch)
+        r = estimate_data_adaptive(d, family=GlmFamily.BINOMIAL, selection=STEPWISE, **kwargs)
+        assert refits == ["fit_least_squares" if case == "eem" else "fit_ml"] * 2
+        assert "noise" not in r.diagnostics["selected_1"] + r.diagnostics["selected_0"]
+
+
+def spy_arm_refits(monkeypatch):
+    """The name of each `fit_ml` or `fit_least_squares` call of `estimators`,
+    in call order: the arm refits of data_adaptive and tmle."""
+    calls = []
+    for name in ("fit_ml", "fit_least_squares"):
+        def spy(*args, _name=name, _fit=getattr(estimators, name), **kwargs):
+            calls.append(_name)
+            return _fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, spy)
+    return calls
 
 
 def separated_arm_1():
@@ -620,7 +672,6 @@ class TestCrossfitParametricPs:
 
     def test_single_arm_test_fold_raises_before_propensity_fit(self, monkeypatch):
         # fold 1 holds only treated rows; every training complement holds both arms
-        from trialcraft import estimators
         from trialcraft.data import FoldPlan
 
         z = np.r_[np.ones(4), np.ones(4), np.zeros(4)]

@@ -31,6 +31,7 @@ from trialcraft.glm import GlmFamily, expit, fit_ml
 from trialcraft.selection import (
     _column_names, _refit_columns, lasso_cv, lasso_cvs, lasso_lambda_max, lasso_path,
 )
+from trialcraft.simulation import DgpSpec, generate_dataset
 
 PINNED = Path(__file__).with_name("lasso_selections.json")
 
@@ -560,6 +561,21 @@ def test_binomial_step_falls_back_when_a_sign_changes(monkeypatch):
     assert (x3[leave:] < 0).any()
     # the exact solve on the warm active set, which holds x3, is rejected there
     assert leave in calls
+
+
+def test_a_binomial_stack_takes_few_irls_steps_a_grid_point(monkeypatch):
+    # both arms of one trial shaped like perfbench's mc_binary (n 500, p 3)
+    # in one lasso_cvs stack, as data_adaptive runs them: each step is one
+    # `_solve`. Starting each penalty from the quadratic or secant guess took
+    # 1.64 steps a grid point; the cubic start, where the fit's last penalty
+    # took at most CUBIC_MAX_STEPS steps, takes 1.30
+    d = generate_dataset(DgpSpec(name="binary", n=500, p=3, pi=0.5, outcome_kind="binary",
+                                 mechanism="linear", effect_size=1.0, noise_sd=1.0), 1)
+    steps, solve = [], selection._solve
+    monkeypatch.setattr(selection, "_solve", lambda *args: steps.append(1) or solve(*args))
+    list(lasso_cvs(dict(x=d.x[d.z == arm], y=d.y[d.z == arm], family=GlmFamily.BINOMIAL,
+                        seed=arm) for arm in (1, 0)))
+    assert len(steps) / selection.PATH_POINTS <= 1.4
 
 
 @pytest.mark.parametrize("seed", [90_024, 90_031, 90_052, 90_062, 90_073, 90_075, 90_107])
